@@ -1,4 +1,3 @@
-module Graph = Repro_util.Graph
 module Pool = Repro_util.Pool
 
 type criterion =
@@ -26,26 +25,7 @@ let criterion_name = function
 
 type verdict = Consistent | Inconsistent | Undecidable of History.rf_error
 
-(* --- int-array bitsets ---------------------------------------------------- *)
-
-(* The search state lives in flat [int array] bit words (32 bits per word)
-   rather than {!Repro_util.Bitset}'s bytes: membership, subset and the
-   packed memo key below all touch machine words with no bounds checks
-   beyond the array's own, and the placed-set words double as the first
-   half of the memo key with a single [Array.blit]. *)
-
-let words_for k = (k + 31) lsr 5
-
-let iset_mem w i = w.(i lsr 5) land (1 lsl (i land 31)) <> 0
-
-let iset_add w i = w.(i lsr 5) <- w.(i lsr 5) lor (1 lsl (i land 31))
-
-let iset_remove w i = w.(i lsr 5) <- w.(i lsr 5) land lnot (1 lsl (i land 31))
-
-(* a ⊆ b, same word count *)
-let iset_subset a b =
-  let rec scan i = i < 0 || (a.(i) land lnot b.(i) = 0 && scan (i - 1)) in
-  scan (Array.length a - 1)
+module V = Unit_view
 
 (* --- packed state keys ---------------------------------------------------- *)
 
@@ -147,98 +127,21 @@ end
 
 (* --- serialization search ------------------------------------------------ *)
 
-(* Dense local view of a subset of operations. *)
-type view = {
-  ops : Op.t array; (* local idx -> op *)
-  gids : int array; (* local idx -> global id *)
-  preds : int array array; (* local idx -> relation predecessors (bit words) *)
-  var_slot_of : int array; (* variable -> dense var slot, -1 when absent *)
-  n_vars : int;
-  source : int array;
-      (* local idx -> for reads: local idx of the write supplying the
-         value (differentiated histories have at most one candidate),
-         [-1] for Init-reads, [-2] for writes and for reads whose source
-         lies outside the subset *)
-}
-
-let make_view h ~subset ~relation =
-  let all_ops = History.ops h in
-  let gids = Array.of_list subset in
-  let k = Array.length gids in
-  let local_of = Array.make (History.n_ops h) (-1) in
-  Array.iteri (fun i gid -> local_of.(gid) <- i) gids;
-  let ops = Array.map (fun gid -> all_ops.(gid)) gids in
-  let nw = words_for k in
-  let preds = Array.init k (fun _ -> Array.make nw 0) in
-  Array.iteri
-    (fun i gid ->
-      List.iter
-        (fun succ_gid ->
-          let j = local_of.(succ_gid) in
-          if j >= 0 then iset_add preds.(j) i)
-        (Graph.succ relation gid))
-    gids;
-  let max_var = Array.fold_left (fun m (o : Op.t) -> Stdlib.max m o.var) (-1) ops in
-  let var_slot_of = Array.make (max_var + 1) (-1) in
-  let n_vars = ref 0 in
-  Array.iter
-    (fun (o : Op.t) ->
-      if var_slot_of.(o.var) < 0 then begin
-        var_slot_of.(o.var) <- !n_vars;
-        incr n_vars
-      end)
-    ops;
-  let writer_of = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (o : Op.t) ->
-      if Op.is_write o then Hashtbl.replace writer_of (o.var, o.value) i)
-    ops;
-  let source =
-    Array.map
-      (fun (o : Op.t) ->
-        match o.kind with
-        | Op.Write -> -2
-        | Op.Read -> (
-            match o.value with
-            | Op.Init -> -1
-            | Op.Val _ -> (
-                match Hashtbl.find_opt writer_of (o.var, o.value) with
-                | Some w -> w
-                | None -> -2)))
-      ops
-  in
-  { ops; gids; preds; var_slot_of; n_vars = !n_vars; source }
-
-let var_slot view (o : Op.t) = view.var_slot_of.(o.var)
-
-(* Legality of placing a read given the last placed write per variable
-   slot (-1 = none). *)
-let read_legal view last_write (o : Op.t) =
-  let slot = var_slot view o in
-  match o.value with
-  | Op.Init -> last_write.(slot) = -1
-  | Op.Val _ ->
-      last_write.(slot) >= 0
-      && Op.equal_value view.ops.(last_write.(slot)).Op.value o.value
-
-let find_serialization h ~subset ~relation =
-  let view = make_view h ~subset ~relation in
+let search_view (view : V.t) =
   let k = Array.length view.ops in
   if k = 0 then Some []
   else begin
-    let nw = words_for k in
+    let nw = V.words_for k in
     let placed = Array.make nw 0 in
     let last_write = Array.make view.n_vars (-1) in
     let order = ref [] in
     let memo = Packed_tbl.create () in
     let scratch = Array.make (nw + slot_words_for ~k view.n_vars) 0 in
-    let ready i =
-      (not (iset_mem placed i)) && iset_subset view.preds.(i) placed
-    in
+    let ready i = (not (V.mem placed i)) && V.subset view.preds.(i) placed in
     let place i =
-      iset_add placed i;
+      V.add placed i;
       order := i :: !order;
-      if Op.is_write view.ops.(i) then last_write.(var_slot view view.ops.(i)) <- i
+      if Op.is_write view.ops.(i) then last_write.(V.var_slot view view.ops.(i)) <- i
     in
     (* Greedily place every ready, legal read: never harmful (a read leaves
        the legality state untouched, so any completion with it later also
@@ -252,7 +155,7 @@ let find_serialization h ~subset ~relation =
           if
             ready i
             && Op.is_read view.ops.(i)
-            && read_legal view last_write view.ops.(i)
+            && V.read_legal view last_write view.ops.(i)
           then begin
             place i;
             placed_now := i :: !placed_now;
@@ -265,7 +168,7 @@ let find_serialization h ~subset ~relation =
     let unplace_reads reads =
       List.iter
         (fun i ->
-          iset_remove placed i;
+          V.remove placed i;
           order := List.tl !order)
         reads
     in
@@ -277,13 +180,13 @@ let find_serialization h ~subset ~relation =
     let doomed () =
       let rec scan i =
         if i >= k then false
-        else if iset_mem placed i || Op.is_write view.ops.(i) then scan (i + 1)
+        else if V.mem placed i || Op.is_write view.ops.(i) then scan (i + 1)
         else begin
-          let slot = var_slot view view.ops.(i) in
+          let slot = V.var_slot view view.ops.(i) in
           match view.source.(i) with
           | -1 -> last_write.(slot) <> -1 || scan (i + 1)
           | -2 -> true (* no candidate writer at all *)
-          | w -> (iset_mem placed w && last_write.(slot) <> w) || scan (i + 1)
+          | w -> (V.mem placed w && last_write.(slot) <> w) || scan (i + 1)
         end
       in
       scan 0
@@ -305,7 +208,7 @@ let find_serialization h ~subset ~relation =
           let wanted = Array.make k false in
           for i = 0 to k - 1 do
             if
-              (not (iset_mem placed i))
+              (not (V.mem placed i))
               && Op.is_read view.ops.(i)
               && view.source.(i) >= 0
             then wanted.(view.source.(i)) <- true
@@ -318,12 +221,12 @@ let find_serialization h ~subset ~relation =
           let rec try_writes = function
             | [] -> false
             | i :: tl ->
-                let slot = var_slot view view.ops.(i) in
+                let slot = V.var_slot view view.ops.(i) in
                 let saved = last_write.(slot) in
                 place i;
                 if search (n_placed + 1) then true
                 else begin
-                  iset_remove placed i;
+                  V.remove placed i;
                   order := List.tl !order;
                   last_write.(slot) <- saved;
                   try_writes tl
@@ -337,6 +240,9 @@ let find_serialization h ~subset ~relation =
     in
     if search 0 then Some (List.rev_map (fun i -> view.gids.(i)) !order) else None
   end
+
+let find_serialization h ~subset ~relation =
+  search_view (V.make (History.ops h) ~subset ~relation)
 
 let validate_serialization h ~subset ~relation ~order =
   let sorted_subset = List.sort_uniq compare subset in
@@ -383,15 +289,16 @@ let oracle = lazy (Sys.getenv_opt "REPRO_CHECK_ORACLE" <> None)
 
 (* Decide one unit: the saturation front-end answers directly when it can
    prove the verdict, and punts to the exact search otherwise, so both
-   engines decide identically on every input. *)
-let serializable ?engine h ~subset ~relation =
+   engines decide identically on every input.  Both run on one view. *)
+let decide ?engine ops ~subset ~relation =
   let engine = match engine with Some e -> e | None -> !default_engine in
-  let search () = find_serialization h ~subset ~relation <> None in
+  let view = V.make ops ~subset ~relation in
+  let search () = search_view view <> None in
   let verdict =
     match engine with
     | Search -> search ()
     | Saturation -> (
-        match Saturation.serializable h ~subset ~relation with
+        match Saturation.decide view with
         | Saturation.Consistent -> true
         | Saturation.Inconsistent -> false
         | Saturation.Unknown -> search ())
@@ -404,6 +311,9 @@ let serializable ?engine h ~subset ~relation =
             "Checker: engine mismatch on a %d-op unit (saturation=%b search=%b)"
             (List.length subset) verdict reference));
   verdict
+
+let serializable ?engine h ~subset ~relation =
+  decide ?engine (History.ops h) ~subset ~relation
 
 (* --- criterion decomposition --------------------------------------------- *)
 
@@ -453,10 +363,10 @@ let check_with ~for_all ?engine criterion rc =
   | Error (History.Dangling_read _) -> Inconsistent
   | Error (History.Ambiguous_read _ as e) -> Undecidable e
   | Ok _ ->
-      let h = Relcache.history rc in
+      let ops = Relcache.ops rc in
       let consistent =
         for_all
-          (fun (_, subset, relation) -> serializable ?engine h ~subset ~relation)
+          (fun (_, subset, relation) -> decide ?engine ops ~subset ~relation)
           (units criterion rc)
       in
       if consistent then Consistent else Inconsistent
@@ -486,10 +396,11 @@ let witness criterion h =
   match Relcache.read_from rc with
   | Error _ -> None
   | Ok _ ->
+      let ops = Relcache.ops rc in
       let rec collect acc = function
         | [] -> Some (List.rev acc)
         | (key, subset, relation) :: rest -> (
-            match find_serialization h ~subset ~relation with
+            match search_view (V.make ops ~subset ~relation) with
             | None -> None
             | Some order -> collect ((key, order) :: acc) rest)
       in
@@ -498,12 +409,12 @@ let witness criterion h =
 module Private = struct
   let pack_state ~k ~placed ~last_write =
     if k < 0 then invalid_arg "pack_state: negative k";
-    let nw = words_for k in
+    let nw = V.words_for k in
     let words = Array.make nw 0 in
     List.iter
       (fun i ->
         if i < 0 || i >= k then invalid_arg "pack_state: placed index out of range";
-        iset_add words i)
+        V.add words i)
       placed;
     let scratch = Array.make (nw + slot_words_for ~k (Array.length last_write)) 0 in
     pack_into ~k ~n_placed_words:nw scratch words last_write;

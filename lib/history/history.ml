@@ -44,7 +44,7 @@ let op t gid =
   in
   find 0
 
-let ops t = Array.init t.total (op t)
+let ops t = Array.concat (Array.to_list t.procs)
 
 let id_of_addr t ~proc ~index =
   if proc < 0 || proc >= Array.length t.procs then

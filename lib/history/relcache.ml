@@ -42,8 +42,14 @@ let create h =
       lazy (Graph.union (Lazy.force program_order) (Lazy.force read_from_relation));
     proc_ids =
       lazy
-        (Array.init (History.n_procs h) (fun p ->
-             List.map (History.id h) (History.sub_history h p)));
+        (let ops = Lazy.force ops in
+         Array.init (History.n_procs h) (fun p ->
+             let ids = ref [] in
+             for gid = Array.length ops - 1 downto 0 do
+               let o = ops.(gid) in
+               if o.Op.proc = p || Op.is_write o then ids := gid :: !ids
+             done;
+             !ids));
     var_ids =
       lazy
         (let tbl = Hashtbl.create 16 in
@@ -59,6 +65,7 @@ let create h =
   }
 
 let history t = t.h
+let ops t = Lazy.force t.ops
 let read_from t = Lazy.force t.rf
 let rf_exn t = rf_exn_of (Lazy.force t.rf)
 let program_order t = Lazy.force t.program_order

@@ -16,6 +16,9 @@ val create : History.t -> t
 
 val history : t -> History.t
 
+val ops : t -> Op.t array
+(** {!History.ops}, computed once and shared: callers must not mutate it. *)
+
 val read_from : t -> (int option array, History.rf_error) result
 (** Memoized {!History.read_from}. *)
 

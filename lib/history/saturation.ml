@@ -1,5 +1,3 @@
-module Graph = Repro_util.Graph
-
 type outcome = Consistent | Inconsistent | Unknown
 
 type counters = {
@@ -28,107 +26,7 @@ let reset_counters () =
   Atomic.set c_greedy 0;
   Atomic.set c_unknown 0
 
-(* --- int-array bit rows (32 bits per word, as in the search engine) ------- *)
-
-let words_for k = (k + 31) lsr 5
-let iset_mem w i = w.(i lsr 5) land (1 lsl (i land 31)) <> 0
-let iset_add w i = w.(i lsr 5) <- w.(i lsr 5) lor (1 lsl (i land 31))
-
-let iset_subset a b =
-  let rec scan i = i < 0 || (a.(i) land lnot b.(i) = 0 && scan (i - 1)) in
-  scan (Array.length a - 1)
-
-let row_union_into dst src =
-  for i = 0 to Array.length dst - 1 do
-    dst.(i) <- dst.(i) lor src.(i)
-  done
-
-let iter_row f row k =
-  for i = 0 to k - 1 do
-    if iset_mem row i then f i
-  done
-
-(* --- dense local view ----------------------------------------------------- *)
-
-(* Mirrors the search engine's view, with two extra flags: a read whose
-   (var, value) has no writer in the subset dooms the unit outright, and a
-   subset with two writers of the same (var, value) is not differentiated
-   within the unit — the value-based legality the engines share is then
-   source-ambiguous, so we punt to the search. *)
-type view = {
-  ops : Op.t array;
-  preds : int array array; (* local idx -> relation predecessors (bit words) *)
-  var_slot_of : int array;
-  n_vars : int;
-  source : int array; (* reads: source local idx, -1 Init; writes: -2 *)
-  missing_source : bool;
-  dup_writer : bool;
-}
-
-let make_view h ~subset ~relation =
-  let all_ops = History.ops h in
-  let gids = Array.of_list subset in
-  let k = Array.length gids in
-  let local_of = Array.make (History.n_ops h) (-1) in
-  Array.iteri (fun i gid -> local_of.(gid) <- i) gids;
-  let ops = Array.map (fun gid -> all_ops.(gid)) gids in
-  let nw = words_for k in
-  let preds = Array.init k (fun _ -> Array.make nw 0) in
-  Array.iteri
-    (fun i gid ->
-      List.iter
-        (fun succ_gid ->
-          let j = local_of.(succ_gid) in
-          if j >= 0 then iset_add preds.(j) i)
-        (Graph.succ relation gid))
-    gids;
-  let max_var = Array.fold_left (fun m (o : Op.t) -> Stdlib.max m o.var) (-1) ops in
-  let var_slot_of = Array.make (max_var + 1) (-1) in
-  let n_vars = ref 0 in
-  Array.iter
-    (fun (o : Op.t) ->
-      if var_slot_of.(o.var) < 0 then begin
-        var_slot_of.(o.var) <- !n_vars;
-        incr n_vars
-      end)
-    ops;
-  let writer_of = Hashtbl.create 16 in
-  let dup_writer = ref false in
-  Array.iteri
-    (fun i (o : Op.t) ->
-      if Op.is_write o then begin
-        if Hashtbl.mem writer_of (o.var, o.value) then dup_writer := true;
-        Hashtbl.replace writer_of (o.var, o.value) i
-      end)
-    ops;
-  let missing_source = ref false in
-  let source =
-    Array.map
-      (fun (o : Op.t) ->
-        match o.kind with
-        | Op.Write -> -2
-        | Op.Read -> (
-            match o.value with
-            | Op.Init -> -1
-            | Op.Val _ -> (
-                match Hashtbl.find_opt writer_of (o.var, o.value) with
-                | Some w -> w
-                | None ->
-                    missing_source := true;
-                    -2)))
-      ops
-  in
-  {
-    ops;
-    preds;
-    var_slot_of;
-    n_vars = !n_vars;
-    source;
-    missing_source = !missing_source;
-    dup_writer = !dup_writer;
-  }
-
-let var_slot view (o : Op.t) = view.var_slot_of.(o.var)
+module V = Unit_view
 
 (* --- stream merge (single-reader units: the PRAM/slow decomposition) ------ *)
 
@@ -137,9 +35,11 @@ let var_slot view (o : Op.t) = view.var_slot_of.(o.var)
    including the source (FIFO, never reordered), then drain the leftover
    stream suffixes.  The candidate is legal by construction; it is accepted
    only if it also respects the full unit relation, which keeps the merge
-   sound for any relation handed to it.  Failure proves nothing — the caller
-   falls through to saturation. *)
-let try_merge view k =
+   sound for any relation handed to it: each op, as it is placed, must find
+   all its relation predecessors in the running [before] row (one subset
+   test per op).  Failure proves nothing — the caller falls through to
+   saturation. *)
+let try_merge (view : V.t) k =
   let reader = ref (-1) and multi = ref false and max_proc = ref (-1) in
   Array.iter
     (fun (o : Op.t) ->
@@ -159,22 +59,13 @@ let try_merge view k =
     done;
     let streams = Array.map Array.of_list streams in
     let ptr = Array.make (!max_proc + 1) 0 in
-    let pos = Array.make k (-1) in
-    let next_pos = ref 0 in
+    let before = Array.make (V.words_for k) 0 in
     let last = Array.make view.n_vars (-1) in
     let place i =
-      pos.(i) <- !next_pos;
-      incr next_pos;
+      if not (V.subset view.preds.(i) before) then raise Exit;
+      V.add before i;
       let o = view.ops.(i) in
-      if Op.is_write o then last.(var_slot view o) <- i
-    in
-    let legal_now (o : Op.t) =
-      let sl = var_slot view o in
-      match o.Op.value with
-      | Op.Init -> last.(sl) = -1
-      | Op.Val _ ->
-          last.(sl) >= 0
-          && Op.equal_value view.ops.(last.(sl)).Op.value o.Op.value
+      if Op.is_write o then last.(V.var_slot view o) <- i
     in
     try
       List.iter
@@ -183,8 +74,8 @@ let try_merge view k =
           if Op.is_write o then place r
           else begin
             let s = view.source.(r) in
-            if legal_now o then place r
-            else if s >= 0 && view.ops.(s).Op.proc <> reader && pos.(s) < 0
+            if V.read_legal view last o then place r
+            else if s >= 0 && view.ops.(s).Op.proc <> reader && not (V.mem before s)
             then begin
               let q = view.ops.(s).Op.proc in
               let rec advance () =
@@ -195,7 +86,7 @@ let try_merge view k =
                 if w <> s then advance ()
               in
               advance ();
-              if legal_now o then place r else raise Exit
+              if V.read_legal view last o then place r else raise Exit
             end
             else raise Exit
           end)
@@ -206,62 +97,87 @@ let try_merge view k =
           ptr.(q) <- ptr.(q) + 1
         done
       done;
-      for v = 0 to k - 1 do
-        iter_row (fun u -> if pos.(u) >= pos.(v) then raise Exit) view.preds.(v) k
-      done;
       true
     with Exit -> false
   end
 
 (* --- write-order saturation ----------------------------------------------- *)
 
+(* Transitive closure of successor rows, in place; [false] when they hold a
+   cycle.  Kahn's algorithm gives a topological order, and rows are closed
+   in reverse of it, so every successor's row is final when its
+   predecessors read it.  A successor already reached through an earlier
+   one adds nothing and is skipped: the work is one step per edge plus a
+   row union for the few edges left. *)
+let close rows k =
+  let nw = V.words_for k in
+  let indeg = Array.make k 0 in
+  Array.iter (V.iter_row (fun j -> indeg.(j) <- indeg.(j) + 1)) rows;
+  let order = Array.make k 0 and n = ref 0 in
+  let push j =
+    order.(!n) <- j;
+    incr n
+  in
+  for i = 0 to k - 1 do
+    if indeg.(i) = 0 then push i
+  done;
+  let release j =
+    indeg.(j) <- indeg.(j) - 1;
+    if indeg.(j) = 0 then push j
+  in
+  let head = ref 0 in
+  while !head < !n do
+    V.iter_row release rows.(order.(!head));
+    incr head
+  done;
+  !n = k
+  && begin
+       let reach = Array.make nw 0 in
+       for t = k - 1 downto 0 do
+         let row = rows.(order.(t)) in
+         Array.fill reach 0 nw 0;
+         V.iter_row
+           (fun j -> if not (V.mem reach j) then V.union_into reach rows.(j))
+           row;
+         V.union_into row reach
+       done;
+       true
+     end
+
 (* Closure rows over forced precedence: the unit relation, each read after
    its source, each Init-read before every same-variable write, then the two
    derivation rules to a fixpoint.  Every edge holds in every legal
    serialization, so a cycle is a proof of inconsistency. *)
-let saturate view k =
-  let nw = words_for k in
-  let rows = Array.init k (fun _ -> Array.make nw 0) in
-  for v = 0 to k - 1 do
-    iter_row (fun u -> iset_add rows.(u) v) view.preds.(v) k
-  done;
+let saturate (view : V.t) k =
+  let nw = V.words_for k in
+  let rows = Array.map Array.copy view.succs in
   let writes_of_slot = Array.make (Stdlib.max view.n_vars 1) [] in
   for i = k - 1 downto 0 do
     let o = view.ops.(i) in
     if Op.is_write o then
-      writes_of_slot.(var_slot view o) <- i :: writes_of_slot.(var_slot view o)
+      writes_of_slot.(V.var_slot view o) <- i :: writes_of_slot.(V.var_slot view o)
   done;
   Array.iteri
     (fun r (o : Op.t) ->
       if Op.is_read o then
         match view.source.(r) with
         | -1 ->
-            List.iter (fun w' -> iset_add rows.(r) w') writes_of_slot.(var_slot view o)
-        | s -> iset_add rows.(s) r)
+            List.iter (fun w' -> V.add rows.(r) w') writes_of_slot.(V.var_slot view o)
+        | s -> V.add rows.(s) r)
     view.ops;
-  for via = 0 to k - 1 do
-    let row_via = rows.(via) in
-    for u = 0 to k - 1 do
-      if u <> via && iset_mem rows.(u) via then row_union_into rows.(u) row_via
-    done
-  done;
-  let cyclic = ref false in
-  for u = 0 to k - 1 do
-    if iset_mem rows.(u) u then cyclic := true
-  done;
-  if !cyclic then `Cycle
+  if not (close rows k) then `Cycle
   else begin
     let exception Cycle in
     let tmp = Array.make nw 0 in
     (* add u→v and restore exact closure; raises on a back-path *)
     let add_edge u v =
-      if iset_mem rows.(u) v then false
+      if V.mem rows.(u) v then false
       else begin
-        if u = v || iset_mem rows.(v) u then raise Cycle;
+        if u = v || V.mem rows.(v) u then raise Cycle;
         Array.blit rows.(v) 0 tmp 0 nw;
-        iset_add tmp v;
+        V.add tmp v;
         for a = 0 to k - 1 do
-          if a = u || iset_mem rows.(a) u then row_union_into rows.(a) tmp
+          if a = u || V.mem rows.(a) u then V.union_into rows.(a) tmp
         done;
         true
       end
@@ -273,14 +189,14 @@ let saturate view k =
         for r = 0 to k - 1 do
           let s = view.source.(r) in
           if s >= 0 then begin
-            let sl = var_slot view view.ops.(r) in
+            let sl = V.var_slot view view.ops.(r) in
             List.iter
               (fun w' ->
                 if w' <> s then begin
                   (* source before w'  ⇒  the read precedes w' *)
-                  if iset_mem rows.(s) w' && add_edge r w' then changed := true;
+                  if V.mem rows.(s) w' && add_edge r w' then changed := true;
                   (* w' before the read  ⇒  w' precedes the source *)
-                  if iset_mem rows.(w') r && add_edge w' s then changed := true
+                  if V.mem rows.(w') r && add_edge w' s then changed := true
                 end)
               writes_of_slot.(sl)
           end
@@ -294,78 +210,86 @@ let saturate view k =
 
 (* Deterministic single-path construction over the saturated order: place
    every ready legal read eagerly (never harmful — reads leave the legality
-   state untouched), then pick a ready write that does not overwrite a
-   variable some pending sourced read is currently entitled to, preferring
-   sources of pending reads.  Success builds a legal serialization, proving
-   consistency; getting stuck proves nothing. *)
-let greedy view k rows =
-  let nw = words_for k in
-  let preds = Array.init k (fun _ -> Array.make nw 0) in
-  for u = 0 to k - 1 do
-    iter_row (fun v -> iset_add preds.(v) u) rows.(u) k
-  done;
-  let placed = Array.make nw 0 in
+   state untouched), then pick the lowest-index ready write that does not
+   overwrite a variable some pending sourced read is currently entitled to,
+   preferring sources of pending reads.  Success builds a legal
+   serialization, proving consistency; getting stuck proves nothing.
+
+   The state is kept incrementally, so each placement walks one saturated
+   row:
+   - [npred] counts each op's unplaced predecessors; an op is ready at 0.
+   - A read is legal, if ever, the moment it becomes ready: its source (or,
+     for an Init-read, every same-variable write) is a predecessor, and a
+     read that is illegal then has had its value overwritten for good.  So
+     ready legal reads go on a stack and the rest are never placed.
+   - A sourced read is pending on its variable's window from its source's
+     placement to its own; [open_reads] counts them per variable.  A write
+     is only chosen on a variable with no pending reads, so every pending
+     read stays legal: no window can close, and the construction gets stuck
+     only when no ready write is eligible.
+   - A write is wanted (the source of a pending read) exactly when some read
+     of the unit reads it: its readers follow it, so all are pending while
+     it is unplaced.  Ready writes sit in two rows by that static flag. *)
+let greedy (view : V.t) k rows =
+  let nw = V.words_for k in
+  let npred = Array.make k 0 in
+  let count j = npred.(j) <- npred.(j) + 1 in
+  Array.iter (V.iter_row count) rows;
+  let readers = Array.make k 0 in
+  Array.iter (fun s -> if s >= 0 then readers.(s) <- readers.(s) + 1) view.source;
   let last = Array.make view.n_vars (-1) in
+  let open_reads = Array.make view.n_vars 0 in
+  let ready_wanted = Array.make nw 0 and ready_other = Array.make nw 0 in
+  let stack = Array.make k 0 and depth = ref 0 in
   let n_placed = ref 0 in
-  let ready i = (not (iset_mem placed i)) && iset_subset preds.(i) placed in
+  let became_ready i =
+    let o = view.ops.(i) in
+    if Op.is_write o then V.add (if readers.(i) > 0 then ready_wanted else ready_other) i
+    else if V.read_legal view last o then begin
+      stack.(!depth) <- i;
+      incr depth
+    end
+  in
+  let release j =
+    npred.(j) <- npred.(j) - 1;
+    if npred.(j) = 0 then became_ready j
+  in
   let place i =
-    iset_add placed i;
     incr n_placed;
     let o = view.ops.(i) in
-    if Op.is_write o then last.(var_slot view o) <- i
+    let sl = V.var_slot view o in
+    if Op.is_write o then begin
+      last.(sl) <- i;
+      open_reads.(sl) <- readers.(i)
+    end
+    else if view.source.(i) >= 0 then open_reads.(sl) <- open_reads.(sl) - 1;
+    V.iter_row release rows.(i)
   in
-  let read_legal (o : Op.t) =
-    let sl = var_slot view o in
-    match o.Op.value with
-    | Op.Init -> last.(sl) = -1
-    | Op.Val _ ->
-        last.(sl) >= 0 && Op.equal_value view.ops.(last.(sl)).Op.value o.Op.value
-  in
-  let window_open = Array.make (Stdlib.max view.n_vars 1) false in
-  let wanted = Array.make k false in
-  let exception Stuck in
-  try
-    while !n_placed < k do
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        for i = 0 to k - 1 do
-          if ready i && Op.is_read view.ops.(i) && read_legal view.ops.(i) then begin
-            place i;
-            progress := true
-          end
-        done
-      done;
-      if !n_placed < k then begin
-        Array.fill window_open 0 (Array.length window_open) false;
-        Array.fill wanted 0 k false;
-        for i = 0 to k - 1 do
-          if (not (iset_mem placed i)) && Op.is_read view.ops.(i) then begin
-            let s = view.source.(i) in
-            if s >= 0 then
-              if iset_mem placed s then
-                if read_legal view.ops.(i) then
-                  window_open.(var_slot view view.ops.(i)) <- true
-                else raise Stuck (* window already closed: this path is dead *)
-              else wanted.(s) <- true
-          end
-        done;
-        let urgent = ref (-1) and safe = ref (-1) in
-        for i = k - 1 downto 0 do
-          let o = view.ops.(i) in
-          if ready i && Op.is_write o && not window_open.(var_slot view o) then
-            if wanted.(i) then urgent := i else safe := i
-        done;
-        if !urgent >= 0 then place !urgent
-        else if !safe >= 0 then place !safe
-        else raise Stuck
-      end
+  let eligible i = open_reads.(V.var_slot view view.ops.(i)) = 0 in
+  for i = 0 to k - 1 do
+    if npred.(i) = 0 then became_ready i
+  done;
+  let rec run () =
+    while !depth > 0 do
+      decr depth;
+      place stack.(!depth)
     done;
-    true
-  with Stuck -> false
+    if !n_placed = k then true
+    else
+      let w = V.first_such eligible ready_wanted in
+      let w = if w >= 0 then w else V.first_such eligible ready_other in
+      if w < 0 then false
+      else begin
+        V.remove (if readers.(w) > 0 then ready_wanted else ready_other) w;
+        place w;
+        run ()
+      end
+  in
+  run ()
 
-let serializable h ~subset ~relation =
-  let view = make_view h ~subset ~relation in
+(* --- decision ------------------------------------------------------------- *)
+
+let decide (view : V.t) =
   let k = Array.length view.ops in
   if k = 0 then Consistent
   else if view.missing_source then begin
@@ -374,6 +298,7 @@ let serializable h ~subset ~relation =
     Inconsistent
   end
   else if view.dup_writer then begin
+    (* value-based legality cannot tell the two writers apart *)
     Atomic.incr c_unknown;
     Unknown
   end
@@ -395,3 +320,6 @@ let serializable h ~subset ~relation =
           Atomic.incr c_unknown;
           Unknown
         end
+
+let serializable h ~subset ~relation =
+  decide (V.make (History.ops h) ~subset ~relation)

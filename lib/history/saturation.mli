@@ -30,6 +30,9 @@
 
 type outcome = Consistent | Inconsistent | Unknown
 
+val decide : Unit_view.t -> outcome
+(** Decide one unit from its view (the procedures above, in that order). *)
+
 val serializable :
   History.t -> subset:int list -> relation:Orders.relation -> outcome
 (** Decide whether the subset admits a legal serialization respecting the
@@ -37,7 +40,8 @@ val serializable :
     [find_serialization <> None] — including the search engine's treatment
     of reads whose source lies outside the subset (no serialization).
     Subsets containing two writes of the same value to the same variable
-    (non-differentiated within the unit) answer [Unknown]. *)
+    (non-differentiated within the unit) answer [Unknown].  Builds the
+    unit's view and calls {!decide}. *)
 
 (** {2 Instrumentation} *)
 

@@ -23,6 +23,8 @@ let add_edge t u v =
 
 let succ t u = List.rev t.adj.(u)
 
+let iter_succ t u f = List.iter f t.adj.(u)
+
 let edges t =
   let acc = ref [] in
   for u = t.n - 1 downto 0 do

@@ -20,6 +20,10 @@ val mem_edge : t -> int -> int -> bool
 val succ : t -> int -> int list
 (** Successors in insertion order (deduplicated). *)
 
+val iter_succ : t -> int -> (int -> unit) -> unit
+(** [iter_succ t u f] calls [f] on each successor of [u], most recently
+    inserted first, without allocating. *)
+
 val edges : t -> (int * int) list
 (** All edges, lexicographically sorted. *)
 

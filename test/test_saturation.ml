@@ -3,19 +3,22 @@
    Three sources of histories, in increasing realism:
 
    - random QCheck histories (arbitrary, i.e. mostly inconsistent, plus
-     the consistent-by-construction generators);
+     the consistent-by-construction generators, some with units wider
+     than 64 ops);
    - the deterministic scenario bank (the paper's Figures 3-6 patterns,
      executed on the efficient protocols with adversarial latencies);
    - the 33 golden protocol/seed histories pinned by test_golden.ml.
 
    A disagreement here means the saturation engine is unsound or its
    Unknown fallback is broken, so the byte-identity golden digests would
-   move with it. *)
+   move with it.  The decision-mix group below pins, beyond verdicts,
+   which procedure decides each unit. *)
 
 module Checker = Repro_history.Checker
 module History = Repro_history.History
 module Relcache = Repro_history.Relcache
 module Saturation = Repro_history.Saturation
+module Unit_view = Repro_history.Unit_view
 module Generator = Repro_history.Generator
 module Registry = Repro_core.Registry
 module Workload = Repro_core.Workload
@@ -92,6 +95,34 @@ let test_parity_sequential_consistent =
             Generator.sequential_consistent (Rng.create seed)
               { Generator.procs = 3; vars = 3; ops_per_proc = 4; read_ratio = 0.5 })))
 
+(* Units wider than two row words: a few processes with long programs give
+   Pram and Causal units of about 145 ops (five 32-bit words, like the
+   sim-check shape below) whose search still finishes well under a second —
+   the search's memo states are bounded by the program-order prefixes, so
+   few processes keep it small.  Both consistent generators, each checked
+   under both criteria. *)
+let large_profile = { Generator.procs = 3; vars = 4; ops_per_proc = 60; read_ratio = 0.3 }
+
+let test_parity_large_units =
+  qcheck
+    (QCheck.Test.make ~name:"parity_on_units_above_64_ops" ~count:15 QCheck.small_int
+       (fun seed ->
+         List.for_all
+           (fun generate ->
+             let h = generate (Rng.create (seed + 9_000)) large_profile in
+             let rc = Relcache.create h in
+             List.iter
+               (fun p ->
+                 let k = List.length (Relcache.proc_ids rc p) in
+                 if k <= 64 then QCheck.Test.fail_reportf "unit p%d has only %d ops" p k)
+               (List.init large_profile.Generator.procs Fun.id);
+             List.for_all
+               (fun criterion ->
+                 verdict_name (Checker.check ~engine:Checker.Search criterion h)
+                 = verdict_name (Checker.check ~engine:Checker.Saturation criterion h))
+               [ Checker.Pram; Checker.Causal ])
+           [ Generator.pram_consistent; Generator.causal_consistent ]))
+
 (* --- deterministic scenario bank ------------------------------------------- *)
 
 let scenario_seed = 77
@@ -132,6 +163,102 @@ let test_golden_histories_parity () =
             (golden_history spec seed))
         Registry.all)
     [ 11; 22; 33 ]
+
+(* --- the sim-check instance shape ------------------------------------------ *)
+
+(* The shape the repository benchmark's sim-check workload decides: n = 32,
+   64 variables on 3 replicas each, 8 ops per process, 40% reads, under
+   pram-partial and causal-partial, each history against its protocol's
+   guarantee — units of about 158 ops.  The search cannot decide units this
+   wide, so the saturation procedures are called directly (the oracle would
+   never finish).  The counters pin which procedure decides each unit: a
+   change that moves units from one procedure to another fails here.  The
+   expected mix is the one the scan-based greedy and the k² merge check
+   produced before the incremental versions replaced them: of the 256
+   units, 124 by the merge and 132 (128 causal, 4 PRAM) by the greedy. *)
+let e1x_shape_counters seeds =
+  let n_procs = 32 in
+  let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
+  Saturation.reset_counters ();
+  List.iter
+    (fun s ->
+      let dist =
+        Distribution.random (Rng.create (s + n_procs)) ~n_procs ~n_vars:64
+          ~replicas_per_var:3
+      in
+      List.iter
+        (fun name ->
+          let spec = Option.get (Registry.find name) in
+          let h = Workload.run_random ~profile ~seed:(s + 1) (spec.Registry.make ~dist ~seed:s ()) in
+          let rc = Relcache.create h in
+          let relation =
+            match spec.Registry.guarantees with
+            | Checker.Pram -> Relcache.pram rc
+            | Checker.Causal -> Relcache.causal rc
+            | c -> Alcotest.failf "unexpected guarantee %s" (Checker.criterion_name c)
+          in
+          for p = 0 to n_procs - 1 do
+            let view = Unit_view.make (Relcache.ops rc) ~subset:(Relcache.proc_ids rc p) ~relation in
+            match Saturation.decide view with
+            | Saturation.Consistent -> ()
+            | Saturation.Inconsistent | Saturation.Unknown ->
+                Alcotest.failf "%s seed %d: unit p%d (%d ops) not proved consistent" name s p
+                  (Array.length view.Unit_view.ops)
+          done)
+        [ "pram-partial"; "causal-partial" ])
+    seeds;
+  let c = Saturation.counters () in
+  [ c.Saturation.merge_hits; c.cycle_refutations; c.greedy_hits; c.unknowns ]
+
+let test_e1x_decision_mix () =
+  Alcotest.(check (list int))
+    "merge / cycle / greedy / fallback" [ 124; 0; 132; 0 ]
+    (e1x_shape_counters [ 1; 2; 3; 4 ])
+
+(* The same pin on small generated histories, every criterion: here the
+   greedy gets stuck on a few units (the fallback column), so a change to
+   which write it picks, or to when it gives up, moves the counts even
+   where the verdicts stay the same.  Expected values as above. *)
+let test_generated_decision_mix () =
+  List.iter
+    (fun (name, generate, expected) ->
+      Saturation.reset_counters ();
+      for seed = 0 to 199 do
+        let h =
+          generate (Rng.create seed)
+            { Generator.procs = 4; vars = 3; ops_per_proc = 6; read_ratio = 0.6 }
+        in
+        List.iter
+          (fun criterion -> ignore (Checker.check ~engine:Checker.Saturation criterion h))
+          Checker.all_criteria
+      done;
+      let c = Saturation.counters () in
+      Alcotest.(check (list int))
+        (name ^ ": merge / cycle / greedy / fallback")
+        expected
+        [ c.Saturation.merge_hits; c.cycle_refutations; c.greedy_hits; c.unknowns ])
+    [
+      ("pram-consistent", Generator.pram_consistent, [ 5041; 68; 2046; 4 ]);
+      ("causal-consistent", Generator.causal_consistent, [ 5137; 68; 1946; 4 ]);
+    ]
+
+(* --- bit rows -------------------------------------------------------------- *)
+
+let test_row_iteration =
+  qcheck
+    (QCheck.Test.make ~name:"iter_row_and_first_such_match_a_bit_scan" ~count:200
+       QCheck.(pair (int_range 0 200) small_int)
+       (fun (k, seed) ->
+         let rng = Random.State.make [| seed |] in
+         let row = Array.make (Unit_view.words_for k) 0 in
+         let bits = List.filter (fun _ -> Random.State.int rng 4 = 0) (List.init k Fun.id) in
+         List.iter (Unit_view.add row) bits;
+         let seen = ref [] in
+         Unit_view.iter_row (fun i -> seen := i :: !seen) row;
+         let odd = List.find_opt (fun i -> i land 1 = 1) bits in
+         List.rev !seen = bits
+         && Unit_view.first_such (fun i -> i land 1 = 1) row
+            = Option.value ~default:(-1) odd))
 
 (* --- direct unit-level checks ---------------------------------------------- *)
 
@@ -180,6 +307,7 @@ let () =
           test_parity_pram_consistent;
           test_parity_causal_consistent;
           test_parity_sequential_consistent;
+          test_parity_large_units;
         ] );
       ( "scenario-bank",
         [
@@ -196,5 +324,11 @@ let () =
           Alcotest.test_case "missing writer refuted" `Quick
             test_missing_writer_refuted;
           Alcotest.test_case "counters move" `Quick test_counters_move;
+          test_row_iteration;
+        ] );
+      ( "decision-mix",
+        [
+          Alcotest.test_case "sim-check shape" `Quick test_e1x_decision_mix;
+          Alcotest.test_case "generated histories" `Quick test_generated_decision_mix;
         ] );
     ]

@@ -477,7 +477,12 @@ let test_graph_basic () =
   check Alcotest.int "edges" 2 (Graph.n_edges g);
   check Alcotest.bool "mem" true (Graph.mem_edge g 0 1);
   check Alcotest.bool "not mem" false (Graph.mem_edge g 1 0);
-  check Alcotest.(list int) "succ" [ 1 ] (Graph.succ g 0)
+  check Alcotest.(list int) "succ" [ 1 ] (Graph.succ g 0);
+  Graph.add_edge g 0 3;
+  let seen = ref [] in
+  Graph.iter_succ g 0 (fun v -> seen := v :: !seen);
+  check Alcotest.(list int) "iter_succ visits succ" (Graph.succ g 0)
+    (List.sort compare !seen)
 
 let test_graph_closure () =
   let g = Graph.create 4 in
