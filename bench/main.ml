@@ -33,6 +33,7 @@ module Bellman_ford = Repro_apps.Bellman_ford
 module Wgraph = Repro_apps.Wgraph
 module Cluster = Repro_cluster.Cluster
 module Wal = Repro_durable.Wal
+module Fsio = Repro_durable.Fsio
 module Rng = Repro_util.Rng
 module Table = Repro_util.Table
 module Pool = Repro_util.Pool
@@ -1130,15 +1131,7 @@ let run_load_benchmarks ?json () =
    pooled frame cycle (acquire → header+body emit → release) that the
    batched link flush runs per message — with minor-heap words per
    operation next to nanoseconds, because the point of the pooled path is
-   what it does NOT allocate.  Then the whole-stack check: the same
-   fixed-work load configuration (pram-partial, n=3, read-heavy, same
-   seed) run once per rep on the legacy arm (REPRO_LIVE_LEGACY=1: Marshal
-   bodies, one write(2) per frame, per-iteration select rebuild) and once
-   on the default zero-copy arm, gated on the paired wall-throughput
-   ratio (>= 1.3x) and the CPU-cost ratio (fast arm must complete more
-   ops per node CPU-second).  Both arms serve identical op multisets, so
-   the protocol lane must agree to the byte — the two-lane invariant
-   cross-checked between arms. *)
+   what it does NOT allocate. *)
 
 module Wire = Repro_transport.Wire
 module Tcodec = Repro_transport.Codec
@@ -1196,31 +1189,7 @@ let hotpath_micro_rows () =
   bench_codec "pram-partial" Pram_partial.codec pram_msg
   @ bench_codec "causal-full" Causal_full.codec causal_msg
 
-let hotpath_reps = 3
-
-type arm_pair = { ap_fast : Load.result; ap_legacy : Load.result }
-
-let run_hotpath_pairs () =
-  (* offered rate far above either arm's capacity: with [drain_plan] the
-     whole plan is served however long that takes, so the completion span
-     measures capacity, not the open-loop schedule — at an unsaturated
-     rate both arms would just track the offered rate and the ratio would
-     read 1.0 no matter how much cheaper the fast arm is *)
-  let cfg rep =
-    load_config ~protocol:"pram-partial" ~n:3 ~mix:Mix.read_heavy
-      ~rate:1_000_000.0 ~duration_ms:600 ~coalesce:8 ~drain_plan:true
-      ~seed:(seed + 9 + rep)
-  in
-  List.init hotpath_reps (fun rep ->
-      (* legacy first, then fast, per rep: adjacent in time so slow drifts
-         of the host hit both arms alike *)
-      Unix.putenv "REPRO_LIVE_LEGACY" "1";
-      let legacy = run_load (cfg rep) in
-      Unix.putenv "REPRO_LIVE_LEGACY" "0";
-      let fast = run_load (cfg rep) in
-      { ap_fast = fast; ap_legacy = legacy })
-
-let hotpath_json_record micro pairs ~notes =
+let hotpath_json_record micro ~notes =
   let micro_json r =
     Jsonout.Obj
       [
@@ -1229,39 +1198,13 @@ let hotpath_json_record micro pairs ~notes =
         ("minor_words_per_op", Jsonout.Float r.mb_words);
       ]
   in
-  let pair_json p =
-    Jsonout.Obj
-      [
-        ("fast", Load.json_of_result p.ap_fast);
-        ("legacy", Load.json_of_result p.ap_legacy);
-        ( "wall_ratio",
-          Jsonout.Float
-            (p.ap_fast.Load.ops_per_sec /. p.ap_legacy.Load.ops_per_sec) );
-        ( "cpu_throughput_ratio",
-          Jsonout.Float
-            (p.ap_fast.Load.ops_per_node_cpu_s
-            /. p.ap_legacy.Load.ops_per_node_cpu_s) );
-        ( "protocol_lane_identical",
-          Jsonout.Bool
-            (p.ap_fast.Load.messages_sent = p.ap_legacy.Load.messages_sent
-            && p.ap_fast.Load.control_bytes = p.ap_legacy.Load.control_bytes
-            && p.ap_fast.Load.payload_bytes = p.ap_legacy.Load.payload_bytes) );
-      ]
-  in
   Jsonout.Obj
-    ([
-       ("schema", Jsonout.String "repro-hotpath/1");
-       ("seed", Jsonout.Int seed);
-       ("reps", Jsonout.Int hotpath_reps);
-     ]
+    ([ ("schema", Jsonout.String "repro-hotpath/1") ]
     @ (match notes with
       | [] -> []
       | notes ->
           [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
-    @ [
-        ("micro", Jsonout.List (List.map micro_json micro));
-        ("load_pair", Jsonout.List (List.map pair_json pairs));
-      ])
+    @ [ ("micro", Jsonout.List (List.map micro_json micro)) ])
 
 let run_hotpath_benchmarks ?json () =
   let micro = hotpath_micro_rows () in
@@ -1303,60 +1246,9 @@ let run_hotpath_benchmarks ?json () =
             r.mb_name r.mb_words
           :: !failures)
     micro;
-  let pairs = run_hotpath_pairs () in
-  List.iteri
-    (fun i p ->
-      Printf.printf
-        "arm pair %d: fast %.0f ops/s (%.0f per cpu-s) vs legacy %.0f ops/s \
-         (%.0f per cpu-s) — wall x%.2f, cpu x%.2f, protocol lane %s\n"
-        i p.ap_fast.Load.ops_per_sec p.ap_fast.Load.ops_per_node_cpu_s
-        p.ap_legacy.Load.ops_per_sec p.ap_legacy.Load.ops_per_node_cpu_s
-        (p.ap_fast.Load.ops_per_sec /. p.ap_legacy.Load.ops_per_sec)
-        (p.ap_fast.Load.ops_per_node_cpu_s
-        /. p.ap_legacy.Load.ops_per_node_cpu_s)
-        (if
-           p.ap_fast.Load.messages_sent = p.ap_legacy.Load.messages_sent
-           && p.ap_fast.Load.control_bytes = p.ap_legacy.Load.control_bytes
-           && p.ap_fast.Load.payload_bytes = p.ap_legacy.Load.payload_bytes
-         then "byte-identical"
-         else "MISMATCH"))
-    pairs;
-  let wall_ratios =
-    List.map
-      (fun p -> p.ap_fast.Load.ops_per_sec /. p.ap_legacy.Load.ops_per_sec)
-      pairs
-  in
-  let cpu_ratios =
-    List.map
-      (fun p ->
-        p.ap_fast.Load.ops_per_node_cpu_s
-        /. p.ap_legacy.Load.ops_per_node_cpu_s)
-      pairs
-  in
-  let med_wall = median_f wall_ratios and med_cpu = median_f cpu_ratios in
-  Printf.printf "hotpath: median wall ratio x%.2f, median cpu ratio x%.2f\n"
-    med_wall med_cpu;
-  if med_wall < 1.3 then
-    failures :=
-      Printf.sprintf "median wall-throughput ratio %.2f < 1.3" med_wall
-      :: !failures;
-  if med_cpu <= 1.0 then
-    failures :=
-      Printf.sprintf "median CPU-throughput ratio %.2f <= 1.0" med_cpu
-      :: !failures;
-  List.iter
-    (fun p ->
-      if
-        p.ap_fast.Load.messages_sent <> p.ap_legacy.Load.messages_sent
-        || p.ap_fast.Load.control_bytes <> p.ap_legacy.Load.control_bytes
-        || p.ap_fast.Load.payload_bytes <> p.ap_legacy.Load.payload_bytes
-      then
-        failures := "arm pair protocol lanes differ (two-lane invariant)"
-                    :: !failures)
-    pairs;
   List.iter (fun f -> Printf.eprintf "hotpath tier FAILED: %s\n" f) !failures;
   write_record
-    (fun ~notes -> hotpath_json_record micro pairs ~notes)
+    (fun ~notes -> hotpath_json_record micro ~notes)
     json;
   if !failures <> [] then exit 2
 
@@ -1436,17 +1328,9 @@ let durable_tmp_root () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "repro-bench-wal-%d" (Unix.getpid ()))
   in
-  let rec rm p =
-    if Sys.file_exists p then
-      if Sys.is_directory p then begin
-        Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-        Unix.rmdir p
-      end
-      else Sys.remove p
-  in
-  rm dir;
+  Fsio.remove_tree dir;
   Unix.mkdir dir 0o700;
-  (dir, fun () -> rm dir)
+  (dir, fun () -> Fsio.remove_tree dir)
 
 let run_durable_policy root failures (label, policy) =
   let dir = Filename.concat root ("policy-" ^ label) in

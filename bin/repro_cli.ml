@@ -176,28 +176,6 @@ let apply_jobs = function
       prerr_endline "jobs must be >= 1";
       exit 2
 
-(* [--engine] selects the checker's decision procedure; like [--jobs] it is
-   a side effect on the process-wide default, applied before the command
-   body.  Without it the default follows $(b,REPRO_CHECK_ENGINE). *)
-let engine_arg =
-  let engine_conv =
-    Arg.conv
-      ( (fun name ->
-          match String.lowercase_ascii name with
-          | "search" -> Ok Checker.Search
-          | "saturation" -> Ok Checker.Saturation
-          | _ -> Error (`Msg "engine must be 'search' or 'saturation'")),
-        fun ppf e -> Format.pp_print_string ppf (Checker.engine_name e) )
-  in
-  Arg.(value & opt (some engine_conv) None
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Checker engine: $(b,saturation) (polynomial front-end, the \
-                 default) or $(b,search) (backtracking).")
-
-let apply_engine = function
-  | None -> ()
-  | Some e -> Checker.set_default_engine e
-
 (* --- chaos plans --------------------------------------------------------------- *)
 
 let chaos_conv =
@@ -331,9 +309,8 @@ let protocol_arg =
            ~doc:"Protocol implementation (see $(b,protocols)).")
 
 let run_cmd =
-  let run spec dist seed ops read_ratio timed diagram chaos session jobs engine =
+  let run spec dist seed ops read_ratio timed diagram chaos session jobs =
     apply_jobs jobs;
-    apply_engine engine;
     let dist =
       if spec.Registry.requires_full_replication then
         Distribution.full ~n_procs:(Distribution.n_procs dist)
@@ -420,8 +397,7 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Run a random workload on a protocol and check the recorded history.")
     Term.(const run $ protocol_arg $ dist_arg $ seed_arg $ ops_arg $ reads_arg
-          $ timed_arg $ diagram_arg $ chaos_arg $ session_arg $ jobs_arg
-          $ engine_arg)
+          $ timed_arg $ diagram_arg $ chaos_arg $ session_arg $ jobs_arg)
 
 (* --- check ------------------------------------------------------------------------ *)
 
@@ -451,9 +427,8 @@ let require_arg =
                  (e.g. $(b,pram), $(b,causal), $(b,sequential)).")
 
 let check_cmd =
-  let run path diagram require jobs engine =
+  let run path diagram require jobs =
     apply_jobs jobs;
-    apply_engine engine;
     let text =
       match path with
       | "-" -> In_channel.input_all stdin
@@ -534,7 +509,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"Check a textual history against every criterion."
        ~man)
-    Term.(const run $ path_arg $ diagram_arg $ require_arg $ jobs_arg $ engine_arg)
+    Term.(const run $ path_arg $ diagram_arg $ require_arg $ jobs_arg)
 
 (* --- bellman-ford ------------------------------------------------------------------ *)
 
@@ -1088,8 +1063,7 @@ let placement_cmd =
 
 let reconfig_cmd =
   let run nodes k vnodes vars seed writes write_period demote_after chaos
-      connect_timeout drain_quiet deadline wal_dir out_history json engine =
-    apply_engine engine;
+      connect_timeout drain_quiet deadline wal_dir out_history json =
     match
       Reconfig.run ~n:nodes ~k ~vnodes ~n_vars:vars ~seed ~writes
         ~write_period_ms:write_period ~demote_after_ms:demote_after ?chaos
@@ -1298,13 +1272,12 @@ let reconfig_cmd =
     Term.(const run $ nodes_arg $ k_arg $ vnodes_arg $ vars_arg $ seed_arg
           $ writes_arg $ write_period_arg $ demote_after_arg $ chaos_arg
           $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg $ wal_dir_arg
-          $ out_history_arg $ json_arg $ engine_arg)
+          $ out_history_arg $ json_arg)
 
 let cluster_cmd =
   let run nodes spec workload seed chaos session checkpoint_ms parity json
-      out_history gc_space_overhead engine durable_flag fsync_every
-      fsync_interval wal_dir connect_timeout drain_quiet deadline =
-    apply_engine engine;
+      out_history gc_space_overhead durable_flag fsync_every fsync_interval
+      wal_dir connect_timeout drain_quiet deadline =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
     let durable =
       resolve_fsync_policy ~flag:(durable_flag || wal_dir <> None)
@@ -1517,9 +1490,9 @@ let cluster_cmd =
              to put down a wedged run.")
     Term.(const run $ nodes_arg $ protocol_arg $ workload_arg $ seed_arg
           $ chaos_arg $ session_arg $ checkpoint_ms_arg $ parity_arg $ json_arg
-          $ out_history_arg $ gc_space_overhead_arg $ engine_arg
-          $ durable_flag_arg $ fsync_every_arg $ fsync_interval_arg
-          $ wal_dir_arg $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg)
+          $ out_history_arg $ gc_space_overhead_arg $ durable_flag_arg
+          $ fsync_every_arg $ fsync_interval_arg $ wal_dir_arg
+          $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg)
 
 (* --- open-loop load tier -------------------------------------------------------- *)
 

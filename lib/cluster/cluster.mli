@@ -5,17 +5,16 @@
     The parent pre-binds every node's listener on 127.0.0.1 (kernel-chosen
     ports) {e before} forking, so no child can race another for an
     address; children inherit their listen socket, run {!Node.run}, and
-    marshal their results back over a pipe.  The parent drains all report
-    pipes with [select] — never a blocking read per child — so a report
-    larger than a pipe buffer cannot deadlock the collection order.
+    report their results through the {!Supervisor}, which drains every
+    report pipe in one [select], respawns crashed nodes and runs the
+    watchdog.
 
-    With a chaos plan the harness becomes a supervisor: it validates the
-    plan, keeps every listener open (a peer redialing a crashed node lands
-    in the backlog; the respawned child re-inherits the same socket), maps
-    exit code 42 ({!Repro_transport.Chaos.Injected_crash}) to a scheduled
-    respawn from the node's last checkpoint with [incarnation + 1], and
-    accounts the recovery traffic separately from the paper's
-    control/payload bytes.
+    With a chaos plan the harness validates the plan, keeps every
+    listener open (a peer redialing a crashed node lands in the backlog;
+    the respawned child re-inherits the same socket), restarts a crashed
+    node from its last checkpoint with [incarnation + 1], freezes its WAL
+    before the respawn when the durability tier runs, and accounts the
+    recovery traffic separately from the paper's control/payload bytes.
 
     Forking must precede any OCaml 5 domain creation, so this module
     checks histories with the sequential {!Repro_history.Checker.check} —

@@ -47,7 +47,7 @@ type result = {
   wall_ms : int;
 }
 
-exception Crash of string
+exception Crash = Supervisor.Crash
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Crash m)) fmt
 

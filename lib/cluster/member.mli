@@ -98,6 +98,7 @@ type wal_entry =
     salvage a dead node's operations from its surviving log. *)
 
 exception Crash of string
+(** {!Supervisor.Crash}. *)
 
 val run : config -> result
 (** Run until the supervisor broadcasts [finish] (an [Epoch] frame), then

@@ -29,7 +29,7 @@ type result = {
   recovered_digest : string option;
 }
 
-exception Crash of string
+exception Crash = Supervisor.Crash
 
 let crashf fmt = Printf.ksprintf (fun s -> raise (Crash s)) fmt
 

@@ -48,10 +48,10 @@ type result = {
 }
 
 exception Crash of string
-(** Raised on timeout (peers missing, program stuck), protocol rejection
-    (blocking protocols need a node for every fiber they suspend on),
-    fingerprint mismatch, a corrupt stream, or replay divergence during
-    crash recovery. *)
+(** {!Supervisor.Crash}.  Raised on timeout (peers missing, program
+    stuck), protocol rejection (blocking protocols need a node for every
+    fiber they suspend on), fingerprint mismatch, a corrupt stream, or
+    replay divergence during crash recovery. *)
 
 val run :
   self:int ->

@@ -1,12 +1,12 @@
 module Live = Repro_transport.Live
 module Wire = Repro_transport.Wire
-module Chaos = Repro_transport.Chaos
 module Fault = Repro_msgpass.Fault
 module Ring = Repro_sharegraph.Ring
 module History = Repro_history.History
 module Checker = Repro_history.Checker
 module Op = Repro_history.Op
 module Wal = Repro_durable.Wal
+module Fsio = Repro_durable.Fsio
 
 type event = {
   ev_epoch : int;
@@ -46,44 +46,9 @@ type outcome = {
   wall_ms : int;
 }
 
-type report = Finished of Member.result | Crashed of string
-
 let loopback = Unix.inet_addr_loopback
 
-(* --- child side ------------------------------------------------------------ *)
-
-let child_main ~(cfg : Member.config) ~listen_fds wfd =
-  Array.iteri
-    (fun i fd ->
-      if i <> cfg.Member.self then
-        try Unix.close fd with Unix.Unix_error _ -> ())
-    listen_fds;
-  let report =
-    try Finished (Member.run cfg) with
-    | Chaos.Injected_crash _ -> Unix._exit 42
-    | Member.Crash msg -> Crashed msg
-    | e -> Crashed (Printexc.to_string e)
-  in
-  (try
-     let oc = Unix.out_channel_of_descr wfd in
-     Marshal.to_channel oc (report : report) [];
-     flush oc
-   with _ -> ());
-  Unix._exit (match report with Finished _ -> 0 | Crashed _ -> 1)
-
-(* --- supervisor bookkeeping ------------------------------------------------ *)
-
-type slot = {
-  mutable pid : int;
-  mutable rfd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable eof : bool;
-  mutable status : Unix.process_status option;
-  mutable incarnation : int;
-  mutable restarts : int;
-  mutable respawn_at : float option;
-  mutable final : report option;
-}
+(* --- control-plane bookkeeping -------------------------------------------- *)
 
 (* One control connection: a dialed socket speaking Wire frames with the
    supervisor sentinel as src.  The parent keeps every listener open, so
@@ -131,14 +96,6 @@ let write_all fd buf =
       | exception Unix.Unix_error (EINTR, _, _) -> go off
   in
   go 0
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      try Unix.rmdir path with Unix.Unix_error _ -> ()
-    end
-    else try Sys.remove path with Sys_error _ -> ()
 
 let ints_to_string is = String.concat "," (List.map string_of_int is)
 
@@ -243,55 +200,6 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
           let node_wal self =
             Filename.concat wal_root (Printf.sprintf "node-%d.wal" self)
           in
-          let spawn self incarnation =
-            flush stdout;
-            flush stderr;
-            let rfd, wfd = Unix.pipe () in
-            match Unix.fork () with
-            | 0 ->
-                Unix.close rfd;
-                child_main
-                  ~cfg:
-                    {
-                      Member.self;
-                      n;
-                      listen_fd = listen_fds.(self);
-                      peers;
-                      seed;
-                      k;
-                      vnodes;
-                      n_vars;
-                      initial_members;
-                      writes_target = writes;
-                      write_period_ms;
-                      hello_timeout_ms;
-                      run_timeout_ms;
-                      quiet_ms;
-                      connect_timeout_ms;
-                      chaos;
-                      wal_dir = Some (node_wal self);
-                      incarnation;
-                    }
-                  ~listen_fds wfd
-            | pid ->
-                Unix.close wfd;
-                (pid, rfd)
-          in
-          let slots =
-            Array.init n (fun self ->
-                let pid, rfd = spawn self 0 in
-                {
-                  pid;
-                  rfd;
-                  buf = Buffer.create 4096;
-                  eof = false;
-                  status = None;
-                  incarnation = 0;
-                  restarts = 0;
-                  respawn_at = None;
-                  final = None;
-                })
-          in
           let ctls =
             Array.init n (fun node ->
                 {
@@ -309,6 +217,47 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
                   p_pings = 0;
                 })
           in
+          let sup =
+            Supervisor.create
+              ~deadline_ms:
+                (Option.value deadline_ms ~default:(run_timeout_ms + 30_000))
+              ?chaos
+              ~on_respawn:(fun self ->
+                (* grace until the respawn's first pong: recovery time must
+                   not count as silence *)
+                ctls.(self).p_at <- 0.;
+                ctls.(self).p_pings <- 0)
+              ()
+          in
+          for self = 0 to n - 1 do
+            Supervisor.spawn sup (fun ~incarnation ->
+                Array.iteri
+                  (fun i fd ->
+                    if i <> self then
+                      try Unix.close fd with Unix.Unix_error _ -> ())
+                  listen_fds;
+                Member.run
+                  {
+                    Member.self;
+                    n;
+                    listen_fd = listen_fds.(self);
+                    peers;
+                    seed;
+                    k;
+                    vnodes;
+                    n_vars;
+                    initial_members;
+                    writes_target = writes;
+                    write_period_ms;
+                    hello_timeout_ms;
+                    run_timeout_ms;
+                    quiet_ms;
+                    connect_timeout_ms;
+                    chaos;
+                    wal_dir = Some (node_wal self);
+                    incarnation;
+                  })
+          done;
           let kill_ctl c =
             (match c.fd with
             | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
@@ -403,60 +352,13 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
             |> List.sort compare
             |> ref
           in
-          let restart_delay self =
-            match chaos with
-            | None -> None
-            | Some p -> (
-                match Fault.Plan.crash_for p self with
-                | Some c -> c.Fault.Plan.restart_after
-                | None -> (
-                    match Fault.Plan.dcrash_for p self with
-                    | Some c -> c.Fault.Plan.drestart_after
-                    | None -> None))
-          in
-          let deadline =
-            t_start
-            +. float (Option.value deadline_ms
-                        ~default:(run_timeout_ms + 30_000))
-               /. 1000.
-          in
           let t0 = ref None in
           let last_ping = ref 0. in
           let finish_sent = ref false in
-          let wedged = ref false in
-          let chunk = Bytes.create 65536 in
           let rbuf = Bytes.create 65536 in
-          let all_final () = Array.for_all (fun s -> s.final <> None) slots in
-          let node_alive i = slots.(i).final = None in
-          let keep_going () =
-            if Unix.gettimeofday () < deadline then true
-            else begin
-              wedged := true;
-              false
-            end
-          in
-          while (not (all_final ())) && keep_going () do
+          let node_alive i = Option.is_none (Supervisor.ending sup i) in
+          while Supervisor.running sup do
             let now = Unix.gettimeofday () in
-            (* respawns due *)
-            Array.iteri
-              (fun self s ->
-                match s.respawn_at with
-                | Some t when now >= t ->
-                    s.respawn_at <- None;
-                    s.incarnation <- s.incarnation + 1;
-                    s.restarts <- s.restarts + 1;
-                    let pid, rfd = spawn self s.incarnation in
-                    s.pid <- pid;
-                    s.rfd <- rfd;
-                    Buffer.clear s.buf;
-                    s.eof <- false;
-                    s.status <- None;
-                    (* grace until the respawn's first pong: recovery time
-                       must not count as silence *)
-                    ctls.(self).p_at <- 0.;
-                    ctls.(self).p_pings <- 0
-                | _ -> ())
-              slots;
             (* control connections: dial / redial *)
             Array.iter
               (fun c ->
@@ -475,20 +377,10 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
                 ctls
             end;
             (* pump sockets and report pipes together *)
-            let ctl_fds =
-              Array.to_list ctls
-              |> List.filter_map (fun c -> c.fd)
-            in
-            let pipe_slots =
-              Array.to_list slots
-              |> List.filter (fun s ->
-                     s.final = None && s.respawn_at = None && not s.eof)
-            in
-            let pipe_fds = List.map (fun s -> s.rfd) pipe_slots in
             let ready =
-              match Unix.select (ctl_fds @ pipe_fds) [] [] 0.02 with
-              | r, _, _ -> r
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+              Supervisor.step sup
+                ~fds:(Array.to_list ctls |> List.filter_map (fun c -> c.fd))
+                ~timeout:0.02 ()
             in
             (* control socket reads: pongs *)
             Array.iter
@@ -550,13 +442,14 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
             | Some _ when not !finish_sent ->
                 Array.iter
                   (fun c ->
-                    let s = slots.(c.node) in
                     let dead =
-                      match s.final with Some (Crashed _) -> true | _ -> false
+                      match Supervisor.ending sup c.node with
+                      | None | Some (Supervisor.Finished _) -> false
+                      | Some _ -> true
                     in
                     let silent =
                       c.p_at > 0.
-                      && s.respawn_at = None
+                      && (not (Supervisor.awaiting_respawn sup c.node))
                       && (now -. c.p_at) *. 1000. > float demote_after_ms
                       && c.p_pings >= 8
                     in
@@ -703,97 +596,30 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
               finish_sent := true;
               broadcast ~kind:Wire.Epoch ~body:"finish"
             end;
-            (* report pipes *)
-            List.iter
-              (fun s ->
-                if List.memq s.rfd ready then
-                  match Unix.read s.rfd chunk 0 (Bytes.length chunk) with
-                  | 0 ->
-                      s.eof <- true;
-                      (try Unix.close s.rfd with Unix.Unix_error _ -> ())
-                  | kk -> Buffer.add_subbytes s.buf chunk 0 kk
-                  | exception Unix.Unix_error _ ->
-                      s.eof <- true;
-                      (try Unix.close s.rfd with Unix.Unix_error _ -> ()))
-              pipe_slots;
-            (* reap exits *)
-            Array.iter
-              (fun s ->
-                if s.final = None && s.respawn_at = None && s.status = None
-                then
-                  match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-                  | 0, _ -> ()
-                  | _, st -> s.status <- Some st
-                  | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                      s.status <- Some (Unix.WEXITED 255))
-              slots;
-            (* finalize *)
-            Array.iteri
-              (fun self s ->
-                if
-                  s.final = None && s.respawn_at = None && s.eof
-                  && s.status <> None
-                then
-                  match s.status with
-                  | Some (Unix.WEXITED 42) -> (
-                      match restart_delay self with
-                      | Some d when s.incarnation = 0 ->
-                          s.respawn_at <-
-                            Some (Unix.gettimeofday () +. (float d /. 1000.))
-                      | _ ->
-                          s.final <-
-                            Some
-                              (Crashed "injected crash (no restart scheduled)"))
-                  | Some st ->
-                      let report =
-                        try
-                          (Marshal.from_string (Buffer.contents s.buf) 0
-                            : report)
-                        with _ ->
-                          Crashed
-                            (Printf.sprintf "exited without reporting (%s)"
-                               (match st with
-                               | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-                               | Unix.WSIGNALED sg ->
-                                   Printf.sprintf "signal %d" sg
-                               | Unix.WSTOPPED sg ->
-                                   Printf.sprintf "stopped %d" sg))
-                      in
-                      s.final <- Some report
-                  | None -> ())
-              slots
           done;
-          (* put down whatever is left *)
-          Array.iter
-            (fun s ->
-              if s.final = None then begin
-                (try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] s.pid)
-                 with Unix.Unix_error _ -> ());
-                (try Unix.close s.rfd with Unix.Unix_error _ -> ());
-                s.final <-
-                  Some
-                    (Crashed
-                       (if !wedged then "wedged (supervisor deadline)"
-                        else "supervisor stop"))
-              end)
-            slots;
+          let endings = Supervisor.stop sup in
           Array.iter (fun c -> kill_ctl c) ctls;
           Array.iter
             (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
             listen_fds;
-          if !wedged then begin
+          let state = function
+            | Supervisor.Finished _ -> "finished"
+            | Supervisor.Crashed m -> m
+            | Supervisor.Injected_crash ->
+                "injected crash (no restart scheduled)"
+            | Supervisor.Put_down -> "wedged (supervisor deadline)"
+          in
+          if
+            Array.exists
+              (function Supervisor.Put_down -> true | _ -> false)
+              endings
+          then begin
             let states =
-              Array.to_list slots
-              |> List.mapi (fun i s ->
-                     Printf.sprintf "node %d: %s" i
-                       (match s.final with
-                       | Some (Finished _) -> "finished"
-                       | Some (Crashed m) -> m
-                       | None -> "running"))
+              Array.to_list endings
+              |> List.mapi (fun i e -> Printf.sprintf "node %d: %s" i (state e))
               |> String.concat "; "
             in
-            if wal_dir = None then rm_rf wal_root;
+            if wal_dir = None then Fsio.remove_tree wal_root;
             Error
               (Printf.sprintf
                  "wedged: supervisor deadline expired (epoch %d, pending %s) \
@@ -809,28 +635,25 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
             let salvaged = ref [] in
             let reports =
               Array.mapi
-                (fun i s ->
-                  match Option.get s.final with
-                  | Finished r -> Ok r
-                  | Crashed msg -> (
+                (fun i e ->
+                  match e with
+                  | Supervisor.Finished r -> Ok r
+                  | e -> (
                       (* an injected crash with no restart leaves a WAL the
                          member logged before every send: its ops can be
                          reconstructed even though it never reported *)
-                      let injected =
-                        String.length msg >= 8 && String.sub msg 0 8 = "injected"
-                      in
-                      match salvage ~node:i ~dir:(node_wal i) with
-                      | Some r when injected ->
+                      match (e, salvage ~node:i ~dir:(node_wal i)) with
+                      | Supervisor.Injected_crash, Some r ->
                           salvaged := i :: !salvaged;
                           Ok r
-                      | _ -> Error (Printf.sprintf "node %d: %s" i msg)))
-                slots
+                      | _ -> Error (Printf.sprintf "node %d: %s" i (state e))))
+                endings
             in
             let errors =
               Array.to_list reports
               |> List.filter_map (function Error e -> Some e | Ok _ -> None)
             in
-            if wal_dir = None then rm_rf wal_root;
+            if wal_dir = None then Fsio.remove_tree wal_root;
             if errors <> [] then Error (String.concat "\n" errors)
             else
               let node_results =
@@ -870,8 +693,7 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
                   verdict = Checker.check Checker.Cache history;
                   pram = Checker.check Checker.Pram history;
                   stale_epochs = sum (fun r -> r.Member.stale_epochs);
-                  restarts =
-                    Array.fold_left (fun acc s -> acc + s.restarts) 0 slots;
+                  restarts = Supervisor.restarts sup;
                   salvaged = List.sort compare !salvaged;
                   keys_moved_total =
                     List.fold_left (fun acc e -> acc + e.ev_keys_moved) 0 events;

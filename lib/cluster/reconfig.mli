@@ -1,9 +1,11 @@
-(** The reconfiguration supervisor: a live cluster whose membership
+(** The reconfiguration control plane: a live cluster whose membership
     changes while it runs.
 
-    Forks [n] {!Member} processes (all [n] keep listeners and a full
-    mesh; {e ring membership} is the thing that changes), dials a
-    control connection to each, and drives the epoch-fenced protocol:
+    Forks [n] {!Member} processes through the {!Supervisor} (all [n] keep
+    listeners and a full mesh; {e ring membership} is the thing that
+    changes), dials a control connection to each, pumps those sockets in
+    the supervisor's [select] together with the report pipes, and drives
+    the epoch-fenced protocol:
 
     + heartbeat [Ping]/[Pong] doubles as failure detector and readiness
       poll — a member silent past [demote_after_ms] is demoted by a
@@ -15,11 +17,11 @@
       complete), the supervisor broadcasts the {e commit} ([Epoch]
       frame) and the new epoch takes effect — stragglers are fenced at
       the transport seam;
-    + crashed children (exit 42) are respawned with a bumped
-      incarnation and recover from their WAL; a node that dies with no
-      restart scheduled has its operations {e salvaged} from its
-      surviving WAL so the reassembled history stays closed under
-      reads.
+    + crashed children (exit 42) are respawned by the supervisor with a
+      bumped incarnation and recover from their WAL; a node that ends
+      as an injected crash with no restart scheduled has its operations
+      {e salvaged} from its surviving WAL so the reassembled history
+      stays closed under reads.
 
     A watchdog deadline fails a wedged run with an error prefixed
     ["wedged:"] — the CLI maps it to a distinct exit code. *)

@@ -9,6 +9,16 @@ let fsync_dir dir =
          ());
       Unix.close fd
 
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      try Unix.rmdir path with Unix.Unix_error _ -> ()
+    end
+    else try Sys.remove path with Sys_error _ -> ()
+
 module Crashpoint = struct
   let points =
     [

@@ -16,6 +16,11 @@ val fsync_dir : string -> unit
     that reject fsync on directories (EINVAL) are tolerated: there the
     rename is already as durable as the platform allows. *)
 
+val remove_tree : string -> unit
+(** Remove a file, or a directory and everything under it.  Best effort:
+    a missing path is a no-op and removal errors are ignored — it cleans
+    up scratch directories. *)
+
 (** Named kill switches inside the durability write path.
 
     A chaos plan arms a point with a hit countdown; the WAL and blob

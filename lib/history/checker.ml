@@ -271,16 +271,6 @@ let validate_serialization h ~subset ~relation ~order =
 
 type engine = Search | Saturation
 
-let engine_name = function Search -> "search" | Saturation -> "saturation"
-
-let default_engine =
-  ref
-    (match Sys.getenv_opt "REPRO_CHECK_ENGINE" with
-    | Some "search" -> Search
-    | _ -> Saturation)
-
-let set_default_engine e = default_engine := e
-
 (* With REPRO_CHECK_ORACLE set, every saturation-engine decision is
    re-derived by the search and a disagreement aborts the process: the
    polynomial front-end is sound by construction, and this flag (plus the
@@ -290,8 +280,7 @@ let oracle = lazy (Sys.getenv_opt "REPRO_CHECK_ORACLE" <> None)
 (* Decide one unit: the saturation front-end answers directly when it can
    prove the verdict, and punts to the exact search otherwise, so both
    engines decide identically on every input.  Both run on one view. *)
-let decide ?engine ops ~subset ~relation =
-  let engine = match engine with Some e -> e | None -> !default_engine in
+let decide ?(engine = Saturation) ops ~subset ~relation =
   let view = V.make ops ~subset ~relation in
   let search () = search_view view <> None in
   let verdict =

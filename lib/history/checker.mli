@@ -59,14 +59,8 @@ type engine = Search | Saturation
 (** [Search]: the exact backtracking serialization search.  [Saturation]:
     the polynomial front-end of {!Saturation}, falling back to the search
     on the rare unit it cannot prove.  Identical verdicts, different
-    asymptotics. *)
-
-val engine_name : engine -> string
-
-val set_default_engine : engine -> unit
-(** The engine used when a checking entry point is not passed [?engine].
-    Starts as [Saturation] unless the [REPRO_CHECK_ENGINE] environment
-    variable says [search]. *)
+    asymptotics.  Every entry point defaults to [Saturation]; tests and
+    [bench --check] pass [Search] as the reference. *)
 
 val check : ?engine:engine -> criterion -> History.t -> verdict
 (** [Undecidable] only for ambiguous (non-differentiated) histories; a

@@ -5,13 +5,6 @@ module Rng = Repro_util.Rng
 module Stats = Repro_util.Stats
 module Distribution = Repro_sharegraph.Distribution
 
-(* Mirror of the live backend's baseline switch: the legacy arm measures
-   the whole pre-zero-copy stack, client included. *)
-let legacy_env () =
-  match Sys.getenv_opt "REPRO_LIVE_LEGACY" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 type event = { at_us : int; target : int; request : Rpc.request }
 
 (* Client ids live above the node-id range; 0x8000 leaves room for 2^15
@@ -132,16 +125,6 @@ let dial_retry addr ~deadline =
   in
   attempt ~delay:10
 
-let write_all fd buf =
-  let len = Bytes.length buf in
-  let rec go off =
-    if off < len then
-      match Unix.write fd buf off (len - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-  in
-  go 0
-
 let kind_of = function
   | Rpc.Op (Rpc.Read _) -> `R
   | Rpc.Op (Rpc.Write _) -> `W
@@ -192,7 +175,6 @@ let run ~client_id ~peers ~events ~drain_plan ~duration_ms ~grace_ms
     c.alive <- false;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
-  let legacy = legacy_env () in
   let service c =
     match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
@@ -201,39 +183,24 @@ let run ~client_id ~peers ~events ~drain_plan ~duration_ms ~grace_ms
     | nread -> (
         bytes_in := !bytes_in + nread;
         Wire.feed c.dec rbuf nread;
+        (* responses are parsed straight out of the decoder buffer *)
         let step () =
-          if legacy then
-            match Wire.next c.dec with
-            | Ok (Some fr) ->
-                (match fr.Wire.kind with
-                | Wire.Cresp -> (
-                    match Rpc.decode_response fr.Wire.body with
-                    | Ok (id, outcomes) -> on_reply id outcomes
-                    | Error _ -> kill c)
-                | _ -> () (* a well-behaved node sends nothing else *));
-                true
-            | Ok None -> false
-            | Error _ ->
-                kill c;
-                false
-          else
-            (* responses are parsed straight out of the decoder buffer *)
-            match Wire.next_view c.dec with
-            | Ok (Some v) ->
-                (match v.Wire.v_kind with
-                | Wire.Cresp -> (
-                    match
-                      Rpc.decode_response_at v.Wire.v_buf ~pos:v.Wire.v_off
-                        ~len:v.Wire.v_len
-                    with
-                    | Ok (id, outcomes) -> on_reply id outcomes
-                    | Error _ -> kill c)
-                | _ -> ());
-                true
-            | Ok None -> false
-            | Error _ ->
-                kill c;
-                false
+          match Wire.next_view c.dec with
+          | Ok (Some v) ->
+              (match v.Wire.v_kind with
+              | Wire.Cresp -> (
+                  match
+                    Rpc.decode_response_at v.Wire.v_buf ~pos:v.Wire.v_off
+                      ~len:v.Wire.v_len
+                  with
+                  | Ok (id, outcomes) -> on_reply id outcomes
+                  | Error _ -> kill c)
+              | _ -> () (* a well-behaved node sends nothing else *));
+              true
+          | Ok None -> false
+          | Error _ ->
+              kill c;
+              false
         in
         let rec pump () = if step () && c.alive then pump () in
         pump ())
@@ -253,39 +220,9 @@ let run ~client_id ~peers ~events ~drain_plan ~duration_ms ~grace_ms
             List.iter (fun c -> if List.memq c.fd ready then service c) live
         | exception Unix.Unix_error (EINTR, _, _) -> ())
   in
-  let send_legacy (ev : event) =
-    match conns.(ev.target) with
-    | Some c when c.alive -> (
-        let id = !next_id in
-        incr next_id;
-        let body = Rpc.encode_request ~id ev.request in
-        let payload = Rpc.request_payload_bytes ev.request in
-        let buf =
-          Wire.encode
-            {
-              Wire.kind = Wire.Creq;
-              src;
-              dst = ev.target;
-              epoch = 0;
-              control_bytes = String.length body - payload;
-              payload_bytes = payload;
-              body;
-            }
-        in
-        match write_all c.fd buf with
-        | () ->
-            bytes_out := !bytes_out + Bytes.length buf;
-            attempted := !attempted + Array.length (Rpc.ops ev.request);
-            Hashtbl.replace outstanding id
-              (Unix.gettimeofday (), kind_of ev.request)
-        | exception Unix.Unix_error _ ->
-            kill c;
-            incr unsent)
-    | _ -> incr unsent
-  in
-  (* Fast path: requests due in the same scheduling burst are emitted into
-     pooled frames, queued per target, and flushed with one writev per
-     connection — one syscall covers the burst instead of one per request. *)
+  (* Requests due in the same scheduling burst are emitted into pooled
+     frames, queued per target, and flushed with one writev per connection
+     — one syscall covers the burst instead of one per request. *)
   let pool = Wire.Pool.create () in
   let pending = Array.map (fun _ -> ref []) conns in
   let pending_n = Array.map (fun _ -> ref 0) conns in
@@ -350,7 +287,6 @@ let run ~client_id ~peers ~events ~drain_plan ~duration_ms ~grace_ms
       flush_target ti
     done
   in
-  let send = if legacy then send_legacy else enqueue in
   (* Flow control: past this many unanswered ops, stop submitting and
      drain replies.  Unsaturated it never binds (replies come back long
      before the window fills); past saturation it bounds kernel socket
@@ -377,7 +313,7 @@ let run ~client_id ~peers ~events ~drain_plan ~duration_ms ~grace_ms
         && events.(!i).at_us <= now
         && Hashtbl.length outstanding < max_outstanding
       do
-        send events.(!i);
+        enqueue events.(!i);
         incr i
       done;
       flush_pending ()

@@ -1,6 +1,7 @@
 module Live = Repro_transport.Live
 module Session = Repro_transport.Session
 module Node = Repro_cluster.Node
+module Supervisor = Repro_cluster.Supervisor
 module Workload_spec = Repro_cluster.Workload_spec
 module Registry = Repro_core.Registry
 module Memory = Repro_core.Memory
@@ -61,53 +62,7 @@ type result = {
   ops_per_node_cpu_s : float;
 }
 
-type child_report =
-  | Node_ok of Node.result * float  (** result, node-process CPU seconds *)
-  | Client_ok of Client.report
-  | Child_err of string
-
-(* Fork [f]; the child marshals its report into a pipe and exits.  The
-   parent must drain the pipe before reaping: reports can exceed the pipe
-   buffer, and a blocked writer never exits. *)
-let spawn f =
-  let r, w = Unix.pipe () in
-  (* the child inherits any buffered stdout/stderr; flush now so it can't
-     re-flush the parent's pending output on exit *)
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      let send v =
-        let oc = Unix.out_channel_of_descr w in
-        Marshal.to_channel oc (v : child_report) [];
-        flush oc
-      in
-      let rc =
-        match f () with
-        | v ->
-            send v;
-            0
-        | exception e ->
-            (try send (Child_err (Printexc.to_string e)) with _ -> ());
-            1
-      in
-      (* _exit: skip at_exit hooks and channel flushing inherited from the
-         parent — the report pipe was flushed explicitly above *)
-      Unix._exit rc
-  | pid ->
-      Unix.close w;
-      (pid, r)
-
-let collect (pid, r) =
-  let ic = Unix.in_channel_of_descr r in
-  let v =
-    try (Marshal.from_channel ic : child_report)
-    with _ -> Child_err "child exited without a report"
-  in
-  (try close_in ic with _ -> ());
-  ignore (Unix.waitpid [] pid);
-  v
+type child = Node_ok of Node.result * float | Client_ok of Client.report
 
 let client_seed seed cid = seed + ((cid + 1) * 7919)
 
@@ -138,14 +93,65 @@ let run (cfg : config) =
         let peers = Array.map Live.listen_addr listen_fds in
         let grace_ms = 5_000 in
         let run_timeout_ms = cfg.duration_ms + grace_ms + 40_000 in
-        let apply_gc () =
-          Option.iter
-            (fun so -> Gc.set { (Gc.get ()) with Gc.space_overhead = so })
-            cfg.gc_space_overhead
+        let sup = Supervisor.create ~deadline_ms:(run_timeout_ms + 30_000) () in
+        let close_all =
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         in
-        let nodes =
-          Array.init cfg.n (fun self ->
-              spawn (fun () ->
+        (* Clients are forked first and each builds its plan in its own
+           process: a plan is large, and the parent's heap is copied into
+           every child forked after it.  Nodes leave after a quiet window,
+           so they are forked only once every plan is ready, and the
+           clients' clocks start on the go byte that follows. *)
+        let ready_r, ready_w = Unix.pipe () in
+        let go_r, go_w = Unix.pipe () in
+        for cid = 0 to cfg.clients - 1 do
+          Supervisor.spawn sup (fun ~incarnation:_ ->
+              close_all (ready_r :: go_w :: Array.to_list listen_fds);
+              Option.iter
+                (fun so -> Gc.set { (Gc.get ()) with Gc.space_overhead = so })
+                cfg.gc_space_overhead;
+              let events =
+                Client.plan ~mix:cfg.mix ~dist:spec.Workload_spec.dist
+                  ~rate:(cfg.rate /. float_of_int cfg.clients)
+                  ~duration_ms:cfg.duration_ms
+                  ~seed:(client_seed cfg.seed cid)
+              in
+              ignore (Unix.write_substring ready_w "r" 0 1 : int);
+              if Unix.read go_r (Bytes.create 1) 0 1 <> 1 then
+                failwith "no go signal";
+              Client_ok
+                (Client.run ~client_id:cid ~peers ~events
+                   ~drain_plan:cfg.drain_plan ~duration_ms:cfg.duration_ms
+                   ~grace_ms ()))
+        done;
+        close_all [ ready_w; go_r ];
+        let client_ended () =
+          List.exists
+            (fun cid -> Option.is_some (Supervisor.ending sup cid))
+            (List.init cfg.clients Fun.id)
+        in
+        let ready = ref 0 in
+        let chunk = Bytes.create 64 in
+        while
+          !ready < cfg.clients
+          && Supervisor.running sup
+          && not (client_ended ())
+        do
+          if Supervisor.step sup ~fds:[ ready_r ] ~timeout:0.2 () <> [] then
+            ready := !ready + Unix.read ready_r chunk 0 (Bytes.length chunk)
+        done;
+        close_all [ ready_r ];
+        let endings =
+          if !ready < cfg.clients then begin
+            (* a client failed before its plan was ready: the others still
+               wait for the go byte *)
+            let endings = Supervisor.stop sup in
+            close_all (go_w :: Array.to_list listen_fds);
+            endings
+          end
+          else begin
+            for self = 0 to cfg.n - 1 do
+              Supervisor.spawn sup (fun ~incarnation:_ ->
                   Array.iteri
                     (fun j fd -> if j <> self then Unix.close fd)
                     listen_fds;
@@ -157,50 +163,52 @@ let run (cfg : config) =
                       ()
                   in
                   let tms = Unix.times () in
-                  Node_ok (r, tms.Unix.tms_utime +. tms.Unix.tms_stime)))
+                  Node_ok (r, tms.Unix.tms_utime +. tms.Unix.tms_stime))
+            done;
+            close_all (Array.to_list listen_fds);
+            ignore
+              (Unix.write_substring go_w (String.make cfg.clients 'g') 0
+                 cfg.clients
+                : int);
+            close_all [ go_w ];
+            Supervisor.wait sup
+          end
         in
-        let clients =
-          Array.init cfg.clients (fun cid ->
-              spawn (fun () ->
-                  apply_gc ();
-                  Array.iter Unix.close listen_fds;
-                  let events =
-                    Client.plan ~mix:cfg.mix ~dist:spec.Workload_spec.dist
-                      ~rate:(cfg.rate /. float_of_int cfg.clients)
-                      ~duration_ms:cfg.duration_ms
-                      ~seed:(client_seed cfg.seed cid)
-                  in
-                  Client_ok
-                    (Client.run ~client_id:cid ~peers ~events
-                       ~drain_plan:cfg.drain_plan ~duration_ms:cfg.duration_ms
-                       ~grace_ms ())))
+        let name i =
+          if i < cfg.clients then Printf.sprintf "client %d" i
+          else Printf.sprintf "node %d" (i - cfg.clients)
         in
-        Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-          listen_fds;
-        (* clients finish first; draining their pipes first also keeps the
-           parent from sitting on a full pipe while a child blocks in write *)
-        let client_reports = Array.map collect clients in
-        let node_reports = Array.map collect nodes in
-        let errors = ref [] in
-        let creps = ref [] and nreps = ref [] in
-        Array.iteri
-          (fun i -> function
-            | Client_ok r -> creps := r :: !creps
-            | Child_err msg ->
-                errors := Printf.sprintf "client %d: %s" i msg :: !errors
-            | Node_ok _ -> errors := Printf.sprintf "client %d: bad report" i :: !errors)
-          client_reports;
-        Array.iteri
-          (fun i -> function
-            | Node_ok (r, cpu) -> nreps := (r, cpu) :: !nreps
-            | Child_err msg ->
-                errors := Printf.sprintf "node %d: %s" i msg :: !errors
-            | Client_ok _ -> errors := Printf.sprintf "node %d: bad report" i :: !errors)
-          node_reports;
-        match !errors with
-        | e :: _ -> Error e
+        (* a child that failed on its own is reported before the ones the
+           supervisor put down *)
+        let failures =
+          Array.to_list endings
+          |> List.mapi (fun i e ->
+                 match e with
+                 | Supervisor.Finished _ -> None
+                 | Supervisor.Crashed msg -> Some (false, name i ^ ": " ^ msg)
+                 | Supervisor.Injected_crash ->
+                     Some (false, name i ^ ": injected crash")
+                 | Supervisor.Put_down ->
+                     Some
+                       (true, name i ^ ": put down by the supervisor watchdog"))
+          |> List.filter_map Fun.id
+          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+        in
+        match failures with
+        | (_, e) :: _ -> Error e
         | [] ->
-            let creps = List.rev !creps and nreps = List.rev !nreps in
+            let creps =
+              Array.to_list endings
+              |> List.filter_map (function
+                   | Supervisor.Finished (Client_ok r) -> Some r
+                   | _ -> None)
+            in
+            let nreps =
+              Array.to_list endings
+              |> List.filter_map (function
+                   | Supervisor.Finished (Node_ok (r, cpu)) -> Some (r, cpu)
+                   | _ -> None)
+            in
             let sum f l = List.fold_left (fun a x -> a + f x) 0 l in
             let maxi f l = List.fold_left (fun a x -> Stdlib.max a (f x)) 0 l in
             let merge_stats f l =

@@ -5,10 +5,17 @@
     ["load-full"] workload (the peer mesh comes up, the protocol serves
     the client front door, programs issue nothing themselves), with the
     session layer on so coalescing and ack piggybacking are in play.
-    Clients replay deterministic {!Client.plan} schedules.  The parent
-    drains every child's marshalled report over a pipe, then reaps it —
-    reports can exceed the pipe buffer, so drain-before-reap is what
-    keeps the tree deadlock-free. *)
+    Clients replay deterministic {!Client.plan} schedules.
+
+    Every child forks through {!Repro_cluster.Supervisor}, which drains
+    the marshalled reports in one [select] (reports can exceed a pipe
+    buffer) and puts the run down at a watchdog deadline.  The clients
+    are forked first and each builds its plan in its own process — a
+    plan is large, and the parent's heap would be copied into every node
+    forked after it.  The nodes are forked only once every client has
+    reported its plan ready (a node leaves after a 1 s quiet window, so a
+    plan still being built would find no one to send to), and a go byte
+    then starts the clients' clocks. *)
 
 type config = {
   protocol : Repro_core.Registry.spec;  (** Must be non-blocking. *)
@@ -76,8 +83,9 @@ type result = {
 }
 
 val run : config -> (result, string) Stdlib.result
-(** Fork, load, drain, reap, aggregate.  [Error] on invalid config or
-    when any child fails (first failure reported). *)
+(** Fork, load, collect, aggregate.  [Error] on invalid config or when
+    any child fails (the first child that failed on its own is reported
+    before any the supervisor put down). *)
 
 val json_of_result : result -> Repro_util.Jsonout.t
 (** Flat object with throughput, per-kind latency percentiles

@@ -94,10 +94,6 @@ type conn = {
 
 type t = {
   cfg : config;
-  legacy : bool;
-      (* REPRO_LIVE_LEGACY: the pre-hotpath baseline arm — Marshal bodies,
-         one write(2) per frame, per-iteration select rebuild.  Kept
-         selectable so bench --load can record both arms. *)
   listen_fd : Unix.file_descr;
   epoch : float;
   out_fds : Unix.file_descr option array;
@@ -108,7 +104,7 @@ type t = {
   mutable conns : conn list;
   mutable read_fds : Unix.file_descr list;
       (* persistent poll set: listen_fd + live conn fds, updated only on
-         accept/close (the legacy arm rebuilds per iteration instead) *)
+         accept/close *)
   timers : (int * int, unit -> unit) Pqueue.t;
   mutable timer_seq : int;
   mutable on_data_view : Wire.view -> unit;
@@ -148,11 +144,6 @@ let bind addr =
 
 let listen_addr fd = Unix.getsockname fd
 
-let legacy_env () =
-  match Sys.getenv_opt "REPRO_LIVE_LEGACY" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
 let create cfg ~listen_fd =
   if cfg.self < 0 || cfg.self >= cfg.n then invalid_arg "Live.create: bad self";
   if Array.length cfg.peers <> cfg.n then invalid_arg "Live.create: bad peers";
@@ -165,7 +156,6 @@ let create cfg ~listen_fd =
   done_seen.(cfg.self) <- true;
   {
     cfg;
-    legacy = legacy_env ();
     listen_fd;
     epoch = Unix.gettimeofday ();
     out_fds = Array.make cfg.n None;
@@ -203,12 +193,6 @@ let create cfg ~listen_fd =
     rbuf = Bytes.create 65536;
   }
 
-(* The arm marker rides the fingerprint, so a legacy node and a fast node
-   can never silently exchange differently-encoded bodies: the Hello
-   barrier rejects the mix. *)
-let arm_fingerprint t =
-  if t.legacy then t.cfg.fingerprint ^ "+legacy" else t.cfg.fingerprint
-
 let add_timer t ~delay f =
   let due = now_ms t + max delay 0 in
   t.timer_seq <- t.timer_seq + 1;
@@ -240,7 +224,7 @@ let transient_connect_error = function
 
 (* The Hello body carries the config fingerprint plus the sender's
    incarnation, so peers can tell a respawned node from a fresh one. *)
-let hello_body t = Printf.sprintf "%s\ninc=%d" (arm_fingerprint t) t.cfg.incarnation
+let hello_body t = Printf.sprintf "%s\ninc=%d" t.cfg.fingerprint t.cfg.incarnation
 
 let split_hello body =
   match String.rindex_opt body '\n' with
@@ -417,25 +401,7 @@ let enqueue_peer t dst buf total =
       Outq.push q (buf, 0, total);
       t.activity <- t.activity + 1
 
-(* Legacy arm: one blocking write per frame, exactly the pre-hotpath
-   behaviour. *)
-let send_frame_legacy t (fr : Wire.frame) =
-  match t.out_fds.(fr.dst) with
-  | None ->
-      if t.cfg.resilient then begin
-        t.dropped_frames <- t.dropped_frames + 1;
-        schedule_reconnect t fr.dst
-      end
-      else if not t.draining then
-        failwith (Printf.sprintf "live: no connection to node %d" fr.dst)
-  | Some fd ->
-      if write_all t fd (Wire.encode fr) then t.activity <- t.activity + 1
-      else if t.cfg.resilient && not t.draining then begin
-        t.dropped_frames <- t.dropped_frames + 1;
-        mark_peer_lost t fr.dst
-      end
-
-and refresh_peer t i =
+let refresh_peer t i =
   (* A peer announced a fresh incarnation: our outbound socket (if any)
      points at its dead predecessor.  Replace it and replay the handshake —
      including Done if our program already finished, which the respawned
@@ -461,57 +427,37 @@ and refresh_peer t i =
     | Some fd -> ignore (write_all t fd (Wire.encode (done_frame t i)))
     | None -> ()
 
+(* Queue one complete frame (a pooled buffer) on an inbound connection;
+   it leaves in the next flush. *)
+let enqueue_conn t c buf total =
+  if not c.cq_dirty then begin
+    c.cq_dirty <- true;
+    t.dirty_conns <- c :: t.dirty_conns
+  end;
+  Outq.push c.cq (buf, 0, total);
+  t.activity <- t.activity + 1
+
 (* Build one client-reply frame into a pooled buffer and queue it on the
-   requesting connection (legacy arm: write it immediately, per-frame). *)
+   requesting connection. *)
 let conn_reply t c ~dst ~control_bytes ~payload_bytes ~body_len ~emit =
   let total = Wire.body_offset + body_len in
-  let buf =
-    if t.legacy then Bytes.create total else Wire.Pool.acquire t.pool total
-  in
+  let buf = Wire.Pool.acquire t.pool total in
   Wire.set_header buf ~kind:Wire.Cresp ~src:t.cfg.self ~dst ~control_bytes
     ~payload_bytes ~body_len;
   let off = emit buf Wire.body_offset in
   if off <> total then invalid_arg "live: reply emit size mismatch";
-  if t.legacy then begin
-    match write_all t c.fd (if Bytes.length buf = total then buf else Bytes.sub buf 0 total) with
-    | ok -> if ok then t.activity <- t.activity + 1
-    | exception Unix.Unix_error _ -> ()
-  end
-  else begin
-    if not c.cq_dirty then begin
-      c.cq_dirty <- true;
-      t.dirty_conns <- c :: t.dirty_conns
-    end;
-    Outq.push c.cq (buf, 0, total);
-    t.activity <- t.activity + 1
-  end
+  enqueue_conn t c buf total
 
 (* Queue a control-plane frame (membership, heartbeat) on an inbound
    connection.  Low-rate traffic: a fresh pooled buffer per frame is fine. *)
 let conn_control t c ~kind ~dst ~body =
   let body_len = String.length body in
   let total = Wire.body_offset + body_len in
-  let buf =
-    if t.legacy then Bytes.create total else Wire.Pool.acquire t.pool total
-  in
+  let buf = Wire.Pool.acquire t.pool total in
   Wire.set_header buf ~kind ~src:t.cfg.self ~dst ~epoch:t.cur_epoch
     ~control_bytes:0 ~payload_bytes:0 ~body_len;
   Bytes.blit_string body 0 buf Wire.body_offset body_len;
-  if t.legacy then begin
-    match
-      write_all t c.fd (if Bytes.length buf = total then buf else Bytes.sub buf 0 total)
-    with
-    | ok -> if ok then t.activity <- t.activity + 1
-    | exception Unix.Unix_error _ -> ()
-  end
-  else begin
-    if not c.cq_dirty then begin
-      c.cq_dirty <- true;
-      t.dirty_conns <- c :: t.dirty_conns
-    end;
-    Outq.push c.cq (buf, 0, total);
-    t.activity <- t.activity + 1
-  end
+  enqueue_conn t c buf total
 
 (* Same, over the peer mesh (a member pushing Transfer frames to a peer). *)
 let send_control t ~dst ~kind ~body =
@@ -570,10 +516,10 @@ let dispatch ?conn t (v : Wire.view) =
       | Wire.Creq | Wire.Cresp -> assert false
       | Wire.Hello ->
           let fp, inc = split_hello (Wire.view_body v) in
-          if not (String.equal fp (arm_fingerprint t)) then
+          if not (String.equal fp t.cfg.fingerprint) then
             failwith
               (Printf.sprintf "live: fingerprint mismatch with node %d (%S vs %S)"
-                 v.Wire.v_src fp (arm_fingerprint t));
+                 v.Wire.v_src fp t.cfg.fingerprint);
           t.hello_seen.(v.Wire.v_src) <- true;
           if t.cfg.resilient && inc > 0 && inc > t.peer_inc.(v.Wire.v_src) then begin
             t.peer_inc.(v.Wire.v_src) <- inc;
@@ -673,16 +619,8 @@ let step t ~block =
           Float.min 0.001 (Float.max 0. (float_of_int (due - now_ms t) /. 1000.))
       | None -> 0.001
   in
-  let read_fds =
-    if t.legacy then begin
-      (* baseline arm: rebuild the fd list every iteration *)
-      t.conns <- List.filter (fun c -> not c.closed) t.conns;
-      t.listen_fd :: List.map (fun c -> c.fd) t.conns
-    end
-    else t.read_fds
-  in
   let ready, _, _ =
-    try Unix.select read_fds [] [] timeout
+    try Unix.select t.read_fds [] [] timeout
     with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
   in
   let acted = ref false in
@@ -794,10 +732,9 @@ let current_epoch t = t.cur_epoch
 
 let stale_epochs t = t.stale_epochs
 
-(* Data bodies on the fast path: 4-byte send timestamp, then the
-   codec-encoded message, parsed in place on receive.  Without a codec
-   (tests, arbitrary message types) the body is the marshalled pair, as
-   on the legacy arm. *)
+(* Data bodies: 4-byte send timestamp, then the codec-encoded message,
+   parsed in place on receive.  Without a codec (tests, arbitrary message
+   types) the body is the marshalled pair. *)
 let send_time_bytes = 4
 
 let oracle_env () =
@@ -820,7 +757,6 @@ let factory t =
         let tracing = ref false in
         let trace_buf : msg Net.event Ringbuf.t = Ringbuf.create () in
         let oracle = oracle_env () in
-        let codec = if t.legacy then None else codec in
         let deliver (env : msg Net.envelope) =
           t.delivered <- t.delivered + 1;
           t.per_node_received.(self) <- t.per_node_received.(self) + 1;
@@ -932,15 +868,11 @@ let factory t =
                   end
               | None ->
                   let body = Marshal.to_string (now, msg) [] in
-                  let fr =
-                    { Wire.kind = Wire.Data; src; dst; epoch = t.cur_epoch;
-                      control_bytes; payload_bytes; body }
-                  in
                   if dst = self then begin
                     t.activity <- t.activity + 1;
                     add_timer t ~delay:0 (fun () ->
                         t.activity <- t.activity + 1;
-                        let (st, (m : msg)) = Marshal.from_string fr.body 0 in
+                        let (st, (m : msg)) = Marshal.from_string body 0 in
                         deliver
                           {
                             src;
@@ -952,7 +884,6 @@ let factory t =
                             msg = m;
                           })
                   end
-                  else if t.legacy then send_frame_legacy t fr
                   else begin
                     let body_len = String.length body in
                     let total = Wire.body_offset + body_len in

@@ -31,14 +31,7 @@
     parse message bodies in place out of the streaming decoder
     ({!Wire.next_view}).  The poll set is persistent: the fd list fed to
     [select] changes only on accept/close, not per iteration.  Without a
-    codec, bodies fall back to [Marshal] (still pooled and batched).
-
-    {b Baseline arm.}  Setting [REPRO_LIVE_LEGACY=1] in the environment
-    restores the pre-hotpath behaviour — marshalled bodies, one write
-    per frame, per-iteration fd-list rebuild — so before/after load
-    comparisons can run both arms from one binary.  The arm is stamped
-    into the [Hello] fingerprint, so mixed-arm clusters fail the
-    handshake instead of exchanging differently-encoded bodies. *)
+    codec, bodies fall back to [Marshal] (still pooled and batched). *)
 
 type config = {
   self : int;  (** this process's node id, [0 <= self < n] *)
@@ -82,8 +75,7 @@ val listen_addr : Unix.file_descr -> Unix.sockaddr
 
 val create : config -> listen_fd:Unix.file_descr -> t
 (** Takes ownership of [listen_fd].  Ignores [SIGPIPE] process-wide (a
-    dead peer must surface as a catchable error, not a kill).  Reads
-    [REPRO_LIVE_LEGACY] here, once. *)
+    dead peer must surface as a catchable error, not a kill). *)
 
 val factory : t -> Transport.factory
 (** Single-use: the factory encodes at the frame boundary, so binding it

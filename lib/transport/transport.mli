@@ -57,7 +57,7 @@ type factory = { create : 'msg. ?codec:'msg Codec.t -> int -> 'msg t }
     one factory value can build any registered protocol.  The optional
     {!Codec.t} is the protocol's strict binary message codec: the live
     backend uses it to encode frame bodies in place (falling back to
-    [Marshal] when absent — tests and the legacy baseline arm), wrappers
+    [Marshal] when absent — tests and codec-less message types), wrappers
     ({!Session}, {!Chaos}) thread it through, and the simulator ignores
     it — sim behaviour is byte-identical with or without one. *)
 

@@ -22,8 +22,8 @@
     accounting sizes — the same numbers a protocol hands to
     {!Repro_msgpass.Net.send} — so the live backend counts exactly what the
     simulator counts, independent of the encoded body size.  [Data]
-    bodies hold a protocol message (codec-encoded on the fast path,
-    marshalled on the legacy arm); [Hello] bodies hold the cluster
+    bodies hold a protocol message (codec-encoded, or marshalled when the
+    protocol has no codec); [Hello] bodies hold the cluster
     fingerprint (protocol, workload, size, seed) so mismatched daemons
     fail loudly instead of decoding garbage.  [Creq]/[Cresp] frames carry
     the client front door's RPC bodies ({!Rpc}).  Client ids live in
@@ -96,8 +96,8 @@ val set_header :
 
 val encode : frame -> bytes
 (** Full wire representation in a fresh buffer, length prefix included
-    (the legacy arm's per-frame path; the hot path uses {!set_header}
-    into a pooled buffer).
+    (low-rate frames such as [Hello] and [Done]; the hot path uses
+    {!set_header} into a pooled buffer).
     @raise Invalid_argument as {!set_header}. *)
 
 val of_bytes : bytes -> (frame, string) result

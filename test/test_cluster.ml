@@ -289,6 +289,23 @@ let test_invalid_plan_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range crash node accepted"
 
+(* the watchdog fires while node 1 waits out a restart delay far past the
+   deadline: the run comes back wedged, promptly *)
+let test_wedged_awaiting_respawn () =
+  let t0 = Unix.gettimeofday () in
+  (match
+     Cluster.run ~n:3 ~protocol:(spec_of "pram-partial") ~workload:"e1" ~seed:7
+       ~chaos:(plan_of "crash=1@6+60000") ~deadline_ms:3000 ()
+   with
+  | Ok _ -> Alcotest.fail "a 60 s restart cannot finish inside a 3 s deadline"
+  | Error msg ->
+      check Alcotest.bool
+        (Printf.sprintf "error %S carries the wedged prefix" msg)
+        true
+        (String.length msg >= 7 && String.sub msg 0 7 = "wedged:"));
+  check Alcotest.bool "within a few seconds" true
+    (Unix.gettimeofday () -. t0 < 10.)
+
 (* --- reconfiguration -------------------------------------------------------- *)
 
 module Reconfig = Repro_cluster.Reconfig
@@ -402,6 +419,8 @@ let () =
             `Quick test_chaos_sim_protocol_parity;
           Alcotest.test_case "invalid plan rejected" `Quick
             test_invalid_plan_rejected;
+          Alcotest.test_case "wedged while awaiting a respawn" `Quick
+            test_wedged_awaiting_respawn;
         ] );
       ( "reconfig",
         [
