@@ -11,6 +11,11 @@
    fault coins could move, and the fault-free digests above prove the
    split left the latency draws untouched.
 
+   The E1X-scale digests run the shape the sim-check benchmark simulates
+   (32 processes, 64 variables, 3 replicas each, 8 ops per process, 40%
+   reads): at that size causal delivery buffers park, wake and batch
+   rounds, which six processes rarely exercise.
+
    Regenerate with:  GOLDEN_DUMP=1 dune exec test/test_golden.exe  *)
 
 module Memory = Repro_core.Memory
@@ -72,6 +77,34 @@ let cases () =
       @ [ ("pram-reliable-lossy", seed, run_lossy seed) ])
     seeds
 
+(* E1X shape: causal-partial, causal-gossip and pram-partial on a random
+   3-replica distribution; causal-full and causal-delta on full
+   replication, since they require it *)
+let e1x_seeds = [ 1; 2 ]
+
+let e1x_protocols =
+  [ "causal-partial"; "causal-gossip"; "pram-partial"; "causal-full"; "causal-delta" ]
+
+let run_e1x name seed =
+  let spec = Option.get (Registry.find name) in
+  let n_procs = 32 and n_vars = 64 in
+  let dist =
+    if spec.Registry.requires_full_replication then
+      Distribution.full ~n_procs ~n_vars
+    else
+      Distribution.random (Rng.create (seed + n_procs)) ~n_procs ~n_vars
+        ~replicas_per_var:3
+  in
+  let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
+  let memory = spec.Registry.make ~dist ~seed () in
+  let h = Workload.run_random ~profile ~seed:(seed + 1) memory in
+  fingerprint (name ^ "-e1x") seed memory h
+
+let e1x_cases () =
+  List.concat_map
+    (fun seed -> List.map (fun name -> (name, seed, run_e1x name seed)) e1x_protocols)
+    e1x_seeds
+
 let tables_digest () =
   let rendered =
     Experiment.all ~seed:20_240_601 ()
@@ -121,14 +154,35 @@ let expected =
 
 let expected_tables = "bd2ac0bf2b37c77684a8790eb4f6cb5b"
 
+(* captured on the engine with per-recipient pooled stamps, before the
+   shared-stamp / closure-free causal buffer rewrite *)
+let expected_e1x =
+  [
+    ("causal-partial", 1, "e5ec342a93884eb45b311124bde58fb6");
+    ("causal-gossip", 1, "0b5af5b5cc53e15a4c21dd9d1b9a1da8");
+    ("pram-partial", 1, "b187ed38bde2a1b6dce16a68bdb74c75");
+    ("causal-full", 1, "07e301df9b20e4ee6d8b4cec4e199eb9");
+    ("causal-delta", 1, "0dbb2fb79bd068969320b1ff983f071b");
+    ("causal-partial", 2, "fe3a3aa97fb7dac112a72dadbd02738b");
+    ("causal-gossip", 2, "2bff75a9cf4509b95e6f850101984c27");
+    ("pram-partial", 2, "09cfef9f5bb73684b101514819451bdf");
+    ("causal-full", 2, "6c53c0a24259e242bd767e2ffcc0ee83");
+    ("causal-delta", 2, "08dadecc91dac51b46a074a464e8e780");
+  ]
+
 let dump () =
   List.iter
     (fun (name, seed, digest) ->
       Printf.printf "    (%S, %d, %S);\n" name seed digest)
     (cases ());
-  Printf.printf "  tables: %S\n" (tables_digest ())
+  Printf.printf "  tables: %S\n" (tables_digest ());
+  print_endline "  e1x:";
+  List.iter
+    (fun (name, seed, digest) ->
+      Printf.printf "    (%S, %d, %S);\n" name seed digest)
+    (e1x_cases ())
 
-let test_protocol_digests () =
+let check_digests expected cases =
   List.iter
     (fun (name, seed, digest) ->
       let expect =
@@ -140,7 +194,11 @@ let test_protocol_digests () =
           Alcotest.(check string)
             (Printf.sprintf "%s seed %d history+stats digest" name seed)
             d digest)
-    (cases ())
+    cases
+
+let test_protocol_digests () = check_digests expected (cases ())
+
+let test_e1x_digests () = check_digests expected_e1x (e1x_cases ())
 
 let test_tables_digest () =
   Alcotest.(check string) "experiment tables byte-identical" expected_tables
@@ -156,5 +214,7 @@ let () =
             Alcotest.test_case "protocol histories and stats" `Quick
               test_protocol_digests;
             Alcotest.test_case "experiment tables" `Slow test_tables_digest;
+            Alcotest.test_case "E1X-scale histories and stats" `Quick
+              test_e1x_digests;
           ] );
       ]
