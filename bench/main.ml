@@ -133,7 +133,9 @@ let micro_tests =
    The discrete-event engine bounds every experiment table, so its raw
    throughput gets its own benchmark tier.  Each probe returns the number
    of deliveries it processed (deterministic in the seed), so the JSON
-   record can report events/second alongside the per-run time. *)
+   record can report events/second and minor words per delivery alongside
+   the per-run time.  The counts are exact, so they are pinned: [--sim]
+   exits 2 when a probe delivers any other number. *)
 
 (* Dense broadcast storm: every delivery fans out to all peers until the
    round budget is spent, keeping the scheduler heap deep — this measures
@@ -147,12 +149,13 @@ let sim_dense_broadcast () =
         if !budget > 0 then begin
           decr budget;
           for q = 0 to n - 1 do
-            if q <> p then Net.send net ~src:p ~dst:q ~control_bytes:8 ()
+            if q <> p then
+              Net.send net ~src:p ~dst:q ~control_bytes:8 ~payload_bytes:0 ()
           done
         end)
   done;
   for q = 1 to n - 1 do
-    Net.send net ~src:0 ~dst:q ()
+    Net.send net ~src:0 ~dst:q ~control_bytes:0 ~payload_bytes:0 ()
   done;
   Net.run net;
   (Net.stats net).Net.delivered
@@ -185,24 +188,71 @@ let sim_pram_loss () =
   let _h = Workload.run_random ~profile ~seed:(seed + 1) memory in
   (memory.Memory.metrics ()).Memory.messages_delivered
 
+(* name, probe, pinned delivery count *)
 let sim_cases =
   [
-    ("sim:dense-broadcast", sim_dense_broadcast);
-    ("sim:causal-e1", sim_causal_e1);
-    ("sim:pram-loss", sim_pram_loss);
+    ("sim:dense-broadcast", sim_dense_broadcast, 30_015);
+    ("sim:causal-e1", sim_causal_e1, 3_174);
+    ("sim:pram-loss", sim_pram_loss, 626);
   ]
 
-let sim_events = lazy (List.map (fun (name, f) -> (name, f ())) sim_cases)
+type sim_probe = {
+  pinned : int;
+  warm : int;  (** deliveries of a warm-up run *)
+  deliveries : int;  (** deliveries of the measured run *)
+  words_per_delivery : float;  (** minor-heap words, measured run *)
+}
+
+let sim_probes =
+  lazy
+    (List.map
+       (fun (name, f, pinned) ->
+         let warm = f () in
+         let w0 = Gc.minor_words () in
+         let measured = f () in
+         let words = Gc.minor_words () -. w0 in
+         ( name,
+           {
+             pinned;
+             warm;
+             deliveries = measured;
+             words_per_delivery = words /. float_of_int (Stdlib.max 1 measured);
+           } ))
+       sim_cases)
 
 (* bechamel reports grouped names ("repro sim:..."): match on the suffix *)
-let sim_events_of name =
+let sim_probe_of name =
   List.find_map
-    (fun (n, e) -> if String.ends_with ~suffix:n name then Some e else None)
-    (Lazy.force sim_events)
+    (fun (n, p) -> if String.ends_with ~suffix:n name then Some p else None)
+    (Lazy.force sim_probes)
+
+let sim_events_of name = Option.map (fun p -> p.deliveries) (sim_probe_of name)
+
+(* every run of every probe must deliver exactly its pinned count *)
+let check_sim_pins () =
+  let probes = Lazy.force sim_probes in
+  let failures =
+    List.concat_map
+      (fun (name, p) ->
+        List.filter_map
+          (fun d ->
+            if d = p.pinned then None
+            else Some (Printf.sprintf "%s delivered %d, pinned %d" name d p.pinned))
+          [ p.warm; p.deliveries ])
+      probes
+  in
+  match failures with
+  | [] ->
+      List.iter
+        (fun (name, p) -> Printf.printf "%s: %d deliveries (pinned)\n" name p.pinned)
+        probes
+  | failures ->
+      List.iter (fun f -> prerr_endline ("sim determinism gate: " ^ f)) failures;
+      exit 2
 
 let sim_tests =
   List.map
-    (fun (name, f) -> Test.make ~name (Staged.stage (fun () -> ignore (f ()))))
+    (fun (name, f, _) -> Test.make ~name (Staged.stage (fun () -> ignore (f ()))))
     sim_cases
 
 (* The sequential-vs-parallel comparison group: the E1-scaling workload at
@@ -366,6 +416,12 @@ let json_record ?(notes = []) rows =
               [ ("events_per_sec", Jsonout.Float (float_of_int e /. ns *. 1e9)) ]
           | _ -> []
         in
+        let allocation =
+          match sim_probe_of name with
+          | Some p ->
+              [ ("minor_words_per_delivery", Jsonout.Float p.words_per_delivery) ]
+          | None -> []
+        in
         Jsonout.Obj
           ([
              ("benchmark", Jsonout.String name);
@@ -374,7 +430,7 @@ let json_record ?(notes = []) rows =
                | Some ns -> Jsonout.Float ns
                | None -> Jsonout.Null );
            ]
-          @ events @ throughput))
+          @ events @ throughput @ allocation))
       rows
   in
   let find suffix =
@@ -1264,6 +1320,7 @@ let run_benchmarks ?json () =
   write_json rows json
 
 let run_sim_benchmarks ?json () =
+  check_sim_pins ();
   let rows = List.sort compare (bench_group ~quota:1.0 sim_tests) in
   print_rows rows;
   write_json rows json

@@ -28,10 +28,17 @@
    emulates passes: heads unblocked while a round is applied are collected
    and sorted by arrival index to form the next round.  Between arrivals
    the buffer is at fixpoint, and a fresh arrival can unblock nothing but
-   itself, so its round is the singleton historical partition produced. *)
+   itself, so its round is the singleton historical partition produced.
+
+   Allocation.  An arrival that is its writer's next update and whose
+   dependencies are already met is applied on the spot, before any entry
+   is built: that singleton round needs no window slot, no queueing and no
+   sort.  Scans, wake-ups and rounds are toplevel recursions rather than
+   closures, and a one-entry round skips the sort. *)
 
 type 'a entry = {
   e_ts : int array;
+  e_writer : int;
   e_arrival : int;
   e_payload : 'a;
   mutable e_scan : int; (* dependency-scan resume position *)
@@ -49,13 +56,12 @@ type 'a t = {
   vc : int array; (* vc.(k): number of k's writes processed here *)
   windows : 'a window array;
   waiters : int list array; (* waiters.(k): writers parked on entry k *)
-  mutable next_round : (int * 'a entry) list;
+  mutable next_round : 'a entry list;
   mutable arrivals : int;
   apply : 'a -> unit;
-  release : int array -> unit;
 }
 
-let create ?(release = fun _ -> ()) ~n ~apply () =
+let create ~n ~apply () =
   {
     n;
     vc = Array.make n 0;
@@ -64,7 +70,6 @@ let create ?(release = fun _ -> ()) ~n ~apply () =
     next_round = [];
     arrivals = 0;
     apply;
-    release;
   }
 
 let vc t = t.vc
@@ -88,9 +93,24 @@ let window_set w off entry =
   end;
   w.slots.((w.head + off) mod Array.length w.slots) <- Some entry
 
+(* A window that never buffered anything has no slots to advance. *)
 let window_advance w =
-  w.slots.(w.head) <- None;
-  w.head <- (w.head + 1) mod Array.length w.slots
+  let cap = Array.length w.slots in
+  if cap > 0 then begin
+    w.slots.(w.head) <- None;
+    w.head <- (w.head + 1) mod cap
+  end
+
+(* The first vector-clock entry at or after [k], other than [writer]'s
+   own, that stamp [ts] still waits on, or [t.n] when there is none. *)
+let rec first_unmet t writer ts k =
+  if k >= t.n then t.n
+  else if k = writer || t.vc.(k) >= ts.(k) then first_unmet t writer ts (k + 1)
+  else k
+
+let park t writer entry k =
+  entry.e_scan <- k;
+  t.waiters.(k) <- writer :: t.waiters.(k)
 
 (* Examine the head of [writer]'s window: queue it for the next round if
    every dependency is met, otherwise park it on the first unmet entry.
@@ -99,49 +119,79 @@ let check_head t writer =
   match window_get t.windows.(writer) 0 with
   | None -> ()
   | Some entry ->
-      let rec scan k =
-        if k >= t.n then t.next_round <- (writer, entry) :: t.next_round
-        else if k = writer || t.vc.(k) >= entry.e_ts.(k) then scan (k + 1)
-        else begin
-          entry.e_scan <- k;
-          t.waiters.(k) <- writer :: t.waiters.(k)
-        end
-      in
-      scan entry.e_scan
+      let k = first_unmet t writer entry.e_ts entry.e_scan in
+      if k = t.n then t.next_round <- entry :: t.next_round
+      else park t writer entry k
 
-let apply_entry t writer entry =
-  t.apply entry.e_payload;
+let rec wake t = function
+  | [] -> ()
+  | writer :: rest ->
+      check_head t writer;
+      wake t rest
+
+(* [writer]'s next update has just been applied: count it, expose the
+   window's new head, and re-examine every head parked on [writer]. *)
+let advance t writer =
   t.vc.(writer) <- t.vc.(writer) + 1;
   window_advance t.windows.(writer);
-  t.release entry.e_ts;
   check_head t writer;
   match t.waiters.(writer) with
   | [] -> ()
   | woken ->
       t.waiters.(writer) <- [];
-      List.iter (check_head t) woken
+      wake t woken
 
-let by_arrival (_, a) (_, b) = compare a.e_arrival b.e_arrival
+let apply_entry t entry =
+  t.apply entry.e_payload;
+  advance t entry.e_writer
+
+let rec apply_all t = function
+  | [] -> ()
+  | entry :: rest ->
+      apply_entry t entry;
+      apply_all t rest
+
+let by_arrival a b = compare a.e_arrival b.e_arrival
 
 let rec run_rounds t =
   match t.next_round with
   | [] -> ()
+  | [ entry ] ->
+      t.next_round <- [];
+      apply_entry t entry;
+      run_rounds t
   | batch ->
       t.next_round <- [];
-      let batch = List.sort by_arrival batch in
-      List.iter (fun (writer, entry) -> apply_entry t writer entry) batch;
+      apply_all t (List.sort by_arrival batch);
       run_rounds t
 
 let add t ~writer ~ts payload =
   let off = ts.(writer) - (t.vc.(writer) + 1) in
   (* off < 0: already applied (a late duplicate); occupied slot: queued
      duplicate.  Both were inert in the historical pending list. *)
-  if off >= 0 && window_get t.windows.(writer) off = None then begin
-    let entry =
-      { e_ts = ts; e_arrival = t.arrivals; e_payload = payload; e_scan = 0 }
-    in
-    t.arrivals <- t.arrivals + 1;
-    window_set t.windows.(writer) off entry;
-    if off = 0 then check_head t writer;
-    run_rounds t
-  end
+  if off >= 0 then
+    match window_get t.windows.(writer) off with
+    | Some _ -> ()
+    | None ->
+        let arrival = t.arrivals in
+        t.arrivals <- arrival + 1;
+        let k = if off = 0 then first_unmet t writer ts 0 else 0 in
+        if off = 0 && k = t.n then begin
+          (* ready on arrival: the singleton round, applied in place *)
+          t.apply payload;
+          advance t writer;
+          run_rounds t
+        end
+        else begin
+          let entry =
+            {
+              e_ts = ts;
+              e_writer = writer;
+              e_arrival = arrival;
+              e_payload = payload;
+              e_scan = k;
+            }
+          in
+          window_set t.windows.(writer) off entry;
+          if off = 0 then park t writer entry k
+        end

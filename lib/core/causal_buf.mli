@@ -9,13 +9,11 @@
 
 type 'a t
 
-val create : ?release:(int array -> unit) -> n:int -> apply:('a -> unit) -> unit -> 'a t
+val create : n:int -> apply:('a -> unit) -> unit -> 'a t
 (** [create ~n ~apply ()] builds the buffer for one process in an [n]-writer
     system.  [apply] receives each payload at the moment the historical
     drain would have applied it; the buffer increments its own vector clock
-    entry for the update's writer immediately afterwards.  [release], if
-    given, receives each update's stamp once it can no longer be read
-    (e.g. to recycle it through a {!Stamp_pool}). *)
+    entry for the update's writer immediately afterwards. *)
 
 val vc : 'a t -> int array
 (** The live vector clock: [vc.(k)] counts writer [k]'s updates processed
@@ -32,4 +30,7 @@ val add : 'a t -> writer:int -> ts:int array -> 'a -> unit
 (** File an update and apply every buffered update this makes deliverable,
     in the historical drain order.  Updates whose [ts.(writer)] slot was
     already applied or is already occupied are ignored (late or queued
-    duplicates, inert in the historical pending list too). *)
+    duplicates, inert in the historical pending list too).  The buffer only
+    reads [ts], and may keep it until the update is applied: the caller
+    must not mutate it afterwards, but may share one stamp among many
+    buffers. *)

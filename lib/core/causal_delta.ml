@@ -52,6 +52,12 @@ let codec : msg Codec.t =
   in
   { Codec.size; emit; parse }
 
+let rec patch mirror = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      mirror.(k) <- v;
+      patch mirror rest
+
 let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   if not (Distribution.is_full_replication dist) then
     invalid_arg "Causal_delta.create: requires full replication";
@@ -63,14 +69,9 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
      mirror per (receiver, sender); FIFO keeps them in sync *)
   let sent_stamp = Array.init n (fun _ -> Array.make_matrix n n 0) in
   let recv_stamp = Array.init n (fun _ -> Array.make_matrix n n 0) in
-  (* Stamps are reconstructed per received message (the wire carries only
-     deltas), so each is uniquely owned by its buffer entry and recycles. *)
-  let pool = Stamp_pool.create ~width:n in
   let bufs =
     Array.init n (fun p ->
-        Causal_buf.create
-          ~release:(Stamp_pool.release pool)
-          ~n
+        Causal_buf.create ~n
           ~apply:(fun (var, value) ->
             store.(p).(var) <- value;
             Proto_base.count_apply base)
@@ -79,11 +80,11 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   let on_message p (envelope : msg Net.envelope) =
     match envelope.Net.msg with
     | Update { var; value; writer; deltas } ->
-        (* reconstruct the full stamp from the per-channel mirror *)
+        (* reconstruct the full stamp from the per-channel mirror; the
+           mirror keeps changing, so the buffer gets a copy *)
         let mirror = recv_stamp.(p).(writer) in
-        List.iter (fun (k, v) -> mirror.(k) <- v) deltas;
-        Causal_buf.add bufs.(p) ~writer ~ts:(Stamp_pool.alloc pool mirror)
-          (var, value)
+        patch mirror deltas;
+        Causal_buf.add bufs.(p) ~writer ~ts:(Array.copy mirror) (var, value)
   in
   for p = 0 to n - 1 do
     Proto_base.set_handler base p (on_message p)
@@ -111,6 +112,4 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
     done
   in
   Proto_base.finish base ~name:"causal-delta" ~read ~write ~blocking_writes:false
-    ~label
-    ~on_set_tracing:(fun flag -> if flag then Stamp_pool.freeze pool)
-    ()
+    ~label ()

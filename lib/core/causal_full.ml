@@ -41,25 +41,21 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   let n = Distribution.n_procs dist in
   let n_vars = Distribution.n_vars dist in
   let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  let pool = Stamp_pool.create ~width:n in
   (* Causal broadcast delivery: [bufs.(p)] applies the update from [writer]
      stamped [ts] once it is the next write of [writer] and every
      dependency is satisfied; its vector clock counts writes applied at [p]
      (own writes immediate, via [tick]). *)
   let bufs =
     Array.init n (fun p ->
-        Causal_buf.create
-          ~release:(Stamp_pool.release pool)
-          ~n
-          ~apply:(fun (var, value) ->
+        Causal_buf.create ~n
+          ~apply:(fun (Update { var; value; _ }) ->
             store.(p).(var) <- value;
             Proto_base.count_apply base)
           ())
   in
   let on_message p (envelope : msg Net.envelope) =
     match envelope.Net.msg with
-    | Update { var; value; writer; ts } ->
-        Causal_buf.add bufs.(p) ~writer ~ts (var, value)
+    | Update { writer; ts; _ } as m -> Causal_buf.add bufs.(p) ~writer ~ts m
   in
   for p = 0 to n - 1 do
     Proto_base.set_handler base p (on_message p)
@@ -68,17 +64,16 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   let write ~proc ~var value =
     store.(proc).(var) <- value;
     Causal_buf.tick bufs.(proc) proc;
-    let vc = Causal_buf.vc bufs.(proc) in
+    (* one stamp, and one message, per write, shared by every recipient:
+       messages are immutable and buffers only read the stamp *)
+    let ts = Array.copy (Causal_buf.vc bufs.(proc)) in
+    let update = Update { var; value; writer = proc; ts } and mentions = [ var ] in
     for peer = 0 to n - 1 do
       if peer <> proc then
-        (* each recipient gets a private stamp so its buffer can recycle it *)
         Proto_base.send base ~src:proc ~dst:peer
           ~control_bytes:(8 * n) (* the vector clock *)
-          ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-          (Update { var; value; writer = proc; ts = Stamp_pool.alloc pool vc })
+          ~payload_bytes:Memory.value_bytes ~mentions update
     done
   in
   Proto_base.finish base ~name:"causal-full" ~read ~write ~blocking_writes:false
-    ~label
-    ~on_set_tracing:(fun flag -> if flag then Stamp_pool.freeze pool)
-    ()
+    ~label ()

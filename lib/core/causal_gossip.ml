@@ -83,8 +83,8 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
      [p].  Flooded notices reach a process along several paths, so a
      writer's notices can arrive out of order; the buffer's seq-indexed
      windows absorb that, and its duplicate dropping replaces the explicit
-     pending-list membership test.  Stamps are aliased by every forwarded
-     copy of a notice, so they are not pooled here. *)
+     pending-list membership test.  One stamp per write is shared by every
+     copy of its update and notice; buffers only read it. *)
   let bufs =
     Array.init n (fun p ->
         Causal_buf.create ~n

@@ -59,14 +59,11 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   let n = Distribution.n_procs dist in
   let n_vars = Distribution.n_vars dist in
   let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  let pool = Stamp_pool.create ~width:n in
   (* bufs.(p)'s vector clock counts writes processed (applied or noted) at
      [p]; [Meta] notices advance it without touching the store. *)
   let bufs =
     Array.init n (fun p ->
-        Causal_buf.create
-          ~release:(Stamp_pool.release pool)
-          ~n
+        Causal_buf.create ~n
           ~apply:(fun m ->
             match m with
             | Update { var; value; _ } ->
@@ -76,11 +73,9 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
           ())
   in
   let on_message p (envelope : msg Net.envelope) =
-    let m = envelope.Net.msg in
-    let writer, ts =
-      match m with Update { writer; ts; _ } | Meta { writer; ts; _ } -> (writer, ts)
-    in
-    Causal_buf.add bufs.(p) ~writer ~ts m
+    match envelope.Net.msg with
+    | Update { writer; ts; _ } as m -> Causal_buf.add bufs.(p) ~writer ~ts m
+    | Meta { writer; ts; _ } as m -> Causal_buf.add bufs.(p) ~writer ~ts m
   in
   for p = 0 to n - 1 do
     Proto_base.set_handler base p (on_message p)
@@ -89,25 +84,24 @@ let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   let write ~proc ~var value =
     store.(proc).(var) <- value;
     Causal_buf.tick bufs.(proc) proc;
-    let vc = Causal_buf.vc bufs.(proc) in
+    (* one stamp, and one message of each kind, per write, shared by every
+       recipient: messages are immutable and buffers only read the stamp *)
+    let ts = Array.copy (Causal_buf.vc bufs.(proc)) in
+    let update = Update { var; value; writer = proc; ts }
+    and meta = Meta { var; writer = proc; ts }
+    and mentions = [ var ] in
     for peer = 0 to n - 1 do
       if peer <> proc then begin
-        (* each recipient gets a private stamp so its buffer can recycle it *)
-        let ts = Stamp_pool.alloc pool vc in
         if Distribution.holds dist ~proc:peer ~var then
           Proto_base.send base ~src:proc ~dst:peer
             ~control_bytes:(8 * n)
-            ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-            (Update { var; value; writer = proc; ts })
+            ~payload_bytes:Memory.value_bytes ~mentions update
         else
           Proto_base.send base ~src:proc ~dst:peer
             ~control_bytes:((8 * n) + 8) (* vector clock + variable id *)
-            ~payload_bytes:0 ~mentions:[ var ]
-            (Meta { var; writer = proc; ts })
+            ~payload_bytes:0 ~mentions meta
       end
     done
   in
   Proto_base.finish base ~name:"causal-partial" ~read ~write ~blocking_writes:false
-    ~label
-    ~on_set_tracing:(fun flag -> if flag then Stamp_pool.freeze pool)
-    ()
+    ~label ()

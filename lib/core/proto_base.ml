@@ -85,8 +85,16 @@ let set_handler t node f = t.tr.Transport.set_handler node f
 
 let at t ~delay f = t.tr.Transport.schedule ~delay f
 
+(* toplevel recursion, not [List.iter] with a closure: one send must not
+   allocate a closure per call *)
+let rec mention t dst = function
+  | [] -> ()
+  | x :: rest ->
+      Bitset.add t.mentioned.(x) dst;
+      mention t dst rest
+
 let send t ~src ~dst ~control_bytes ~payload_bytes ~mentions msg =
-  List.iter (fun x -> Bitset.add t.mentioned.(x) dst) mentions;
+  mention t dst mentions;
   t.tr.Transport.send ~src ~dst ~control_bytes ~payload_bytes msg
 
 let count_apply t = t.applied <- t.applied + 1
@@ -104,7 +112,7 @@ let metrics t =
   }
 
 let finish t ~name ~read ~write ~blocking_writes ?(blocking_reads = false)
-    ?(label = fun _ -> "msg") ?(on_set_tracing = fun _ -> ()) ?state () =
+    ?(label = fun _ -> "msg") ?state () =
   let check proc var =
     if not (Distribution.holds t.dist ~proc ~var) then
       invalid_arg
@@ -128,10 +136,7 @@ let finish t ~name ~read ~write ~blocking_writes ?(blocking_reads = false)
     metrics = (fun () -> metrics t);
     blocking_writes;
     blocking_reads;
-    set_tracing =
-      (fun flag ->
-        on_set_tracing flag;
-        t.tr.Transport.set_tracing flag);
+    set_tracing = (fun flag -> t.tr.Transport.set_tracing flag);
     msc =
       (fun () ->
         Repro_msgpass.Msc.render ~n_nodes:t.tr.Transport.n_nodes ~label

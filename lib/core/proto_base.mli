@@ -101,16 +101,14 @@ val finish :
   blocking_writes:bool ->
   ?blocking_reads:bool ->
   ?label:('msg -> string) ->
-  ?on_set_tracing:(bool -> unit) ->
   ?state:(unit -> string) * (string -> unit) ->
   unit ->
   Memory.t
 (** Assemble the {!Memory.t} record: [step]/[quiesce]/[now]/[schedule] are
     wired to the transport, and [read]/[write] are wrapped with
-    {!Memory.check_access}.  [on_set_tracing] runs before each tracing
-    toggle reaches the transport — protocols recycling message stamps use
-    it to {!Stamp_pool.freeze} their pool, since traced envelopes alias
-    the stamps.
+    {!Memory.check_access}.  Traced envelopes alias the messages they
+    carry, so protocols must never mutate a message (or an array it holds,
+    such as a vector-clock stamp) after sending it.
 
     [state] is the protocol's own [(snapshot, restore)] pair for
     checkpoint-restart recovery; when given, the resulting memory's

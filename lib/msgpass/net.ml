@@ -171,7 +171,7 @@ let schedule_delivery t envelope =
   in
   push t deliver_time (Deliver envelope)
 
-let send t ~src ~dst ?(control_bytes = 0) ?(payload_bytes = 0) msg =
+let send t ~src ~dst ~control_bytes ~payload_bytes msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Net.send: bad endpoint";
   let latency = Latency.sample t.latency t.rng ~src ~dst in
@@ -193,10 +193,10 @@ let send t ~src ~dst ?(control_bytes = 0) ?(payload_bytes = 0) msg =
   if t.tracing then record t (Sent envelope);
   (* The drop/duplicate coins used to come from the main stream, one draw
      each, unconditionally.  Fault decisions now live on [fault_rng], but
-     the two legacy draws are kept so the seeded latency trajectory — and
-     with it every fault-free golden digest — stays byte-identical. *)
-  let _ = Rng.float t.rng 1.0 in
-  let _ = Rng.float t.rng 1.0 in
+     the main stream still steps past the two legacy draws so the seeded
+     latency trajectory — and with it every fault-free golden digest —
+     stays byte-identical. *)
+  Rng.skip t.rng 2;
   if Rng.coin t.fault_rng t.faults.Fault.drop then begin
     t.dropped <- t.dropped + 1;
     if t.tracing then record t (Dropped envelope)

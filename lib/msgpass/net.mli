@@ -53,14 +53,14 @@ val send :
   'msg t ->
   src:int ->
   dst:int ->
-  ?control_bytes:int ->
-  ?payload_bytes:int ->
+  control_bytes:int ->
+  payload_bytes:int ->
   'msg ->
   unit
 (** Enqueue a message.  Self-sends are allowed and still travel through the
     event queue (no synchronous shortcut), so a node's own updates interleave
-    with remote ones exactly as the protocol schedules them.  Byte counts
-    default to 0. *)
+    with remote ones exactly as the protocol schedules them.  The byte
+    counts are required labels so the per-message path boxes no options. *)
 
 val at : 'msg t -> delay:int -> (unit -> unit) -> unit
 (** [at t ~delay f] schedules [f] to run at [now t + delay].

@@ -4,7 +4,12 @@ module Op = Repro_history.Op
 module Bitset = Repro_util.Bitset
 module Rng = Repro_util.Rng
 
-type t = { n_procs : int; n_vars : int; table : Bitset.t array (* per proc *) }
+type t = {
+  n_procs : int;
+  n_vars : int;
+  table : Bitset.t array; (* per proc *)
+  holders : int list array; (* per variable, ascending; built once *)
+}
 
 let make ~n_procs ~n_vars x =
   if Array.length x <> n_procs then
@@ -22,7 +27,11 @@ let make ~n_procs ~n_vars x =
         set)
       x
   in
-  { n_procs; n_vars; table }
+  let holders = Array.make n_vars [] in
+  for p = n_procs - 1 downto 0 do
+    Bitset.iter (fun v -> holders.(v) <- p :: holders.(v)) table.(p)
+  done;
+  { n_procs; n_vars; table; holders }
 
 let of_lists ~n_vars lists =
   make ~n_procs:(List.length lists) ~n_vars (Array.of_list lists)
@@ -35,8 +44,7 @@ let holds t ~proc ~var = Bitset.mem t.table.(proc) var
 
 let vars_of t i = Bitset.elements t.table.(i)
 
-let holders t x =
-  List.filter (fun p -> holds t ~proc:p ~var:x) (List.init t.n_procs Fun.id)
+let holders t x = t.holders.(x)
 
 let holders_set t x =
   let set = Bitset.create t.n_procs in

@@ -12,12 +12,22 @@ let is_empty t = t.size = 0
 
 let grow t value =
   (* Seed fresh value storage with the pushed element so no dummy is needed
-     for the polymorphic array; keys are plain ints. *)
+     for the polymorphic array; keys are plain ints.  A full heap doubles by
+     appending its values to themselves: [Array.make] past the minor heap's
+     block size with a young seed (a just-sent message) forces a minor
+     collection, [Array.append] allocates in the major heap directly.  The
+     copied upper half is then overwritten so it retains nothing. *)
   let capacity = max 16 (2 * Array.length t.keys) in
   let keys = Array.make capacity 0 in
-  let vals = Array.make capacity value in
   Array.blit t.keys 0 keys 0 t.size;
-  Array.blit t.vals 0 vals 0 t.size;
+  let vals =
+    if t.size = 0 then Array.make capacity value
+    else begin
+      let vals = Array.append t.vals t.vals in
+      Array.fill vals t.size (capacity - t.size) value;
+      vals
+    end
+  in
   t.keys <- keys;
   t.vals <- vals
 

@@ -24,6 +24,11 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val skip : t -> int -> unit
+(** [skip g k] advances [g] past [k] draws of {!next_int64}, leaving it
+    exactly where [k] discarded draws would, in O(1) and without mixing.
+    @raise Invalid_argument if [k < 0]. *)
+
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)

@@ -11,6 +11,7 @@ module Causal_partial = Repro_core.Causal_partial
 module Causal_adhoc = Repro_core.Causal_adhoc
 module Slow_partial = Repro_core.Slow_partial
 module Seq_sequencer = Repro_core.Seq_sequencer
+module Causal_buf = Repro_core.Causal_buf
 module Atomic_primary = Repro_core.Atomic_primary
 module Distribution = Repro_sharegraph.Distribution
 module Share_graph = Repro_sharegraph.Share_graph
@@ -552,6 +553,126 @@ let test_all_protocols_deterministic =
              History.to_string (run ()) = History.to_string (run ()))))
     Registry.all
 
+(* --- causal delivery buffer vs the historical drain ------------------------ *)
+
+(* The drain [Causal_buf] replaced: a pending list in arrival order,
+   repeatedly partitioned against the vector clock, every update ready at
+   the start of a pass applied in arrival order before the next partition.
+   Arrivals already applied or already pending are dropped on the spot; in
+   the historical list they were inert. *)
+module Drain = struct
+  type t = {
+    vc : int array;
+    mutable pending : (int * int array * int) list;
+    mutable applied : int list; (* most recent first *)
+  }
+
+  let create n = { vc = Array.make n 0; pending = []; applied = [] }
+
+  let ready vc (writer, ts, _) =
+    let ok = ref (vc.(writer) = ts.(writer) - 1) in
+    Array.iteri (fun k tk -> if k <> writer && vc.(k) < tk then ok := false) ts;
+    !ok
+
+  let rec drain t =
+    match List.partition (ready t.vc) t.pending with
+    | [], _ -> ()
+    | ready, blocked ->
+        t.pending <- blocked;
+        List.iter
+          (fun (writer, _, id) ->
+            t.applied <- id :: t.applied;
+            t.vc.(writer) <- t.vc.(writer) + 1)
+          ready;
+        drain t
+
+  let add t ~writer ~ts id =
+    let duplicate =
+      ts.(writer) <= t.vc.(writer)
+      || List.exists (fun (w, ts', _) -> w = writer && ts'.(w) = ts.(writer)) t.pending
+    in
+    if not duplicate then begin
+      t.pending <- t.pending @ [ (writer, ts, id) ];
+      drain t
+    end
+end
+
+(* A random causal execution seen by one receiving process: writers stamp
+   each write with their vector clock and learn earlier writes (with their
+   causal past) at random; the receiver gets every write in a random order,
+   some twice, a few never. *)
+let causal_deliveries seed =
+  let rng = Rng.create seed in
+  let n = Rng.int_in rng 2 6 in
+  let receiver = Rng.int rng n in
+  let clocks = Array.init n (fun _ -> Array.make n 0) in
+  let writes = ref [||] in
+  for _ = 1 to Rng.int_in rng 1 60 do
+    let p = Rng.int rng n in
+    let count = Array.length !writes in
+    if p = receiver then ()
+    else if count = 0 || Rng.bool rng then begin
+      clocks.(p).(p) <- clocks.(p).(p) + 1;
+      writes := Array.append !writes [| (p, Array.copy clocks.(p), count) |]
+    end
+    else begin
+      let _, ts, _ = !writes.(Rng.int rng count) in
+      Array.iteri (fun k v -> if v > clocks.(p).(k) then clocks.(p).(k) <- v) ts
+    end
+  done;
+  let order = Array.copy !writes in
+  Rng.shuffle rng order;
+  let deliveries =
+    Array.fold_right
+      (fun w acc ->
+        let acc = if Rng.coin rng 0.1 then acc else w :: acc in
+        if Rng.coin rng 0.25 && Array.length !writes > 0 then
+          Rng.pick rng !writes :: acc
+        else acc)
+      order []
+  in
+  (n, deliveries)
+
+let test_causal_buf_matches_drain =
+  qcheck
+    (QCheck.Test.make ~name:"causal_buf_matches_historical_drain" ~count:500
+       QCheck.(make ~print:string_of_int Gen.int)
+       (fun seed ->
+         let n, deliveries = causal_deliveries seed in
+         let applied = ref [] in
+         let buf = Causal_buf.create ~n ~apply:(fun id -> applied := id :: !applied) () in
+         let model = Drain.create n in
+         List.iter
+           (fun (writer, ts, id) ->
+             Causal_buf.add buf ~writer ~ts id;
+             Drain.add model ~writer ~ts id)
+           deliveries;
+         !applied = model.Drain.applied && Causal_buf.vc buf = model.Drain.vc))
+
+(* --- allocation ---------------------------------------------------------------- *)
+
+(* causal-partial at the sim-check benchmark's shape (32 processes, 64
+   variables, 3 replicas, 8 ops per process): every write carries a vector
+   clock to all 31 peers, so words per message is what the simulation
+   pays.  The budget covers the envelope, the message, its scheduler entry
+   and the runner's per-op share; a copy of the stamp per recipient, a
+   closure per send or a boxed draw would each break it. *)
+let test_causal_partial_sim_allocation () =
+  let n = 32 in
+  let dist =
+    Distribution.random (Rng.create (1 + n)) ~n_procs:n ~n_vars:64 ~replicas_per_var:3
+  in
+  let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
+  let memory = Causal_partial.create ~dist ~seed:1 () in
+  let w0 = Gc.minor_words () in
+  ignore (Workload.run_random ~profile ~seed:2 memory : History.t);
+  let words = Gc.minor_words () -. w0 in
+  let msgs = (memory.Memory.metrics ()).Memory.messages_sent in
+  let per_msg = words /. float_of_int msgs in
+  if per_msg > 40.0 then
+    Alcotest.failf "causal-partial simulation allocates %.1f minor words per message"
+      per_msg
+
 (* --- atomicity (timed histories) ---------------------------------------------- *)
 
 module Timed = Repro_history.Timed
@@ -682,6 +803,13 @@ let () =
       ( "tracing",
         (Alcotest.test_case "memory msc" `Quick test_memory_msc
         :: test_all_protocols_deterministic) );
+      ( "causal-buf",
+        [ test_causal_buf_matches_drain ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "causal-partial simulation words per message" `Quick
+            test_causal_partial_sim_allocation;
+        ] );
       ( "atomicity",
         [
           test_atomic_primary_linearizable;

@@ -60,7 +60,7 @@ let test_net_delivery () =
   let net = make_net () in
   let got = ref [] in
   Net.set_handler net 1 (fun e -> got := e.Net.msg :: !got);
-  Net.send net ~src:0 ~dst:1 "hello";
+  Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 "hello";
   Net.run net;
   check Alcotest.(list string) "delivered" [ "hello" ] !got;
   check Alcotest.int "clock advanced" 5 (Net.now net)
@@ -69,7 +69,7 @@ let test_net_self_send () =
   let net = make_net () in
   let got = ref 0 in
   Net.set_handler net 0 (fun _ -> incr got);
-  Net.send net ~src:0 ~dst:0 ();
+  Net.send net ~src:0 ~dst:0 ~control_bytes:0 ~payload_bytes:0 ();
   check Alcotest.int "not synchronous" 0 !got;
   Net.run net;
   check Alcotest.int "delivered" 1 !got
@@ -81,7 +81,7 @@ let test_net_fifo_per_channel () =
   let got = ref [] in
   Net.set_handler net 1 (fun e -> got := e.Net.msg :: !got);
   for k = 1 to 30 do
-    Net.send net ~src:0 ~dst:1 k
+    Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 k
   done;
   Net.run net;
   check Alcotest.(list int) "fifo order" (List.init 30 (fun i -> i + 1)) (List.rev !got)
@@ -93,7 +93,7 @@ let test_net_reorder_without_fifo () =
   let got = ref [] in
   Net.set_handler net 1 (fun e -> got := e.Net.msg :: !got);
   for k = 1 to 30 do
-    Net.send net ~src:0 ~dst:1 k
+    Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 k
   done;
   Net.run net;
   let arrived = List.rev !got in
@@ -112,7 +112,9 @@ let test_net_determinism () =
     done;
     for i = 0 to 3 do
       for j = 0 to 3 do
-        if i <> j then Net.send net ~src:i ~dst:j ((i * 10) + j)
+        if i <> j then
+          Net.send net ~src:i ~dst:j ~control_bytes:0 ~payload_bytes:0
+            ((i * 10) + j)
       done
     done;
     Net.run net;
@@ -178,7 +180,7 @@ let test_net_drop_faults () =
   let got = ref 0 in
   Net.set_handler net 1 (fun _ -> incr got);
   for _ = 1 to 20 do
-    Net.send net ~src:0 ~dst:1 ()
+    Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
   done;
   Net.run net;
   check Alcotest.int "all dropped" 0 !got;
@@ -191,7 +193,7 @@ let test_net_duplicate_faults () =
   let got = ref 0 in
   Net.set_handler net 1 (fun _ -> incr got);
   for _ = 1 to 10 do
-    Net.send net ~src:0 ~dst:1 ()
+    Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
   done;
   Net.run net;
   check Alcotest.int "every message twice" 20 !got
@@ -214,7 +216,7 @@ let test_net_trace () =
   let net = make_net () in
   Net.set_tracing net true;
   Net.set_handler net 1 (fun _ -> ());
-  Net.send net ~src:0 ~dst:1 "m";
+  Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 "m";
   Net.run net;
   match Net.trace net with
   | [ Net.Sent e1; Net.Delivered e2 ] ->
@@ -225,9 +227,10 @@ let test_net_handler_cascade () =
   (* handlers may send more messages: a 3-hop relay *)
   let net = make_net () in
   let arrived = ref false in
-  Net.set_handler net 1 (fun e -> Net.send net ~src:1 ~dst:2 e.Net.msg);
+  Net.set_handler net 1 (fun e ->
+      Net.send net ~src:1 ~dst:2 ~control_bytes:0 ~payload_bytes:0 e.Net.msg);
   Net.set_handler net 2 (fun _ -> arrived := true);
-  Net.send net ~src:0 ~dst:1 ();
+  Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ();
   Net.run net;
   check Alcotest.bool "relayed" true !arrived;
   check Alcotest.int "two hops of 5" 10 (Net.now net)
@@ -249,7 +252,7 @@ let test_net_service_time () =
   let times = ref [] in
   Net.set_handler net 1 (fun _ -> times := Net.now net :: !times);
   for _ = 1 to 5 do
-    Net.send net ~src:0 ~dst:1 ()
+    Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
   done;
   Net.run net;
   check Alcotest.(list int) "queued service" [ 1; 11; 21; 31; 41 ] (List.rev !times)
@@ -262,7 +265,7 @@ let test_net_service_time_validation () =
 let test_net_bad_endpoint () =
   let net = make_net () in
   Alcotest.check_raises "bad dst" (Invalid_argument "Net.send: bad endpoint") (fun () ->
-      Net.send net ~src:0 ~dst:9 ())
+      Net.send net ~src:0 ~dst:9 ~control_bytes:0 ~payload_bytes:0 ())
 
 (* --- fault plans ----------------------------------------------------------- *)
 
@@ -408,7 +411,8 @@ let test_net_fault_seed_hygiene =
            let got = ref [] in
            Net.set_handler net 1 (fun e -> got := (e.Net.msg, Net.now net) :: !got);
            for k = 0 to 29 do
-             Net.at net ~delay:(k * 100) (fun () -> Net.send net ~src:0 ~dst:1 k)
+             Net.at net ~delay:(k * 100) (fun () ->
+                 Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 k)
            done;
            Net.run net;
            !got
@@ -427,9 +431,10 @@ module Msc = Repro_msgpass.Msc
 let traced_run () =
   let net = Net.create ~n:3 ~latency:(Latency.constant 4) ~seed:5 () in
   Net.set_tracing net true;
-  Net.set_handler net 1 (fun e -> Net.send net ~src:1 ~dst:2 e.Net.msg);
+  Net.set_handler net 1 (fun e ->
+      Net.send net ~src:1 ~dst:2 ~control_bytes:0 ~payload_bytes:0 e.Net.msg);
   Net.set_handler net 2 (fun _ -> ());
-  Net.send net ~src:0 ~dst:1 "hello";
+  Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 "hello";
   Net.run net;
   Net.trace net
 

@@ -111,6 +111,186 @@ let test_rng_coin_extremes () =
     check Alcotest.bool "p=1 always" true (Rng.coin g 1.0)
   done
 
+(* Reference model: the boxed-field SplitMix64 the in-place generator
+   replaced, kept verbatim.  Every draw of {!Rng} must match it bit for bit,
+   or every seeded history in the repository would move. *)
+module Oracle = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix64 z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let create seed = { state = mix64 (Int64.of_int seed) }
+
+  let copy g = { state = g.state }
+
+  let next_int64 g =
+    g.state <- Int64.add g.state golden_gamma;
+    mix64 g.state
+
+  let split g =
+    let seed = next_int64 g in
+    { state = mix64 seed }
+
+  let int g bound =
+    let bound64 = Int64.of_int bound in
+    let rec draw () =
+      let r = Int64.shift_right_logical (next_int64 g) 1 in
+      let v = Int64.rem r bound64 in
+      if Int64.compare (Int64.add (Int64.sub r v) (Int64.sub bound64 1L)) 0L < 0
+      then draw ()
+      else Int64.to_int v
+    in
+    draw ()
+
+  let int_in g lo hi = lo + int g (hi - lo + 1)
+
+  let float g bound =
+    let r = Int64.shift_right_logical (next_int64 g) 11 in
+    Int64.to_float r *. (1.0 /. 9007199254740992.0) *. bound
+
+  let bool g = Int64.compare (Int64.logand (next_int64 g) 1L) 0L <> 0
+
+  let coin g p = float g 1.0 < p
+end
+
+type rng_call =
+  | Next
+  | Int of int
+  | Int_in of int * int
+  | Float of float
+  | Bool
+  | Coin of float
+  | Skip of int
+  | Copy
+  | Split
+
+let show_call = function
+  | Next -> "next"
+  | Int b -> Printf.sprintf "int %d" b
+  | Int_in (lo, hi) -> Printf.sprintf "int_in %d %d" lo hi
+  | Float b -> Printf.sprintf "float %h" b
+  | Bool -> "bool"
+  | Coin p -> Printf.sprintf "coin %h" p
+  | Skip k -> Printf.sprintf "skip %d" k
+  | Copy -> "copy"
+  | Split -> "split"
+
+let gen_call =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, return Next);
+      (3, map (fun b -> Int b) (int_range 1 1000));
+      (* near max_int most draws fall in the truncated top interval, so
+         the rejection retry runs often *)
+      (3, map (fun b -> Int b) (int_range (max_int / 3 * 2) max_int));
+      ( 2,
+        map2
+          (fun lo span -> Int_in (lo, lo + span))
+          (int_range (-1000) 1000)
+          (oneof [ int_range 0 1000; int_range 0 (max_int - 2000) ]) );
+      (2, map (fun b -> Float b) (float_bound_inclusive 1e6));
+      (2, return Bool);
+      (2, map (fun p -> Coin p) (float_bound_inclusive 1.0));
+      (2, map (fun k -> Skip k) (int_range 0 40));
+      (1, return Copy);
+      (1, return Split);
+    ]
+
+(* Run one call on both generators; [Copy] and [Split] move on to the
+   derived generator after checking that the original still agrees. *)
+let step_call (g, o) call =
+  let same = ref true in
+  let agree a b = if a <> b then same := false in
+  let pair =
+    match call with
+    | Next ->
+        agree (Rng.next_int64 g) (Oracle.next_int64 o);
+        (g, o)
+    | Int b ->
+        agree (Rng.int g b) (Oracle.int o b);
+        (g, o)
+    | Int_in (lo, hi) ->
+        agree (Rng.int_in g lo hi) (Oracle.int_in o lo hi);
+        (g, o)
+    | Float b ->
+        agree (Int64.bits_of_float (Rng.float g b)) (Int64.bits_of_float (Oracle.float o b));
+        (g, o)
+    | Bool ->
+        agree (Rng.bool g) (Oracle.bool o);
+        (g, o)
+    | Coin p ->
+        agree (Rng.coin g p) (Oracle.coin o p);
+        (g, o)
+    | Skip k ->
+        Rng.skip g k;
+        for _ = 1 to k do
+          ignore (Oracle.next_int64 o : int64)
+        done;
+        (g, o)
+    | Copy ->
+        let g' = Rng.copy g and o' = Oracle.copy o in
+        agree (Rng.next_int64 g) (Oracle.next_int64 o);
+        (g', o')
+    | Split ->
+        let g' = Rng.split g and o' = Oracle.split o in
+        agree (Rng.next_int64 g) (Oracle.next_int64 o);
+        (g', o')
+  in
+  (pair, !same)
+
+let test_rng_matches_oracle =
+  qcheck
+    (QCheck.Test.make ~name:"rng_matches_boxed_splitmix64" ~count:500
+       (QCheck.make
+          ~print:(fun (seed, calls) ->
+            Printf.sprintf "seed %d: %s" seed
+              (String.concat "; " (List.map show_call calls)))
+          QCheck.Gen.(pair int (list_size (int_range 1 60) gen_call)))
+       (fun (seed, calls) ->
+         let rec go pair = function
+           | [] ->
+               let g, o = pair in
+               Rng.next_int64 g = Oracle.next_int64 o
+           | call :: rest ->
+               let pair, same = step_call pair call in
+               same && go pair rest
+         in
+         go (Rng.create seed, Oracle.create seed) calls))
+
+let test_rng_skip_rejects () =
+  Alcotest.check_raises "negative" (Invalid_argument "Rng.skip: negative count")
+    (fun () -> Rng.skip (Rng.create 0) (-1))
+
+(* Draws run once per simulated message: none may allocate. *)
+let words_per_draw f =
+  let iters = 100_000 in
+  for _ = 1 to 100 do f () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do f () done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+let test_rng_draws_allocate_nothing () =
+  let g = Rng.create 17 in
+  let near_max = max_int - 12345 in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_draw f in
+      if w >= 0.01 then Alcotest.failf "Rng.%s allocates %.2f words/draw" name w)
+    [
+      ("int", fun () -> ignore (Rng.int g 1000 : int));
+      ("int near max_int", fun () -> ignore (Rng.int g near_max : int));
+      ("int_in", fun () -> ignore (Rng.int_in g 1 5 : int));
+      ("coin", fun () -> ignore (Rng.coin g 0.3 : bool));
+      ("bool", fun () -> ignore (Rng.bool g : bool));
+      ("skip", fun () -> Rng.skip g 2);
+    ]
+
 (* --- pqueue -------------------------------------------------------------- *)
 
 let test_pqueue_basic () =
@@ -240,6 +420,26 @@ let test_intheap_growth_and_clear () =
   Intheap.push h 3 30;
   Intheap.push h 1 10;
   check Alcotest.int "usable after clear" 10 (Intheap.pop_min h)
+
+(* Growing past the minor heap's block size must not force a minor
+   collection, even though every pushed value is young (the simulator
+   pushes freshly built messages): the heap's contents survive doubling
+   and come out in key order. *)
+let test_intheap_growth_forces_no_minor_gc () =
+  let h = Intheap.create () in
+  let n = 4096 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for i = 0 to n - 1 do
+    let k = (i * 7919) mod n in
+    Intheap.push h k (ref k)
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check Alcotest.int "minor collections while growing" before after;
+  for i = 0 to n - 1 do
+    check Alcotest.int "key order" i (Intheap.min_key h);
+    check Alcotest.int "value follows key" i !(Intheap.pop_min h)
+  done
 
 (* The scheduler packs (time, seq) into (time lsl 31) lor seq; popping the
    packed keys from an Intheap must reproduce the order the generic Pqueue
@@ -644,6 +844,11 @@ let () =
           test_rng_sample_without_replacement;
           Alcotest.test_case "coin extremes" `Quick test_rng_coin_extremes;
           Alcotest.test_case "pick empty" `Quick test_rng_pick_empty;
+          test_rng_matches_oracle;
+          Alcotest.test_case "skip rejects a negative count" `Quick
+            test_rng_skip_rejects;
+          Alcotest.test_case "draws are allocation-free" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "pqueue",
         [
@@ -663,6 +868,8 @@ let () =
           Alcotest.test_case "basic order" `Quick test_intheap_basic;
           Alcotest.test_case "growth and clear bounds" `Quick
             test_intheap_growth_and_clear;
+          Alcotest.test_case "growth forces no minor collection" `Quick
+            test_intheap_growth_forces_no_minor_gc;
           test_intheap_matches_pqueue;
         ] );
       ( "ringbuf",
