@@ -105,13 +105,24 @@ let e1x_cases () =
     (fun seed -> List.map (fun name -> (name, seed, run_e1x name seed)) e1x_protocols)
     e1x_seeds
 
+let tables_seed = 20_240_601
+
 let tables_digest () =
   let rendered =
-    Experiment.all ~seed:20_240_601 ()
+    Experiment.all ~seed:tables_seed ()
     |> List.map Experiment.render
     |> String.concat "\n"
   in
   Digest.to_hex (Digest.string rendered)
+
+(* E1X and A2X are catalogue-only (not in [Experiment.all]), so the tables
+   digest above does not cover them: pin each table as [repro experiment]
+   renders it, at the CLI's default seed 1 *)
+let scaled_table_ids = [ "E1X"; "A2X" ]
+
+let scaled_table_digest id =
+  let table = (Option.get (Experiment.find id)) ~seed:1 () in
+  Digest.to_hex (Digest.string (Experiment.render table))
 
 (* --- expected digests (seed engine, captured pre-rewrite) ----------------- *)
 
@@ -154,6 +165,10 @@ let expected =
 
 let expected_tables = "bd2ac0bf2b37c77684a8790eb4f6cb5b"
 
+let expected_scaled_tables =
+  [ ("E1X", "39b0c22e4d43d465fbbe33e1a6c68c85");
+    ("A2X", "e86e4c45d1d8f34e6c214d8b3ca652d7") ]
+
 (* captured on the engine with per-recipient pooled stamps, before the
    shared-stamp / closure-free causal buffer rewrite *)
 let expected_e1x =
@@ -176,6 +191,9 @@ let dump () =
       Printf.printf "    (%S, %d, %S);\n" name seed digest)
     (cases ());
   Printf.printf "  tables: %S\n" (tables_digest ());
+  List.iter
+    (fun id -> Printf.printf "  table %s: %S\n" id (scaled_table_digest id))
+    scaled_table_ids;
   print_endline "  e1x:";
   List.iter
     (fun (name, seed, digest) ->
@@ -204,6 +222,15 @@ let test_tables_digest () =
   Alcotest.(check string) "experiment tables byte-identical" expected_tables
     (tables_digest ())
 
+let test_scaled_table_digests () =
+  List.iter
+    (fun id ->
+      Alcotest.(check string)
+        (id ^ " table byte-identical")
+        (List.assoc id expected_scaled_tables)
+        (scaled_table_digest id))
+    scaled_table_ids
+
 let () =
   if Sys.getenv_opt "GOLDEN_DUMP" <> None then dump ()
   else
@@ -214,6 +241,8 @@ let () =
             Alcotest.test_case "protocol histories and stats" `Quick
               test_protocol_digests;
             Alcotest.test_case "experiment tables" `Slow test_tables_digest;
+            Alcotest.test_case "scaled tables E1X and A2X" `Quick
+              test_scaled_table_digests;
             Alcotest.test_case "E1X-scale histories and stats" `Quick
               test_e1x_digests;
           ] );
