@@ -166,15 +166,18 @@ let run t thunks =
       let results = Array.make n None in
       let failure = Atomic.make None in
       let cancelled = Atomic.make false in
+      (* A claimed task always runs.  Claims follow submission order, so
+         every task before a failing one was claimed and still completes:
+         the first failure in submission order wins, even when a later
+         task fails first.  Cancellation only abandons unclaimed tasks. *)
       let tasks =
         Array.mapi
           (fun i f () ->
-            if not (Atomic.get cancelled) then
-              match f () with
-              | v -> results.(i) <- Some v
-              | exception exn ->
-                  record_failure failure cancelled i exn
-                    (Printexc.get_raw_backtrace ()))
+            match f () with
+            | v -> results.(i) <- Some v
+            | exception exn ->
+                record_failure failure cancelled i exn
+                  (Printexc.get_raw_backtrace ()))
           thunks
       in
       submit_and_help t { tasks; next = 0; unfinished = n; cancelled };
