@@ -215,27 +215,17 @@ let gc_space_overhead_arg =
                  less often — the GC-pressure knob for hot-path experiments \
                  ($(b,bench --hotpath) reports allocation per operation).")
 
-(* sim transport stack mirroring a live node's: backend → chaos → session *)
+(* sim transport stack mirroring a live node's: backend → chaos → session;
+   the session comes along when asked for or under a chaos plan *)
 let sim_chaos_factory ~chaos ~session ~seed =
-  let chaos =
-    match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
+  let chaotic =
+    match chaos with Some p -> not (Fault.Plan.is_none p) | None -> false
   in
-  let session = session || chaos <> None in
-  if (not session) && chaos = None then None
-  else begin
-    let factory = Transport.sim ~latency:Latency.lan ~seed () in
-    let factory =
-      match chaos with
-      | None -> factory
-      | Some plan -> fst (Chaos.wrap ~plan factory)
-    in
-    let factory =
-      if session then
-        fst (Session.wrap ~config:{ Session.default with seed = seed + 1 } factory)
-      else factory
-    in
-    Some factory
-  end
+  if session || chaotic then
+    Some
+      (Session.stack ?plan:chaos ~seed
+         (Transport.sim ~latency:Latency.lan ~seed ()))
+  else None
 
 (* --- protocols ---------------------------------------------------------------- *)
 

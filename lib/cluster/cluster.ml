@@ -1,5 +1,4 @@
 module Live = Repro_transport.Live
-module Chaos = Repro_transport.Chaos
 module Session = Repro_transport.Session
 module Transport = Repro_transport.Transport
 module Fault = Repro_msgpass.Fault
@@ -339,33 +338,19 @@ let sim_baseline ?chaos ?(session = false) ~n ~protocol ~workload ~seed () =
   match Workload_spec.make ~name:workload ~n ~seed with
   | Error _ as e -> e
   | Ok spec ->
-      let chaos =
-        match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
+      let chaotic =
+        match chaos with Some p -> not (Fault.Plan.is_none p) | None -> false
       in
-      let session = session || chaos <> None in
       let memory =
-        if (not session) && chaos = None then
-          protocol.Registry.make ~dist:spec.Workload_spec.dist ~seed ()
-        else begin
+        if session || chaotic then
           (* same stack order as a live node: backend → chaos → session →
              protocol, so the same plan reproduces deterministically *)
-          let factory = Transport.sim ~latency:Latency.lan ~seed () in
-          let factory =
-            match chaos with
-            | None -> factory
-            | Some plan -> fst (Chaos.wrap ~plan factory)
-          in
-          let factory =
-            if session then
-              fst
-                (Session.wrap
-                   ~config:{ Session.default with seed = seed + 1 }
-                   factory)
-            else factory
-          in
-          protocol.Registry.make ~transport:factory
+          protocol.Registry.make
+            ~transport:
+              (Session.stack ?plan:chaos ~seed
+                 (Transport.sim ~latency:Latency.lan ~seed ()))
             ~dist:spec.Workload_spec.dist ~seed ()
-        end
+        else protocol.Registry.make ~dist:spec.Workload_spec.dist ~seed ()
       in
       let history = Runner.run memory ~programs:spec.Workload_spec.programs in
       Ok { history; metrics = memory.Memory.metrics () }

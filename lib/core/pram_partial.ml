@@ -28,11 +28,10 @@ let codec : msg Codec.t =
   in
   { Codec.size; emit; parse }
 
-let create ?faults ?(latency = Latency.lan) ?service_time ?(sequence_guard = true)
+let create ?(latency = Latency.lan) ?service_time ?(sequence_guard = true)
     ?transport ~dist ~seed () =
   let base =
-    Proto_base.create ?faults ?service_time ?transport ~codec ~dist ~latency
-      ~seed ()
+    Proto_base.create ?service_time ?transport ~codec ~dist ~latency ~seed ()
   in
   let n = Distribution.n_procs dist in
   let n_vars = Distribution.n_vars dist in

@@ -19,7 +19,6 @@ val codec : msg Repro_transport.Codec.t
     of [Marshal].  Exposed for the codec round-trip tests. *)
 
 val create :
-  ?faults:Repro_msgpass.Fault.t ->
   ?latency:Repro_msgpass.Latency.t ->
   ?service_time:int ->
   ?sequence_guard:bool ->

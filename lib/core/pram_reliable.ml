@@ -1,134 +1,17 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
-module Fault = Repro_msgpass.Fault
-module Distribution = Repro_sharegraph.Distribution
-module Ringbuf = Repro_util.Ringbuf
+module Transport = Repro_transport.Transport
+module Session = Repro_transport.Session
 
-type msg =
-  | Data of { var : int; value : Memory.value; seq : int }
-  | Ack of { next : int }  (** cumulative: everything below [next] received *)
-
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
-
-let label = function
-  | Data { var; value; seq } -> Printf.sprintf "data x%d:=%s #%d" var (value_text value) seq
-  | Ack { next } -> Printf.sprintf "ack<%d" next
-
-module Codec = Repro_transport.Codec
-
-let codec : msg Codec.t =
-  let size = function
-    | Data { value; _ } -> 1 + 4 + Proto_base.value_size value + 4
-    | Ack _ -> 1 + 4
+let create ?plan ?(latency = Latency.lan) ?transport ~dist ~seed () =
+  let backend =
+    match transport with
+    | Some f -> f
+    | None -> Transport.sim ~latency ~seed ()
   in
-  let emit buf off = function
-    | Data { var; value; seq } ->
-        let off = Codec.put_u8 buf off 0 in
-        let off = Codec.put_i32 buf off var in
-        let off = Proto_base.emit_value buf off value in
-        Codec.put_i32 buf off seq
-    | Ack { next } ->
-        let off = Codec.put_u8 buf off 1 in
-        Codec.put_i32 buf off next
+  let memory =
+    Pram_partial.create ~transport:(Session.stack ?plan ~seed backend) ~dist
+      ~seed ()
   in
-  let parse buf pos limit =
-    let tag, pos = Codec.get_u8 buf pos limit in
-    match tag with
-    | 0 ->
-        let var, pos = Codec.get_i32 buf pos limit in
-        let value, pos = Proto_base.parse_value buf pos limit in
-        let seq, pos = Codec.get_i32 buf pos limit in
-        (Data { var; value; seq }, pos)
-    | 1 ->
-        let next, pos = Codec.get_i32 buf pos limit in
-        (Ack { next }, pos)
-    | t -> raise (Codec.Bad (Printf.sprintf "pram-reliable: unknown tag %d" t))
-  in
-  { Codec.size; emit; parse }
-
-let default_faults = { Fault.drop = 0.2; duplicate = 0.1; reorder = false }
-
-let create ?(faults = default_faults) ?(latency = Latency.lan)
-    ?(retransmit_after = 50) ?transport ~dist ~seed () =
-  if retransmit_after < 1 then invalid_arg "Pram_reliable.create: bad timeout";
-  let base = Proto_base.create ~faults ?transport ~codec ~dist ~latency ~seed () in
-  let n = Distribution.n_procs dist in
-  let n_vars = Distribution.n_vars dist in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* go-back-N sender state, per (src, dst) channel; the retransmission
-     window is a deque — sends append, cumulative acks pop the prefix *)
-  let out_buf : (int * (int * Memory.value)) Ringbuf.t array array =
-    Array.init n (fun _ -> Array.init n (fun _ -> Ringbuf.create ()))
-  in
-  let next_seq = Array.make_matrix n n 0 in
-  let timer_armed = Array.make_matrix n n false in
-  (* receiver state *)
-  let expected = Array.make_matrix n n 0 in
-  let send_data ~src ~dst (seq, (var, value)) =
-    Proto_base.send base ~src ~dst ~control_bytes:8
-      ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-      (Data { var; value; seq })
-  in
-  let send_ack ~src ~dst =
-    Proto_base.send base ~src ~dst ~control_bytes:8 ~payload_bytes:0 ~mentions:[]
-      (Ack { next = expected.(src).(dst) })
-  in
-  let rec arm_timer src dst =
-    if not timer_armed.(src).(dst) then begin
-      timer_armed.(src).(dst) <- true;
-      Proto_base.at base ~delay:retransmit_after (fun () ->
-          timer_armed.(src).(dst) <- false;
-          let pending = out_buf.(src).(dst) in
-          if not (Ringbuf.is_empty pending) then begin
-            (* everything acknowledged: stay quiet instead *)
-            Ringbuf.iter pending (send_data ~src ~dst);
-            arm_timer src dst
-          end)
-    end
-  in
-  let on_message p (envelope : msg Net.envelope) =
-    let src = envelope.Net.src in
-    match envelope.Net.msg with
-    | Data { var; value; seq } ->
-        if seq = expected.(p).(src) then begin
-          store.(p).(var) <- value;
-          Proto_base.count_apply base;
-          expected.(p).(src) <- seq + 1
-        end;
-        (* out-of-order or duplicate: discard, but always (re)acknowledge
-           the current cumulative position *)
-        send_ack ~src:p ~dst:src
-    | Ack { next } ->
-        (* p is the original sender; sequence numbers sit in the window in
-           ascending order, so a cumulative ack prunes a prefix *)
-        let window = out_buf.(p).(src) in
-        let rec prune () =
-          match Ringbuf.peek_front window with
-          | Some (seq, _) when seq < next ->
-              ignore (Ringbuf.pop_front window);
-              prune ()
-          | _ -> ()
-        in
-        prune ()
-  in
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_message p)
-  done;
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    store.(proc).(var) <- value;
-    List.iter
-      (fun peer ->
-        if peer <> proc then begin
-          let seq = next_seq.(proc).(peer) in
-          next_seq.(proc).(peer) <- seq + 1;
-          Ringbuf.push_back out_buf.(proc).(peer) (seq, (var, value));
-          send_data ~src:proc ~dst:peer (seq, (var, value));
-          arm_timer proc peer
-        end)
-      (Distribution.holders dist var)
-  in
-  Proto_base.finish base ~name:"pram-reliable" ~read ~write ~blocking_writes:false
-    ~label ()
+  (* the session windows live outside the protocol snapshot, so a restored
+     node could not resume them: no checkpoint support *)
+  { memory with Memory.name = "pram-reliable"; snapshot = None; restore = None }

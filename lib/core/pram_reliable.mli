@@ -2,37 +2,30 @@
 
     The paper's model (§1) assumes a message-passing system "with a certain
     quality of service in terms of ordering and reliability"; the plain
-    {!Pram_partial} inherits both from the simulator.  This variant
-    manufactures that quality of service itself: updates travel over a
-    lossy, duplicating transport and each directed channel runs go-back-N
-    ARQ — cumulative acknowledgements, a retransmission timer, in-order
-    delivery to the protocol layer.
+    {!Pram_partial} inherits both from the simulator.  This variant runs
+    the same protocol over links that lose and duplicate messages, and
+    gets that quality of service back from the {!Repro_transport.Session}
+    layer: per-link sequence numbers, cumulative acks, retransmission and
+    duplicate suppression below the protocol.
 
-    The memory semantics is exactly PRAM (per-writer order is the ARQ
-    channel order), and — unlike the guarded {!Pram_partial} under faults —
-    {e no update is ever lost}: after quiescence every replica has applied
-    every relevant write.  The price is acks and retransmissions, measured
-    by the usual metrics.  Mention audit still never leaves [C(x)]. *)
-
-type msg =
-  | Data of { var : int; value : Memory.value; seq : int }
-  | Ack of { next : int }
-
-val codec : msg Repro_transport.Codec.t
-(** Strict binary wire codec for {!msg}; the live backend uses it in place
-    of [Marshal].  Exposed for the codec round-trip tests. *)
+    The memory semantics is exactly PRAM, and {e no update is ever lost}:
+    after quiescence every replica has applied every relevant write.  The
+    protocol lane — messages, control and payload bytes, applied updates,
+    the mention audit — is {!Pram_partial}'s; the price of reliability
+    (headers, retransmitted copies, acks) is reported apart, in
+    [overhead_bytes]. *)
 
 val create :
-  ?faults:Repro_msgpass.Fault.t ->
+  ?plan:Repro_msgpass.Fault.Plan.t ->
   ?latency:Repro_msgpass.Latency.t ->
-  ?retransmit_after:int ->
   ?transport:Repro_transport.Transport.factory ->
   dist:Repro_sharegraph.Distribution.t ->
   seed:int ->
   unit ->
   Memory.t
-(** [faults] defaults to a 20% drop / 10% duplication profile (this
-    protocol exists to beat faults; pass {!Repro_msgpass.Fault.none} to
-    run it over a clean network).  [retransmit_after] (default 50 ticks)
-    is the per-channel retransmission timeout; it should comfortably
-    exceed one round trip. *)
+(** Builds [transport] (default: the simulator with [latency] and [seed])
+    → {!Repro_transport.Chaos.wrap} [~plan] → {!Repro_transport.Session}
+    → {!Pram_partial}, via {!Repro_transport.Session.stack}.  [plan]
+    defaults to clean links.  The instance is named ["pram-reliable"] and
+    has no checkpoint support: the session windows are not part of the
+    protocol snapshot. *)

@@ -1,6 +1,5 @@
 module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
-module Fault = Repro_msgpass.Fault
 module Transport = Repro_transport.Transport
 module Codec = Repro_transport.Codec
 module Distribution = Repro_sharegraph.Distribution
@@ -59,13 +58,13 @@ type 'msg t = {
   mutable applied : int;
 }
 
-let create ?faults ?service_time ?(extra_nodes = 0) ?transport ?codec ~dist
-    ~latency ~seed () =
+let create ?service_time ?(extra_nodes = 0) ?transport ?codec ~dist ~latency
+    ~seed () =
   let n = Distribution.n_procs dist in
   let factory =
     match transport with
     | Some f -> f
-    | None -> Transport.sim ?faults ?service_time ~latency ~seed ()
+    | None -> Transport.sim ?service_time ~latency ~seed ()
   in
   let tr = factory.Transport.create ?codec (n + extra_nodes) in
   {

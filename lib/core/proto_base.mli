@@ -11,7 +11,6 @@
 
 module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
-module Fault = Repro_msgpass.Fault
 module Transport = Repro_transport.Transport
 module Codec = Repro_transport.Codec
 module Distribution = Repro_sharegraph.Distribution
@@ -37,7 +36,6 @@ val parse_ts : Bytes.t -> int -> int -> int array * int
 type 'msg t
 
 val create :
-  ?faults:Fault.t ->
   ?service_time:int ->
   ?extra_nodes:int ->
   ?transport:Transport.factory ->
@@ -50,10 +48,11 @@ val create :
 (** One network node per MCS process, plus [extra_nodes] infrastructure
     nodes (e.g. a sequencer) numbered after the processes.
 
-    Without [transport] this builds the simulator backend from [faults],
-    [service_time], [latency] and [seed] — byte-identical to the historical
-    direct [Net.create].  With [transport], those four parameters are
-    ignored (a live backend has real latency and real loss).
+    Without [transport] this builds the reliable FIFO simulator backend
+    from [service_time], [latency] and [seed] — byte-identical to the
+    historical direct [Net.create].  With [transport], those three
+    parameters are ignored (a live backend has real latency and real
+    loss).
 
     [codec] is the protocol's strict binary message codec, forwarded to the
     backend factory; the live backend uses it to serialise frame bodies in

@@ -91,9 +91,8 @@ let all =
       efficient = true;
       make =
         (fun ?latency ?transport ~dist ~seed () ->
-          (* the registry runs it over clean channels; the lossy default
-             is exercised by the dedicated tests *)
-          Pram_reliable.create ~faults:Repro_msgpass.Fault.none ?latency ?transport ~dist ~seed ());
+          (* clean links; the lossy plans are exercised by the tests *)
+          Pram_reliable.create ?latency ?transport ~dist ~seed ());
     };
     {
       name = "slow-partial";

@@ -1,6 +1,6 @@
 module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
-module Fault = Repro_msgpass.Fault
+module Transport = Repro_transport.Transport
 module Distribution = Repro_sharegraph.Distribution
 
 type msg = Update of { var : int; value : Memory.value; lane_seq : int }
@@ -33,8 +33,12 @@ let codec : msg Codec.t =
 let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   (* Non-FIFO transport: messages race; per-lane sequencing below restores
      exactly the per-(writer, variable) order slow memory needs. *)
-  let faults = { Fault.none with Fault.reorder = true } in
-  let base = Proto_base.create ~faults ?transport ~codec ~dist ~latency ~seed () in
+  let transport =
+    match transport with
+    | Some f -> f
+    | None -> Transport.sim ~fifo:false ~latency ~seed ()
+  in
+  let base = Proto_base.create ~transport ~codec ~dist ~latency ~seed () in
   let n = Distribution.n_procs dist in
   let n_vars = Distribution.n_vars dist in
   let store = Array.make_matrix n n_vars Repro_history.Op.Init in

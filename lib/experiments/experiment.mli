@@ -90,9 +90,10 @@ val bottleneck : seed:int -> unit -> table
 
 val loss_sweep : seed:int -> unit -> table
 (** {b L1} — reliability cost.  The reliable FIFO channels the paper's
-    model assumes, manufactured by {!Repro_core.Pram_reliable}'s go-back-N
-    ARQ: messages per write, completion time and delivery completeness as
-    the link drop rate sweeps 0–40%. *)
+    model assumes, rebuilt over lossy links by {!Repro_core.Pram_reliable}
+    (pram-partial over the session layer): protocol messages per write,
+    session overhead bytes per write, completion time and delivery
+    completeness as the link drop rate sweeps 0–40% (5% duplication). *)
 
 val op_costs : seed:int -> unit -> table
 (** {b C1} — per-operation cost profile.  For every protocol: messages per

@@ -1,18 +1,6 @@
-type t = { drop : float; duplicate : float; reorder : bool }
-
-let none = { drop = 0.0; duplicate = 0.0; reorder = false }
-
-let lossy p = { drop = p; duplicate = 0.0; reorder = false }
-
-let chaotic = { drop = 0.05; duplicate = 0.05; reorder = true }
-
 let check_prob ctx name p =
   if p < 0.0 || p > 1.0 then
     invalid_arg (Printf.sprintf "%s: %s probability %f out of [0,1]" ctx name p)
-
-let validate t =
-  check_prob "Fault.validate" "drop" t.drop;
-  check_prob "Fault.validate" "duplicate" t.duplicate
 
 module Plan = struct
   type link = { drop : float; duplicate : float; reorder : float }
@@ -106,10 +94,15 @@ module Plan = struct
       | _ -> ()
     in
     validate_link ctx t.default_link;
+    let lseen = Hashtbl.create 4 in
     List.iter
       (fun ((s, d), l) ->
         check_node "link endpoint" s;
         check_node "link endpoint" d;
+        if Hashtbl.mem lseen (s, d) then
+          invalid_arg
+            (Printf.sprintf "%s: duplicate link entry for %d>%d" ctx s d);
+        Hashtbl.add lseen (s, d) ();
         validate_link ctx l)
       t.links;
     List.iter

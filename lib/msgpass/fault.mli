@@ -1,38 +1,10 @@
-(** Fault-injection configuration for the message-passing substrate.
+(** Fault injection for the message-passing substrate.
 
     The DSM protocols in this repository assume the reliable channels of the
-    paper's model; fault injection exists to test the substrate itself and to
-    demonstrate which protocols tolerate duplication or reordering.
-
-    Two layers coexist:
-
-    - the legacy flat {!t} record consumed directly by the simulator's
-      built-in fault path (kept behavior-identical for old configs), and
-    - {!Plan}, a seeded deterministic chaos plan applied at the transport
-      seam ({!Repro_transport.Chaos}) so the identical plan reproduces on
-      the simulator and on live TCP. *)
-
-type t = {
-  drop : float;  (** Probability a message is silently lost. *)
-  duplicate : float;
-      (** Probability a message is delivered twice (second copy re-samples
-          its latency). *)
-  reorder : bool;
-      (** When [true], per-channel FIFO enforcement is disabled and messages
-          race freely. *)
-}
-
-val none : t
-(** Reliable FIFO channels — the paper's model. *)
-
-val lossy : float -> t
-(** Drop with the given probability, no duplication, FIFO kept. *)
-
-val chaotic : t
-(** 5% drop, 5% duplication, no FIFO.  Stress-testing profile. *)
-
-val validate : t -> unit
-(** @raise Invalid_argument when probabilities fall outside [\[0,1\]]. *)
+    paper's model, and the simulator ({!Net}) provides exactly those.  Every
+    injected fault is a {!Plan}: a seeded deterministic plan applied at the
+    transport seam ({!Repro_transport.Chaos}), so the identical plan
+    reproduces on the simulator and on live TCP. *)
 
 (** Seeded, deterministic fault plans.
 
@@ -130,7 +102,7 @@ module Plan : sig
   val validate : ?n:int -> t -> unit
   (** Static sanity check; when [n] is given, node ids are range-checked.
       @raise Invalid_argument on out-of-range probabilities, bad windows,
-      duplicate or malformed crash entries. *)
+      duplicate link overrides, duplicate or malformed crash entries. *)
 
   val parse : string -> (t, string) result
   (** Parse the compact comma-separated syntax, e.g.

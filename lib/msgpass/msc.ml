@@ -35,9 +35,7 @@ let render ?(show_sends = false) ~n_nodes ~label events =
       | Net.Delivered e ->
           row e.Net.deliver_time e.Net.src e.Net.dst "deliver" (label e.Net.msg)
       | Net.Sent e ->
-          if show_sends then row e.Net.send_time e.Net.src e.Net.dst "send" (label e.Net.msg)
-      | Net.Dropped e ->
-          if show_sends then row e.Net.send_time e.Net.src e.Net.dst "DROP" (label e.Net.msg))
+          if show_sends then row e.Net.send_time e.Net.src e.Net.dst "send" (label e.Net.msg))
     events;
   Buffer.contents buffer
 
@@ -47,7 +45,7 @@ let summarize ~n_nodes events =
     (fun event ->
       match event with
       | Net.Delivered e -> counts.(e.Net.src).(e.Net.dst) <- counts.(e.Net.src).(e.Net.dst) + 1
-      | Net.Sent _ | Net.Dropped _ -> ())
+      | Net.Sent _ -> ())
     events;
   let acc = ref [] in
   for src = n_nodes - 1 downto 0 do

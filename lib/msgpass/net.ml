@@ -13,7 +13,7 @@ type 'msg envelope = {
   msg : 'msg;
 }
 
-type 'msg event = Sent of 'msg envelope | Delivered of 'msg envelope | Dropped of 'msg envelope
+type 'msg event = Sent of 'msg envelope | Delivered of 'msg envelope
 
 type 'msg pending = Deliver of 'msg envelope | Timer of (unit -> unit)
 
@@ -49,12 +49,8 @@ type 'msg t = {
   n : int;
   latency : Latency.t;
   service_time : int;
-  faults : Fault.t;
+  fifo : bool;
   rng : Rng.t;
-  fault_rng : Rng.t;
-      (* Dedicated stream for drop/duplicate decisions and duplicate-copy
-         latencies, so enabling faults never perturbs the main stream's
-         latency trajectory beyond the faults themselves. *)
   queue : 'msg pending Intheap.t; (* key: (time lsl 31) lor seq *)
   mutable wide : (int * int, 'msg pending) Pqueue.t option;
       (* overflow fallback: explicit (time, seq) keys, same order *)
@@ -70,8 +66,6 @@ type 'msg t = {
   (* accounting *)
   mutable sent : int;
   mutable delivered : int;
-  mutable dropped : int;
-  mutable duplicated : int;
   mutable control_bytes : int;
   mutable payload_bytes : int;
   node_sent : int array;
@@ -84,18 +78,15 @@ let key_compare (t1, s1) (t2, s2) =
   let c = compare (t1 : int) t2 in
   if c <> 0 then c else compare (s1 : int) s2
 
-let create ?(faults = Fault.none) ?(service_time = 0) ~n ~latency ~seed () =
+let create ?(fifo = true) ?(service_time = 0) ~n ~latency ~seed () =
   if n <= 0 then invalid_arg "Net.create: need at least one node";
   if service_time < 0 then invalid_arg "Net.create: negative service time";
-  Fault.validate faults;
-  let rng = Rng.create seed in
   {
     n;
     latency;
     service_time;
-    faults;
-    rng;
-    fault_rng = Rng.split (Rng.copy rng);
+    fifo;
+    rng = Rng.create seed;
     queue = Intheap.create ();
     wide = None;
     seq = 0;
@@ -105,8 +96,6 @@ let create ?(faults = Fault.none) ?(service_time = 0) ~n ~latency ~seed () =
     service_horizon = Array.make n 0;
     sent = 0;
     delivered = 0;
-    dropped = 0;
-    duplicated = 0;
     control_bytes = 0;
     payload_bytes = 0;
     node_sent = Array.make n 0;
@@ -146,7 +135,7 @@ let push t time pending =
 
 let schedule_delivery t envelope =
   let deliver_time =
-    if t.faults.Fault.reorder then envelope.deliver_time
+    if not t.fifo then envelope.deliver_time
     else begin
       (* Clamp to the channel horizon so per-link delivery order matches
          send order, then advance the horizon past this message. *)
@@ -191,24 +180,11 @@ let send t ~src ~dst ~control_bytes ~payload_bytes msg =
   t.control_bytes <- t.control_bytes + control_bytes;
   t.payload_bytes <- t.payload_bytes + payload_bytes;
   if t.tracing then record t (Sent envelope);
-  (* The drop/duplicate coins used to come from the main stream, one draw
-     each, unconditionally.  Fault decisions now live on [fault_rng], but
-     the main stream still steps past the two legacy draws so the seeded
-     latency trajectory — and with it every fault-free golden digest —
-     stays byte-identical. *)
+  (* Each send steps the stream past two draws that decide nothing (the
+     drop and duplicate coins of an earlier fault model): removing them
+     would shift every seeded latency and move every golden digest. *)
   Rng.skip t.rng 2;
-  if Rng.coin t.fault_rng t.faults.Fault.drop then begin
-    t.dropped <- t.dropped + 1;
-    if t.tracing then record t (Dropped envelope)
-  end
-  else begin
-    schedule_delivery t envelope;
-    if Rng.coin t.fault_rng t.faults.Fault.duplicate then begin
-      t.duplicated <- t.duplicated + 1;
-      let extra = Latency.sample t.latency t.fault_rng ~src ~dst in
-      schedule_delivery t { envelope with deliver_time = t.clock + extra }
-    end
-  end
+  schedule_delivery t envelope
 
 let at t ~delay f =
   if delay < 0 then invalid_arg "Net.at: negative delay";
@@ -277,8 +253,8 @@ let stats t =
   {
     sent = t.sent;
     delivered = t.delivered;
-    dropped = t.dropped;
-    duplicated = t.duplicated;
+    dropped = 0;
+    duplicated = 0;
     total_control_bytes = t.control_bytes;
     total_payload_bytes = t.payload_bytes;
     retransmits = 0;

@@ -7,7 +7,9 @@
 
     Channels are FIFO by default (delivery order per directed link matches
     send order), matching the quality of service the protocols in
-    {!Repro_dsm} are designed against; fault injection can relax this. *)
+    {!Repro_dsm} are designed against; [~fifo:false] lets messages race.
+    The network never loses or duplicates a message: injected faults are a
+    {!Fault.Plan} applied above it, at the transport seam. *)
 
 type 'msg t
 
@@ -24,7 +26,7 @@ type 'msg envelope = {
 }
 
 val create :
-  ?faults:Fault.t ->
+  ?fifo:bool ->
   ?service_time:int ->
   n:int ->
   latency:Latency.t ->
@@ -34,6 +36,10 @@ val create :
 (** [create ~n ~latency ~seed ()] builds an [n]-node network.  Handlers
     default to ignoring messages; real nodes install theirs with
     {!set_handler}.
+
+    [fifo] (default [true]) keeps each directed link in send order; with
+    [false] every message arrives after its own latency draw, so later
+    sends may overtake earlier ones.
 
     [service_time] (default 0) makes each node a queueing server: at most
     one delivery every [service_time] ticks per destination, later arrivals
@@ -88,8 +94,8 @@ val run_until : ?max_events:int -> 'msg t -> int -> unit
 type stats = {
   sent : int;
   delivered : int;
-  dropped : int;
-  duplicated : int;
+  dropped : int;  (** Fault-injected losses ({!Fault.Plan}); 0 on [Net]. *)
+  duplicated : int;  (** Fault-injected copies; 0 on [Net]. *)
   total_control_bytes : int;
   total_payload_bytes : int;
   retransmits : int;
@@ -109,10 +115,10 @@ val stats : 'msg t -> stats
 
 (** {1 Tracing} *)
 
-type 'msg event = Sent of 'msg envelope | Delivered of 'msg envelope | Dropped of 'msg envelope
+type 'msg event = Sent of 'msg envelope | Delivered of 'msg envelope
 
 val set_tracing : 'msg t -> bool -> unit
-(** Off by default; when on, every send/delivery/drop is appended to the
+(** Off by default; when on, every send and delivery is appended to the
     trace. *)
 
 val trace : 'msg t -> 'msg event list

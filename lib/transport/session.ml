@@ -496,10 +496,18 @@ let wrap ?(config = default) (inner : Transport.factory) :
                     in
                     match ev with
                     | Net.Sent e -> unwrap (fun e -> Net.Sent e) e
-                    | Net.Delivered e -> unwrap (fun e -> Net.Delivered e) e
-                    | Net.Dropped e -> unwrap (fun e -> Net.Dropped e) e)
+                    | Net.Delivered e -> unwrap (fun e -> Net.Delivered e) e)
                   (tr.Transport.trace ()));
           });
     }
   in
   (factory, control)
+
+let stack ?plan ~seed backend =
+  let backend =
+    match plan with
+    | Some plan when not (Repro_msgpass.Fault.Plan.is_none plan) ->
+        fst (Chaos.wrap ~plan backend)
+    | _ -> backend
+  in
+  fst (wrap ~config:{ default with seed = seed + 1 } backend)

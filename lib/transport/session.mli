@@ -1,7 +1,8 @@
 (** Reliable per-link session layer over any {!Transport} backend.
 
-    Generalizes the go-back-N scheme prototyped in [pram_reliable] into a
-    reusable wrapper: per-directed-link sequence numbers, cumulative acks,
+    The one go-back-N scheme in the repository, as a reusable wrapper
+    (pram-reliable is pram-partial over it, see {!stack}):
+    per-directed-link sequence numbers, cumulative acks,
     retransmission timers with exponential backoff and seeded jitter, and
     duplicate suppression.  Any protocol can opt in by wrapping its factory
     — the wrapped transport presents the exact {!Transport.t} interface, so
@@ -119,3 +120,14 @@ val wrap : ?config:config -> Transport.factory -> Transport.factory * control
 (** [wrap inner] layers the session protocol over [inner].  The [control]
     handle becomes usable once the factory has been used (it raises
     [Invalid_argument] before that). *)
+
+val stack :
+  ?plan:Repro_msgpass.Fault.Plan.t ->
+  seed:int ->
+  Transport.factory ->
+  Transport.factory
+(** [stack ?plan ~seed backend] is the backend → chaos → session stack of
+    a single-process run: [backend], then {!Chaos.wrap} [~plan] (skipped
+    when [plan] is absent or {!Repro_msgpass.Fault.Plan.is_none}), then
+    {!wrap} with {!default} and jitter seed [seed + 1].  The same plan and
+    seed reproduce the same run. *)

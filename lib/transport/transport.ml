@@ -1,5 +1,4 @@
 module Net = Repro_msgpass.Net
-module Fault = Repro_msgpass.Fault
 
 type scope = All_nodes | Node of int
 
@@ -37,14 +36,12 @@ let of_net net =
     trace = (fun () -> Net.trace net);
   }
 
-let sim ?faults ?service_time ~latency ~seed () =
-  (* fail fast: a bad probability should not wait for the first send *)
-  Option.iter Fault.validate faults;
+let sim ?fifo ?service_time ~latency ~seed () =
   {
     create =
       (fun ?codec:_ n ->
         (* messages never leave the address space: codecs are a live-wire
            concern, and ignoring them here keeps the simulator — and every
            golden digest — byte-identical *)
-        of_net (Net.create ?faults ?service_time ~n ~latency ~seed ()));
+        of_net (Net.create ?fifo ?service_time ~n ~latency ~seed ()));
   }

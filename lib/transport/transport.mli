@@ -65,13 +65,12 @@ val of_net : 'msg Net.t -> 'msg t
 (** View an existing simulator network as a transport. *)
 
 val sim :
-  ?faults:Repro_msgpass.Fault.t ->
+  ?fifo:bool ->
   ?service_time:int ->
   latency:Repro_msgpass.Latency.t ->
   seed:int ->
   unit ->
   factory
-(** The simulator backend.  Fault probabilities are validated here, at
-    configuration time, so a bad drop/duplicate probability fails fast —
-    before any network (or worse, any mid-run sample) sees it.
-    @raise Invalid_argument on fault probabilities outside [\[0,1\]]. *)
+(** The simulator backend: reliable channels, FIFO unless [~fifo:false]
+    (see {!Repro_msgpass.Net.create}).  Faults are injected above it with
+    {!Chaos.wrap}. *)

@@ -15,7 +15,6 @@ module Causal_partial = Repro_core.Causal_partial
 module Causal_gossip = Repro_core.Causal_gossip
 module Causal_adhoc = Repro_core.Causal_adhoc
 module Causal_delta = Repro_core.Causal_delta
-module Pram_reliable = Repro_core.Pram_reliable
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -97,16 +96,6 @@ let causal_delta_gen =
       (quad id_gen value_gen id_gen
          (list_size (int_range 0 10) (pair id_gen id_gen))))
 
-let pram_reliable_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        map3
-          (fun var value seq -> Pram_reliable.Data { var; value; seq })
-          id_gen value_gen id_gen;
-        map (fun next -> Pram_reliable.Ack { next }) id_gen;
-      ])
-
 (* --- round-trip + strictness, over every protocol codec ----------------------- *)
 
 (* One qcheck property per codec:
@@ -177,11 +166,6 @@ let test_corrupt_tags () =
   Bytes.set_uint8 b 4 7;
   check_bad "pram value tag" (fun () ->
       Codec.decode c b ~pos:0 ~len:(Bytes.length b));
-  let rc = Pram_reliable.codec in
-  let rb = Codec.encode rc (Pram_reliable.Ack { next = 3 }) in
-  Bytes.set_uint8 rb 0 9;
-  check_bad "pram-reliable variant tag" (fun () ->
-      Codec.decode rc rb ~pos:0 ~len:(Bytes.length rb));
   let pc = Causal_partial.codec in
   let pb =
     Codec.encode pc (Causal_partial.Meta { var = 0; writer = 1; ts = [| 4 |] })
@@ -300,7 +284,6 @@ let () =
           roundtrip_strict "causal-gossip" causal_gossip_gen Causal_gossip.codec;
           roundtrip_strict "causal-adhoc" causal_adhoc_gen Causal_adhoc.codec;
           roundtrip_strict "causal-delta" causal_delta_gen Causal_delta.codec;
-          roundtrip_strict "pram-reliable" pram_reliable_gen Pram_reliable.codec;
           roundtrip_strict "session-wrapped" session_wrapped_gen
             (Session.wrapped_codec Pram_partial.codec);
         ] );

@@ -21,9 +21,16 @@ module Op = Repro_history.Op
 module Latency = Repro_msgpass.Latency
 module Fault = Repro_msgpass.Fault
 module Rng = Repro_util.Rng
+module Transport = Repro_transport.Transport
+module Chaos = Repro_transport.Chaos
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
+
+let plan_of text =
+  match Fault.Plan.parse text with
+  | Ok p -> p
+  | Error msg -> Alcotest.failf "bad plan %S: %s" text msg
 
 let consistent criterion h =
   match Checker.check criterion h with
@@ -157,18 +164,19 @@ let test_pram_guard_survives_reordering =
   qcheck
     (QCheck.Test.make ~name:"pram_with_guard_survives_reordering" ~count:25
        QCheck.small_int (fun seed ->
-         let faults = { Fault.none with Fault.reorder = true } in
-         let memory = Pram_partial.create ~faults ~dist:hoopy ~seed () in
+         let transport = Transport.sim ~fifo:false ~latency:Latency.lan ~seed () in
+         let memory = Pram_partial.create ~transport ~dist:hoopy ~seed () in
          let h = Workload.run_random ~profile:small_profile ~seed:(seed + 1) memory in
          consistent Checker.Pram h))
 
 let test_pram_unguarded_breaks_under_reordering () =
   (* Without the sequence guard, reordering must eventually produce a
      non-PRAM history (textbook protocol depends on FIFO channels). *)
-  let faults = { Fault.none with Fault.reorder = true } in
   let make ~seed =
-    Pram_partial.create ~faults ~sequence_guard:false
-      ~latency:(Latency.uniform ~lo:1 ~hi:40) ~dist:hoopy ~seed ()
+    let transport =
+      Transport.sim ~fifo:false ~latency:(Latency.uniform ~lo:1 ~hi:40) ~seed ()
+    in
+    Pram_partial.create ~transport ~sequence_guard:false ~dist:hoopy ~seed ()
   in
   check Alcotest.bool "violation found" true
     (violation_exists ~make ~criterion:Checker.Pram ~seeds:40)
@@ -177,8 +185,11 @@ let test_pram_guard_tolerates_duplicates =
   qcheck
     (QCheck.Test.make ~name:"pram_with_guard_tolerates_duplicates" ~count:15
        QCheck.small_int (fun seed ->
-         let faults = { Fault.none with Fault.duplicate = 0.3 } in
-         let memory = Pram_partial.create ~faults ~dist:hoopy ~seed () in
+         let transport, _ =
+           Chaos.wrap ~plan:(plan_of (Printf.sprintf "seed=%d,dup=0.3" seed))
+             (Transport.sim ~latency:Latency.lan ~seed ())
+         in
+         let memory = Pram_partial.create ~transport ~dist:hoopy ~seed () in
          let h = Workload.run_random ~profile:small_profile ~seed:(seed + 1) memory in
          consistent Checker.Pram h))
 
@@ -246,9 +257,11 @@ let test_causal_partial_handles_same_scenario () =
   let h = Runner.run memory ~programs:adhoc_violation_programs in
   check Alcotest.bool "causal" true (consistent Checker.Causal h)
 
-(* --- pram-reliable: ARQ over lossy links ---------------------------------------- *)
+(* --- pram-reliable: pram-partial over the session layer, lossy links ------------- *)
 
 module Pram_reliable = Repro_core.Pram_reliable
+
+let lossy_plan seed = plan_of (Printf.sprintf "seed=%d,drop=0.2,dup=0.1" seed)
 
 let test_reliable_no_update_lost =
   qcheck
@@ -256,7 +269,9 @@ let test_reliable_no_update_lost =
        QCheck.small_int (fun seed ->
          (* 20% drop + 10% duplication: after quiescence every replica has
             applied every relevant remote write, and the history is PRAM *)
-         let memory = Pram_reliable.create ~dist:hoopy ~seed () in
+         let memory =
+           Pram_reliable.create ~plan:(lossy_plan seed) ~dist:hoopy ~seed ()
+         in
          let h = Workload.run_random ~profile:small_profile ~seed:(seed + 1) memory in
          let expected_applies =
            History.writes h
@@ -274,7 +289,7 @@ let test_reliable_converges_replicas =
        QCheck.small_int (fun seed ->
          (* single writer per variable => replicas must agree at the end *)
          let dist = Distribution.of_lists ~n_vars:2 [ [ 0; 1 ]; [ 0; 1 ] ] in
-         let memory = Pram_reliable.create ~dist ~seed () in
+         let memory = Pram_reliable.create ~plan:(lossy_plan seed) ~dist ~seed () in
          let writer (api : Runner.api) =
            for k = 1 to 6 do
              api.Runner.write (k mod 2) (Op.Val k);
@@ -286,17 +301,53 @@ let test_reliable_converges_replicas =
          && memory.Memory.read ~proc:0 ~var:1 = memory.Memory.read ~proc:1 ~var:1))
 
 let test_reliable_retransmits () =
-  (* with heavy loss, messages sent must exceed the loss-free count *)
-  let faults = Fault.lossy 0.4 in
-  let memory = Pram_reliable.create ~faults ~dist:hoopy ~seed:7 () in
-  let _h = Workload.run_random ~profile:small_profile ~seed:8 memory in
-  let lossy_sent = (memory.Memory.metrics ()).Memory.messages_sent in
-  let clean = Pram_reliable.create ~faults:Fault.none ~dist:hoopy ~seed:7 () in
-  let _h = Workload.run_random ~profile:small_profile ~seed:8 clean in
-  let clean_sent = (clean.Memory.metrics ()).Memory.messages_sent in
+  (* with heavy loss, the session overhead must exceed the loss-free one *)
+  let overhead ?plan () =
+    let memory = Pram_reliable.create ?plan ~dist:hoopy ~seed:7 () in
+    let _h = Workload.run_random ~profile:small_profile ~seed:8 memory in
+    (memory.Memory.metrics ()).Memory.overhead_bytes
+  in
+  let lossy = overhead ~plan:(plan_of "drop=0.4") () in
+  let clean = overhead () in
   check Alcotest.bool
-    (Printf.sprintf "retransmissions visible (%d > %d)" lossy_sent clean_sent)
-    true (lossy_sent > clean_sent)
+    (Printf.sprintf "retransmissions visible (%d > %d)" lossy clean)
+    true (lossy > clean)
+
+(* Loss never reaches the paper's metric: whatever the links do, the
+   protocol lane of pram-reliable is pram-partial's, and only the session
+   overhead grows. *)
+let test_reliable_loss_stays_in_overhead =
+  qcheck
+    (QCheck.Test.make ~name:"pram_reliable_loss_never_reaches_protocol_lane"
+       ~count:50 QCheck.small_int (fun seed ->
+         let dist =
+           Distribution.random (Rng.create seed) ~n_procs:6 ~n_vars:8
+             ~replicas_per_var:3
+         in
+         let run memory =
+           ignore (Workload.run_random ~seed:(seed + 1) memory : History.t);
+           memory.Memory.metrics ()
+         in
+         let lane (m : Memory.metrics) =
+           ( m.Memory.messages_sent,
+             m.Memory.control_bytes,
+             m.Memory.payload_bytes,
+             m.Memory.applied_writes,
+             Array.map Repro_util.Bitset.elements m.Memory.mentioned_at )
+         in
+         let partial = run (Pram_partial.create ~dist ~seed ()) in
+         let clean = run (Pram_reliable.create ~dist ~seed ()) in
+         let lossy =
+           run
+             (Pram_reliable.create
+                ~plan:(plan_of (Printf.sprintf "seed=%d,drop=0.3,dup=0.05" seed))
+                ~dist ~seed ())
+         in
+         lane clean = lane partial
+         && lane lossy = lane partial
+         && partial.Memory.overhead_bytes = 0
+         && lossy.Memory.overhead_bytes > clean.Memory.overhead_bytes
+         && clean.Memory.overhead_bytes > 0))
 
 (* --- causal-gossip: component-scoped propagation ------------------------------- *)
 
@@ -764,6 +815,7 @@ let () =
           test_reliable_no_update_lost;
           test_reliable_converges_replicas;
           Alcotest.test_case "retransmits under loss" `Quick test_reliable_retransmits;
+          test_reliable_loss_stays_in_overhead;
         ] );
       ( "gossip",
         [

@@ -179,11 +179,20 @@ let test_loss_sweep_table () =
   List.iter
     (fun row ->
       (* delivery is always complete and every run is PRAM *)
-      (match String.split_on_char '/' (List.nth row 3) with
+      (match String.split_on_char '/' (List.nth row 4) with
       | [ got; want ] -> check Alcotest.string "all applied" want got
       | _ -> Alcotest.fail "bad applied/expected cell");
-      check Alcotest.string "pram" "yes" (List.nth row 4))
-    t.Experiment.rows
+      check Alcotest.string "pram" "yes" (List.nth row 5))
+    t.Experiment.rows;
+  (* loss stays out of the protocol lane and shows in the overhead lane *)
+  let column i = List.map (fun row -> List.nth row i) t.Experiment.rows in
+  let msgs = column 1 in
+  check Alcotest.(list string) "msgs/write equal on every row"
+    (List.map (fun _ -> List.hd msgs) msgs)
+    msgs;
+  let overhead = List.map float_of_string (column 2) in
+  check Alcotest.bool "overhead at 40% exceeds 0%'s" true
+    (List.nth overhead 4 > List.hd overhead)
 
 let test_bottleneck_table () =
   let t = Experiment.bottleneck ~seed () in

@@ -6,6 +6,8 @@ module Latency = Repro_msgpass.Latency
 module Fault = Repro_msgpass.Fault
 module Net = Repro_msgpass.Net
 module Fiber = Repro_msgpass.Fiber
+module Transport = Repro_transport.Transport
+module Chaos = Repro_transport.Chaos
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -53,8 +55,8 @@ let test_latency_validation () =
 
 (* --- network basics ------------------------------------------------------ *)
 
-let make_net ?faults ?(n = 3) ?(latency = Latency.constant 5) ?(seed = 42) () =
-  Net.create ?faults ~n ~latency ~seed ()
+let make_net ?(n = 3) ?(latency = Latency.constant 5) ?(seed = 42) () =
+  Net.create ~n ~latency ~seed ()
 
 let test_net_delivery () =
   let net = make_net () in
@@ -87,9 +89,10 @@ let test_net_fifo_per_channel () =
   check Alcotest.(list int) "fifo order" (List.init 30 (fun i -> i + 1)) (List.rev !got)
 
 let test_net_reorder_without_fifo () =
-  (* Same experiment with reorder faults: some inversion should appear. *)
-  let faults = { Fault.none with Fault.reorder = true } in
-  let net = Net.create ~faults ~n:2 ~latency:(Latency.uniform ~lo:1 ~hi:50) ~seed:7 () in
+  (* Same experiment on a non-FIFO channel: some inversion should appear. *)
+  let net =
+    Net.create ~fifo:false ~n:2 ~latency:(Latency.uniform ~lo:1 ~hi:50) ~seed:7 ()
+  in
   let got = ref [] in
   Net.set_handler net 1 (fun e -> got := e.Net.msg :: !got);
   for k = 1 to 30 do
@@ -173,30 +176,43 @@ let test_net_packed_key_overflow () =
     (List.rev !log);
   check Alcotest.int "clock past boundary" (far + 1) (Net.now net)
 
-let test_net_drop_faults () =
-  let net =
-    Net.create ~faults:(Fault.lossy 1.0) ~n:2 ~latency:(Latency.constant 1) ~seed:3 ()
+let plan_of text =
+  match Fault.Plan.parse text with
+  | Ok p -> p
+  | Error msg -> Alcotest.failf "bad plan %S: %s" text msg
+
+(* Net itself is reliable: faults are a plan applied over the sim backend *)
+let chaos_sim plan =
+  let factory, _ =
+    Chaos.wrap ~plan:(plan_of plan)
+      (Transport.sim ~latency:(Latency.constant 1) ~seed:3 ())
   in
+  factory.Transport.create 2
+
+let test_net_drop_faults () =
+  let tr = chaos_sim "drop=1.0" in
   let got = ref 0 in
-  Net.set_handler net 1 (fun _ -> incr got);
+  tr.Transport.set_handler 1 (fun _ -> incr got);
   for _ = 1 to 20 do
-    Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
+    tr.Transport.send ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
   done;
-  Net.run net;
+  tr.Transport.quiesce ();
   check Alcotest.int "all dropped" 0 !got;
-  let s = Net.stats net in
-  check Alcotest.int "dropped counted" 20 s.Net.dropped
+  let s = tr.Transport.stats () in
+  check Alcotest.int "dropped counted" 20 s.Net.dropped;
+  check Alcotest.int "none reached the net" 0 s.Net.sent
 
 let test_net_duplicate_faults () =
-  let faults = { Fault.none with Fault.duplicate = 1.0 } in
-  let net = Net.create ~faults ~n:2 ~latency:(Latency.constant 1) ~seed:3 () in
+  let tr = chaos_sim "dup=1.0" in
   let got = ref 0 in
-  Net.set_handler net 1 (fun _ -> incr got);
+  tr.Transport.set_handler 1 (fun _ -> incr got);
   for _ = 1 to 10 do
-    Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
+    tr.Transport.send ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
   done;
-  Net.run net;
-  check Alcotest.int "every message twice" 20 !got
+  tr.Transport.quiesce ();
+  check Alcotest.int "every message twice" 20 !got;
+  check Alcotest.int "duplicated counted" 10
+    (tr.Transport.stats ()).Net.duplicated
 
 let test_net_stats_accounting () =
   let net = make_net () in
@@ -269,11 +285,6 @@ let test_net_bad_endpoint () =
 
 (* --- fault plans ----------------------------------------------------------- *)
 
-let plan_of text =
-  match Fault.Plan.parse text with
-  | Ok p -> p
-  | Error msg -> Alcotest.failf "bad plan %S: %s" text msg
-
 let test_plan_parse_fields () =
   let p =
     plan_of
@@ -321,6 +332,7 @@ let test_plan_parse_rejects () =
       "crash=1@6,crash=1@9";   (* duplicate crash entry for one node *)
       "part=400..100:0+2";     (* inverted window *)
       "crash=1@-2";            (* negative send count *)
+      "link=0>1:drop=0.5,link=0>1:drop=0.1"; (* second override, one link *)
     ]
   in
   List.iter
@@ -393,36 +405,6 @@ let test_plan_link_seed_streams () =
   let p2 = plan_of "seed=8,drop=0.1" in
   check Alcotest.bool "plan seed feeds the stream" true
     (Fault.Plan.link_seed p ~src:0 ~dst:1 <> Fault.Plan.link_seed p2 ~src:0 ~dst:1)
-
-(* The seed-hygiene satellite: fault decisions draw from a dedicated RNG
-   stream, so enabling faults must not perturb any surviving message's
-   latency.  Sends are spaced 100 ticks apart (latencies <= 50) so the FIFO
-   horizon never binds and each delivery time is exactly send_time + its
-   latency draw. *)
-let test_net_fault_seed_hygiene =
-  qcheck
-    (QCheck.Test.make ~name:"net_fault_rng_isolated_from_latency" ~count:50
-       QCheck.small_int (fun seed ->
-         let deliveries faults =
-           let net =
-             Net.create ?faults ~n:2 ~latency:(Latency.uniform ~lo:1 ~hi:50)
-               ~seed ()
-           in
-           let got = ref [] in
-           Net.set_handler net 1 (fun e -> got := (e.Net.msg, Net.now net) :: !got);
-           for k = 0 to 29 do
-             Net.at net ~delay:(k * 100) (fun () ->
-                 Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 k)
-           done;
-           Net.run net;
-           !got
-         in
-         let clean = deliveries None in
-         let lossy = deliveries (Some (Fault.lossy 0.4)) in
-         List.length clean = 30
-         && List.for_all
-              (fun (k, t) -> List.assoc_opt k clean = Some t)
-              lossy))
 
 (* --- message sequence charts ---------------------------------------------- *)
 
@@ -575,7 +557,6 @@ let () =
             test_plan_membership_events;
           Alcotest.test_case "per-link seed streams" `Quick
             test_plan_link_seed_streams;
-          test_net_fault_seed_hygiene;
         ] );
       ( "msc",
         [

@@ -311,13 +311,17 @@ let test_rpc_corrupt_tags_rejected () =
 
 (* --- transport construction -------------------------------------------------- *)
 
-let test_sim_validates_faults_fail_fast () =
-  (* satellite: a bad fault probability must be rejected when the backend
-     is configured, before any network exists or any message is sent *)
-  let bad = { Fault.drop = 1.5; duplicate = 0.0; reorder = false } in
-  match Transport.sim ~faults:bad ~latency:Latency.lan ~seed:1 () with
+let test_chaos_rejects_bad_plan () =
+  (* a bad fault probability must be rejected when the stack is
+     configured, before any network exists or any message is sent *)
+  let plan =
+    { Fault.Plan.none with
+      default_link = { Fault.Plan.clean with drop = 1.5 } }
+  in
+  let backend = Transport.sim ~latency:Latency.lan ~seed:1 () in
+  match Repro_transport.Chaos.wrap ~plan backend with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Transport.sim accepted drop probability 1.5"
+  | _ -> Alcotest.fail "Chaos.wrap accepted drop probability 1.5"
 
 (* The default (no-factory) path and an explicit Transport.sim factory must
    produce byte-identical runs: same history, same accounting. *)
@@ -596,8 +600,8 @@ let () =
         ] );
       ( "transport",
         [
-          Alcotest.test_case "sim validates faults fail-fast" `Quick
-            test_sim_validates_faults_fail_fast;
+          Alcotest.test_case "Chaos.wrap rejects bad drop at setup" `Quick
+            test_chaos_rejects_bad_plan;
           Alcotest.test_case "sim factory equals direct construction" `Quick
             test_sim_factory_equivalence;
         ] );
