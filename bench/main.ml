@@ -755,7 +755,9 @@ let run_cluster_benchmarks ?json () =
    the plain row).  Every row re-asserts the accounting invariant that the
    paper's numbers survive chaos: protocol-level message/byte totals equal
    the fault-free simulator baseline exactly, with the repair traffic
-   summed apart in overhead_bytes. *)
+   summed apart in overhead_bytes.  A row is accepted only when, besides
+   the verdict and finals, every respawned node replayed its frozen WAL to
+   the same digest. *)
 
 let chaos_cases =
   [
@@ -824,7 +826,8 @@ let run_chaos_case (label, plan_text, session) =
         | Checker.Consistent -> true
         | Checker.Inconsistent -> false
         | Checker.Undecidable _ -> not o.Cluster.history_checked)
-        && Result.is_ok o.Cluster.finals)
+        && Result.is_ok o.Cluster.finals
+        && o.Cluster.wal_parity)
       outcomes
   in
   let sum f = List.fold_left (fun acc (o, _) -> acc + f o) 0 outcomes in
@@ -959,7 +962,6 @@ let load_config ~protocol ~n ~mix ~rate ~duration_ms ~coalesce ~drain_plan ~seed
     seed;
     coalesce;
     drain_plan;
-    gc_space_overhead = None;
   }
 
 let run_load cfg =

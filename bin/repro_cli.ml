@@ -206,15 +206,6 @@ let session_arg =
                  without a chaos plan; forced on whenever $(b,--chaos) is \
                  given.")
 
-let gc_space_overhead_arg =
-  Arg.(value & opt (some int) None
-       & info [ "gc-space-overhead" ] ~docv:"PCT"
-           ~doc:"Set OCaml's $(b,Gc.space_overhead) (percent, default 120) in \
-                 every node and client process before traffic starts. Lower \
-                 values trade CPU for a tighter heap; higher values collect \
-                 less often — the GC-pressure knob for hot-path experiments \
-                 ($(b,bench --hotpath) reports allocation per operation).")
-
 (* sim transport stack mirroring a live node's: backend → chaos → session;
    the session comes along when asked for or under a chaos plan *)
 let sim_chaos_factory ~chaos ~session ~seed =
@@ -488,9 +479,10 @@ let check_cmd =
         "A cluster run — chaotic or not — is gated in two steps.  First \
          $(b,repro cluster ... --chaos PLAN --parity --out-history H) \
          supervises the run and exits: 0 when accepted (crashes that were \
-         respawned and recovered from checkpoints count as accepted), 1 on \
-         an unrecovered node crash or harness error, 2 on a consistency or \
-         finals violation, 3 on a sim-parity mismatch.  Then \
+         respawned and recovered from their write-ahead logs count as \
+         accepted), 1 on an unrecovered node crash or harness error, 2 on \
+         a consistency or finals violation, 3 on a sim-parity or \
+         WAL-digest mismatch.  Then \
          $(b,repro check --require CRITERION H) re-derives the verdict from \
          the captured history with an independent checker invocation (exit \
          2 on violation).  CI's chaos-smoke job runs exactly this pipeline.";
@@ -696,9 +688,8 @@ let slice_history ~n ~node ops =
          else List.map (fun (kind, var, value, _, _) -> (kind, var, value)) ops))
 
 let serve_cmd =
-  let run node nodes listen peers spec workload seed chaos session checkpoint
-      checkpoint_ms incarnation gc_space_overhead out wal fsync_every
-      fsync_interval =
+  let run node nodes listen peers spec workload seed chaos session incarnation
+      out wal fsync_every fsync_interval =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
     let durable =
       match wal with
@@ -741,9 +732,7 @@ let serve_cmd =
     in
     match
       Cluster_node.run ~self:node ~listen_fd ~peers:peer_addrs ~protocol:spec
-        ~workload:spec_w ~seed ?chaos ~session ?checkpoint
-        ?checkpoint_every_ms:checkpoint_ms ~incarnation ?gc_space_overhead
-        ?durable ()
+        ~workload:spec_w ~seed ?chaos ~session ~incarnation ?durable ()
     with
     | exception Cluster_node.Crash msg -> fail "node %d crashed: %s" node msg
     | exception Chaos.Injected_crash _ ->
@@ -815,45 +804,33 @@ let serve_cmd =
              ~doc:"Write this node's recorded history slice (readable by \
                    $(b,repro check)).")
   in
-  let checkpoint_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Checkpoint file: written periodically during the run; \
-                   restored (with op-log replay) when $(b,--incarnation) is \
-                   positive.")
-  in
-  let checkpoint_ms_arg =
-    Arg.(value & opt (some int) None
-         & info [ "checkpoint-ms" ] ~docv:"MS"
-             ~doc:"Checkpoint period (default 100 ms).")
-  in
   let incarnation_arg =
     Arg.(value & opt int 0
          & info [ "incarnation" ] ~docv:"K"
              ~doc:"Restart count: 0 for a first launch; a supervisor respawning \
                    this node after an injected crash (exit 42) passes K+1, \
-                   which restores the checkpoint and disables the crash \
-                   schedule.")
+                   which recovers from the $(b,--wal) log and disables the \
+                   crash schedule.")
   in
   let wal_arg =
     Arg.(value & opt (some string) None
          & info [ "wal" ] ~docv:"DIR"
-             ~doc:"Write-ahead log directory (the durability tier): every \
-                   recorded op is appended with CRC framing and group commit; \
-                   with $(b,--incarnation) positive the node recovers from \
-                   checkpoint + log replay. Takes precedence over \
-                   $(b,--checkpoint).")
+             ~doc:"Write-ahead log directory, the node's only persistence: \
+                   every recorded op is appended with CRC framing and group \
+                   commit, and periodic checkpoints compact the log; with \
+                   $(b,--incarnation) positive the node recovers from \
+                   checkpoint + log replay. Required by a $(b,dcrash) clause \
+                   in the chaos plan.")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run one replica daemon of a live cluster over TCP sockets. Exit \
-             status: 42 when the chaos plan's scheduled crash fires (respawn \
-             with $(b,--incarnation) bumped to recover from the checkpoint or \
-             write-ahead log).")
+             status: 1 on a node crash or configuration error; 42 when the \
+             chaos plan's scheduled crash fires (respawn with \
+             $(b,--incarnation) bumped to recover from the $(b,--wal) log).")
     Term.(const run $ node_arg $ nodes_arg $ listen_spec_arg $ peers_arg
           $ protocol_arg $ workload_arg $ seed_arg $ chaos_arg $ session_arg
-          $ checkpoint_arg $ checkpoint_ms_arg $ incarnation_arg
-          $ gc_space_overhead_arg $ out_arg $ wal_arg $ fsync_every_arg
+          $ incarnation_arg $ out_arg $ wal_arg $ fsync_every_arg
           $ fsync_interval_arg)
 
 (* --- WAL inspection ----------------------------------------------------------- *)
@@ -1265,9 +1242,9 @@ let reconfig_cmd =
           $ out_history_arg $ json_arg)
 
 let cluster_cmd =
-  let run nodes spec workload seed chaos session checkpoint_ms parity json
-      out_history gc_space_overhead durable_flag fsync_every fsync_interval
-      wal_dir connect_timeout drain_quiet deadline =
+  let run nodes spec workload seed chaos session parity json out_history
+      durable_flag fsync_every fsync_interval wal_dir connect_timeout
+      drain_quiet deadline =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
     let durable =
       resolve_fsync_policy ~flag:(durable_flag || wal_dir <> None)
@@ -1276,9 +1253,8 @@ let cluster_cmd =
     in
     match
       Cluster.run ~n:nodes ~protocol:spec ~workload ~seed ?chaos ~session
-        ?checkpoint_every_ms:checkpoint_ms ?gc_space_overhead ?durable ?wal_dir
-        ?connect_timeout_ms:connect_timeout ?quiet_ms:drain_quiet
-        ?deadline_ms:deadline ()
+        ?durable ?wal_dir ?connect_timeout_ms:connect_timeout
+        ?quiet_ms:drain_quiet ?deadline_ms:deadline ()
     with
     | Error msg ->
         prerr_endline msg;
@@ -1453,12 +1429,6 @@ let cluster_cmd =
          & info [ "out-history" ] ~docv:"FILE"
              ~doc:"Write the assembled history (readable by $(b,repro check)).")
   in
-  let checkpoint_ms_arg =
-    Arg.(value & opt (some int) None
-         & info [ "checkpoint-ms" ] ~docv:"MS"
-             ~doc:"Node checkpoint period under a crash schedule (default 100 \
-                   ms).")
-  in
   let wal_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "wal-dir" ] ~docv:"DIR"
@@ -1470,25 +1440,25 @@ let cluster_cmd =
     (Cmd.info "cluster"
        ~doc:"Fork a live loopback cluster (one OS process per node, real TCP \
              sockets), run a workload, and check the assembled history. With \
-             $(b,--chaos) the harness supervises: injected crashes (exit 42) \
-             are respawned from checkpoints and lossy links are made reliable \
-             by the session layer; with $(b,--durable) each node runs a \
-             write-ahead log and recovery is digest-verified against the \
-             frozen post-crash files. Exit status: 1 on unrecovered node \
+             $(b,--chaos) the harness supervises: lossy links are made \
+             reliable by the session layer, and injected crashes (exit 42) \
+             are respawned to recover from each node's write-ahead log, \
+             digest-verified against the frozen post-crash files. A \
+             $(b,crash=) clause gives every node an unsynced log unless \
+             $(b,--durable) picks a group-commit policy; a $(b,dcrash=) \
+             clause needs $(b,--durable). Exit status: 1 on unrecovered node \
              crash, 2 on consistency/finals violation, 3 on sim-parity or \
              WAL-digest mismatch, 4 when the $(b,--deadline-ms) watchdog had \
              to put down a wedged run.")
     Term.(const run $ nodes_arg $ protocol_arg $ workload_arg $ seed_arg
-          $ chaos_arg $ session_arg $ checkpoint_ms_arg $ parity_arg $ json_arg
-          $ out_history_arg $ gc_space_overhead_arg $ durable_flag_arg
-          $ fsync_every_arg $ fsync_interval_arg $ wal_dir_arg
+          $ chaos_arg $ session_arg $ parity_arg $ json_arg $ out_history_arg
+          $ durable_flag_arg $ fsync_every_arg $ fsync_interval_arg $ wal_dir_arg
           $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg)
 
 (* --- open-loop load tier -------------------------------------------------------- *)
 
 let load_cmd =
-  let run spec nodes clients rate duration mix seed coalesce drain_plan
-      gc_space_overhead json =
+  let run spec nodes clients rate duration mix seed coalesce drain_plan json =
     let cfg =
       {
         Load_harness.protocol = spec;
@@ -1500,7 +1470,6 @@ let load_cmd =
         seed;
         coalesce;
         drain_plan;
-        gc_space_overhead;
       }
     in
     match Load_harness.run cfg with
@@ -1582,7 +1551,7 @@ let load_cmd =
              error, 2 when no operation completed.")
     Term.(const run $ protocol_arg $ nodes_arg $ clients_arg $ rate_arg
           $ duration_arg $ mix_arg $ seed_arg $ coalesce_arg $ drain_arg
-          $ gc_space_overhead_arg $ json_arg)
+          $ json_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -72,9 +72,9 @@ let freeze_wal ~src ~dst =
         Error "surviving WAL holds undecodable op records"
       else Ok (Oplog.digest ~ck:r.Wal.r_checkpoint ~entries)
 
-let run ~n ~protocol ~workload ~seed ?hello_timeout_ms ?run_timeout_ms
-    ?quiet_ms ?connect_timeout_ms ?deadline_ms ?chaos ?(session = false)
-    ?checkpoint_every_ms ?gc_space_overhead ?durable ?wal_dir () =
+let run ~n ~protocol ~workload ~seed ?run_timeout_ms ?quiet_ms
+    ?connect_timeout_ms ?deadline_ms ?chaos ?(session = false) ?durable
+    ?wal_dir () =
   let chaos =
     match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
   in
@@ -110,30 +110,14 @@ let run ~n ~protocol ~workload ~seed ?hello_timeout_ms ?run_timeout_ms
                 Array.init n (fun _ -> Live.bind (Unix.ADDR_INET (loopback, 0)))
               in
               let peers = Array.map Live.listen_addr listen_fds in
-              let has_crashes =
-                match chaos with
-                | Some p ->
-                    p.Fault.Plan.crashes <> [] || p.Fault.Plan.dcrashes <> []
-                | None -> false
-              in
-              let ck_dir =
-                if has_crashes && durable = None then begin
-                  let dir =
-                    Filename.concat
-                      (Filename.get_temp_dir_name ())
-                      (Printf.sprintf "repro-cluster-ck-%d" (Unix.getpid ()))
-                  in
-                  (try Unix.mkdir dir 0o700
-                   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                  Some dir
-                end
-                else None
-              in
-              let ck_path self =
-                Option.map
-                  (fun d ->
-                    Filename.concat d (Printf.sprintf "node-%d.ck" self))
-                  ck_dir
+              (* a node that can crash recovers from its WAL: a crash
+                 plan without a caller policy logs unsynced — a process
+                 kill keeps what write() handed the kernel, and each
+                 checkpoint still syncs before it rotates *)
+              let durable =
+                match (durable, chaos) with
+                | None, Some p when p.Fault.Plan.crashes <> [] -> Some Wal.Never
+                | d, _ -> d
               in
               let wal_root =
                 match durable with
@@ -196,10 +180,8 @@ let run ~n ~protocol ~workload ~seed ?hello_timeout_ms ?run_timeout_ms
                           try Unix.close fd with Unix.Unix_error _ -> ())
                       listen_fds;
                     Node.run ~self ~listen_fd:listen_fds.(self) ~peers
-                      ~protocol ~workload:spec ~seed ?hello_timeout_ms
-                      ?run_timeout_ms ?quiet_ms ?connect_timeout_ms ?chaos
-                      ~session ?checkpoint:(ck_path self) ?checkpoint_every_ms
-                      ~incarnation ?gc_space_overhead
+                      ~protocol ~workload:spec ~seed ?run_timeout_ms ?quiet_ms
+                      ?connect_timeout_ms ?chaos ~session ~incarnation
                       ?durable:(node_durable self) ())
               done;
               (* Under chaos the parent keeps the listeners open: a peer
@@ -214,16 +196,6 @@ let run ~n ~protocol ~workload ~seed ?hello_timeout_ms ?run_timeout_ms
               if chaos = None then close_listeners ();
               let endings = Supervisor.wait sup in
               if chaos <> None then close_listeners ();
-              Option.iter
-                (fun d ->
-                  for self = 0 to n - 1 do
-                    let p = Option.get (ck_path self) in
-                    List.iter
-                      (fun f -> try Sys.remove f with Sys_error _ -> ())
-                      [ p; p ^ ".tmp" ]
-                  done;
-                  try Unix.rmdir d with Unix.Unix_error _ -> ())
-                ck_dir;
               (* a caller-named WAL root is kept for post-mortem inspection
                  (repro wal); the anonymous tmp root is not *)
               if wal_dir = None then Option.iter Fsio.remove_tree wal_root;

@@ -11,10 +11,10 @@
 
     With a chaos plan the harness validates the plan, keeps every
     listener open (a peer redialing a crashed node lands in the backlog;
-    the respawned child re-inherits the same socket), restarts a crashed
-    node from its last checkpoint with [incarnation + 1], freezes its WAL
-    before the respawn when the durability tier runs, and accounts the
-    recovery traffic separately from the paper's control/payload bytes.
+    the respawned child re-inherits the same socket), freezes a crashed
+    node's WAL and restarts it with [incarnation + 1] to recover from that
+    log, and accounts the recovery traffic separately from the paper's
+    control/payload bytes.
 
     Forking must precede any OCaml 5 domain creation, so this module
     checks histories with the sequential {!Repro_history.Checker.check} —
@@ -28,7 +28,7 @@ type outcome = {
   history : Repro_history.History.t;
       (** All nodes' recorded operations, node [p] as process [p].  A
           restarted node contributes each operation exactly once: the
-          checkpointed prefix plus its post-replay continuation. *)
+          recovered prefix plus its post-replay continuation. *)
   criterion : Repro_history.Checker.criterion;
       (** The protocol's advertised guarantee, what [verdict] judges. *)
   verdict : Repro_history.Checker.verdict;
@@ -54,13 +54,15 @@ type outcome = {
   chaos : string;  (** Canonical plan text; [""] when fault-free. *)
   session : bool;
   wall_ms : int;  (** Slowest node, hello to close. *)
-  durable : bool;  (** The durability tier (WAL + group commit) ran. *)
+  durable : bool;
+      (** Nodes ran a WAL: the caller asked for the durability tier, or
+          the chaos plan schedules a [crash]. *)
   wal_parity : bool;
-      (** For every crashed durable node: the supervisor froze the WAL
-          files the crash left behind, decoded them independently, and the
-          respawned node's {!Node.result.recovered_digest} matched
-          bit-for-bit.  Vacuously [true] without crashes or without the
-          durability tier; [false] also when a frozen log fails to decode. *)
+      (** For every crashed node: the supervisor froze the WAL files the
+          crash left behind, decoded them independently, and the respawned
+          node's {!Node.result.recovered_digest} matched bit-for-bit.
+          Vacuously [true] without crashes; [false] also when a frozen log
+          fails to decode. *)
   wal_dir : string option;
       (** The WAL root kept on disk for post-mortem inspection ([repro
           wal]); [None] when the harness used (and removed) a tmp dir. *)
@@ -71,15 +73,12 @@ val run :
   protocol:Repro_core.Registry.spec ->
   workload:string ->
   seed:int ->
-  ?hello_timeout_ms:int ->
   ?run_timeout_ms:int ->
   ?quiet_ms:int ->
   ?connect_timeout_ms:int ->
   ?deadline_ms:int ->
   ?chaos:Repro_msgpass.Fault.Plan.t ->
   ?session:bool ->
-  ?checkpoint_every_ms:int ->
-  ?gc_space_overhead:int ->
   ?durable:Repro_durable.Wal.fsync_policy ->
   ?wal_dir:string ->
   unit ->
@@ -90,8 +89,7 @@ val run :
     back as the [verdict] for the caller to judge.  [session] is forced on
     whenever a chaos plan is given (lossy links need the reliable session
     layer); an injected crash whose plan schedules no restart is an
-    [Error].  [gc_space_overhead] is forwarded to every node process
-    ({!Node.run}).
+    [Error].
 
     [connect_timeout_ms] caps each node's reconnection episodes to a dead
     peer ({!Repro_transport.Live.config}); [deadline_ms] overrides the
@@ -101,10 +99,12 @@ val run :
 
     [durable] engages the durability tier: each node gets its own WAL
     directory under [wal_dir] (kept afterwards) or a tmp root (removed),
-    with the given group-commit policy.  A chaos plan's [dcrash] clauses
-    require this tier; after each injected crash the supervisor freezes
-    the on-disk log before the respawn and gates [wal_parity] on the
-    recovered digest. *)
+    with the given group-commit policy.  A plan that schedules a [crash]
+    engages it with [Wal.Never] when [durable] is absent, so every node
+    that can crash recovers from its log; a plan's [dcrash] clauses
+    require an explicit [durable].  After each injected crash the
+    supervisor freezes the on-disk log before the respawn and gates
+    [wal_parity] on the recovered digest. *)
 
 type baseline = {
   history : Repro_history.History.t;

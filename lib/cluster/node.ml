@@ -33,62 +33,35 @@ exception Crash = Supervisor.Crash
 
 let crashf fmt = Printf.ksprintf (fun s -> raise (Crash s)) fmt
 
-(* On-disk checkpoint: protocol state, session state, and the operation log
+(* Checkpoint payload: protocol state, session state, and the operation log
    up to the checkpoint.  The log is what makes recovery exact — a respawned
    node replays its program against the logged read values until it reaches
    the cursor, so its control flow arrives at the crash point with the same
-   local state it had, and only then starts touching the restored memory. *)
+   local state it had, and only then starts touching the restored memory.
+   The WAL's rotation blob carries it marshalled. *)
 type checkpoint = {
   ck_node : int;
-  ck_incarnation : int;
   ck_ops : Runner.entry list; (* program order *)
   ck_finished : bool;
   ck_proto : string;
   ck_session : string option;
 }
 
-(* Checkpoint files are self-describing durable blobs: magic, format
-   version, (node, incarnation) in the meta slots, payload length + CRC in
-   front of the marshalled record.  Written with the full atomic-replace
-   fsync discipline — tmp, fsync file, rename, fsync directory — so the
-   restore point survives power loss, not just a process kill. *)
-let ck_magic = "RNCK"
-
-let ck_version = 1
-
-let save_checkpoint path (ck : checkpoint) =
-  Fsio.Blob.write ~path ~magic:ck_magic ~version:ck_version
-    ~meta:(ck.ck_node, ck.ck_incarnation)
-    (Marshal.to_string ck [])
-
-let load_checkpoint path : checkpoint =
-  match Fsio.Blob.read ~path ~magic:ck_magic ~version:ck_version with
-  | Error e -> crashf "checkpoint %s rejected: %s" path e
-  | Ok ((node, _), payload) ->
-      let ck : checkpoint = Marshal.from_string payload 0 in
-      if ck.ck_node <> node then
-        crashf "checkpoint %s: header says node %d, payload says node %d" path
-          node ck.ck_node;
-      ck
-
-(* The WAL payload of a node checkpoint (the rotation blob) is the same
-   marshalled record. *)
 let ck_of_payload path payload : checkpoint =
   try (Marshal.from_string payload 0 : checkpoint)
   with _ -> crashf "WAL checkpoint in %s: unreadable payload" path
 
+(* compaction period: each checkpoint rotates the WAL and advances the
+   session's stable-ack floor *)
+let checkpoint_every_ms = 100
+
+let hello_timeout_ms = 10_000
+
 let kind_text = function Op.Read -> "read" | Op.Write -> "write"
 
 let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
-    ?(hello_timeout_ms = 10_000) ?(run_timeout_ms = 60_000) ?(quiet_ms = 150)
-    ?(connect_timeout_ms = 0) ?chaos ?(session = false) ?(coalesce = 1)
-    ?checkpoint ?(checkpoint_every_ms = 100) ?(incarnation = 0)
-    ?gc_space_overhead ?durable () =
-  Option.iter
-    (fun so ->
-      if so < 1 then crashf "gc space overhead must be >= 1, got %d" so;
-      Gc.set { (Gc.get ()) with Gc.space_overhead = so })
-    gc_space_overhead;
+    ?(run_timeout_ms = 60_000) ?(quiet_ms = 150) ?(connect_timeout_ms = 0)
+    ?chaos ?(session = false) ?(coalesce = 1) ?(incarnation = 0) ?durable () =
   if protocol.Registry.blocking then
     crashf "protocol %s has blocking operations; only non-blocking protocols run live"
       protocol.Registry.name;
@@ -96,6 +69,10 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
   let chaos =
     match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
   in
+  (match chaos with
+  | Some p when durable = None && Fault.Plan.dcrash_for p self <> None ->
+      crashf "node %d: a dcrash schedule needs a write-ahead log" self
+  | _ -> ());
   let session = session || chaos <> None || coalesce > 1 in
   (* lossy links hide in silence up to a full retransmission backoff; the
      quiet window must outlast one or nodes exit mid-recovery *)
@@ -135,7 +112,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
           {
             Session.default with
             seed = seed + 1 + self;
-            stable_acks = checkpoint <> None || durable <> None;
+            stable_acks = durable <> None;
             coalesce;
           }
         in
@@ -148,10 +125,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
       protocol.Registry.make ~transport:factory
         ~dist:workload.Workload_spec.dist ~seed ()
     in
-    if
-      (checkpoint <> None || durable <> None)
-      && memory.Memory.snapshot = None
-    then
+    if durable <> None && memory.Memory.snapshot = None then
       fail "protocol %s has no snapshot/restore support; cannot checkpoint"
         protocol.Registry.name;
     (* durability tier: every recorded op is appended to a write-ahead log
@@ -165,7 +139,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
         durable
     in
     (match chaos with
-    | Some plan when incarnation = 0 && wal <> None ->
+    | Some plan when incarnation = 0 ->
         Option.iter
           (fun (c : Fault.Plan.dcrash) ->
             Fsio.Crashpoint.arm ~point:c.Fault.Plan.point
@@ -206,15 +180,6 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
               ~emit:(fun buf off -> Rpc.emit_response buf off ~id outcomes));
     let ops = ref [] in
     let finished = ref false in
-    let restore_from (ck : checkpoint) =
-      (match memory.Memory.restore with
-      | Some restore -> restore ck.ck_proto
-      | None -> fail "protocol %s cannot restore" protocol.Registry.name);
-      (match (sess, ck.ck_session) with
-      | Some c, Some blob -> c.Session.restore blob
-      | _ -> ());
-      finished := ck.ck_finished
-    in
     (* Recovery seeding.  [replayed] pins control flow: until the cursor
        passes it, reads return logged values.  [n_reapply] marks the WAL
        tail — ops past the last checkpoint snapshot, whose write effects are
@@ -224,8 +189,8 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
        or the first live read could see state older than the logged tail did
        (the replay-to-live barrier). *)
     let replayed, n_reapply, watermark, ck_payload_raw =
-      match (wal, checkpoint) with
-      | Some (_, recovered), _ when incarnation > 0 ->
+      match wal with
+      | Some (_, recovered) when incarnation > 0 ->
           let ck_ops =
             match recovered.Wal.r_checkpoint with
             | None -> []
@@ -234,7 +199,14 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
                 if ck.ck_node <> self then
                   fail "WAL checkpoint belongs to node %d, not %d" ck.ck_node
                     self;
-                restore_from ck;
+                (match memory.Memory.restore with
+                | Some restore -> restore ck.ck_proto
+                | None ->
+                    fail "protocol %s cannot restore" protocol.Registry.name);
+                (match (sess, ck.ck_session) with
+                | Some c, Some blob -> c.Session.restore blob
+                | _ -> ());
+                finished := ck.ck_finished;
                 ck.ck_ops
           in
           let tail, watermark =
@@ -252,37 +224,25 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
             List.length ck_ops,
             watermark,
             recovered.Wal.r_checkpoint )
-      | _, Some path when incarnation > 0 && Sys.file_exists path ->
-          let ck = load_checkpoint path in
-          if ck.ck_node <> self then
-            fail "checkpoint %s belongs to node %d, not %d" path ck.ck_node self;
-          restore_from ck;
-          ops := List.rev ck.ck_ops;
-          (Array.of_list ck.ck_ops, List.length ck.ck_ops, 0, None)
       | _ -> ([||], 0, 0, None)
     in
     let write_ck =
-      match memory.Memory.snapshot with
-      | Some snap when wal <> None || checkpoint <> None ->
+      match (memory.Memory.snapshot, wal) with
+      | Some snap, Some (w, _) ->
           Some
             (fun () ->
               let ck =
                 {
                   ck_node = self;
-                  ck_incarnation = incarnation;
                   ck_ops = List.rev !ops;
                   ck_finished = !finished;
                   ck_proto = snap ();
                   ck_session = Option.map (fun c -> c.Session.snapshot ()) sess;
                 }
               in
-              (match (wal, checkpoint) with
-              | Some (w, _), _ ->
-                  (* checkpoint-as-compaction: the rotation protocol makes
-                     the blob durable and supersedes the logged tail *)
-                  Wal.checkpoint w (Marshal.to_string ck [])
-              | None, Some path -> save_checkpoint path ck
-              | None, None -> assert false);
+              (* checkpoint-as-compaction: the rotation protocol makes the
+                 blob durable and supersedes the logged tail *)
+              Wal.checkpoint w (Marshal.to_string ck []);
               (* only now may acks cover what we received: anything newer
                  would be lost by a crash, so senders must keep it *)
               Option.iter (fun c -> c.Session.mark_stable ()) sess)

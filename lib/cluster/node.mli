@@ -42,7 +42,7 @@ type result = {
       (** Ops seeded by recovery (checkpoint + WAL tail); 0 on a first
           incarnation. *)
   recovered_digest : string option;
-      (** On a respawned durable node: {!Oplog.digest} over the recovered
+      (** On a respawned node: {!Oplog.digest} over the recovered
           prefix of [ops] as actually replayed — the supervisor compares it
           against an independent decode of the surviving WAL files. *)
 }
@@ -50,8 +50,9 @@ type result = {
 exception Crash of string
 (** {!Supervisor.Crash}.  Raised on timeout (peers missing, program
     stuck), protocol rejection (blocking protocols need a node for every
-    fiber they suspend on), fingerprint mismatch, a corrupt stream, or
-    replay divergence during crash recovery. *)
+    fiber they suspend on), a [dcrash] schedule for this node without
+    [durable], fingerprint mismatch, a corrupt stream, or replay
+    divergence during crash recovery. *)
 
 val run :
   self:int ->
@@ -60,23 +61,19 @@ val run :
   protocol:Repro_core.Registry.spec ->
   workload:Workload_spec.t ->
   seed:int ->
-  ?hello_timeout_ms:int ->
   ?run_timeout_ms:int ->
   ?quiet_ms:int ->
   ?connect_timeout_ms:int ->
   ?chaos:Repro_msgpass.Fault.Plan.t ->
   ?session:bool ->
   ?coalesce:int ->
-  ?checkpoint:string ->
-  ?checkpoint_every_ms:int ->
   ?incarnation:int ->
-  ?gc_space_overhead:int ->
   ?durable:string * Repro_durable.Wal.fsync_policy ->
   unit ->
   result
-(** Defaults: 10 s hello timeout, 60 s run timeout, 150 ms quiet window
-    (raised to ≥600 ms under chaos — the quiet window must outlast a full
-    retransmission backoff).  [connect_timeout_ms] caps each reconnection
+(** Peers must all say hello within 10 s.  Defaults: 60 s run timeout,
+    150 ms quiet window (raised to ≥600 ms under chaos — the quiet window
+    must outlast a full retransmission backoff).  [connect_timeout_ms] caps each reconnection
     episode to a dead peer (0 = retry until the run timeout; see
     {!Repro_transport.Live.config}).  The [seed] stamps the fingerprint and seeds
     the session layer's jitter; workload scripts were already drawn when
@@ -89,32 +86,24 @@ val run :
     writes applied to this replica's memory.  Client traffic stays outside
     the peer mesh and its protocol-level accounting.
 
-    [checkpoint] is a file path: the node writes a checkpoint there before
-    opening traffic, every [checkpoint_every_ms] (default 100) after, and
-    when its program finishes — each write followed by
-    [Session.mark_stable], so peers' acks never cover state a crash would
-    roll back.  With [incarnation > 0] the node restores from that file
-    and replays its operation log (reads return logged values, writes are
-    suppressed) until it reaches the crash point, then continues live.
-    Requires a protocol with snapshot/restore support.
-
-    [durable = (dir, policy)] engages the durability tier instead: every
-    recorded op is appended to a write-ahead log in [dir] (fsynced per the
-    group-commit [policy]) and checkpoints compact the log through the
-    crash-safe rotation protocol ({!Repro_durable.Wal}).  Recovery rebuilds
-    state as checkpoint + WAL-tail replay: tail reads return logged values,
-    tail writes are re-applied to memory (their effects postdate the
-    snapshot), and the first live op waits until session redeliveries reach
-    the delivery watermark the last tail record logged.  When the chaos
-    plan carries a [dcrash] schedule for this node, the named crash point
-    is armed inside the WAL write path (first incarnation only).
-    [durable] takes precedence over [checkpoint].
+    [durable = (dir, policy)] gives the node a write-ahead log in [dir],
+    its only persistence: every recorded op is appended (fsynced per the
+    group-commit [policy]), and a checkpoint — protocol state, session
+    windows and the op prefix — compacts the log through the crash-safe
+    rotation protocol ({!Repro_durable.Wal}) before traffic opens, every
+    100 ms after, and when the program finishes.  Each checkpoint is
+    followed by [Session.mark_stable], so peers' acks never cover state a
+    crash would roll back.  With [incarnation > 0] the node recovers as
+    checkpoint + WAL-tail replay: reads return logged values, writes in
+    the checkpointed prefix are suppressed (their effects are in the
+    snapshot) and tail writes are re-applied to memory, and the first live
+    op waits until session redeliveries reach the delivery watermark the
+    last tail record logged.  Requires a protocol with snapshot/restore
+    support.  When the chaos plan carries a [dcrash] schedule for this
+    node, the named crash point is armed inside the WAL write path (first
+    incarnation only); such a plan without [durable] raises {!Crash}
+    before any socket is touched.
 
     A scheduled crash from the chaos plan escapes as
     {!Repro_transport.Chaos.Injected_crash}; the caller decides whether to
-    respawn (the cluster harness maps it to exit code 42).
-
-    [gc_space_overhead] sets [Gc.space_overhead] for this process before
-    any traffic (the hot-path experiments' GC knob: lower = tighter heap +
-    more collector work, higher = fewer collections).  Raises {!Crash}
-    when < 1. *)
+    respawn (the cluster harness maps it to exit code 42). *)

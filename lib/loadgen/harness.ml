@@ -19,8 +19,6 @@ type config = {
   seed : int;
   coalesce : int;
   drain_plan : bool;
-  gc_space_overhead : int option;
-      (** [Gc.space_overhead] for every forked node and client process. *)
 }
 
 type result = {
@@ -72,8 +70,6 @@ let run (cfg : config) =
   else if cfg.duration_ms < 1 then Error "load: duration must be positive"
   else if cfg.rate <= 0.0 then Error "load: rate must be positive"
   else if cfg.coalesce < 1 then Error "load: coalesce must be >= 1"
-  else if (match cfg.gc_space_overhead with Some so -> so < 1 | None -> false)
-  then Error "load: gc space overhead must be >= 1"
   else if cfg.protocol.Registry.blocking then
     Error
       (Printf.sprintf "load: protocol %s has blocking operations"
@@ -107,9 +103,6 @@ let run (cfg : config) =
         for cid = 0 to cfg.clients - 1 do
           Supervisor.spawn sup (fun ~incarnation:_ ->
               close_all (ready_r :: go_w :: Array.to_list listen_fds);
-              Option.iter
-                (fun so -> Gc.set { (Gc.get ()) with Gc.space_overhead = so })
-                cfg.gc_space_overhead;
               let events =
                 Client.plan ~mix:cfg.mix ~dist:spec.Workload_spec.dist
                   ~rate:(cfg.rate /. float_of_int cfg.clients)
@@ -159,8 +152,7 @@ let run (cfg : config) =
                     Node.run ~self ~listen_fd:listen_fds.(self) ~peers
                       ~protocol:cfg.protocol ~workload:spec ~seed:cfg.seed
                       ~session:true ~coalesce:cfg.coalesce ~run_timeout_ms
-                      ~quiet_ms:1_000 ?gc_space_overhead:cfg.gc_space_overhead
-                      ()
+                      ~quiet_ms:1_000 ()
                   in
                   let tms = Unix.times () in
                   Node_ok (r, tms.Unix.tms_utime +. tms.Unix.tms_stime))

@@ -29,10 +29,6 @@ type config = {
   drain_plan : bool;
       (** Submit whole plans regardless of duration (byte-identity mode,
           see {!Client.run}). *)
-  gc_space_overhead : int option;
-      (** When set, [Gc.space_overhead] for every forked node and client
-          process (must be ≥ 1) — the GC-pressure knob of the hot-path
-          experiments. *)
 }
 
 type result = {

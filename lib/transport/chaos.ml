@@ -93,7 +93,7 @@ let wrap ?(incarnation = 0) ~plan (inner : Transport.factory) :
                     match tr.Transport.scope with
                     | Transport.Node self when self = src ->
                         (* live: this process IS the node — die for real;
-                           the supervisor respawns from the checkpoint *)
+                           the respawn recovers from its WAL *)
                         raise (Injected_crash src)
                     | _ ->
                         down_until.(src) <-

@@ -11,10 +11,11 @@
     Crashes: after a node's [after_sends]-th transport send (which still
     goes out), the wrapper either raises {!Injected_crash} when the backend
     hosts exactly that node (live cluster — the process dies and the
-    supervisor respawns it from its checkpoint), or, on a whole-instance
-    simulator backend, silences the node for the restart window (sends and
-    deliveries dropped, state intact — an amnesia-free approximation; full
-    crash-restart semantics are exercised on the live tier). *)
+    supervisor respawns it to recover from its write-ahead log), or, on a
+    whole-instance simulator backend, silences the node for the restart
+    window (sends and deliveries dropped, state intact — an amnesia-free
+    approximation; full crash-restart semantics are exercised on the live
+    tier). *)
 
 exception Injected_crash of int
 (** Raised from inside [send] on a live backend when the hosted node hits

@@ -107,13 +107,20 @@ let test_chaos_e1_drop () =
 
 let test_chaos_crash_restart () =
   (* node 1 crashes after its 6th transport send and restarts 250 ms later:
-     the supervisor must respawn it from its checkpoint, replay its op log,
-     and the cluster must still converge to a consistent verdict *)
+     the crash plan alone gives every node a WAL, the supervisor freezes
+     node 1's log and respawns it, the respawn replays that log back to the
+     frozen digest, and the cluster must still converge to a consistent
+     verdict *)
   let chaos = plan_of "seed=11,drop=0.03,crash=1@6+250" in
   let o = run_ok ~chaos ~n:3 ~protocol:"pram-partial" ~workload:"e1" ~seed:7 () in
   check Alcotest.int "exactly one respawn" 1 o.Cluster.restarts;
   check Alcotest.int "survivor incarnation" 1
     o.Cluster.node_results.(1).Node.incarnation;
+  check Alcotest.bool "nodes ran a WAL" true o.Cluster.durable;
+  check Alcotest.bool "recovered digest matches the frozen WAL" true
+    o.Cluster.wal_parity;
+  check Alcotest.bool "recovery replayed logged ops" true
+    (o.Cluster.node_results.(1).Node.recovered_ops > 0);
   (match o.Cluster.verdict with
   | Checker.Consistent -> ()
   | Checker.Inconsistent -> Alcotest.fail "post-recovery history violates PRAM"
@@ -281,6 +288,28 @@ let test_dcrash_needs_durable () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "dcrash plan accepted without the durability tier"
 
+(* the same guard inside the node itself, for a daemon started without the
+   harness: the plan must be refused before the node opens any traffic *)
+let test_node_dcrash_needs_wal () =
+  match Workload_spec.make ~name:"e1" ~n:1 ~seed:1 with
+  | Error msg -> Alcotest.failf "spec: %s" msg
+  | Ok workload ->
+      let listen_fd =
+        Repro_transport.Live.bind
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+      in
+      let peers = [| Repro_transport.Live.listen_addr listen_fd |] in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close listen_fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          match
+            Node.run ~self:0 ~listen_fd ~peers
+              ~protocol:(spec_of "pram-partial") ~workload ~seed:1
+              ~chaos:(plan_of "seed=1,dcrash=0:append.pre@1+100") ()
+          with
+          | exception Node.Crash _ -> ()
+          | _ -> Alcotest.fail "Node.run ignored a dcrash plan without a WAL")
+
 let test_invalid_plan_rejected () =
   match
     Cluster.run ~n:3 ~protocol:(spec_of "pram-partial") ~workload:"e1" ~seed:1
@@ -401,7 +430,7 @@ let () =
         [
           Alcotest.test_case "e1 under 5% drop: consistent + parity" `Quick
             test_chaos_e1_drop;
-          Alcotest.test_case "crash + restart: recovery from checkpoint" `Quick
+          Alcotest.test_case "crash + restart: recovery from the WAL" `Quick
             test_chaos_crash_restart;
           Alcotest.test_case "bellman-ford under loss: distances hold" `Quick
             test_chaos_bellman_ford;
@@ -439,5 +468,7 @@ let () =
             test_unknown_workload_rejected;
           Alcotest.test_case "workload specs are pure replay" `Quick
             test_workload_spec_deterministic;
+          Alcotest.test_case "Node.run rejects dcrash without a WAL" `Quick
+            test_node_dcrash_needs_wal;
         ] );
     ]

@@ -143,7 +143,6 @@ let harness_config protocol =
         seed = 11;
         coalesce = 4;
         drain_plan = false;
-        gc_space_overhead = None;
       }
 
 let test_harness_smoke () =
