@@ -4,6 +4,10 @@
    the library's hot paths, and a sequential-vs-parallel consistency-checker
    comparison group on the E1-scaling workload.
 
+   Every tier reports through Bench_record: tables of rows plus named
+   gates, one printer, one JSON schema (repro-bench/2), exit 2 when a gate
+   failed.
+
    Usage:
      dune exec bench/main.exe                      # tables + timings
      dune exec bench/main.exe -- --tables          # tables only
@@ -37,9 +41,15 @@ module Fsio = Repro_durable.Fsio
 module Rng = Repro_util.Rng
 module Table = Repro_util.Table
 module Pool = Repro_util.Pool
-module Jsonout = Repro_util.Jsonout
+
+open Bench_record
 
 let seed = 20_240_601
+
+let spec_of name =
+  match Registry.find name with
+  | Some spec -> spec
+  | None -> failwith (name ^ " not registered")
 
 (* --- the experiment tables --------------------------------------------------- *)
 
@@ -132,10 +142,10 @@ let micro_tests =
 (* --- sim: simulation-throughput group ----------------------------------------
    The discrete-event engine bounds every experiment table, so its raw
    throughput gets its own benchmark tier.  Each probe returns the number
-   of deliveries it processed (deterministic in the seed), so the JSON
-   record can report events/second and minor words per delivery alongside
-   the per-run time.  The counts are exact, so they are pinned: [--sim]
-   exits 2 when a probe delivers any other number. *)
+   of deliveries it processed (deterministic in the seed), so the record
+   can report events/second and minor words per delivery alongside the
+   per-run time.  The counts are exact, so they are pinned: each pin is a
+   gate of the [--sim] record. *)
 
 (* Dense broadcast storm: every delivery fans out to all peers until the
    round budget is spent, keeping the scheduler heap deep — this measures
@@ -231,29 +241,14 @@ let sim_probe_of name =
     (fun (n, p) -> if String.ends_with ~suffix:n name then Some p else None)
     (Lazy.force sim_probes)
 
-let sim_events_of name = Option.map (fun p -> p.deliveries) (sim_probe_of name)
-
 (* every run of every probe must deliver exactly its pinned count *)
-let check_sim_pins () =
-  let probes = Lazy.force sim_probes in
-  let failures =
-    List.concat_map
-      (fun (name, p) ->
-        List.filter_map
-          (fun d ->
-            if d = p.pinned then None
-            else Some (Printf.sprintf "%s delivered %d, pinned %d" name d p.pinned))
-          [ p.warm; p.deliveries ])
-      probes
-  in
-  match failures with
-  | [] ->
-      List.iter
-        (fun (name, p) -> Printf.printf "%s: %d deliveries (pinned)\n" name p.pinned)
-        probes
-  | failures ->
-      List.iter (fun f -> prerr_endline ("sim determinism gate: " ^ f)) failures;
-      exit 2
+let sim_pin_gates () =
+  List.map
+    (fun (name, p) ->
+      gate
+        (Printf.sprintf "%s: %d deliveries (pinned)" name p.pinned)
+        (p.warm = p.pinned && p.deliveries = p.pinned))
+    (Lazy.force sim_probes)
 
 let sim_tests =
   List.map
@@ -272,11 +267,7 @@ let e1_check_history =
     Distribution.random (Rng.create (seed + n)) ~n_procs:n ~n_vars:(2 * n)
       ~replicas_per_var:3
   in
-  let spec =
-    match Registry.find "pram-partial" with
-    | Some spec -> spec
-    | None -> failwith "pram-partial not registered"
-  in
+  let spec = spec_of "pram-partial" in
   let profile = { Workload.ops_per_proc = 6; read_ratio = 0.4; max_think = 3 } in
   let memory = spec.Registry.make ~dist ~seed () in
   Workload.run_random ~profile ~seed:(seed + 1) memory
@@ -310,11 +301,7 @@ let a2_bank =
     (let profile = { Workload.ops_per_proc = 12; read_ratio = 0.5; max_think = 5 } in
      let dist = Distribution.full ~n_procs:4 ~n_vars:2 in
      let latency = Latency.uniform ~lo:1 ~hi:25 in
-     let spec =
-       match Registry.find "pram-partial" with
-       | Some spec -> spec
-       | None -> failwith "pram-partial not registered"
-     in
+     let spec = spec_of "pram-partial" in
      List.init 16 (fun k ->
          let memory = spec.Registry.make ~latency ~dist ~seed:(seed + k) () in
          Workload.run_random ~profile ~seed:(seed + k + 100) memory)
@@ -325,11 +312,7 @@ let a2x_bank =
     (let profile = { Workload.ops_per_proc = 20; read_ratio = 0.5; max_think = 5 } in
      let dist = Distribution.full ~n_procs:6 ~n_vars:3 in
      let latency = Latency.uniform ~lo:1 ~hi:25 in
-     let spec =
-       match Registry.find "pram-partial" with
-       | Some spec -> spec
-       | None -> failwith "pram-partial not registered"
-     in
+     let spec = spec_of "pram-partial" in
      List.init 4 (fun k ->
          let memory = spec.Registry.make ~latency ~dist ~seed:(seed + k) () in
          Workload.run_random ~profile ~seed:(seed + k + 100) memory))
@@ -341,11 +324,7 @@ let e1x_history =
        Distribution.random (Rng.create (seed + n)) ~n_procs:n ~n_vars:(2 * n)
          ~replicas_per_var:3
      in
-     let spec =
-       match Registry.find "causal-partial" with
-       | Some spec -> spec
-       | None -> failwith "causal-partial not registered"
-     in
+     let spec = spec_of "causal-partial" in
      let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
      let memory = spec.Registry.make ~dist ~seed () in
      Workload.run_random ~profile ~seed:(seed + 1) memory)
@@ -401,179 +380,89 @@ let bench_group ~quota tests =
   in
   analyze_raw (Benchmark.all cfg instances tests)
 
-let fmt_ns est =
-  if est > 1_000_000.0 then Printf.sprintf "%.2f ms" (est /. 1_000_000.0)
-  else if est > 1_000.0 then Printf.sprintf "%.2f us" (est /. 1_000.0)
-  else Printf.sprintf "%.0f ns" est
-
-let json_record ?(notes = []) rows =
-  let results =
-    List.map
-      (fun (name, estimate) ->
-        let events =
-          match sim_events_of name with
-          | Some e when e > 0 -> [ ("events", Jsonout.Int e) ]
-          | _ -> []
-        in
-        let throughput =
-          match (estimate, sim_events_of name) with
-          | Some ns, Some e when e > 0 && ns > 0.0 ->
-              [ ("events_per_sec", Jsonout.Float (float_of_int e /. ns *. 1e9)) ]
-          | _ -> []
-        in
-        let allocation =
-          match sim_probe_of name with
-          | Some p ->
-              [ ("minor_words_per_delivery", Jsonout.Float p.words_per_delivery) ]
-          | None -> []
-        in
-        Jsonout.Obj
-          ([
-             ("benchmark", Jsonout.String name);
-             ( "time_per_run_ns",
-               match estimate with
-               | Some ns -> Jsonout.Float ns
-               | None -> Jsonout.Null );
-           ]
-          @ events @ throughput @ allocation))
-      rows
-  in
+(* One row per probe: time per run, plus deliveries, events/sec and minor
+   words per delivery for the sim: probes.  The seq-vs-par and
+   search-vs-saturation pairs become speedup tables when both sides ran. *)
+let bechamel_record ~tier ~gates rows =
   let find suffix =
     List.find_map
       (fun (name, estimate) ->
         if String.ends_with ~suffix name then estimate else None)
       rows
   in
-  let comparison =
-    match (find "check-seq:causal-e1", find "check-par:causal-e1") with
-    | Some seq_ns, Some par_ns ->
-        Jsonout.Obj
-          [
-            ("benchmark", Jsonout.String "causal-e1");
-            ("seq_ns", Jsonout.Float seq_ns);
-            ("par_ns", Jsonout.Float par_ns);
-            ("speedup", Jsonout.Float (seq_ns /. par_ns));
-          ]
-    | _ -> Jsonout.Null
-  in
-  let engine_comparison =
-    match (find "check:a2-sweep-search", find "check:a2-sweep-saturation") with
-    | Some search_ns, Some sat_ns ->
-        Jsonout.Obj
-          [
-            ("benchmark", Jsonout.String "a2-all-criteria-sweep");
-            ("search_ns", Jsonout.Float search_ns);
-            ("saturation_ns", Jsonout.Float sat_ns);
-            ("speedup", Jsonout.Float (search_ns /. sat_ns));
-          ]
-    | _ -> Jsonout.Null
-  in
-  let saturation_counters =
-    let c = Saturation.counters () in
-    let total =
-      c.Saturation.merge_hits + c.Saturation.cycle_refutations
-      + c.Saturation.greedy_hits + c.Saturation.unknowns
-    in
-    if total = 0 then Jsonout.Null
-    else
-      Jsonout.Obj
+  let speedup title case (slow, slow_suffix) (fast, fast_suffix) =
+    match (find slow_suffix, find fast_suffix) with
+    | Some s, Some f ->
         [
-          ("merge_hits", Jsonout.Int c.Saturation.merge_hits);
-          ("cycle_refutations", Jsonout.Int c.Saturation.cycle_refutations);
-          ("greedy_hits", Jsonout.Int c.Saturation.greedy_hits);
-          ("search_fallbacks", Jsonout.Int c.Saturation.unknowns);
-          ( "fallback_rate",
-            Jsonout.Float (float_of_int c.Saturation.unknowns /. float_of_int total) );
+          one_row title case
+            [
+              nums slow "ns" [ s ]; nums fast "ns" [ f ]; nums "speedup" "x" [ s /. f ];
+            ];
         ]
+    | _ -> []
   in
-  Jsonout.Obj
-    ([
-       ("schema", Jsonout.String "repro-bench/1");
-       ("seed", Jsonout.Int seed);
-       ("jobs", Jsonout.Int (Pool.default_jobs ()));
-       ("seq_vs_par", comparison);
-       ("search_vs_saturation", engine_comparison);
-       ("saturation_counters", saturation_counters);
-     ]
-    @ (match notes with
-      | [] -> []
-      | notes ->
-          [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
-    @ [ ("results", Jsonout.List results) ])
-
-let print_rows rows =
-  print_endline "== Bechamel timings (monotonic clock, OLS per run) ==";
-  Table.print ~header:[ "benchmark"; "time/run"; "events/sec" ]
-    ~rows:
-      (List.map
-         (fun (name, estimate) ->
-           let throughput =
-             match (estimate, sim_events_of name) with
-             | Some ns, Some e when e > 0 && ns > 0.0 ->
-                 Printf.sprintf "%.0f" (float_of_int e /. ns *. 1e9)
-             | _ -> ""
-           in
-           [
-             name;
-             (match estimate with Some e -> fmt_ns e | None -> "n/a");
-             throughput;
-           ])
-         rows)
-    ()
-
-(* When --json names a directory, the record auto-numbers itself into the
-   trajectory (bench/records/BENCH_NNNN.json): next free slot after the
-   highest existing record, with a note listing any gaps below it so the
-   history stays honest (BENCH_0001 was never recorded). *)
-let resolve_json_path path =
-  if Sys.file_exists path && Sys.is_directory path then begin
-    let recorded =
-      Sys.readdir path |> Array.to_list
-      |> List.filter_map (fun f ->
-             if
-               String.length f = 15
-               && String.sub f 0 6 = "BENCH_"
-               && Filename.check_suffix f ".json"
-             then int_of_string_opt (String.sub f 6 4)
-             else None)
-      |> List.sort_uniq compare
-    in
-    let next = 1 + List.fold_left Stdlib.max (-1) recorded in
-    (* flag only holes inside the recorded range: a trajectory that simply
-       starts later than BENCH_0001 (records pruned, or numbering began
-       mid-series) is not a gap worth a note on every subsequent record *)
-    let first = List.fold_left Stdlib.min next recorded in
-    let gaps =
-      List.filter
-        (fun i -> i > first && not (List.mem i recorded))
-        (List.init next Fun.id)
-    in
-    let notes =
-      match gaps with
-      | [] -> []
-      | gaps ->
+  let timing (name, estimate) =
+    let ns = Option.value estimate ~default:nan in
+    {
+      case = name;
+      metrics =
+        nums "time_per_run" "ns" [ ns ]
+        ::
+        (match sim_probe_of name with
+        | Some p ->
+            [
+              ints "events" "count" [ p.deliveries ];
+              nums "events_per_sec" "1/s"
+                [ float_of_int p.deliveries /. ns *. 1e9 ];
+              nums "minor_words_per_delivery" "words" [ p.words_per_delivery ];
+            ]
+        | None -> []);
+    }
+  in
+  let c = Saturation.counters () in
+  let total =
+    c.Saturation.merge_hits + c.Saturation.cycle_refutations
+    + c.Saturation.greedy_hits + c.Saturation.unknowns
+  in
+  let counters =
+    if total = 0 then []
+    else
+      [
+        one_row "Saturation counters" "saturation engine"
           [
-            Printf.sprintf
-              "trajectory gap: %s never recorded; numbering continues at the \
-               next free slot"
-              (String.concat ", "
-                 (List.map (Printf.sprintf "BENCH_%04d") gaps));
-          ]
-    in
-    (Filename.concat path (Printf.sprintf "BENCH_%04d.json" next), notes)
-  end
-  else (path, [])
+            ints "merge_hits" "count" [ c.Saturation.merge_hits ];
+            ints "cycle_refutations" "count" [ c.Saturation.cycle_refutations ];
+            ints "greedy_hits" "count" [ c.Saturation.greedy_hits ];
+            ints "search_fallbacks" "count" [ c.Saturation.unknowns ];
+            nums "fallback_rate" "ratio"
+              [ float_of_int c.Saturation.unknowns /. float_of_int total ];
+          ];
+      ]
+  in
+  {
+    tier;
+    params = [ ("seed", seed); ("jobs", Pool.default_jobs ()) ];
+    tables =
+      {
+        title = "Bechamel timings (monotonic clock, OLS per run)";
+        rows = List.map timing rows;
+      }
+      :: speedup "Sequential vs parallel checker" "causal-e1"
+           ("seq", "check-seq:causal-e1") ("par", "check-par:causal-e1")
+      @ speedup "Search vs saturation engine" "a2-all-criteria-sweep"
+          ("search", "check:a2-sweep-search")
+          ("saturation", "check:a2-sweep-saturation")
+      @ counters;
+    gates;
+    notes = [];
+  }
 
-let write_record record_of_notes = function
-  | None -> ()
-  | Some path ->
-      let path, notes = resolve_json_path path in
-      Out_channel.with_open_text path (fun oc ->
-          Jsonout.to_channel oc (record_of_notes ~notes));
-      Printf.printf "wrote %s\n" path
-
-let write_json rows json =
-  write_record (fun ~notes -> json_record ~notes rows) json
+let run_bechamel ?target ~tier ?(gates = []) groups =
+  let rows =
+    List.concat_map (fun (quota, tests) -> bench_group ~quota tests) groups
+    |> List.sort compare
+  in
+  report ?target (bechamel_record ~tier ~gates rows)
 
 (* --- cluster: live-runtime tier ------------------------------------------------
    Forked loopback clusters cannot run under Bechamel: every probe forks n
@@ -597,154 +486,73 @@ let cluster_cases =
     ("pram-partial", "bellman-ford", 5);
   ]
 
-type cluster_row = {
-  cl_protocol : string;
-  cl_workload : string;
-  cl_n : int;
-  node_ms : int list;  (** Per rep: slowest node, hello to close. *)
-  harness_ms : float list;  (** Per rep: parent wall clock, fork to join. *)
-  sim_ms : float;  (** One whole-instance run on the simulator. *)
-  messages : int;
-  control : int;
-  payload : int;
-  parity : bool option;  (** [None] when the workload is not parity-eligible. *)
-  accepted : bool;  (** Verdict consistent / finals acceptance passed. *)
-}
+(* [cluster_reps] live runs, rep i at seed + i, each with its harness wall
+   clock in ms *)
+let run_cluster_reps ~what ~n ~protocol ~workload ?chaos ?session () =
+  List.init cluster_reps (fun rep ->
+      let t0 = Unix.gettimeofday () in
+      match
+        Cluster.run ~n ~protocol ~workload ~seed:(seed + rep) ?chaos ?session ()
+      with
+      | Error msg -> failwith (Printf.sprintf "%s: %s" what msg)
+      | Ok o -> (o, (Unix.gettimeofday () -. t0) *. 1e3))
+
+let wall_metrics outcomes =
+  [
+    ints "node_wall" "ms"
+      (List.map (fun ((o : Cluster.outcome), _) -> o.Cluster.wall_ms) outcomes);
+    nums "harness_wall" "ms" (List.map snd outcomes);
+  ]
+
+let parity_gate ~protocol case outcomes =
+  gate (case ^ ": sim parity")
+    (List.for_all
+       (fun (o, _) ->
+         match Cluster.sim_parity ~protocol o with
+         | Error msg -> failwith msg
+         | Ok counters -> List.for_all (fun (_, live, sim) -> live = sim) counters)
+       outcomes)
 
 let run_cluster_case (protocol_name, workload, n) =
-  let protocol =
-    match Registry.find protocol_name with
-    | Some spec -> spec
-    | None -> failwith (protocol_name ^ " not registered")
-  in
-  let outcomes =
-    List.init cluster_reps (fun rep ->
-        let t0 = Unix.gettimeofday () in
-        match Cluster.run ~n ~protocol ~workload ~seed:(seed + rep) () with
-        | Error msg ->
-            failwith
-              (Printf.sprintf "cluster %s/%s/n=%d: %s" protocol_name workload n
-                 msg)
-        | Ok o -> (o, (Unix.gettimeofday () -. t0) *. 1e3))
-  in
+  let protocol = spec_of protocol_name in
+  let case = Printf.sprintf "%s %s n=%d" protocol_name workload n in
+  let outcomes = run_cluster_reps ~what:("cluster " ^ case) ~n ~protocol ~workload () in
   let o0, _ = List.hd outcomes in
-  let baseline_of seed =
-    let t0 = Unix.gettimeofday () in
-    match Cluster.sim_baseline ~n ~protocol ~workload ~seed () with
-    | Error msg -> failwith msg
-    | Ok b -> ((Unix.gettimeofday () -. t0) *. 1e3, b)
-  in
-  let sim_ms, _ = baseline_of seed in
-  let parity =
+  let t0 = Unix.gettimeofday () in
+  (match Cluster.sim_baseline ~n ~protocol ~workload ~seed () with
+  | Error msg -> failwith msg
+  | Ok _ -> ());
+  let sim_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  ( {
+      case;
+      metrics =
+        wall_metrics outcomes
+        @ [
+            nums "sim_wall" "ms" [ sim_ms ];
+            ints "messages" "count" [ o0.Cluster.messages_sent ];
+            ints "control_bytes" "B" [ o0.Cluster.control_bytes ];
+            ints "payload_bytes" "B" [ o0.Cluster.payload_bytes ];
+          ];
+    },
     (* Bellman-Ford's per-round rewrites make its send count depend on
        convergence timing; only E1's fan-out is timing-independent. *)
-    if workload = "bellman-ford" then None
-    else
-      Some
-        (List.for_all
-           (fun ((o : Cluster.outcome), _) ->
-             let _, b = baseline_of o.Cluster.seed in
-             let m = b.Cluster.metrics in
-             o.Cluster.messages_sent = m.Memory.messages_sent
-             && o.Cluster.control_bytes = m.Memory.control_bytes
-             && o.Cluster.payload_bytes = m.Memory.payload_bytes)
-           outcomes)
-  in
-  let accepted =
-    List.for_all
-      (fun ((o : Cluster.outcome), _) ->
-        (match o.Cluster.verdict with
-        | Checker.Consistent -> true
-        | Checker.Inconsistent -> false
-        | Checker.Undecidable _ -> not o.Cluster.history_checked)
-        && Result.is_ok o.Cluster.finals)
-      outcomes
-  in
-  {
-    cl_protocol = protocol_name;
-    cl_workload = workload;
-    cl_n = n;
-    node_ms = List.map (fun ((o : Cluster.outcome), _) -> o.Cluster.wall_ms) outcomes;
-    harness_ms = List.map snd outcomes;
-    sim_ms;
-    messages = o0.Cluster.messages_sent;
-    control = o0.Cluster.control_bytes;
-    payload = o0.Cluster.payload_bytes;
-    parity;
-    accepted;
-  }
+    (if workload = "bellman-ford" then [] else [ parity_gate ~protocol case outcomes ])
+    @ [
+        gate (case ^ ": accepted")
+          (List.for_all (fun (o, _) -> Cluster.accepted o) outcomes);
+      ] )
 
-let cluster_json_record rows ~notes =
-  let row_json r =
-    Jsonout.Obj
-      [
-        ("protocol", Jsonout.String r.cl_protocol);
-        ("workload", Jsonout.String r.cl_workload);
-        ("nodes", Jsonout.Int r.cl_n);
-        ("reps", Jsonout.Int cluster_reps);
-        ("node_wall_ms", Jsonout.List (List.map (fun m -> Jsonout.Int m) r.node_ms));
-        ( "harness_wall_ms",
-          Jsonout.List (List.map (fun m -> Jsonout.Float m) r.harness_ms) );
-        ("sim_wall_ms", Jsonout.Float r.sim_ms);
-        ("messages", Jsonout.Int r.messages);
-        ("control_bytes", Jsonout.Int r.control);
-        ("payload_bytes", Jsonout.Int r.payload);
-        ( "sim_parity",
-          match r.parity with Some b -> Jsonout.Bool b | None -> Jsonout.Null );
-        ("accepted", Jsonout.Bool r.accepted);
-      ]
-  in
-  Jsonout.Obj
-    ([
-       ("schema", Jsonout.String "repro-bench/1");
-       ("seed", Jsonout.Int seed);
-       ("cluster_reps", Jsonout.Int cluster_reps);
-     ]
-    @ (match notes with
-      | [] -> []
-      | notes ->
-          [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
-    @ [ ("cluster", Jsonout.List (List.map row_json rows)) ])
-
-let run_cluster_benchmarks ?json () =
-  let rows = List.map run_cluster_case cluster_cases in
-  print_endline "== Live cluster tier (wall clock, forked loopback nodes) ==";
-  Table.print
-    ~header:
-      [
-        "protocol"; "workload"; "n"; "node ms"; "harness ms"; "sim ms"; "msgs";
-        "ctl B"; "parity"; "accepted";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.cl_protocol;
-             r.cl_workload;
-             string_of_int r.cl_n;
-             String.concat "/" (List.map string_of_int r.node_ms);
-             String.concat "/"
-               (List.map (fun m -> Printf.sprintf "%.0f" m) r.harness_ms);
-             Printf.sprintf "%.1f" r.sim_ms;
-             string_of_int r.messages;
-             string_of_int r.control;
-             (match r.parity with
-             | Some true -> "exact"
-             | Some false -> "MISMATCH"
-             | None -> "n/a");
-             (if r.accepted then "yes" else "NO");
-           ])
-         rows)
-    ();
-  (if
-     List.exists
-       (fun r -> r.parity = Some false || not r.accepted)
-       rows
-   then begin
-     prerr_endline "cluster tier: parity mismatch or rejected run";
-     exit 2
-   end);
-  write_record (cluster_json_record rows) json
+let run_cluster_benchmarks ?target () =
+  let rows, gates = List.split (List.map run_cluster_case cluster_cases) in
+  report ?target
+    {
+      tier = "cluster";
+      params = [ ("seed", seed); ("reps", cluster_reps) ];
+      tables =
+        [ { title = "Live cluster tier (wall clock, forked loopback nodes)"; rows } ];
+      gates = List.concat gates;
+      notes = [];
+    }
 
 (* --- chaos: robustness tier ------------------------------------------------------
    What does reliability cost, and how fast does the cluster come back?
@@ -769,22 +577,8 @@ let chaos_cases =
     ("crash+restart", Some "seed=11,drop=0.03,crash=1@6+250", true);
   ]
 
-type chaos_row = {
-  ch_label : string;
-  ch_plan : string;
-  ch_node_ms : int list;
-  ch_harness_ms : float list;
-  ch_messages : int;
-  ch_control : int;
-  ch_overhead : int;
-  ch_retransmits : int;
-  ch_restarts : int;
-  ch_parity : bool;
-  ch_accepted : bool;
-}
-
 let run_chaos_case (label, plan_text, session) =
-  let protocol = Option.get (Registry.find "pram-partial") in
+  let protocol = spec_of "pram-partial" in
   let chaos =
     Option.map
       (fun t ->
@@ -794,125 +588,50 @@ let run_chaos_case (label, plan_text, session) =
       plan_text
   in
   let outcomes =
-    List.init cluster_reps (fun rep ->
-        let t0 = Unix.gettimeofday () in
-        match
-          Cluster.run ~n:3 ~protocol ~workload:"e1" ~seed:(seed + rep) ?chaos
-            ~session ()
-        with
-        | Error msg -> failwith (Printf.sprintf "chaos %s: %s" label msg)
-        | Ok o -> (o, (Unix.gettimeofday () -. t0) *. 1e3))
+    run_cluster_reps ~what:("chaos " ^ label) ~n:3 ~protocol ~workload:"e1" ?chaos
+      ~session ()
   in
   let o0, _ = List.hd outcomes in
-  let parity =
-    List.for_all
-      (fun ((o : Cluster.outcome), _) ->
-        match
-          Cluster.sim_baseline ~n:3 ~protocol ~workload:"e1"
-            ~seed:o.Cluster.seed ()
-        with
-        | Error msg -> failwith msg
-        | Ok b ->
-            let m = b.Cluster.metrics in
-            o.Cluster.messages_sent = m.Memory.messages_sent
-            && o.Cluster.control_bytes = m.Memory.control_bytes
-            && o.Cluster.payload_bytes = m.Memory.payload_bytes)
-      outcomes
-  in
-  let accepted =
-    List.for_all
-      (fun ((o : Cluster.outcome), _) ->
-        (match o.Cluster.verdict with
-        | Checker.Consistent -> true
-        | Checker.Inconsistent -> false
-        | Checker.Undecidable _ -> not o.Cluster.history_checked)
-        && Result.is_ok o.Cluster.finals
-        && o.Cluster.wal_parity)
-      outcomes
-  in
-  let sum f = List.fold_left (fun acc (o, _) -> acc + f o) 0 outcomes in
-  let reps = List.length outcomes in
-  {
-    ch_label = label;
-    ch_plan = o0.Cluster.chaos;
-    ch_node_ms =
-      List.map (fun ((o : Cluster.outcome), _) -> o.Cluster.wall_ms) outcomes;
-    ch_harness_ms = List.map snd outcomes;
-    ch_messages = o0.Cluster.messages_sent;
-    ch_control = o0.Cluster.control_bytes;
-    ch_overhead = sum (fun o -> o.Cluster.overhead_bytes) / reps;
-    ch_retransmits = sum (fun o -> o.Cluster.retransmits) / reps;
-    ch_restarts = sum (fun o -> o.Cluster.restarts);
-    ch_parity = parity;
-    ch_accepted = accepted;
-  }
+  let per f = List.map (fun ((o : Cluster.outcome), _) -> f o) outcomes in
+  ( {
+      case = label;
+      metrics =
+        wall_metrics outcomes
+        @ [
+            ints "messages" "count" [ o0.Cluster.messages_sent ];
+            ints "control_bytes" "B" [ o0.Cluster.control_bytes ];
+            ints "overhead_bytes" "B" (per (fun o -> o.Cluster.overhead_bytes));
+            ints "retransmits" "count" (per (fun o -> o.Cluster.retransmits));
+            ints "restarts" "count" (per (fun o -> o.Cluster.restarts));
+            text "plan" o0.Cluster.chaos;
+          ];
+    },
+    [
+      parity_gate ~protocol label outcomes;
+      gate (label ^ ": accepted")
+        (List.for_all
+           (fun (o, _) -> Cluster.accepted o && o.Cluster.wal_parity)
+           outcomes);
+    ] )
 
-let chaos_json_record rows ~notes =
-  let row_json r =
-    Jsonout.Obj
-      [
-        ("label", Jsonout.String r.ch_label);
-        ("plan", Jsonout.String r.ch_plan);
-        ("reps", Jsonout.Int cluster_reps);
-        ( "node_wall_ms",
-          Jsonout.List (List.map (fun m -> Jsonout.Int m) r.ch_node_ms) );
-        ( "harness_wall_ms",
-          Jsonout.List (List.map (fun m -> Jsonout.Float m) r.ch_harness_ms) );
-        ("messages", Jsonout.Int r.ch_messages);
-        ("control_bytes", Jsonout.Int r.ch_control);
-        ("overhead_bytes_mean", Jsonout.Int r.ch_overhead);
-        ("retransmits_mean", Jsonout.Int r.ch_retransmits);
-        ("restarts_total", Jsonout.Int r.ch_restarts);
-        ("sim_parity", Jsonout.Bool r.ch_parity);
-        ("accepted", Jsonout.Bool r.ch_accepted);
-      ]
-  in
-  Jsonout.Obj
-    ([
-       ("schema", Jsonout.String "repro-bench/1");
-       ("seed", Jsonout.Int seed);
-       ("cluster_reps", Jsonout.Int cluster_reps);
-     ]
-    @ (match notes with
-      | [] -> []
-      | notes ->
-          [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
-    @ [ ("chaos", Jsonout.List (List.map row_json rows)) ])
-
-let run_chaos_benchmarks ?json () =
-  let rows = List.map run_chaos_case chaos_cases in
-  print_endline
-    "== Chaos tier (pram-partial / e1 / n=3, wall clock, forked loopback \
-     nodes) ==";
-  Table.print
-    ~header:
-      [
-        "case"; "node ms"; "harness ms"; "msgs"; "ctl B"; "ovh B"; "retr";
-        "restarts"; "parity"; "accepted";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.ch_label;
-             String.concat "/" (List.map string_of_int r.ch_node_ms);
-             String.concat "/"
-               (List.map (fun m -> Printf.sprintf "%.0f" m) r.ch_harness_ms);
-             string_of_int r.ch_messages;
-             string_of_int r.ch_control;
-             string_of_int r.ch_overhead;
-             string_of_int r.ch_retransmits;
-             string_of_int r.ch_restarts;
-             (if r.ch_parity then "exact" else "MISMATCH");
-             (if r.ch_accepted then "yes" else "NO");
-           ])
-         rows)
-    ();
-  (if List.exists (fun r -> (not r.ch_parity) || not r.ch_accepted) rows then begin
-     prerr_endline "chaos tier: parity mismatch or rejected run";
-     exit 2
-   end);
-  write_record (chaos_json_record rows) json
+let run_chaos_benchmarks ?target () =
+  let rows, gates = List.split (List.map run_chaos_case chaos_cases) in
+  report ?target
+    {
+      tier = "chaos";
+      params = [ ("seed", seed); ("reps", cluster_reps) ];
+      tables =
+        [
+          {
+            title =
+              "Chaos tier (pram-partial / e1 / n=3, wall clock, forked loopback \
+               nodes)";
+            rows;
+          };
+        ];
+      gates = List.concat gates;
+      notes = [];
+    }
 
 (* --- load: open-loop client-throughput tier --------------------------------------
    What does the Theorem-2 control-byte gap cost a client?  The tier drives
@@ -950,10 +669,7 @@ let load_curve_cases =
 let load_config ~protocol ~n ~mix ~rate ~duration_ms ~coalesce ~drain_plan ~seed
     =
   {
-    Load.protocol =
-      (match Registry.find protocol with
-      | Some spec -> spec
-      | None -> failwith (protocol ^ " not registered"));
+    Load.protocol = spec_of protocol;
     n;
     clients = 2;
     rate;
@@ -969,224 +685,178 @@ let run_load cfg =
   | Ok r -> r
   | Error msg -> failwith (Printf.sprintf "load tier: %s" msg)
 
-let median_f l =
-  match List.sort compare l with
-  | [] -> 0.0
-  | sorted -> List.nth sorted (List.length sorted / 2)
+let bytes_per_op (r : Load.result) =
+  float_of_int (r.Load.control_bytes + r.Load.payload_bytes)
+  /. float_of_int (Stdlib.max 1 r.Load.completed_ops)
 
-type load_row = {
-  ld_protocol : string;
-  ld_n : int;
-  ld_reps : Load.result list;
-  ld_ops_per_sec : float;  (** Median over reps. *)
-  ld_ops_per_cpu : float;  (** Median over reps. *)
-  ld_p50 : float;
-  ld_p95 : float;
-  ld_p99 : float;
-}
-
-let run_load_case (protocol, n) =
-  let reps =
-    List.init load_reps (fun rep ->
-        run_load
-          (* fixed-work mode: the whole 3 s plan is served however long
-             that takes, so every rep completes the identical op multiset
-             (same seed => same arrival count for both protocols) and the
-             CPU-normalized figure is fixed-work over measured CPU — the
-             open-loop completion race against the grace window, which
-             swings +-20% with single-core scheduler luck, is out of the
-             picture.  3 s plans keep the 10 ms CPU-clock granularity
-             under 1% of each node's total. *)
-          (load_config ~protocol ~n ~mix:Mix.read_heavy ~rate:150_000.0
-             ~duration_ms:3_000 ~coalesce:8 ~drain_plan:true
-             ~seed:(seed + rep)))
-  in
-  let med f = median_f (List.map f reps) in
+let load_metrics results =
+  let per f = List.map f results in
   let pct p =
-    med (fun (r : Load.result) ->
+    per (fun (r : Load.result) ->
         if Stats.count r.Load.lat_us = 0 then 0.0
         else Stats.percentile r.Load.lat_us p)
   in
-  {
-    ld_protocol = protocol;
-    ld_n = n;
-    ld_reps = reps;
-    ld_ops_per_sec = med (fun r -> r.Load.ops_per_sec);
-    ld_ops_per_cpu = med (fun r -> r.Load.ops_per_node_cpu_s);
-    ld_p50 = pct 50.0;
-    ld_p95 = pct 95.0;
-    ld_p99 = pct 99.0;
-  }
+  [
+    nums "ops_per_sec" "1/s" (per (fun r -> r.Load.ops_per_sec));
+    nums "ops_per_node_cpu_s" "1/s" (per (fun r -> r.Load.ops_per_node_cpu_s));
+    nums "protocol_bytes_per_op" "B" (per bytes_per_op);
+    nums "lat_p50" "us" (pct 50.0);
+    nums "lat_p95" "us" (pct 95.0);
+    nums "lat_p99" "us" (pct 99.0);
+    ints "completed_ops" "count" (per (fun r -> r.Load.completed_ops));
+    ints "failed_ops" "count" (per (fun r -> r.Load.failed_ops));
+    ints "frames" "count" (per (fun r -> r.Load.frames_sent));
+    ints "overhead_bytes" "B" (per (fun r -> r.Load.overhead_bytes));
+  ]
 
-type coalescing_pair = { on : Load.result; off : Load.result }
+let protocol_lane (r : Load.result) =
+  (r.Load.messages_sent, r.Load.control_bytes, r.Load.payload_bytes)
 
-let run_coalescing_pair () =
-  let cfg coalesce =
-    load_config ~protocol:"pram-partial" ~n:3 ~mix:Mix.write_heavy
-      ~rate:20_000.0 ~duration_ms:1_000 ~coalesce ~drain_plan:true
-      ~seed:(seed + 77)
+let run_load_benchmarks ?target () =
+  let curve =
+    List.map
+      (fun (protocol, n) ->
+        ( (protocol, n),
+          List.init load_reps (fun rep ->
+              run_load
+                (* fixed-work mode: the whole 3 s plan is served however long
+                   that takes, so every rep completes the identical op multiset
+                   (same seed => same arrival count for both protocols) and the
+                   CPU-normalized figure is fixed-work over measured CPU — the
+                   open-loop completion race against the grace window, which
+                   swings +-20% with single-core scheduler luck, is out of the
+                   picture.  3 s plans keep the 10 ms CPU-clock granularity
+                   under 1% of each node's total. *)
+                (load_config ~protocol ~n ~mix:Mix.read_heavy ~rate:150_000.0
+                   ~duration_ms:3_000 ~coalesce:8 ~drain_plan:true
+                   ~seed:(seed + rep))) ))
+      load_curve_cases
   in
-  { on = run_load (cfg 16); off = run_load (cfg 1) }
-
-let load_json_record rows pair ~notes =
-  let row_json r =
-    let bytes_per_op (x : Load.result) =
-      float_of_int (x.Load.control_bytes + x.Load.payload_bytes)
-      /. float_of_int (Stdlib.max 1 x.Load.completed_ops)
-    in
-    Jsonout.Obj
-      [
-        ("protocol", Jsonout.String r.ld_protocol);
-        ("nodes", Jsonout.Int r.ld_n);
-        ("reps", Jsonout.Int load_reps);
-        ("ops_per_sec_median", Jsonout.Float r.ld_ops_per_sec);
-        ("ops_per_node_cpu_s_median", Jsonout.Float r.ld_ops_per_cpu);
-        ( "protocol_bytes_per_op_median",
-          Jsonout.Float (median_f (List.map bytes_per_op r.ld_reps)) );
-        ("latency_p50_us_median", Jsonout.Float r.ld_p50);
-        ("latency_p95_us_median", Jsonout.Float r.ld_p95);
-        ("latency_p99_us_median", Jsonout.Float r.ld_p99);
-        ("runs", Jsonout.List (List.map Load.json_of_result r.ld_reps));
-      ]
+  let coalesced coalesce =
+    run_load
+      (load_config ~protocol:"pram-partial" ~n:3 ~mix:Mix.write_heavy
+         ~rate:20_000.0 ~duration_ms:1_000 ~coalesce ~drain_plan:true
+         ~seed:(seed + 77))
   in
-  let pair_json =
-    Jsonout.Obj
-      [
-        ("coalesce_on", Load.json_of_result pair.on);
-        ("coalesce_off", Load.json_of_result pair.off);
-        ( "protocol_lane_identical",
-          Jsonout.Bool
-            (pair.on.Load.messages_sent = pair.off.Load.messages_sent
-            && pair.on.Load.control_bytes = pair.off.Load.control_bytes
-            && pair.on.Load.payload_bytes = pair.off.Load.payload_bytes) );
-        ( "frames_saved",
-          Jsonout.Int (pair.off.Load.frames_sent - pair.on.Load.frames_sent) );
-        ( "overhead_bytes_saved",
-          Jsonout.Int
-            (pair.off.Load.overhead_bytes - pair.on.Load.overhead_bytes) );
-      ]
+  let on = coalesced 16 in
+  let off = coalesced 1 in
+  let node_counts = List.sort_uniq compare (List.map snd load_curve_cases) in
+  let pair n =
+    (List.assoc ("pram-partial", n) curve, List.assoc ("causal-full", n) curve)
   in
-  Jsonout.Obj
-    ([
-       ("schema", Jsonout.String "repro-bench/1");
-       ("seed", Jsonout.Int seed);
-       ("load_reps", Jsonout.Int load_reps);
-     ]
-    @ (match notes with
-      | [] -> []
-      | notes ->
-          [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
+  (* paired efficiency gate: rep i of both protocols serves the same seed's
+     op multiset, so the per-seed CPU-throughput ratio cancels plan-to-plan
+     variation; the median ratio must favour partial replication *)
+  let cpu_ratios n =
+    let pram, causal = pair n in
+    List.map2
+      (fun (p : Load.result) (c : Load.result) ->
+        p.Load.ops_per_node_cpu_s /. c.Load.ops_per_node_cpu_s)
+      pram causal
+  in
+  let med f results = median (List.map f results) in
+  let gates =
+    List.concat_map
+      (fun n ->
+        let pram, causal = pair n in
+        [
+          gate
+            (Printf.sprintf "n=%d: paired CPU-throughput ratio pram/causal > 1" n)
+            (median (cpu_ratios n) > 1.0);
+          (* Theorem 2: partial replication moves strictly fewer protocol
+             bytes per completed op — deterministic given the fixed op
+             multiset *)
+          gate
+            (Printf.sprintf "n=%d: pram-partial protocol B/op < causal-full" n)
+            (med bytes_per_op pram < med bytes_per_op causal);
+        ])
+      node_counts
     @ [
-        ("load", Jsonout.List (List.map row_json rows));
-        ("coalescing", pair_json);
-      ])
-
-let run_load_benchmarks ?json () =
-  let rows = List.map run_load_case load_curve_cases in
-  print_endline
-    "== Load tier (open loop, read-heavy, fixed-work 3s drain plans, medians \
-     of 3) ==";
-  Table.print
-    ~header:
-      [
-        "protocol"; "n"; "ops/s"; "ops/node-cpu-s"; "p50 us"; "p95 us"; "p99 us";
+        gate "coalescing keeps the protocol lane byte-identical"
+          (protocol_lane on = protocol_lane off);
+        gate "coalescing reduces frames" (on.Load.frames_sent < off.Load.frames_sent);
+        gate "coalescing reduces overhead bytes"
+          (on.Load.overhead_bytes < off.Load.overhead_bytes);
       ]
-    ~rows:
-      (List.map
-         (fun r ->
+  in
+  let notes =
+    List.concat_map
+      (fun n ->
+        let pram, causal = pair n in
+        let cpu = med (fun r -> r.Load.ops_per_node_cpu_s)
+        and wall = med (fun r -> r.Load.ops_per_sec) in
+        (if cpu pram <= cpu causal then
            [
-             r.ld_protocol;
-             string_of_int r.ld_n;
-             Printf.sprintf "%.0f" r.ld_ops_per_sec;
-             Printf.sprintf "%.0f" r.ld_ops_per_cpu;
-             Printf.sprintf "%.0f" r.ld_p50;
-             Printf.sprintf "%.0f" r.ld_p95;
-             Printf.sprintf "%.0f" r.ld_p99;
-           ])
-         rows)
-    ();
-  let pair = run_coalescing_pair () in
-  Printf.printf
-    "coalescing (pram-partial, n=3, write-heavy, drain-plan): %d -> %d frames, \
-     %d -> %d overhead bytes, protocol lane %s\n"
-    pair.off.Load.frames_sent pair.on.Load.frames_sent
-    pair.off.Load.overhead_bytes pair.on.Load.overhead_bytes
-    (if
-       pair.on.Load.messages_sent = pair.off.Load.messages_sent
-       && pair.on.Load.control_bytes = pair.off.Load.control_bytes
-       && pair.on.Load.payload_bytes = pair.off.Load.payload_bytes
-     then "byte-identical"
-     else "MISMATCH");
-  let find proto n =
-    List.find (fun r -> r.ld_protocol = proto && r.ld_n = n) rows
+             Printf.sprintf
+               "n=%d: unpaired CPU-throughput medians tied or reversed (%.0f vs \
+                %.0f) — the paired per-seed ratio carries the comparison"
+               n (cpu pram) (cpu causal);
+           ]
+         else [])
+        @
+        if wall pram <= wall causal then
+          [
+            Printf.sprintf
+              "n=%d: wall-clock medians tied or reversed (%.0f vs %.0f ops/s) — \
+               single-core scheduling noise; the CPU-normalized figure carries \
+               the comparison"
+              n (wall pram) (wall causal);
+          ]
+        else [])
+      node_counts
   in
-  let notes = ref [] in
-  let failures = ref [] in
-  let bytes_per_op (r : Load.result) =
-    float_of_int (r.Load.control_bytes + r.Load.payload_bytes)
-    /. float_of_int (Stdlib.max 1 r.Load.completed_ops)
+  let lane r =
+    let m, c, p = protocol_lane r in
+    [
+      ints "messages" "count" [ m ];
+      ints "control_bytes" "B" [ c ];
+      ints "payload_bytes" "B" [ p ];
+    ]
   in
-  List.iter
-    (fun n ->
-      let pram = find "pram-partial" n and causal = find "causal-full" n in
-      (* paired efficiency gate: rep i of both protocols serves the same
-         seed's op multiset, so the per-seed CPU-throughput ratio cancels
-         plan-to-plan variation; the median ratio must favour partial
-         replication *)
-      let ratios =
-        List.map2
-          (fun (p : Load.result) (c : Load.result) ->
-            p.Load.ops_per_node_cpu_s /. c.Load.ops_per_node_cpu_s)
-          pram.ld_reps causal.ld_reps
-      in
-      let med_ratio = median_f ratios in
-      if med_ratio <= 1.0 then
-        failures :=
-          Printf.sprintf
-            "n=%d: paired CPU-throughput ratio pram/causal = %.3f (<= 1)" n
-            med_ratio
-          :: !failures;
-      (* Theorem-2 gate: partial replication must move strictly fewer
-         protocol bytes per completed op — deterministic given the fixed
-         op multiset *)
-      let pb = median_f (List.map bytes_per_op pram.ld_reps)
-      and cb = median_f (List.map bytes_per_op causal.ld_reps) in
-      if pb >= cb then
-        failures :=
-          Printf.sprintf
-            "n=%d: pram-partial %.2f protocol B/op >= causal-full %.2f" n pb cb
-          :: !failures;
-      if pram.ld_ops_per_cpu <= causal.ld_ops_per_cpu then
-        notes :=
-          Printf.sprintf
-            "n=%d: unpaired CPU-throughput medians tied or reversed (%.0f vs \
-             %.0f) — the paired per-seed ratio carries the comparison"
-            n pram.ld_ops_per_cpu causal.ld_ops_per_cpu
-          :: !notes;
-      if pram.ld_ops_per_sec <= causal.ld_ops_per_sec then
-        notes :=
-          Printf.sprintf
-            "n=%d: wall-clock medians tied or reversed (%.0f vs %.0f ops/s) — \
-             single-core scheduling noise; the CPU-normalized figure carries \
-             the comparison"
-            n pram.ld_ops_per_sec causal.ld_ops_per_sec
-          :: !notes)
-    (List.sort_uniq compare (List.map snd load_curve_cases));
-  if
-    pair.on.Load.messages_sent <> pair.off.Load.messages_sent
-    || pair.on.Load.control_bytes <> pair.off.Load.control_bytes
-    || pair.on.Load.payload_bytes <> pair.off.Load.payload_bytes
-  then failures := "coalescing changed the protocol lane" :: !failures;
-  if pair.on.Load.frames_sent >= pair.off.Load.frames_sent then
-    failures := "coalescing did not reduce frames" :: !failures;
-  if pair.on.Load.overhead_bytes >= pair.off.Load.overhead_bytes then
-    failures := "coalescing did not reduce overhead bytes" :: !failures;
-  List.iter (fun f -> Printf.eprintf "load tier FAILED: %s\n" f) !failures;
-  write_record
-    (fun ~notes:path_notes ->
-      load_json_record rows pair ~notes:(path_notes @ List.rev !notes))
-    json;
-  if !failures <> [] then exit 2
+  report ?target
+    {
+      tier = "load";
+      params = [ ("seed", seed); ("reps", load_reps) ];
+      tables =
+        [
+          {
+            title =
+              "Load tier (open loop, read-heavy, fixed-work 3s drain plans, 3 \
+               reps)";
+            rows =
+              List.map
+                (fun ((protocol, n), results) ->
+                  {
+                    case = Printf.sprintf "%s n=%d" protocol n;
+                    metrics = load_metrics results;
+                  })
+                curve;
+          };
+          {
+            title =
+              "Paired CPU-throughput ratio pram-partial/causal-full (rep i: \
+               same seed)";
+            rows =
+              List.map
+                (fun n ->
+                  {
+                    case = Printf.sprintf "n=%d" n;
+                    metrics = [ nums "ratio" "x" (cpu_ratios n) ];
+                  })
+                node_counts;
+          };
+          {
+            title = "Coalescing (pram-partial, n=3, write-heavy, drain plan)";
+            rows =
+              [
+                { case = "coalesce 16"; metrics = load_metrics [ on ] @ lane on };
+                { case = "coalesce 1"; metrics = load_metrics [ off ] @ lane off };
+              ];
+          };
+        ];
+      gates;
+      notes;
+    }
 
 (* --- hotpath: zero-copy send/receive tier ----------------------------------------
    Microbenchmarks of the live hot path's building blocks — the strict
@@ -1201,24 +871,23 @@ module Tcodec = Repro_transport.Codec
 module Causal_full = Repro_core.Causal_full
 module Op = Repro_history.Op
 
-type micro_row = { mb_name : string; mb_ns : float; mb_words : float }
+let hotpath_iters = 200_000
 
-let measure name ?(warmup = 10_000) ~iters f =
-  for _ = 1 to warmup do f () done;
+let hotpath_warmup = 10_000
+
+(* (name, ns per op, minor words per op) *)
+let measure name f =
+  for _ = 1 to hotpath_warmup do f () done;
   Gc.minor ();
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do f () done;
+  for _ = 1 to hotpath_iters do f () done;
   let t1 = Unix.gettimeofday () in
   let w1 = Gc.minor_words () in
-  {
-    mb_name = name;
-    mb_ns = (t1 -. t0) *. 1e9 /. float_of_int iters;
-    mb_words = (w1 -. w0) /. float_of_int iters;
-  }
+  let per x = x /. float_of_int hotpath_iters in
+  (name, per ((t1 -. t0) *. 1e9), per (w1 -. w0))
 
-let hotpath_micro_rows () =
-  let iters = 200_000 in
+let hotpath_micro () =
   let pram_msg = Pram_partial.Update { var = 7; value = Op.Val 123_456; seq = 42 } in
   let causal_msg =
     Causal_full.Update
@@ -1231,17 +900,17 @@ let hotpath_micro_rows () =
     let marshalled = Marshal.to_string msg [] in
     let pool = Wire.Pool.create () in
     [
-      measure (name ^ "/codec-encode") ~iters (fun () ->
+      measure (name ^ "/codec-encode") (fun () ->
           ignore (c.Tcodec.emit buf 0 msg : int));
-      measure (name ^ "/codec-decode") ~iters (fun () ->
+      measure (name ^ "/codec-decode") (fun () ->
           ignore (c.Tcodec.parse buf 0 len : m * int));
-      measure (name ^ "/marshal-encode") ~iters (fun () ->
+      measure (name ^ "/marshal-encode") (fun () ->
           ignore (Marshal.to_bytes msg [] : Bytes.t));
-      measure (name ^ "/marshal-decode") ~iters (fun () ->
+      measure (name ^ "/marshal-decode") (fun () ->
           ignore (Marshal.from_string marshalled 0 : m));
       (* the steady-state send cycle: pooled buffer, header + body emitted
          in place, buffer recycled — the no-per-message-Bytes.create claim *)
-      measure (name ^ "/pooled-frame-cycle") ~iters (fun () ->
+      measure (name ^ "/pooled-frame-cycle") (fun () ->
           let fb = Wire.Pool.acquire pool (Wire.body_offset + len) in
           ignore (c.Tcodec.emit fb Wire.body_offset msg : int);
           Wire.set_header fb ~kind:Wire.Data ~src:0 ~dst:1 ~control_bytes:8
@@ -1252,96 +921,48 @@ let hotpath_micro_rows () =
   bench_codec "pram-partial" Pram_partial.codec pram_msg
   @ bench_codec "causal-full" Causal_full.codec causal_msg
 
-let hotpath_json_record micro ~notes =
-  let micro_json r =
-    Jsonout.Obj
-      [
-        ("name", Jsonout.String r.mb_name);
-        ("ns_per_op", Jsonout.Float r.mb_ns);
-        ("minor_words_per_op", Jsonout.Float r.mb_words);
-      ]
-  in
-  Jsonout.Obj
-    ([ ("schema", Jsonout.String "repro-hotpath/1") ]
-    @ (match notes with
-      | [] -> []
-      | notes ->
-          [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
-    @ [ ("micro", Jsonout.List (List.map micro_json micro)) ])
-
-let run_hotpath_benchmarks ?json () =
-  let micro = hotpath_micro_rows () in
-  print_endline "== Hot path micro (200k iters after warmup) ==";
-  Table.print
-    ~header:[ "op"; "ns/op"; "minor words/op" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [ r.mb_name; Printf.sprintf "%.1f" r.mb_ns;
-             Printf.sprintf "%.2f" r.mb_words ])
-         micro)
-    ();
-  let failures = ref [] in
-  List.iter
-    (fun r ->
-      (* emit writes into a caller buffer: any steady-state allocation is a
-         regression on the zero-copy claim *)
-      if
-        (String.length r.mb_name >= 12
-        && String.sub r.mb_name (String.length r.mb_name - 12) 12
-           = "codec-encode")
-        && r.mb_words > 1.0
-      then
-        failures :=
-          Printf.sprintf "%s allocates %.2f minor words/op (expected ~0)"
-            r.mb_name r.mb_words
-          :: !failures;
-      (* acquire/release bookkeeping is a cons or two, never a fresh frame
-         buffer (the smallest pool class alone is 256 B = 32+ words) *)
-      if
-        String.length r.mb_name >= 18
-        && String.sub r.mb_name (String.length r.mb_name - 18) 18
-           = "pooled-frame-cycle"
-        && r.mb_words > 16.0
-      then
-        failures :=
-          Printf.sprintf "%s allocates %.2f minor words/op (pool not recycling)"
-            r.mb_name r.mb_words
-          :: !failures)
-    micro;
-  List.iter (fun f -> Printf.eprintf "hotpath tier FAILED: %s\n" f) !failures;
-  write_record
-    (fun ~notes -> hotpath_json_record micro ~notes)
-    json;
-  if !failures <> [] then exit 2
-
-let run_benchmarks ?json () =
-  (* the seq-vs-par and engine-comparison probes take hundreds of ms each;
-     give those groups a larger quota so OLS sees enough runs *)
-  let rows =
-    bench_group ~quota:0.5 (table_tests @ micro_tests @ sim_tests)
-    @ bench_group ~quota:2.0 (comparison_tests @ check_tests)
-  in
-  let rows = List.sort compare rows in
-  print_rows rows;
-  write_json rows json
-
-let run_sim_benchmarks ?json () =
-  check_sim_pins ();
-  let rows = List.sort compare (bench_group ~quota:1.0 sim_tests) in
-  print_rows rows;
-  write_json rows json
-
-let run_check_benchmarks ?json () =
-  Saturation.reset_counters ();
-  let rows = List.sort compare (bench_group ~quota:2.0 check_tests) in
-  print_rows rows;
-  (let c = Saturation.counters () in
-   Printf.printf
-     "saturation counters: merge=%d cycle=%d greedy=%d fallback-to-search=%d\n"
-     c.Saturation.merge_hits c.Saturation.cycle_refutations
-     c.Saturation.greedy_hits c.Saturation.unknowns);
-  write_json rows json
+let run_hotpath_benchmarks ?target () =
+  let micro = hotpath_micro () in
+  report ?target
+    {
+      tier = "hotpath";
+      params = [ ("iters", hotpath_iters); ("warmup", hotpath_warmup) ];
+      tables =
+        [
+          {
+            title = "Hot path micro (200k iters after warmup)";
+            rows =
+              List.map
+                (fun (name, ns, words) ->
+                  {
+                    case = name;
+                    metrics =
+                      [
+                        nums "time_per_op" "ns" [ ns ];
+                        nums "minor_words_per_op" "words" [ words ];
+                      ];
+                  })
+                micro;
+          };
+        ];
+      gates =
+        List.filter_map
+          (fun (name, _, words) ->
+            if String.ends_with ~suffix:"codec-encode" name then
+              (* emit writes into a caller buffer: any steady-state
+                 allocation is a regression on the zero-copy claim *)
+              Some (gate (name ^ ": at most 1 minor word/op") (words <= 1.0))
+            else if String.ends_with ~suffix:"pooled-frame-cycle" name then
+              (* acquire/release bookkeeping is a cons or two, never a fresh
+                 frame buffer (the smallest pool class alone is 256 B = 32+
+                 words) *)
+              Some
+                (gate (name ^ ": at most 16 minor words/op (pool recycles)")
+                   (words <= 16.0))
+            else None)
+          micro;
+      notes = [];
+    }
 
 (* --- durable: write-ahead-log tier -----------------------------------------------
    What does durability cost per recorded op, and what does group commit
@@ -1370,22 +991,6 @@ let durable_policies =
 
 let durable_recovery_lengths = [ 1_000; 10_000; 50_000 ]
 
-type durable_row = {
-  du_policy : string;
-  du_appends : int;
-  du_wall_s : float;
-  du_appends_per_sec : float;
-  du_mb_per_sec : float;
-  du_syncs : int;
-  du_us_per_append : float;
-}
-
-type recovery_row = {
-  rc_records : int;
-  rc_load_ms : float;
-  rc_digest : string;
-}
-
 let durable_tmp_root () =
   let dir =
     Filename.concat
@@ -1396,7 +1001,7 @@ let durable_tmp_root () =
   Unix.mkdir dir 0o700;
   (dir, fun () -> Fsio.remove_tree dir)
 
-let run_durable_policy root failures (label, policy) =
+let run_durable_policy root (label, policy) =
   let dir = Filename.concat root ("policy-" ^ label) in
   let payload i =
     (* fixed size, varying content — a compressible constant would let the
@@ -1414,50 +1019,40 @@ let run_durable_policy root failures (label, policy) =
   Wal.close t;
   (* gates: the log must hold exactly what was appended, and the sync
      counter must match the policy's promise *)
-  (match Wal.load ~dir with
-  | Error e ->
-      failures := Printf.sprintf "%s: recovery failed: %s" label e :: !failures
-  | Ok r ->
-      if List.length r.Wal.r_entries <> durable_appends then
-        failures :=
-          Printf.sprintf "%s: recovered %d of %d records" label
-            (List.length r.Wal.r_entries)
-            durable_appends
-          :: !failures
-      else if
-        not
-          (List.for_all (fun (seq, p) -> p = payload seq) r.Wal.r_entries)
-      then failures := Printf.sprintf "%s: payload mismatch" label :: !failures);
-  (match policy with
-  | Wal.Every 1 ->
-      if s.Wal.syncs <> durable_appends then
-        failures :=
-          Printf.sprintf "every-1: %d fsyncs for %d appends" s.Wal.syncs
-            durable_appends
-          :: !failures
-  | Wal.Never ->
-      if s.Wal.syncs <> 0 then
-        failures :=
-          Printf.sprintf "never: append path fsynced %d times" s.Wal.syncs
-          :: !failures
-  | Wal.Every k ->
-      let expect = durable_appends / k in
-      if s.Wal.syncs <> expect then
-        failures :=
-          Printf.sprintf "every-%d: %d fsyncs, want %d" k s.Wal.syncs expect
-          :: !failures
-  | Wal.Interval_ms _ -> ());
-  {
-    du_policy = label;
-    du_appends = s.Wal.appends;
-    du_wall_s = wall;
-    du_appends_per_sec = float_of_int durable_appends /. wall;
-    du_mb_per_sec = float_of_int s.Wal.appended_bytes /. wall /. 1e6;
-    du_syncs = s.Wal.syncs;
-    du_us_per_append = wall /. float_of_int durable_appends *. 1e6;
-  }
+  let recovered =
+    match Wal.load ~dir with
+    | Error _ -> false
+    | Ok r ->
+        List.length r.Wal.r_entries = durable_appends
+        && List.for_all (fun (seq, p) -> p = payload seq) r.Wal.r_entries
+  in
+  let want_syncs =
+    match policy with
+    | Wal.Every k -> Some (durable_appends / k)
+    | Wal.Never -> Some 0
+    | Wal.Interval_ms _ -> None
+  in
+  ( {
+      case = label;
+      metrics =
+        [
+          ints "appends" "count" [ s.Wal.appends ];
+          nums "appends_per_sec" "1/s" [ float_of_int durable_appends /. wall ];
+          nums "throughput" "MB/s" [ float_of_int s.Wal.appended_bytes /. wall /. 1e6 ];
+          nums "per_append" "us" [ wall /. float_of_int durable_appends *. 1e6 ];
+          ints "fsyncs" "count" [ s.Wal.syncs ];
+          nums "wall" "s" [ wall ];
+        ];
+    },
+    gate (label ^ ": recovers every appended record intact") recovered
+    :: Option.to_list
+         (Option.map
+            (fun want ->
+              gate (Printf.sprintf "%s: %d fsyncs on the append path" label want)
+                (s.Wal.syncs = want))
+            want_syncs) )
 
-let run_durable_recovery root failures n_records =
+let run_durable_recovery root n_records =
   let dir = Filename.concat root (Printf.sprintf "recover-%d" n_records) in
   let payload i = Printf.sprintf "%032d" i in
   let t, _ = Wal.open_ ~dir ~policy:Wal.Never ~fresh:true () in
@@ -1468,96 +1063,63 @@ let run_durable_recovery root failures n_records =
   let t0 = Unix.gettimeofday () in
   let r1 = Wal.load ~dir in
   let load_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  match (r1, Wal.load ~dir) with
-  | Ok r1, Ok r2 ->
-      if Wal.digest r1 <> Wal.digest r2 then
-        failures :=
-          Printf.sprintf "recover-%d: two loads disagree" n_records :: !failures;
-      if List.length r1.Wal.r_entries <> n_records then
-        failures :=
-          Printf.sprintf "recover-%d: recovered %d records" n_records
-            (List.length r1.Wal.r_entries)
-          :: !failures;
-      { rc_records = n_records; rc_load_ms = load_ms; rc_digest = Wal.digest r1 }
-  | Error e, _ | _, Error e ->
-      failures := Printf.sprintf "recover-%d: %s" n_records e :: !failures;
-      { rc_records = n_records; rc_load_ms = load_ms; rc_digest = "" }
-
-let durable_json_record rows recoveries ~notes =
-  let row_json r =
-    Jsonout.Obj
-      [
-        ("policy", Jsonout.String r.du_policy);
-        ("appends", Jsonout.Int r.du_appends);
-        ("payload_bytes", Jsonout.Int durable_payload_bytes);
-        ("wall_s", Jsonout.Float r.du_wall_s);
-        ("appends_per_sec", Jsonout.Float r.du_appends_per_sec);
-        ("mb_per_sec", Jsonout.Float r.du_mb_per_sec);
-        ("fsyncs", Jsonout.Int r.du_syncs);
-        ("us_per_append", Jsonout.Float r.du_us_per_append);
-      ]
+  let case = Printf.sprintf "recover-%d" n_records in
+  let digest, agree, complete =
+    match (r1, Wal.load ~dir) with
+    | Ok r1, Ok r2 ->
+        ( Wal.digest r1,
+          Wal.digest r1 = Wal.digest r2,
+          List.length r1.Wal.r_entries = n_records )
+    | Error e, _ | _, Error e -> ("load failed: " ^ e, false, false)
   in
-  let recovery_json r =
-    Jsonout.Obj
-      [
-        ("records", Jsonout.Int r.rc_records);
-        ("load_ms", Jsonout.Float r.rc_load_ms);
-        ("digest", Jsonout.String r.rc_digest);
-      ]
-  in
-  Jsonout.Obj
-    ([
-       ("schema", Jsonout.String "repro-durable/1");
-       ("seed", Jsonout.Int seed);
-       ("appends", Jsonout.Int durable_appends);
-       ("payload_bytes", Jsonout.Int durable_payload_bytes);
-     ]
-    @ (match notes with
-      | [] -> []
-      | notes ->
-          [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
-    @ [
-        ("policies", Jsonout.List (List.map row_json rows));
-        ("recovery", Jsonout.List (List.map recovery_json recoveries));
-      ])
+  ( {
+      case;
+      metrics =
+        [
+          ints "records" "count" [ n_records ];
+          nums "load" "ms" [ load_ms ];
+          text "digest" digest;
+        ];
+    },
+    [
+      gate (case ^ ": two loads give one digest") agree;
+      gate (case ^ ": recovers every record") complete;
+    ] )
 
-let run_durable_benchmarks ?json () =
+let run_durable_benchmarks ?target () =
   let root, cleanup = durable_tmp_root () in
-  let failures = ref [] in
-  Fun.protect ~finally:cleanup (fun () ->
-      let rows = List.map (run_durable_policy root failures) durable_policies in
-      let recoveries =
-        List.map (run_durable_recovery root failures) durable_recovery_lengths
-      in
-      Printf.printf
-        "== Durable tier (WAL group commit, %d appends x %d B payload) ==\n"
-        durable_appends durable_payload_bytes;
-      Table.print
-        ~header:
-          [ "policy"; "appends/s"; "MB/s"; "us/append"; "fsyncs"; "wall s" ]
-        ~rows:
-          (List.map
-             (fun r ->
-               [
-                 r.du_policy;
-                 Printf.sprintf "%.0f" r.du_appends_per_sec;
-                 Printf.sprintf "%.1f" r.du_mb_per_sec;
-                 Printf.sprintf "%.2f" r.du_us_per_append;
-                 string_of_int r.du_syncs;
-                 Printf.sprintf "%.3f" r.du_wall_s;
-               ])
-             rows)
-        ();
-      Table.print ~header:[ "records"; "load ms" ]
-        ~rows:
-          (List.map
-             (fun r ->
-               [ string_of_int r.rc_records; Printf.sprintf "%.2f" r.rc_load_ms ])
-             recoveries)
-        ();
-      List.iter (fun f -> Printf.eprintf "durable tier FAILED: %s\n" f) !failures;
-      write_record (durable_json_record rows recoveries) json;
-      if !failures <> [] then exit 2)
+  let record =
+    Fun.protect ~finally:cleanup (fun () ->
+        let policies, policy_gates =
+          List.split (List.map (run_durable_policy root) durable_policies)
+        in
+        let recoveries, recovery_gates =
+          List.split (List.map (run_durable_recovery root) durable_recovery_lengths)
+        in
+        {
+          tier = "durable";
+          params =
+            [
+              ("seed", seed);
+              ("appends", durable_appends);
+              ("payload_bytes", durable_payload_bytes);
+            ];
+          tables =
+            [
+              {
+                title =
+                  Printf.sprintf
+                    "Durable tier (WAL group commit, %d appends x %d B payload)"
+                    durable_appends durable_payload_bytes;
+                rows = policies;
+              };
+              { title = "Recovery (Wal.load)"; rows = recoveries };
+            ];
+          gates = List.concat (policy_gates @ recovery_gates);
+          notes = [];
+        })
+  in
+  report ?target record
 
 (* --- reconfig: live-membership tier ----------------------------------------------
    What does a membership change cost while the cluster keeps serving
@@ -1598,138 +1160,116 @@ let reconfig_scenarios =
     ("join+leave+crash", "seed=7,join=4@250,leave=1@600,crash=0@5+300", true);
   ]
 
-let run_reconfig_scenario failures (name, plan_text, expect_restart) =
-  let plan =
-    match Fault.Plan.parse plan_text with
-    | Ok p -> p
-    | Error e ->
-        failures := Printf.sprintf "%s: bad plan: %s" name e :: !failures;
-        Fault.Plan.none
-  in
+let verdict_name = function
+  | Checker.Consistent -> "consistent"
+  | Checker.Inconsistent -> "VIOLATION"
+  | Checker.Undecidable _ -> "undecidable"
+
+(* (summary rows, event rows, gates, notes) of one scenario *)
+let run_reconfig_scenario (name, plan_text, expect_restart) =
   match
-    Reconfig.run ~n:reconfig_nodes ~k:reconfig_k ~vnodes:reconfig_vnodes
-      ~n_vars:reconfig_vars ~seed:reconfig_seed ~writes:reconfig_writes
-      ~chaos:plan ()
+    Result.bind (Fault.Plan.parse plan_text) (fun plan ->
+        Reconfig.run ~n:reconfig_nodes ~k:reconfig_k ~vnodes:reconfig_vnodes
+          ~n_vars:reconfig_vars ~seed:reconfig_seed ~writes:reconfig_writes
+          ~chaos:plan ())
   with
   | Error msg ->
-      failures := Printf.sprintf "%s: %s" name msg :: !failures;
-      None
+      ([], [], [ gate (name ^ ": run completed") false ], [ name ^ ": " ^ msg ])
   | Ok o ->
-      if o.Reconfig.verdict <> Checker.Consistent then
-        failures :=
-          Printf.sprintf "%s: history violates cache consistency" name
-          :: !failures;
-      if not o.Reconfig.moved_ok then
-        failures :=
-          Printf.sprintf "%s: moved %d keys in one change, gate %d" name
-            o.Reconfig.max_keys_moved o.Reconfig.moved_gate
-          :: !failures;
-      if expect_restart && o.Reconfig.restarts = 0 then
-        failures :=
-          Printf.sprintf "%s: the scheduled mid-migration crash never fired"
-            name
-          :: !failures;
-      Some (name, o)
+      let row =
+        {
+          case = name;
+          metrics =
+            [
+              ints "epoch" "count" [ o.Reconfig.committed_epoch ];
+              ints "rebalance" "ms"
+                [
+                  List.fold_left
+                    (fun acc e -> Stdlib.max acc e.Reconfig.ev_rebalance_ms)
+                    0 o.Reconfig.events;
+                ];
+              ints "moved" "count" [ o.Reconfig.keys_moved_total ];
+              ints "worst" "count" [ o.Reconfig.max_keys_moved ];
+              ints "gate" "count" [ o.Reconfig.moved_gate ];
+              ints "unavail" "ms" [ o.Reconfig.unavail_ms ];
+              ints "restarts" "count" [ o.Reconfig.restarts ];
+              ints "stale_epochs" "count" [ o.Reconfig.stale_epochs ];
+              ints "transfers" "count" [ o.Reconfig.transfers ];
+              ints "init_fallbacks" "count" [ o.Reconfig.init_fallbacks ];
+              text "cache" (verdict_name o.Reconfig.verdict);
+              text "pram" (verdict_name o.Reconfig.pram);
+              ints "wall" "ms" [ o.Reconfig.wall_ms ];
+              text "members"
+                (String.concat "," (List.map string_of_int o.Reconfig.members));
+              text "chaos" o.Reconfig.chaos;
+            ];
+        }
+      in
+      let events =
+        List.map
+          (fun e ->
+            {
+              case = Printf.sprintf "%s epoch %d" name e.Reconfig.ev_epoch;
+              metrics =
+                [
+                  text "kind" e.Reconfig.ev_kind;
+                  ints "node" "id" [ e.Reconfig.ev_node ];
+                  ints "keys_moved" "count" [ e.Reconfig.ev_keys_moved ];
+                  ints "rebalance" "ms" [ e.Reconfig.ev_rebalance_ms ];
+                ];
+            })
+          o.Reconfig.events
+      in
+      let gates =
+        [
+          gate (name ^ ": cache consistent") (o.Reconfig.verdict = Checker.Consistent);
+          gate
+            (name ^ ": keys moved per change within the 2kK/n gate")
+            o.Reconfig.moved_ok;
+        ]
+        @
+        if expect_restart then
+          [
+            gate
+              (name ^ ": the scheduled mid-migration crash fired")
+              (o.Reconfig.restarts > 0);
+          ]
+        else []
+      in
+      ([ row ], events, gates, [])
 
-let reconfig_rebalance_ms o =
-  List.fold_left
-    (fun acc e -> Stdlib.max acc e.Reconfig.ev_rebalance_ms)
-    0 o.Reconfig.events
-
-let reconfig_json_record results ~notes =
-  let ints l = Jsonout.List (List.map (fun i -> Jsonout.Int i) l) in
-  let verdict_json = function
-    | Checker.Consistent -> Jsonout.String "consistent"
-    | Checker.Inconsistent -> Jsonout.String "VIOLATION"
-    | Checker.Undecidable _ -> Jsonout.String "undecidable"
-  in
-  let scenario_json (name, o) =
-    Jsonout.Obj
-      [
-        ("scenario", Jsonout.String name);
-        ("chaos", Jsonout.String o.Reconfig.chaos);
-        ("committed_epoch", Jsonout.Int o.Reconfig.committed_epoch);
-        ("members", ints o.Reconfig.members);
-        ( "events",
-          Jsonout.List
-            (List.map
-               (fun e ->
-                 Jsonout.Obj
-                   [
-                     ("epoch", Jsonout.Int e.Reconfig.ev_epoch);
-                     ("kind", Jsonout.String e.Reconfig.ev_kind);
-                     ("node", Jsonout.Int e.Reconfig.ev_node);
-                     ("keys_moved", Jsonout.Int e.Reconfig.ev_keys_moved);
-                     ("rebalance_ms", Jsonout.Int e.Reconfig.ev_rebalance_ms);
-                   ])
-               o.Reconfig.events) );
-        ("rebalance_ms", Jsonout.Int (reconfig_rebalance_ms o));
-        ("keys_moved_total", Jsonout.Int o.Reconfig.keys_moved_total);
-        ("max_keys_moved", Jsonout.Int o.Reconfig.max_keys_moved);
-        ("moved_gate", Jsonout.Int o.Reconfig.moved_gate);
-        ("moved_ok", Jsonout.Bool o.Reconfig.moved_ok);
-        ("unavail_ms", Jsonout.Int o.Reconfig.unavail_ms);
-        ("stale_epochs", Jsonout.Int o.Reconfig.stale_epochs);
-        ("restarts", Jsonout.Int o.Reconfig.restarts);
-        ("transfers", Jsonout.Int o.Reconfig.transfers);
-        ("init_fallbacks", Jsonout.Int o.Reconfig.init_fallbacks);
-        ("verdict", verdict_json o.Reconfig.verdict);
-        ("pram", verdict_json o.Reconfig.pram);
-        ("wall_ms", Jsonout.Int o.Reconfig.wall_ms);
-      ]
-  in
-  Jsonout.Obj
-    ([
-       ("schema", Jsonout.String "repro-reconfig-bench/1");
-       ("nodes", Jsonout.Int reconfig_nodes);
-       ("k", Jsonout.Int reconfig_k);
-       ("vnodes", Jsonout.Int reconfig_vnodes);
-       ("vars", Jsonout.Int reconfig_vars);
-       ("writes", Jsonout.Int reconfig_writes);
-       ("seed", Jsonout.Int reconfig_seed);
-     ]
-    @ (match notes with
-      | [] -> []
-      | notes ->
-          [ ("notes", Jsonout.List (List.map (fun n -> Jsonout.String n) notes)) ])
-    @ [ ("scenarios", Jsonout.List (List.map scenario_json results)) ])
-
-let run_reconfig_benchmarks ?json () =
-  let failures = ref [] in
-  let results =
-    List.filter_map (run_reconfig_scenario failures) reconfig_scenarios
-  in
-  Printf.printf
-    "== Reconfig tier (%d nodes, k=%d, vnodes=%d, %d vars, seed %d) ==\n"
-    reconfig_nodes reconfig_k reconfig_vnodes reconfig_vars reconfig_seed;
-  Table.print
-    ~header:
-      [ "scenario"; "epoch"; "rebal ms"; "moved"; "worst"; "gate";
-        "unavail ms"; "restarts"; "stale"; "cache"; "wall ms" ]
-    ~rows:
-      (List.map
-         (fun (name, o) ->
-           [
-             name;
-             string_of_int o.Reconfig.committed_epoch;
-             string_of_int (reconfig_rebalance_ms o);
-             string_of_int o.Reconfig.keys_moved_total;
-             string_of_int o.Reconfig.max_keys_moved;
-             string_of_int o.Reconfig.moved_gate;
-             string_of_int o.Reconfig.unavail_ms;
-             string_of_int o.Reconfig.restarts;
-             string_of_int o.Reconfig.stale_epochs;
-             (match o.Reconfig.verdict with
-             | Checker.Consistent -> "ok"
-             | Checker.Inconsistent -> "VIOLATION"
-             | Checker.Undecidable _ -> "undecidable");
-             string_of_int o.Reconfig.wall_ms;
-           ])
-         results)
-    ();
-  List.iter (fun f -> Printf.eprintf "reconfig tier FAILED: %s\n" f) !failures;
-  write_record (reconfig_json_record results) json;
-  if !failures <> [] then exit 2
+let run_reconfig_benchmarks ?target () =
+  let results = List.map run_reconfig_scenario reconfig_scenarios in
+  let all f = List.concat_map f results in
+  report ?target
+    {
+      tier = "reconfig";
+      params =
+        [
+          ("nodes", reconfig_nodes);
+          ("k", reconfig_k);
+          ("vnodes", reconfig_vnodes);
+          ("vars", reconfig_vars);
+          ("writes", reconfig_writes);
+          ("seed", reconfig_seed);
+        ];
+      tables =
+        [
+          {
+            title =
+              Printf.sprintf
+                "Reconfig tier (%d nodes, k=%d, vnodes=%d, %d vars, seed %d)"
+                reconfig_nodes reconfig_k reconfig_vnodes reconfig_vars reconfig_seed;
+            rows = all (fun (rows, _, _, _) -> rows);
+          };
+          {
+            title = "Reconfig events (commit order)";
+            rows = all (fun (_, events, _, _) -> events);
+          };
+        ];
+      gates = all (fun (_, _, gates, _) -> gates);
+      notes = all (fun (_, _, _, notes) -> notes);
+    }
 
 (* --- argument parsing ---------------------------------------------------------- *)
 
@@ -1800,17 +1340,27 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let target = Option.map Bench_record.target !json in
   match !mode with
   | Tables_only -> print_tables ()
-  | Sim_only -> run_sim_benchmarks ?json:!json ()
-  | Check_only -> run_check_benchmarks ?json:!json ()
-  | Cluster_only -> run_cluster_benchmarks ?json:!json ()
-  | Chaos_only -> run_chaos_benchmarks ?json:!json ()
-  | Load_only -> run_load_benchmarks ?json:!json ()
-  | Hotpath_only -> run_hotpath_benchmarks ?json:!json ()
-  | Durable_only -> run_durable_benchmarks ?json:!json ()
-  | Reconfig_only -> run_reconfig_benchmarks ?json:!json ()
+  | Sim_only ->
+      run_bechamel ?target ~tier:"sim" ~gates:(sim_pin_gates ()) [ (1.0, sim_tests) ]
+  | Check_only ->
+      Saturation.reset_counters ();
+      run_bechamel ?target ~tier:"check" [ (2.0, check_tests) ]
+  | Cluster_only -> run_cluster_benchmarks ?target ()
+  | Chaos_only -> run_chaos_benchmarks ?target ()
+  | Load_only -> run_load_benchmarks ?target ()
+  | Hotpath_only -> run_hotpath_benchmarks ?target ()
+  | Durable_only -> run_durable_benchmarks ?target ()
+  | Reconfig_only -> run_reconfig_benchmarks ?target ()
   | One_experiment id -> if not (print_one id) then exit 1
   | Default ->
       print_tables ();
-      run_benchmarks ?json:!json ()
+      (* the seq-vs-par and engine-comparison probes take hundreds of ms
+         each; give those groups a larger quota so OLS sees enough runs *)
+      run_bechamel ?target ~tier:"bechamel"
+        [
+          (0.5, table_tests @ micro_tests @ sim_tests);
+          (2.0, comparison_tests @ check_tests);
+        ]

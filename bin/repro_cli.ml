@@ -1338,28 +1338,17 @@ let cluster_cmd =
         let parity_errors =
           if not parity then []
           else
-            match
-              Cluster.sim_baseline ~n:nodes ~protocol:spec ~workload ~seed ()
-            with
+            match Cluster.sim_parity ~protocol:spec o with
             | Error msg -> [ Printf.sprintf "baseline failed: %s" msg ]
-            | Ok b ->
-                let m = b.Cluster.metrics in
-                let compare what live sim =
-                  if live = sim then begin
-                    Printf.printf "parity: %s %d = sim %d\n" what live sim;
-                    None
-                  end
-                  else Some (Printf.sprintf "%s: live %d, sim %d" what live sim)
-                in
-                List.filter_map Fun.id
-                  [
-                    compare "messages" o.Cluster.messages_sent
-                      m.Memory.messages_sent;
-                    compare "control bytes" o.Cluster.control_bytes
-                      m.Memory.control_bytes;
-                    compare "payload bytes" o.Cluster.payload_bytes
-                      m.Memory.payload_bytes;
-                  ]
+            | Ok counters ->
+                List.filter_map
+                  (fun (what, live, sim) ->
+                    if live = sim then begin
+                      Printf.printf "parity: %s %d = sim %d\n" what live sim;
+                      None
+                    end
+                    else Some (Printf.sprintf "%s: live %d, sim %d" what live sim))
+                  counters
         in
         List.iter (fun e -> Printf.printf "parity MISMATCH: %s\n" e) parity_errors;
         Option.iter
@@ -1400,13 +1389,7 @@ let cluster_cmd =
                      else Jsonout.Bool o.Cluster.wal_parity );
                  ]))
           json;
-        let history_bad =
-          match o.Cluster.verdict with
-          | Checker.Consistent -> false
-          | Checker.Inconsistent -> true
-          | Checker.Undecidable _ -> o.Cluster.history_checked
-        in
-        if history_bad || Result.is_error o.Cluster.finals then exit 2;
+        if not (Cluster.accepted o) then exit 2;
         if parity_errors <> [] || (o.Cluster.durable && not o.Cluster.wal_parity)
         then exit 3
   in

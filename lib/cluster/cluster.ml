@@ -326,3 +326,24 @@ let sim_baseline ?chaos ?(session = false) ~n ~protocol ~workload ~seed () =
       in
       let history = Runner.run memory ~programs:spec.Workload_spec.programs in
       Ok { history; metrics = memory.Memory.metrics () }
+
+let accepted o =
+  (match o.verdict with
+  | Checker.Consistent -> true
+  | Checker.Inconsistent -> false
+  | Checker.Undecidable _ -> not o.history_checked)
+  && Result.is_ok o.finals
+
+let sim_parity ~protocol o =
+  match
+    sim_baseline ~n:o.n ~protocol ~workload:o.workload ~seed:o.seed ()
+  with
+  | Error _ as e -> e
+  | Ok b ->
+      let m = b.metrics in
+      Ok
+        [
+          ("messages", o.messages_sent, m.Memory.messages_sent);
+          ("control bytes", o.control_bytes, m.Memory.control_bytes);
+          ("payload bytes", o.payload_bytes, m.Memory.payload_bytes);
+        ]

@@ -130,3 +130,18 @@ val sim_baseline :
     matches a live node (backend → chaos → session → protocol), making a
     plan's simulator run bit-reproducible: same plan, same seed, same
     history and stats every time. *)
+
+val accepted : outcome -> bool
+(** The run's acceptance: the verdict is consistent, or undecidable on a
+    non-differentiated history, and the workload's finals check passes.
+    WAL digest parity is judged apart ([wal_parity]). *)
+
+val sim_parity :
+  protocol:Repro_core.Registry.spec ->
+  outcome ->
+  ((string * int * int) list, string) result
+(** [(counter, live, sim)] for messages, control bytes and payload bytes:
+    the outcome's totals against the fault-free {!sim_baseline} of the
+    same [(protocol, workload, n, seed)]; [protocol] is the spec the run
+    used.  Parity holds when every pair is equal.  [Error] when the
+    baseline fails to run. *)

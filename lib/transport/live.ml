@@ -733,8 +733,7 @@ let current_epoch t = t.cur_epoch
 let stale_epochs t = t.stale_epochs
 
 (* Data bodies: 4-byte send timestamp, then the codec-encoded message,
-   parsed in place on receive.  Without a codec (tests, arbitrary message
-   types) the body is the marshalled pair. *)
+   parsed in place on receive. *)
 let send_time_bytes = 4
 
 let oracle_env () =
@@ -751,6 +750,11 @@ let factory t =
           invalid_arg
             (Printf.sprintf "Live.factory: protocol wants %d nodes, cluster has %d"
                n t.cfg.n);
+        let c =
+          match codec with
+          | Some c -> c
+          | None -> invalid_arg "Live.factory: the protocol has no message codec"
+        in
         t.factory_used <- true;
         let self = t.cfg.self in
         let handler : (msg Net.envelope -> unit) ref = ref (fun _ -> ()) in
@@ -766,21 +770,15 @@ let factory t =
         t.on_data_view <-
           (fun v ->
             let send_time, msg =
-              match codec with
-              | Some c -> (
-                  let limit = v.Wire.v_off + v.Wire.v_len in
-                  match
-                    let st, pos = Codec.get_i32 v.Wire.v_buf v.Wire.v_off limit in
-                    let m, pos = c.Codec.parse v.Wire.v_buf pos limit in
-                    if pos <> limit then raise (Codec.Bad "trailing bytes");
-                    (st, m)
-                  with
-                  | r -> r
-                  | exception Codec.Bad e ->
-                      failwith ("live: corrupt data body: " ^ e))
-              | None ->
-                  let (st, (m : msg)) = Marshal.from_string (Wire.view_body v) 0 in
-                  (st, m)
+              let limit = v.Wire.v_off + v.Wire.v_len in
+              match
+                let st, pos = Codec.get_i32 v.Wire.v_buf v.Wire.v_off limit in
+                let m, pos = c.Codec.parse v.Wire.v_buf pos limit in
+                if pos <> limit then raise (Codec.Bad "trailing bytes");
+                (st, m)
+              with
+              | r -> r
+              | exception Codec.Bad e -> failwith ("live: corrupt data body: " ^ e)
             in
             deliver
               {
@@ -819,80 +817,51 @@ let factory t =
                        payload_bytes;
                        msg;
                      });
-              match codec with
-              | Some c ->
-                  if dst = self then begin
-                    (* self-sends take the timer queue, like the simulator:
-                       no synchronous shortcut past messages in flight —
-                       and with a codec, no serialization either *)
+              if dst = self then begin
+                (* self-sends take the timer queue, like the simulator:
+                   no synchronous shortcut past messages in flight, and
+                   no serialization either *)
+                t.activity <- t.activity + 1;
+                add_timer t ~delay:0 (fun () ->
                     t.activity <- t.activity + 1;
-                    add_timer t ~delay:0 (fun () ->
-                        t.activity <- t.activity + 1;
-                        deliver
-                          {
-                            src;
-                            dst;
-                            send_time = now;
-                            deliver_time = now_ms t;
-                            control_bytes;
-                            payload_bytes;
-                            msg;
-                          })
-                  end
-                  else begin
-                    let body_len = send_time_bytes + c.Codec.size msg in
-                    let total = Wire.body_offset + body_len in
-                    let buf = Wire.Pool.acquire t.pool total in
-                    Wire.set_header buf ~kind:Wire.Data ~src ~dst
-                      ~epoch:t.cur_epoch ~control_bytes ~payload_bytes ~body_len;
-                    let off = Codec.put_i32 buf Wire.body_offset now in
-                    let off = c.Codec.emit buf off msg in
-                    if off <> total then
-                      invalid_arg "live: codec emit size mismatch";
-                    if oracle then begin
-                      (* REPRO_CODEC_ORACLE: decode what we just encoded and
-                         compare against the original, structurally *)
-                      let m', p =
-                        c.Codec.parse buf (Wire.body_offset + send_time_bytes)
-                          total
-                      in
-                      if
-                        p <> total
-                        || not
-                             (String.equal
-                                (Marshal.to_string msg [])
-                                (Marshal.to_string m' []))
-                      then failwith "live: codec oracle mismatch"
-                    end;
-                    enqueue_peer t dst buf total
-                  end
-              | None ->
-                  let body = Marshal.to_string (now, msg) [] in
-                  if dst = self then begin
-                    t.activity <- t.activity + 1;
-                    add_timer t ~delay:0 (fun () ->
-                        t.activity <- t.activity + 1;
-                        let (st, (m : msg)) = Marshal.from_string body 0 in
-                        deliver
-                          {
-                            src;
-                            dst;
-                            send_time = st;
-                            deliver_time = now_ms t;
-                            control_bytes;
-                            payload_bytes;
-                            msg = m;
-                          })
-                  end
-                  else begin
-                    let body_len = String.length body in
-                    let total = Wire.body_offset + body_len in
-                    let buf = Wire.Pool.acquire t.pool total in
-                    Wire.set_header buf ~kind:Wire.Data ~src ~dst
-                      ~epoch:t.cur_epoch ~control_bytes ~payload_bytes ~body_len;
-                    Bytes.blit_string body 0 buf Wire.body_offset body_len;
-                    enqueue_peer t dst buf total
-                  end);
+                    deliver
+                      {
+                        src;
+                        dst;
+                        send_time = now;
+                        deliver_time = now_ms t;
+                        control_bytes;
+                        payload_bytes;
+                        msg;
+                      })
+              end
+              else begin
+                let body_len = send_time_bytes + c.Codec.size msg in
+                let total = Wire.body_offset + body_len in
+                let buf = Wire.Pool.acquire t.pool total in
+                Wire.set_header buf ~kind:Wire.Data ~src ~dst
+                  ~epoch:t.cur_epoch ~control_bytes ~payload_bytes ~body_len;
+                let off = Codec.put_i32 buf Wire.body_offset now in
+                let off = c.Codec.emit buf off msg in
+                if off <> total then
+                  invalid_arg "live: codec emit size mismatch";
+                if oracle then begin
+                  (* REPRO_CODEC_ORACLE: decode what we just encoded and
+                     compare against the original, structurally *)
+                  let m', p =
+                    c.Codec.parse buf (Wire.body_offset + send_time_bytes)
+                      total
+                  in
+                  if
+                    p <> total
+                    || not
+                         (String.equal
+                            (Marshal.to_string msg [])
+                            (Marshal.to_string m' []))
+                  then failwith "live: codec oracle mismatch"
+                end;
+                enqueue_peer t dst buf total
+              end);
           set_handler = (fun node f -> if node = self then handler := f);
           schedule = (fun ~delay f -> add_timer t ~delay f);
           step = (fun () -> step t ~block:true);

@@ -22,16 +22,15 @@
     numbers the simulator would — encoding overhead never leaks into
     the accounting.
 
-    {b Hot path.}  With a message codec (see {!Transport.factory}), a
-    send emits its body straight into a pooled frame buffer (4-byte send
+    {b Hot path.}  With the protocol's message codec (see
+    {!Transport.factory}), a send emits its body straight into a pooled frame buffer (4-byte send
     timestamp + codec image; zero per-message allocation at steady
     state), frames queue per destination link, and each event-loop turn
     flushes a whole link in one [writev(2)] — with partial-write
     resumption and EINTR retry — before recycling the buffers.  Receives
     parse message bodies in place out of the streaming decoder
     ({!Wire.next_view}).  The poll set is persistent: the fd list fed to
-    [select] changes only on accept/close, not per iteration.  Without a
-    codec, bodies fall back to [Marshal] (still pooled and batched). *)
+    [select] changes only on accept/close, not per iteration. *)
 
 type config = {
   self : int;  (** this process's node id, [0 <= self < n] *)
@@ -84,9 +83,10 @@ val factory : t -> Transport.factory
     The resulting transport has [scope = Node self]; its [send] refuses
     [src <> self] and its [set_handler] ignores installs for other nodes
     (whole-instance protocols install all [n] — only ours is live).
-    A codec passed through the factory replaces [Marshal] for [Data]
-    bodies; [REPRO_CODEC_ORACLE=1] additionally cross-checks every
-    encoded body against a decode of itself (tests). *)
+    [Data] bodies are encoded with the codec passed through the factory;
+    [create] without one raises [Invalid_argument].
+    [REPRO_CODEC_ORACLE=1] additionally cross-checks every encoded body
+    against a decode of itself (tests). *)
 
 val wait_peers : t -> timeout_ms:int -> unit
 (** Dial every peer, send [Hello], and pump until every peer's [Hello] has

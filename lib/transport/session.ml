@@ -51,7 +51,7 @@ type control = {
 }
 
 (* What [snapshot] marshals: plain data only (window messages are protocol
-   messages, which are marshal-safe by the live backend's own contract). *)
+   messages, plain data that every live protocol's codec also encodes). *)
 type 'msg state =
   int array array
   * (int * int * int * 'msg) list array array

@@ -56,10 +56,10 @@ type factory = { create : 'msg. ?codec:'msg Codec.t -> int -> 'msg t }
     [n]-node instance.  Polymorphic in the protocol's message type so
     one factory value can build any registered protocol.  The optional
     {!Codec.t} is the protocol's strict binary message codec: the live
-    backend uses it to encode frame bodies in place (falling back to
-    [Marshal] when absent — tests and codec-less message types), wrappers
-    ({!Session}, {!Chaos}) thread it through, and the simulator ignores
-    it — sim behaviour is byte-identical with or without one. *)
+    backend encodes frame bodies in place with it and refuses to build
+    without one, wrappers ({!Session}, {!Chaos}) thread it through, and
+    the simulator ignores it — sim behaviour is byte-identical with or
+    without one. *)
 
 val of_net : 'msg Net.t -> 'msg t
 (** View an existing simulator network as a transport. *)

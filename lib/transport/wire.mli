@@ -22,8 +22,7 @@
     accounting sizes — the same numbers a protocol hands to
     {!Repro_msgpass.Net.send} — so the live backend counts exactly what the
     simulator counts, independent of the encoded body size.  [Data]
-    bodies hold a protocol message (codec-encoded, or marshalled when the
-    protocol has no codec); [Hello] bodies hold the cluster
+    bodies hold a codec-encoded protocol message; [Hello] bodies hold the cluster
     fingerprint (protocol, workload, size, seed) so mismatched daemons
     fail loudly instead of decoding garbage.  [Creq]/[Cresp] frames carry
     the client front door's RPC bodies ({!Rpc}).  Client ids live in

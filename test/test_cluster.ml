@@ -57,7 +57,13 @@ let test_e1_pram_partial () =
   | Checker.Inconsistent -> Alcotest.fail "live history violates PRAM"
   | Checker.Undecidable _ -> Alcotest.fail "e1 history should be differentiated");
   check Alcotest.int "one slice per node" 3 (History.n_procs o.Cluster.history);
-  assert_parity o ~protocol:"pram-partial" ~workload:"e1"
+  assert_parity o ~protocol:"pram-partial" ~workload:"e1";
+  check Alcotest.bool "Cluster.accepted" true (Cluster.accepted o);
+  match Cluster.sim_parity ~protocol:(spec_of "pram-partial") o with
+  | Error msg -> Alcotest.failf "sim_parity: %s" msg
+  | Ok counters ->
+      check Alcotest.int "three counters" 3 (List.length counters);
+      List.iter (fun (what, live, sim) -> check Alcotest.int what sim live) counters
 
 let test_e1_causal_partial () =
   let o = run_ok ~n:3 ~protocol:"causal-partial" ~workload:"e1" ~seed:7 () in

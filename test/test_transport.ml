@@ -566,6 +566,43 @@ let test_epoch_fence () =
       check Alcotest.bool "peer exited cleanly" true
         (status = Unix.WEXITED 0)
 
+(* The live backend encodes every [Data] body with the protocol's codec: a
+   codec-less [create] is refused, and every non-blocking registry protocol
+   (the ones a live node runs) brings its codec to a fresh factory.  No
+   peer is dialled, so nothing crosses a socket. *)
+let test_live_factory_needs_codec () =
+  let live () =
+    let fd = Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
+    Live.create
+      {
+        Live.self = 0;
+        n = 4;
+        peers = Array.make 4 (Live.listen_addr fd);
+        fingerprint = "codec-test";
+        resilient = false;
+        incarnation = 0;
+        connect_timeout_ms = 0;
+      }
+      ~listen_fd:fd
+  in
+  let t = live () in
+  (match ((Live.factory t).Transport.create 4 : unit Transport.t) with
+  | _ -> Alcotest.fail "codec-less Live transport built"
+  | exception Invalid_argument _ -> ());
+  Live.close t;
+  List.iter
+    (fun (spec : Registry.spec) ->
+      if not spec.Registry.blocking then begin
+        let t = live () in
+        ignore
+          (spec.Registry.make ~transport:(Live.factory t)
+             ~dist:(Distribution.full ~n_procs:4 ~n_vars:2)
+             ~seed:1 ()
+            : Memory.t);
+        Live.close t
+      end)
+    Registry.all
+
 let () =
   Alcotest.run "repro_transport"
     [
@@ -606,7 +643,11 @@ let () =
             test_sim_factory_equivalence;
         ] );
       ( "live",
-        [ Alcotest.test_case "epoch fence at the seam" `Quick test_epoch_fence ] );
+        [
+          Alcotest.test_case "epoch fence at the seam" `Quick test_epoch_fence;
+          Alcotest.test_case "factory requires a codec" `Quick
+            test_live_factory_needs_codec;
+        ] );
       ( "session",
         [
           test_session_exactly_once_in_order;
