@@ -4,9 +4,10 @@
    the library's hot paths, and a sequential-vs-parallel consistency-checker
    comparison group on the E1-scaling workload.
 
-   Every tier reports through Bench_record: tables of rows plus named
-   gates, one printer, one JSON schema (repro-bench/2), exit 2 when a gate
-   failed.
+   Every tier reports through Repro_util.Record: tables of rows plus
+   named gates, one printer, one JSON schema (repro-bench/2); bench exits
+   2 when a gate failed.  The live tiers' rows are the library's own
+   per-outcome reports (Cluster, Reconfig, Harness) merged across reps.
 
    Usage:
      dune exec bench/main.exe                      # tables + timings
@@ -39,12 +40,22 @@ module Cluster = Repro_cluster.Cluster
 module Wal = Repro_durable.Wal
 module Fsio = Repro_durable.Fsio
 module Rng = Repro_util.Rng
-module Table = Repro_util.Table
 module Pool = Repro_util.Pool
 
-open Bench_record
+open Repro_util.Record
 
 let seed = 20_240_601
+
+(* print the record, write it when --json was given, exit 2 when any gate
+   failed *)
+let report ?target t =
+  print ?target t;
+  Option.iter (fun target -> write target t) target;
+  match failed t with
+  | [] -> ()
+  | failed ->
+      List.iter (fun g -> Printf.eprintf "%s tier FAILED: %s\n" t.tier g.gate) failed;
+      exit 2
 
 let spec_of name =
   match Registry.find name with
@@ -441,7 +452,7 @@ let bechamel_record ~tier ~gates rows =
   in
   {
     tier;
-    params = [ ("seed", seed); ("jobs", Pool.default_jobs ()) ];
+    params = [ int_param "seed" seed; int_param "jobs" (Pool.default_jobs ()) ];
     tables =
       {
         title = "Bechamel timings (monotonic clock, OLS per run)";
@@ -486,68 +497,65 @@ let cluster_cases =
     ("pram-partial", "bellman-ford", 5);
   ]
 
-(* [cluster_reps] live runs, rep i at seed + i, each with its harness wall
-   clock in ms *)
-let run_cluster_reps ~what ~n ~protocol ~workload ?chaos ?session () =
-  List.init cluster_reps (fun rep ->
-      let t0 = Unix.gettimeofday () in
-      match
-        Cluster.run ~n ~protocol ~workload ~seed:(seed + rep) ?chaos ?session ()
-      with
-      | Error msg -> failwith (Printf.sprintf "%s: %s" what msg)
-      | Ok o -> (o, (Unix.gettimeofday () -. t0) *. 1e3))
-
-let wall_metrics outcomes =
-  [
-    ints "node_wall" "ms"
-      (List.map (fun ((o : Cluster.outcome), _) -> o.Cluster.wall_ms) outcomes);
-    nums "harness_wall" "ms" (List.map snd outcomes);
-  ]
-
-let parity_gate ~protocol case outcomes =
-  gate (case ^ ": sim parity")
-    (List.for_all
-       (fun (o, _) ->
-         match Cluster.sim_parity ~protocol o with
-         | Error msg -> failwith msg
-         | Ok counters -> List.for_all (fun (_, live, sim) -> live = sim) counters)
-       outcomes)
+(* One row and its gates from [cluster_reps] live runs of one case, rep i
+   at seed + i: Cluster's summary of every rep merged in rep order, with
+   the parent's fork-to-join wall clock beside it, then [extra].  Each of
+   Cluster's gates (and sim parity, when asked) is named after the case
+   and must hold on every rep. *)
+let live_case ~case ~n ~protocol ~workload ~parity ?chaos ?session extra =
+  let outcomes =
+    List.init cluster_reps (fun rep ->
+        let t0 = Unix.gettimeofday () in
+        match
+          Cluster.run ~n ~protocol ~workload ~seed:(seed + rep) ?chaos ?session ()
+        with
+        | Error msg -> failwith (Printf.sprintf "%s: %s" case msg)
+        | Ok o -> (o, (Unix.gettimeofday () -. t0) *. 1e3))
+  in
+  let row =
+    merge case
+      (List.map
+         (fun (o, harness_ms) ->
+           Cluster.summary o @ [ nums "harness_wall" "ms" [ harness_ms ] ])
+         outcomes)
+  in
+  let every_rep name holds =
+    gate (case ^ ": " ^ name) (List.for_all (fun (o, _) -> holds o) outcomes)
+  in
+  let sim_parity o =
+    match Cluster.sim_parity ~protocol o with
+    | Error msg -> failwith msg
+    | Ok counters -> List.for_all (fun (_, live, sim) -> live = sim) counters
+  in
+  ( { row with metrics = row.metrics @ extra },
+    (if parity then [ every_rep "sim parity" sim_parity ] else [])
+    @ List.map
+        (fun g ->
+          every_rep g.gate (fun o ->
+              List.exists (fun h -> h.gate = g.gate && h.ok) (Cluster.gates o)))
+        (Cluster.gates (fst (List.hd outcomes))) )
 
 let run_cluster_case (protocol_name, workload, n) =
   let protocol = spec_of protocol_name in
-  let case = Printf.sprintf "%s %s n=%d" protocol_name workload n in
-  let outcomes = run_cluster_reps ~what:("cluster " ^ case) ~n ~protocol ~workload () in
-  let o0, _ = List.hd outcomes in
   let t0 = Unix.gettimeofday () in
   (match Cluster.sim_baseline ~n ~protocol ~workload ~seed () with
   | Error msg -> failwith msg
   | Ok _ -> ());
   let sim_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  ( {
-      case;
-      metrics =
-        wall_metrics outcomes
-        @ [
-            nums "sim_wall" "ms" [ sim_ms ];
-            ints "messages" "count" [ o0.Cluster.messages_sent ];
-            ints "control_bytes" "B" [ o0.Cluster.control_bytes ];
-            ints "payload_bytes" "B" [ o0.Cluster.payload_bytes ];
-          ];
-    },
+  live_case
+    ~case:(Printf.sprintf "%s %s n=%d" protocol_name workload n)
+    ~n ~protocol ~workload
     (* Bellman-Ford's per-round rewrites make its send count depend on
        convergence timing; only E1's fan-out is timing-independent. *)
-    (if workload = "bellman-ford" then [] else [ parity_gate ~protocol case outcomes ])
-    @ [
-        gate (case ^ ": accepted")
-          (List.for_all (fun (o, _) -> Cluster.accepted o) outcomes);
-      ] )
+    ~parity:(workload <> "bellman-ford")
+    [ nums "sim_wall" "ms" [ sim_ms ] ]
 
 let run_cluster_benchmarks ?target () =
   let rows, gates = List.split (List.map run_cluster_case cluster_cases) in
   report ?target
     {
       tier = "cluster";
-      params = [ ("seed", seed); ("reps", cluster_reps) ];
+      params = [ int_param "seed" seed; int_param "reps" cluster_reps ];
       tables =
         [ { title = "Live cluster tier (wall clock, forked loopback nodes)"; rows } ];
       gates = List.concat gates;
@@ -563,9 +571,9 @@ let run_cluster_benchmarks ?target () =
    the plain row).  Every row re-asserts the accounting invariant that the
    paper's numbers survive chaos: protocol-level message/byte totals equal
    the fault-free simulator baseline exactly, with the repair traffic
-   summed apart in overhead_bytes.  A row is accepted only when, besides
-   the verdict and finals, every respawned node replayed its frozen WAL to
-   the same digest. *)
+   summed apart in overhead_bytes.  Besides the verdict and finals, a row
+   whose nodes ran a WAL gates on every respawned node replaying its
+   frozen WAL to the same digest. *)
 
 let chaos_cases =
   [
@@ -578,7 +586,6 @@ let chaos_cases =
   ]
 
 let run_chaos_case (label, plan_text, session) =
-  let protocol = spec_of "pram-partial" in
   let chaos =
     Option.map
       (fun t ->
@@ -587,39 +594,16 @@ let run_chaos_case (label, plan_text, session) =
         | Error msg -> failwith (Printf.sprintf "plan %S: %s" t msg))
       plan_text
   in
-  let outcomes =
-    run_cluster_reps ~what:("chaos " ^ label) ~n:3 ~protocol ~workload:"e1" ?chaos
-      ~session ()
-  in
-  let o0, _ = List.hd outcomes in
-  let per f = List.map (fun ((o : Cluster.outcome), _) -> f o) outcomes in
-  ( {
-      case = label;
-      metrics =
-        wall_metrics outcomes
-        @ [
-            ints "messages" "count" [ o0.Cluster.messages_sent ];
-            ints "control_bytes" "B" [ o0.Cluster.control_bytes ];
-            ints "overhead_bytes" "B" (per (fun o -> o.Cluster.overhead_bytes));
-            ints "retransmits" "count" (per (fun o -> o.Cluster.retransmits));
-            ints "restarts" "count" (per (fun o -> o.Cluster.restarts));
-            text "plan" o0.Cluster.chaos;
-          ];
-    },
-    [
-      parity_gate ~protocol label outcomes;
-      gate (label ^ ": accepted")
-        (List.for_all
-           (fun (o, _) -> Cluster.accepted o && o.Cluster.wal_parity)
-           outcomes);
-    ] )
+  live_case ~case:label ~n:3 ~protocol:(spec_of "pram-partial") ~workload:"e1"
+    ~parity:true ?chaos ~session
+    [ text "plan" (Option.fold ~none:"" ~some:Fault.Plan.to_string chaos) ]
 
 let run_chaos_benchmarks ?target () =
   let rows, gates = List.split (List.map run_chaos_case chaos_cases) in
   report ?target
     {
       tier = "chaos";
-      params = [ ("seed", seed); ("reps", cluster_reps) ];
+      params = [ int_param "seed" seed; int_param "reps" cluster_reps ];
       tables =
         [
           {
@@ -659,7 +643,6 @@ let run_chaos_benchmarks ?target () =
 
 module Load = Repro_loadgen.Harness
 module Mix = Repro_loadgen.Mix
-module Stats = Repro_util.Stats
 
 let load_reps = 3
 
@@ -689,25 +672,11 @@ let bytes_per_op (r : Load.result) =
   float_of_int (r.Load.control_bytes + r.Load.payload_bytes)
   /. float_of_int (Stdlib.max 1 r.Load.completed_ops)
 
-let load_metrics results =
-  let per f = List.map f results in
-  let pct p =
-    per (fun (r : Load.result) ->
-        if Stats.count r.Load.lat_us = 0 then 0.0
-        else Stats.percentile r.Load.lat_us p)
-  in
-  [
-    nums "ops_per_sec" "1/s" (per (fun r -> r.Load.ops_per_sec));
-    nums "ops_per_node_cpu_s" "1/s" (per (fun r -> r.Load.ops_per_node_cpu_s));
-    nums "protocol_bytes_per_op" "B" (per bytes_per_op);
-    nums "lat_p50" "us" (pct 50.0);
-    nums "lat_p95" "us" (pct 95.0);
-    nums "lat_p99" "us" (pct 99.0);
-    ints "completed_ops" "count" (per (fun r -> r.Load.completed_ops));
-    ints "failed_ops" "count" (per (fun r -> r.Load.failed_ops));
-    ints "frames" "count" (per (fun r -> r.Load.frames_sent));
-    ints "overhead_bytes" "B" (per (fun r -> r.Load.overhead_bytes));
-  ]
+(* one row per case: a Harness report of every rep, merged in rep order *)
+let load_row case results metrics = merge case (List.map metrics results)
+
+let latency_all (r : Load.result) =
+  (List.find (fun row -> row.case = "all") (Load.latency r).rows).metrics
 
 let protocol_lane (r : Load.result) =
   (r.Load.messages_sent, r.Load.control_bytes, r.Load.payload_bytes)
@@ -805,33 +774,27 @@ let run_load_benchmarks ?target () =
         else [])
       node_counts
   in
-  let lane r =
-    let m, c, p = protocol_lane r in
-    [
-      ints "messages" "count" [ m ];
-      ints "control_bytes" "B" [ c ];
-      ints "payload_bytes" "B" [ p ];
-    ]
+  let curve_table title metrics =
+    {
+      title;
+      rows =
+        List.map
+          (fun ((protocol, n), results) ->
+            load_row (Printf.sprintf "%s n=%d" protocol n) results metrics)
+          curve;
+    }
   in
   report ?target
     {
       tier = "load";
-      params = [ ("seed", seed); ("reps", load_reps) ];
+      params = [ int_param "seed" seed; int_param "reps" load_reps ];
       tables =
         [
-          {
-            title =
-              "Load tier (open loop, read-heavy, fixed-work 3s drain plans, 3 \
-               reps)";
-            rows =
-              List.map
-                (fun ((protocol, n), results) ->
-                  {
-                    case = Printf.sprintf "%s n=%d" protocol n;
-                    metrics = load_metrics results;
-                  })
-                curve;
-          };
+          curve_table
+            "Load tier (open loop, read-heavy, fixed-work 3s drain plans, 3 reps)"
+            (fun r -> Load.summary r @ [ nums "protocol_bytes_per_op" "B" [ bytes_per_op r ] ]);
+          curve_table "Load tier latency, all ops" latency_all;
+          curve_table "Load tier byte lanes" Load.lanes;
           {
             title =
               "Paired CPU-throughput ratio pram-partial/causal-full (rep i: \
@@ -849,8 +812,8 @@ let run_load_benchmarks ?target () =
             title = "Coalescing (pram-partial, n=3, write-heavy, drain plan)";
             rows =
               [
-                { case = "coalesce 16"; metrics = load_metrics [ on ] @ lane on };
-                { case = "coalesce 1"; metrics = load_metrics [ off ] @ lane off };
+                load_row "coalesce 16" [ on ] Load.lanes;
+                load_row "coalesce 1" [ off ] Load.lanes;
               ];
           };
         ];
@@ -926,7 +889,7 @@ let run_hotpath_benchmarks ?target () =
   report ?target
     {
       tier = "hotpath";
-      params = [ ("iters", hotpath_iters); ("warmup", hotpath_warmup) ];
+      params = [ int_param "iters" hotpath_iters; int_param "warmup" hotpath_warmup ];
       tables =
         [
           {
@@ -1100,9 +1063,9 @@ let run_durable_benchmarks ?target () =
           tier = "durable";
           params =
             [
-              ("seed", seed);
-              ("appends", durable_appends);
-              ("payload_bytes", durable_payload_bytes);
+              int_param "seed" seed;
+              int_param "appends" durable_appends;
+              int_param "payload_bytes" durable_payload_bytes;
             ];
           tables =
             [
@@ -1160,12 +1123,8 @@ let reconfig_scenarios =
     ("join+leave+crash", "seed=7,join=4@250,leave=1@600,crash=0@5+300", true);
   ]
 
-let verdict_name = function
-  | Checker.Consistent -> "consistent"
-  | Checker.Inconsistent -> "VIOLATION"
-  | Checker.Undecidable _ -> "undecidable"
-
-(* (summary rows, event rows, gates, notes) of one scenario *)
+(* (summary rows, event rows, gates, notes) of one scenario: Reconfig's
+   reports, with the scenario's name on each event and gate *)
 let run_reconfig_scenario (name, plan_text, expect_restart) =
   match
     Result.bind (Fault.Plan.parse plan_text) (fun plan ->
@@ -1176,67 +1135,19 @@ let run_reconfig_scenario (name, plan_text, expect_restart) =
   | Error msg ->
       ([], [], [ gate (name ^ ": run completed") false ], [ name ^ ": " ^ msg ])
   | Ok o ->
-      let row =
-        {
-          case = name;
-          metrics =
-            [
-              ints "epoch" "count" [ o.Reconfig.committed_epoch ];
-              ints "rebalance" "ms"
-                [
-                  List.fold_left
-                    (fun acc e -> Stdlib.max acc e.Reconfig.ev_rebalance_ms)
-                    0 o.Reconfig.events;
-                ];
-              ints "moved" "count" [ o.Reconfig.keys_moved_total ];
-              ints "worst" "count" [ o.Reconfig.max_keys_moved ];
-              ints "gate" "count" [ o.Reconfig.moved_gate ];
-              ints "unavail" "ms" [ o.Reconfig.unavail_ms ];
-              ints "restarts" "count" [ o.Reconfig.restarts ];
-              ints "stale_epochs" "count" [ o.Reconfig.stale_epochs ];
-              ints "transfers" "count" [ o.Reconfig.transfers ];
-              ints "init_fallbacks" "count" [ o.Reconfig.init_fallbacks ];
-              text "cache" (verdict_name o.Reconfig.verdict);
-              text "pram" (verdict_name o.Reconfig.pram);
-              ints "wall" "ms" [ o.Reconfig.wall_ms ];
-              text "members"
-                (String.concat "," (List.map string_of_int o.Reconfig.members));
-              text "chaos" o.Reconfig.chaos;
-            ];
-        }
-      in
-      let events =
+      ( [ { case = name; metrics = Reconfig.summary o @ [ text "plan" o.Reconfig.chaos ] } ],
         List.map
-          (fun e ->
-            {
-              case = Printf.sprintf "%s epoch %d" name e.Reconfig.ev_epoch;
-              metrics =
-                [
-                  text "kind" e.Reconfig.ev_kind;
-                  ints "node" "id" [ e.Reconfig.ev_node ];
-                  ints "keys_moved" "count" [ e.Reconfig.ev_keys_moved ];
-                  ints "rebalance" "ms" [ e.Reconfig.ev_rebalance_ms ];
-                ];
-            })
-          o.Reconfig.events
-      in
-      let gates =
-        [
-          gate (name ^ ": cache consistent") (o.Reconfig.verdict = Checker.Consistent);
-          gate
-            (name ^ ": keys moved per change within the 2kK/n gate")
-            o.Reconfig.moved_ok;
-        ]
-        @
-        if expect_restart then
-          [
-            gate
-              (name ^ ": the scheduled mid-migration crash fired")
-              (o.Reconfig.restarts > 0);
-          ]
-        else []
-      in
-      ([ row ], events, gates, [])
+          (fun r -> { r with case = name ^ " " ^ r.case })
+          (Reconfig.events_table o).rows,
+        List.map (fun g -> { g with gate = name ^ ": " ^ g.gate }) (Reconfig.gates o)
+        @ (if expect_restart then
+             [
+               gate
+                 (name ^ ": the scheduled mid-migration crash fired")
+                 (o.Reconfig.restarts > 0);
+             ]
+           else []),
+        [] )
 
 let run_reconfig_benchmarks ?target () =
   let results = List.map run_reconfig_scenario reconfig_scenarios in
@@ -1246,12 +1157,12 @@ let run_reconfig_benchmarks ?target () =
       tier = "reconfig";
       params =
         [
-          ("nodes", reconfig_nodes);
-          ("k", reconfig_k);
-          ("vnodes", reconfig_vnodes);
-          ("vars", reconfig_vars);
-          ("writes", reconfig_writes);
-          ("seed", reconfig_seed);
+          int_param "nodes" reconfig_nodes;
+          int_param "k" reconfig_k;
+          int_param "vnodes" reconfig_vnodes;
+          int_param "vars" reconfig_vars;
+          int_param "writes" reconfig_writes;
+          int_param "seed" reconfig_seed;
         ];
       tables =
         [
@@ -1340,7 +1251,16 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let target = Option.map Bench_record.target !json in
+  let target =
+    Option.map
+      (fun path ->
+        match target path with
+        | Ok t -> t
+        | Error msg ->
+            prerr_endline ("bench: " ^ msg);
+            exit 1)
+      !json
+  in
   match !mode with
   | Tables_only -> print_tables ()
   | Sim_only ->

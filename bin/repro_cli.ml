@@ -43,7 +43,7 @@ module Table = Repro_util.Table
 module Bitset = Repro_util.Bitset
 module Rng = Repro_util.Rng
 module Pool = Repro_util.Pool
-module Jsonout = Repro_util.Jsonout
+module Record = Repro_util.Record
 
 open Cmdliner
 
@@ -193,10 +193,47 @@ let chaos_arg =
                  $(b,seed=5,drop=0.05,dup=0.01,crash=1\\@6+250). Clauses: \
                  $(b,seed=K), $(b,drop=P), $(b,dup=P), $(b,reorder=P), \
                  $(b,delay=D), $(b,link=S>D:drop=P:...), \
-                 $(b,part=T1..T2:A+B), $(b,crash=N\\@K+R); under \
-                 $(b,reconfig) also $(b,join=N\\@MS) and $(b,leave=N\\@MS) \
-                 membership events. The same plan reproduces identically on \
-                 the simulator and on live TCP.")
+                 $(b,part=T1..T2:A+B), $(b,crash=N\\@K+R), \
+                 $(b,dcrash=N:POINT\\@K+R), and the membership events \
+                 $(b,join=N\\@MS) and $(b,leave=N\\@MS). A command exits 1 \
+                 on a clause it does not apply: $(b,reconfig) applies only \
+                 crashes and membership events, the other commands no \
+                 membership events, and $(b,run) no $(b,dcrash). The same \
+                 plan reproduces identically on the simulator and on live \
+                 TCP.")
+
+(* a runtime rejects the plan clauses it does not apply instead of
+   parsing and then ignoring them *)
+let reject_clauses ~runtime kinds = function
+  | None -> ()
+  | Some plan -> (
+      match List.filter (fun k -> List.mem k kinds) (Fault.Plan.clauses plan) with
+      | [] -> ()
+      | k :: _ ->
+          Printf.eprintf "chaos plan: %s does not apply %s=\n" runtime k;
+          exit 1)
+
+(* [--json FILE|DIR] is resolved and probed before any run or fork, so an
+   unwritable path is a usage error, not a record lost after the run *)
+let json_arg =
+  Arg.(value & opt (some string) None
+       & info [ "json" ] ~docv:"FILE"
+           ~doc:"Write the run's record (schema repro-bench/2) to $(docv); a \
+                 directory auto-numbers it as BENCH_NNNN.json. Exit 1, \
+                 before anything runs, when $(docv) cannot be written.")
+
+let json_target = function
+  | None -> None
+  | Some path -> (
+      match Record.target path with
+      | Ok target -> Some target
+      | Error msg ->
+          prerr_endline ("repro: " ^ msg);
+          exit 1)
+
+let report ?target record =
+  Record.print ?target record;
+  Option.iter (fun t -> Record.write t record) target
 
 let session_arg =
   Arg.(value & flag
@@ -292,6 +329,7 @@ let protocol_arg =
 let run_cmd =
   let run spec dist seed ops read_ratio timed diagram chaos session jobs =
     apply_jobs jobs;
+    reject_clauses ~runtime:"the simulator" [ "join"; "leave"; "dcrash" ] chaos;
     let dist =
       if spec.Registry.requires_full_replication then
         Distribution.full ~n_procs:(Distribution.n_procs dist)
@@ -527,50 +565,46 @@ let bellman_ford_cmd =
 (* --- experiment --------------------------------------------------------------------- *)
 
 let experiment_cmd =
-  let table_json (t : Experiment.table) =
-    Jsonout.Obj
-      [
-        ("id", Jsonout.String t.Experiment.id);
-        ("title", Jsonout.String t.Experiment.title);
-        ( "header",
-          Jsonout.List (List.map (fun s -> Jsonout.String s) t.Experiment.header)
-        );
-        ( "rows",
-          Jsonout.List
-            (List.map
-               (fun row -> Jsonout.List (List.map (fun s -> Jsonout.String s) row))
-               t.Experiment.rows) );
-        ( "notes",
-          Jsonout.List (List.map (fun s -> Jsonout.String s) t.Experiment.notes)
-        );
-      ]
+  (* each cell a text metric named by its column; the first cell names the
+     row *)
+  let record seed tables =
+    let table (t : Experiment.table) =
+      let column i = Option.value (List.nth_opt t.header i) ~default:(string_of_int i) in
+      let row cells =
+        {
+          Record.case = (match cells with c :: _ -> c | [] -> "");
+          metrics = List.mapi (fun i cell -> Record.text (column i) cell) cells;
+        }
+      in
+      { Record.title = t.id ^ ": " ^ t.title; rows = List.map row t.rows }
+    in
+    {
+      Record.tier = "experiment";
+      params = [ Record.int_param "seed" seed ];
+      tables = List.map table tables;
+      gates = [];
+      notes =
+        List.concat_map
+          (fun (t : Experiment.table) -> List.map (( ^ ) (t.id ^ ": ")) t.notes)
+          tables;
+    }
   in
-  let emit json seed tables =
+  let emit target seed tables =
     List.iter
       (fun t ->
         print_string (Experiment.render t);
         print_newline ())
       tables;
-    match json with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Jsonout.to_channel oc
-              (Jsonout.Obj
-                 [
-                   ("schema", Jsonout.String "repro-experiments/1");
-                   ("seed", Jsonout.Int seed);
-                   ("tables", Jsonout.List (List.map table_json tables));
-                 ]));
-        Printf.printf "wrote %s\n" path
+    Option.iter (fun t -> Record.write t (record seed tables)) target
   in
   let run id seed jobs json =
     apply_jobs jobs;
+    let target = json_target json in
     match id with
-    | None -> emit json seed (Experiment.all ~seed ())
+    | None -> emit target seed (Experiment.all ~seed ())
     | Some id -> (
         match Experiment.find id with
-        | Some f -> emit json seed [ f ~seed () ]
+        | Some f -> emit target seed [ f ~seed () ]
         | None ->
             Printf.eprintf "unknown experiment %s (known: %s)\n" id
               (String.concat ", " Experiment.ids);
@@ -579,11 +613,6 @@ let experiment_cmd =
   let id_arg =
     Arg.(value & pos 0 (some string) None
          & info [] ~docv:"ID" ~doc:"Experiment id (E1, T1, A2, E2, A1, C1); all when omitted.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also dump the rendered tables as a JSON record to $(docv).")
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate an experiment table from DESIGN.md.")
@@ -622,26 +651,12 @@ let fsync_interval_arg =
 
 (* --- harness watchdog ---------------------------------------------------------- *)
 
-let connect_timeout_arg =
-  Arg.(value & opt (some int) None
-       & info [ "connect-timeout-ms" ] ~docv:"MS"
-           ~doc:"Cap each node's reconnection episodes: give up on a peer \
-                 that accepted no connection for $(docv) ms instead of \
-                 redialing until the run timeout (default: unbounded).")
-
-let drain_quiet_arg =
-  Arg.(value & opt (some int) None
-       & info [ "drain-quiet-ms" ] ~docv:"MS"
-           ~doc:"Quiet window after $(b,finish): a node closes once no \
-                 frame has arrived for $(docv) ms (default 300).")
-
 let deadline_arg =
   Arg.(value & opt (some int) None
        & info [ "deadline-ms" ] ~docv:"MS"
            ~doc:"Supervisor watchdog: a run still not finished after \
                  $(docv) ms is put down and reported as wedged — exit 4, \
-                 distinct from every acceptance failure (default: run \
-                 timeout + 30 s).")
+                 distinct from every acceptance failure (default 90 s).")
 
 (* a run the watchdog had to put down gets its own exit code, so CI can
    tell "hung harness" apart from "real acceptance failure" *)
@@ -654,11 +669,6 @@ let resolve_fsync_policy ~flag ~every ~interval ~fail =
   | Some k, None -> Some (Wal.Every k)
   | None, Some m -> Some (Wal.Interval_ms m)
   | None, None -> if flag then Some (Wal.Every 1) else None
-
-let verdict_text = function
-  | Checker.Consistent -> "consistent"
-  | Checker.Inconsistent -> "VIOLATION"
-  | Checker.Undecidable _ -> "undecidable"
 
 let sockaddr_of_spec spec =
   match String.rindex_opt spec ':' with
@@ -679,6 +689,12 @@ let sockaddr_of_spec spec =
           with Not_found | Invalid_argument _ ->
             Error (Printf.sprintf "%S: cannot resolve host" spec)))
 
+(* a history in the format [repro check] parses *)
+let write_history h path =
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (History.to_string h));
+  Printf.printf "wrote %s\n" path
+
 (* A node's recorded slice, printed in the format [repro check] parses:
    full process shape, with every other node's local history empty. *)
 let slice_history ~n ~node ops =
@@ -691,6 +707,7 @@ let serve_cmd =
   let run node nodes listen peers spec workload seed chaos session incarnation
       out wal fsync_every fsync_interval =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
+    reject_clauses ~runtime:"a static cluster node" [ "join"; "leave" ] chaos;
     let durable =
       match wal with
       | None ->
@@ -773,12 +790,7 @@ let serve_cmd =
               | Repro_history.Op.Val v -> string_of_int v))
           result.Cluster_node.finals;
         Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (History.to_string
-                     (slice_history ~n:nodes ~node result.Cluster_node.ops)));
-            Printf.printf "wrote %s\n" path)
+          (write_history (slice_history ~n:nodes ~node result.Cluster_node.ops))
           out
   in
   let node_arg =
@@ -1029,144 +1041,41 @@ let placement_cmd =
 (* --- live membership ------------------------------------------------------------ *)
 
 let reconfig_cmd =
-  let run nodes k vnodes vars seed writes write_period demote_after chaos
-      connect_timeout drain_quiet deadline wal_dir out_history json =
+  let run nodes k vnodes vars seed writes demote_after chaos deadline wal_dir
+      out_history json =
+    let target = json_target json in
     match
       Reconfig.run ~n:nodes ~k ~vnodes ~n_vars:vars ~seed ~writes
-        ~write_period_ms:write_period ~demote_after_ms:demote_after ?chaos
-        ?connect_timeout_ms:connect_timeout ?quiet_ms:drain_quiet
-        ?deadline_ms:deadline ?wal_dir ()
+        ~demote_after_ms:demote_after ?chaos ?deadline_ms:deadline ?wal_dir ()
     with
     | Error msg ->
         prerr_endline msg;
         exit (exit_of_harness_error msg)
     | Ok o ->
-        let members l =
-          "{" ^ String.concat "," (List.map string_of_int l) ^ "}"
-        in
-        Printf.printf "reconfig: %d nodes, k=%d, vnodes=%d, %d vars, seed %d%s\n"
-          o.Reconfig.n o.Reconfig.k o.Reconfig.vnodes o.Reconfig.n_vars
-          o.Reconfig.seed
-          (if o.Reconfig.chaos = "" then ""
-           else Printf.sprintf ", chaos [%s]" o.Reconfig.chaos);
-        if o.Reconfig.events <> [] then
-          Table.print
-            ~header:[ "epoch"; "event"; "node"; "members"; "moved"; "ms" ]
-            ~rows:
-              (List.map
-                 (fun e ->
-                   [
-                     string_of_int e.Reconfig.ev_epoch;
-                     e.Reconfig.ev_kind;
-                     string_of_int e.Reconfig.ev_node;
-                     members e.Reconfig.ev_members;
-                     string_of_int e.Reconfig.ev_keys_moved;
-                     string_of_int e.Reconfig.ev_rebalance_ms;
-                   ])
-                 o.Reconfig.events)
-            ();
-        Table.print
-          ~header:
-            [ "node"; "inc"; "ops"; "w"; "r"; "epoch"; "stale"; "in"; "out";
-              "retry"; "initfb"; "unavail"; "ms" ]
-          ~rows:
-            (Array.to_list o.Reconfig.node_results
-            |> List.map (fun r ->
-                   [
-                     string_of_int r.Member.node;
-                     string_of_int r.Member.incarnation;
-                     string_of_int (List.length r.Member.ops);
-                     string_of_int r.Member.writes_done;
-                     string_of_int r.Member.reads_done;
-                     string_of_int r.Member.committed_epoch;
-                     string_of_int r.Member.stale_epochs;
-                     string_of_int r.Member.transfers_in;
-                     string_of_int r.Member.transfers_out;
-                     string_of_int r.Member.retries;
-                     string_of_int r.Member.init_fallbacks;
-                     string_of_int r.Member.unavail_ms;
-                     string_of_int r.Member.wall_ms;
-                   ]))
-          ();
-        Printf.printf
-          "epoch %d committed, members %s; %d stale frame(s) fenced, %d \
-           restart(s), %d migration record(s) applied, %d init fallback(s)\n"
-          o.Reconfig.committed_epoch (members o.Reconfig.members)
-          o.Reconfig.stale_epochs o.Reconfig.restarts o.Reconfig.transfers
-          o.Reconfig.init_fallbacks;
-        if o.Reconfig.salvaged <> [] then
-          Printf.printf "ops salvaged from surviving WALs: %s\n"
-            (members o.Reconfig.salvaged);
-        Printf.printf
-          "keys moved: %d total, worst single change %d (gate 2kK/n = %d): \
-           %s\n"
-          o.Reconfig.keys_moved_total o.Reconfig.max_keys_moved
-          o.Reconfig.moved_gate
-          (if o.Reconfig.moved_ok then "ok" else "EXCEEDED");
-        Printf.printf "unavailability window: %d ms (worst node)\n"
-          o.Reconfig.unavail_ms;
-        Printf.printf "cache (advertised) across reconfiguration: %s\n"
-          (verdict_text o.Reconfig.verdict);
-        Printf.printf "pram (informational): %s\n"
-          (verdict_text o.Reconfig.pram);
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (History.to_string o.Reconfig.history));
-            Printf.printf "wrote %s\n" path)
-          out_history;
-        Option.iter
-          (fun path ->
-            let ints l = Jsonout.List (List.map (fun i -> Jsonout.Int i) l) in
-            Out_channel.with_open_text path @@ fun oc ->
-            Jsonout.to_channel oc
-              (Jsonout.Obj
-                 [
-                   ("schema", Jsonout.String "repro-reconfig/1");
-                   ("nodes", Jsonout.Int o.Reconfig.n);
-                   ("k", Jsonout.Int o.Reconfig.k);
-                   ("vnodes", Jsonout.Int o.Reconfig.vnodes);
-                   ("vars", Jsonout.Int o.Reconfig.n_vars);
-                   ("seed", Jsonout.Int o.Reconfig.seed);
-                   ("committed_epoch", Jsonout.Int o.Reconfig.committed_epoch);
-                   ("members", ints o.Reconfig.members);
-                   ( "events",
-                     Jsonout.List
-                       (List.map
-                          (fun e ->
-                            Jsonout.Obj
-                              [
-                                ("epoch", Jsonout.Int e.Reconfig.ev_epoch);
-                                ("kind", Jsonout.String e.Reconfig.ev_kind);
-                                ("node", Jsonout.Int e.Reconfig.ev_node);
-                                ("members", ints e.Reconfig.ev_members);
-                                ( "keys_moved",
-                                  Jsonout.Int e.Reconfig.ev_keys_moved );
-                                ( "rebalance_ms",
-                                  Jsonout.Int e.Reconfig.ev_rebalance_ms );
-                              ])
-                          o.Reconfig.events) );
-                   ( "verdict",
-                     Jsonout.String (verdict_text o.Reconfig.verdict) );
-                   ("pram", Jsonout.String (verdict_text o.Reconfig.pram));
-                   ("stale_epochs", Jsonout.Int o.Reconfig.stale_epochs);
-                   ("restarts", Jsonout.Int o.Reconfig.restarts);
-                   ("salvaged", ints o.Reconfig.salvaged);
-                   ("keys_moved_total", Jsonout.Int o.Reconfig.keys_moved_total);
-                   ("max_keys_moved", Jsonout.Int o.Reconfig.max_keys_moved);
-                   ("moved_gate", Jsonout.Int o.Reconfig.moved_gate);
-                   ("moved_ok", Jsonout.Bool o.Reconfig.moved_ok);
-                   ("unavail_ms", Jsonout.Int o.Reconfig.unavail_ms);
-                   ("transfers", Jsonout.Int o.Reconfig.transfers);
-                   ("init_fallbacks", Jsonout.Int o.Reconfig.init_fallbacks);
-                   ("writes", Jsonout.Int o.Reconfig.writes_total);
-                   ("reads", Jsonout.Int o.Reconfig.reads_total);
-                   ("chaos", Jsonout.String o.Reconfig.chaos);
-                   ("wall_ms", Jsonout.Int o.Reconfig.wall_ms);
-                 ]);
-            Printf.printf "wrote %s\n" path)
-          json;
+        report ?target
+          {
+            Record.tier = "reconfig";
+            params =
+              List.map
+                (fun (k, v) -> Record.int_param k v)
+                [
+                  ("nodes", o.Reconfig.n); ("k", o.Reconfig.k);
+                  ("vnodes", o.Reconfig.vnodes); ("vars", o.Reconfig.n_vars);
+                  ("seed", o.Reconfig.seed); ("writes", writes);
+                ];
+            tables =
+              [
+                Record.one_row "Reconfig run"
+                  (Printf.sprintf "%d nodes, k=%d" o.Reconfig.n o.Reconfig.k)
+                  (Reconfig.summary o);
+                Reconfig.events_table o;
+                Reconfig.nodes_table o;
+              ];
+            gates = Reconfig.gates o;
+            notes =
+              (if o.Reconfig.chaos = "" then [] else [ "chaos plan: " ^ o.Reconfig.chaos ]);
+          };
+        Option.iter (write_history o.Reconfig.history) out_history;
         if o.Reconfig.verdict <> Checker.Consistent then exit 2;
         if not o.Reconfig.moved_ok then exit 3
   in
@@ -1192,12 +1101,8 @@ let reconfig_cmd =
   let writes_arg =
     Arg.(value & opt int 40
          & info [ "writes" ] ~docv:"W"
-             ~doc:"Paced writes each process issues to its own variables.")
-  in
-  let write_period_arg =
-    Arg.(value & opt int 5
-         & info [ "write-period-ms" ] ~docv:"MS"
-             ~doc:"Pacing between a process's writes.")
+             ~doc:"Writes each process issues to its own variables, one \
+                   every 5 ms.")
   in
   let demote_after_arg =
     Arg.(value & opt int 2500
@@ -1219,10 +1124,6 @@ let reconfig_cmd =
              ~doc:"Write the assembled history (readable by $(b,repro \
                    check)).")
   in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write a JSON outcome record.")
-  in
   Cmd.v
     (Cmd.info "reconfig"
        ~doc:"Fork a live cluster whose ring membership changes while it \
@@ -1237,160 +1138,90 @@ let reconfig_cmd =
              when the $(b,--deadline-ms) watchdog had to put down a wedged \
              run.")
     Term.(const run $ nodes_arg $ k_arg $ vnodes_arg $ vars_arg $ seed_arg
-          $ writes_arg $ write_period_arg $ demote_after_arg $ chaos_arg
-          $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg $ wal_dir_arg
-          $ out_history_arg $ json_arg)
+          $ writes_arg $ demote_after_arg $ chaos_arg $ deadline_arg
+          $ wal_dir_arg $ out_history_arg $ json_arg)
 
 let cluster_cmd =
   let run nodes spec workload seed chaos session parity json out_history
-      durable_flag fsync_every fsync_interval wal_dir connect_timeout
-      drain_quiet deadline =
+      durable_flag fsync_every fsync_interval wal_dir deadline =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
     let durable =
       resolve_fsync_policy ~flag:(durable_flag || wal_dir <> None)
         ~every:fsync_every ~interval:fsync_interval
         ~fail:(fun s -> fail "%s" s)
     in
+    let target = json_target json in
     match
       Cluster.run ~n:nodes ~protocol:spec ~workload ~seed ?chaos ~session
-        ?durable ?wal_dir ?connect_timeout_ms:connect_timeout
-        ?quiet_ms:drain_quiet ?deadline_ms:deadline ()
+        ?durable ?wal_dir ?deadline_ms:deadline ()
     with
     | Error msg ->
         prerr_endline msg;
         exit (exit_of_harness_error msg)
     | Ok o ->
-        let verdict = verdict_text o.Cluster.verdict in
-        Printf.printf
-          "cluster: %d nodes, protocol %s, workload %s, seed %d%s\n"
-          o.Cluster.n o.Cluster.protocol o.Cluster.workload o.Cluster.seed
-          (if o.Cluster.chaos = "" then ""
-           else Printf.sprintf ", chaos [%s]" o.Cluster.chaos);
-        let chaotic = o.Cluster.session in
-        let rows =
-          Array.to_list o.Cluster.node_results
-          |> List.map (fun r ->
-                 let m = r.Cluster_node.metrics in
-                 let w = r.Cluster_node.wire in
-                 [
-                   string_of_int r.Cluster_node.node;
-                   string_of_int (List.length r.Cluster_node.ops);
-                   string_of_int m.Memory.messages_sent;
-                   string_of_int m.Memory.control_bytes;
-                   string_of_int m.Memory.payload_bytes;
-                   string_of_int r.Cluster_node.wall_ms;
-                 ]
-                 @ (if not chaotic then []
-                    else
-                      [
-                        string_of_int r.Cluster_node.incarnation;
-                        string_of_int w.Repro_msgpass.Net.dropped;
-                        string_of_int w.Repro_msgpass.Net.retransmits;
-                        string_of_int w.Repro_msgpass.Net.overhead_bytes;
-                      ])
-                 @ (if not o.Cluster.durable then []
-                    else
-                      match r.Cluster_node.wal_stats with
-                      | None -> [ "-"; "-"; "-" ]
-                      | Some s ->
-                          [
-                            string_of_int s.Wal.appends;
-                            string_of_int s.Wal.syncs;
-                            string_of_int s.Wal.rotations;
-                          ]))
+        let parity =
+          if parity then Some (Cluster.sim_parity ~protocol:spec o) else None
         in
-        Table.print
-          ~header:
-            ([ "node"; "ops"; "sent"; "ctl bytes"; "pay bytes"; "ms" ]
-            @ (if not chaotic then []
-               else [ "inc"; "drop"; "retr"; "ovh bytes" ])
-            @ if not o.Cluster.durable then [] else [ "wal"; "fsync"; "rot" ])
-          ~rows ();
-        if chaotic then
-          Printf.printf
-            "chaos: %d dropped, %d retransmits, %d dup suppressed, %d \
-             reconnects, %d restarts; overhead %d bytes (apart from the \
-             paper's control bytes)\n"
-            o.Cluster.dropped_frames o.Cluster.retransmits
-            o.Cluster.dups_suppressed o.Cluster.reconnects o.Cluster.restarts
-            o.Cluster.overhead_bytes;
-        if o.Cluster.durable then
-          Printf.printf "durable: WAL digest parity %s%s\n"
-            (if o.Cluster.wal_parity then "ok" else "MISMATCH")
-            (match o.Cluster.wal_dir with
-            | None -> ""
-            | Some d -> Printf.sprintf "; logs kept in %s" d);
-        Printf.printf "%s under %s: %s%s\n"
-          (Checker.criterion_name o.Cluster.criterion)
-          o.Cluster.protocol verdict
-          (if (not o.Cluster.history_checked) && o.Cluster.verdict <> Checker.Consistent
-           then " (non-differentiated history; acceptance is the finals check)"
-           else "");
-        (match o.Cluster.finals with
-        | Ok () -> ()
-        | Error msg -> Printf.printf "finals check FAILED: %s\n" msg);
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (History.to_string o.Cluster.history));
-            Printf.printf "wrote %s\n" path)
-          out_history;
-        let parity_errors =
-          if not parity then []
-          else
-            match Cluster.sim_parity ~protocol:spec o with
-            | Error msg -> [ Printf.sprintf "baseline failed: %s" msg ]
-            | Ok counters ->
-                List.filter_map
-                  (fun (what, live, sim) ->
-                    if live = sim then begin
-                      Printf.printf "parity: %s %d = sim %d\n" what live sim;
-                      None
-                    end
-                    else Some (Printf.sprintf "%s: live %d, sim %d" what live sim))
-                  counters
+        let parity_ok =
+          match parity with
+          | None -> true
+          | Some (Ok counters) ->
+              List.for_all (fun (_, live, sim) -> live = sim) counters
+          | Some (Error _) -> false
         in
-        List.iter (fun e -> Printf.printf "parity MISMATCH: %s\n" e) parity_errors;
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path @@ fun oc ->
-            Jsonout.to_channel oc
-              (Jsonout.Obj
-                 [
-                   ("schema", Jsonout.String "repro-cluster/1");
-                   ("protocol", Jsonout.String o.Cluster.protocol);
-                   ("workload", Jsonout.String o.Cluster.workload);
-                   ("nodes", Jsonout.Int o.Cluster.n);
-                   ("seed", Jsonout.Int o.Cluster.seed);
-                   ( "criterion",
-                     Jsonout.String (Checker.criterion_name o.Cluster.criterion)
-                   );
-                   ("verdict", Jsonout.String verdict);
-                   ( "finals_ok",
-                     Jsonout.Bool (Result.is_ok o.Cluster.finals) );
-                   ("messages_sent", Jsonout.Int o.Cluster.messages_sent);
-                   ("control_bytes", Jsonout.Int o.Cluster.control_bytes);
-                   ("payload_bytes", Jsonout.Int o.Cluster.payload_bytes);
-                   ("chaos", Jsonout.String o.Cluster.chaos);
-                   ("session", Jsonout.Bool o.Cluster.session);
-                   ("overhead_bytes", Jsonout.Int o.Cluster.overhead_bytes);
-                   ("retransmits", Jsonout.Int o.Cluster.retransmits);
-                   ("dups_suppressed", Jsonout.Int o.Cluster.dups_suppressed);
-                   ("dropped_frames", Jsonout.Int o.Cluster.dropped_frames);
-                   ("reconnects", Jsonout.Int o.Cluster.reconnects);
-                   ("restarts", Jsonout.Int o.Cluster.restarts);
-                   ("wall_ms", Jsonout.Int o.Cluster.wall_ms);
-                   ( "parity",
-                     if not parity then Jsonout.Null
-                     else Jsonout.Bool (parity_errors = []) );
-                   ("durable", Jsonout.Bool o.Cluster.durable);
-                   ( "wal_parity",
-                     if not o.Cluster.durable then Jsonout.Null
-                     else Jsonout.Bool o.Cluster.wal_parity );
-                 ]))
-          json;
+        let only cond x = if cond then [ x ] else [] in
+        report ?target
+          {
+            Record.tier = "cluster";
+            params =
+              Record.
+                [
+                  ("protocol", Text o.Cluster.protocol);
+                  ("workload", Text o.Cluster.workload);
+                  int_param "nodes" o.Cluster.n;
+                  int_param "seed" o.Cluster.seed;
+                  ("criterion", Text (Checker.criterion_name o.Cluster.criterion));
+                  int_param "session" (Bool.to_int o.Cluster.session);
+                  int_param "durable" (Bool.to_int o.Cluster.durable);
+                ];
+            tables =
+              Record.one_row "Cluster run"
+                (Printf.sprintf "%s %s n=%d" o.Cluster.protocol
+                   o.Cluster.workload o.Cluster.n)
+                (Cluster.summary o)
+              :: Cluster.nodes_table o
+              ::
+              (match parity with
+              | Some (Ok counters) ->
+                  let row (what, live, sim) =
+                    {
+                      Record.case = what;
+                      metrics = Record.[ ints "live" "" [ live ]; ints "sim" "" [ sim ] ];
+                    }
+                  in
+                  [ { Record.title = "Live vs sim"; rows = List.map row counters } ]
+              | _ -> []);
+            gates =
+              Cluster.gates o
+              @ only (parity <> None) (Record.gate "sim parity" parity_ok);
+            notes =
+              only (o.Cluster.chaos <> "") ("chaos plan: " ^ o.Cluster.chaos)
+              @ only
+                  ((not o.Cluster.history_checked)
+                  && o.Cluster.verdict <> Checker.Consistent)
+                  "non-differentiated history; acceptance is the finals check"
+              @ (match o.Cluster.finals with
+                | Ok () -> []
+                | Error msg -> [ "finals check FAILED: " ^ msg ])
+              @ (match parity with
+                | Some (Error msg) -> [ "sim baseline failed: " ^ msg ]
+                | _ -> [])
+              @ Option.to_list
+                  (Option.map (( ^ ) "WAL logs kept in ") o.Cluster.wal_dir);
+          };
+        Option.iter (write_history o.Cluster.history) out_history;
         if not (Cluster.accepted o) then exit 2;
-        if parity_errors <> [] || (o.Cluster.durable && not o.Cluster.wal_parity)
+        if (not parity_ok) || (o.Cluster.durable && not o.Cluster.wal_parity)
         then exit 3
   in
   let nodes_arg =
@@ -1402,10 +1233,6 @@ let cluster_cmd =
              ~doc:"Also run the same workload on the deterministic simulator \
                    and require identical message and declared-byte totals \
                    (exit 3 on mismatch).")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write a JSON outcome record.")
   in
   let out_history_arg =
     Arg.(value & opt (some string) None
@@ -1436,7 +1263,7 @@ let cluster_cmd =
     Term.(const run $ nodes_arg $ protocol_arg $ workload_arg $ seed_arg
           $ chaos_arg $ session_arg $ parity_arg $ json_arg $ out_history_arg
           $ durable_flag_arg $ fsync_every_arg $ fsync_interval_arg $ wal_dir_arg
-          $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg)
+          $ deadline_arg)
 
 (* --- open-loop load tier -------------------------------------------------------- *)
 
@@ -1455,23 +1282,42 @@ let load_cmd =
         drain_plan;
       }
     in
+    let target = json_target json in
     match Load_harness.run cfg with
     | Error msg ->
         prerr_endline msg;
         exit 1
     | Ok r ->
-        Format.printf "%a@." Load_harness.pp_result r;
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                Jsonout.to_channel oc
-                  (match Load_harness.json_of_result r with
-                  | Jsonout.Obj fields ->
-                      Jsonout.Obj
-                        (("schema", Jsonout.String "repro-load/1") :: fields)
-                  | j -> j));
-            Printf.printf "wrote %s\n" path)
-          json;
+        let case =
+          Printf.sprintf "%s n=%d" r.Load_harness.protocol r.Load_harness.n
+        in
+        report ?target
+          {
+            Record.tier = "load";
+            params =
+              Record.
+                [
+                  ("protocol", Text r.Load_harness.protocol);
+                  ("workload", Text r.Load_harness.workload);
+                  int_param "nodes" r.Load_harness.n;
+                  int_param "clients" r.Load_harness.clients;
+                  ("mix", Text r.Load_harness.mix);
+                  ("rate", Num r.Load_harness.rate);
+                  int_param "duration_ms" r.Load_harness.duration_ms;
+                  int_param "seed" r.Load_harness.seed;
+                  int_param "coalesce" r.Load_harness.coalesce;
+                  int_param "drain_plan" (Bool.to_int r.Load_harness.drain_plan);
+                ];
+            tables =
+              [
+                Record.one_row "Ops and throughput" case (Load_harness.summary r);
+                Load_harness.latency r;
+                Record.one_row "Byte lanes" case (Load_harness.lanes r);
+              ];
+            gates =
+              [ Record.gate "operations completed" (r.Load_harness.completed_ops > 0) ];
+            notes = [];
+          };
         if r.Load_harness.completed_ops = 0 then begin
           prerr_endline "load: no operation completed";
           exit 2
@@ -1520,10 +1366,6 @@ let load_cmd =
                    of cutting at $(b,--duration-ms) — makes the offered op \
                    multiset identical across runs (the coalescing comparison \
                    mode).")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write a JSON outcome record.")
   in
   Cmd.v
     (Cmd.info "load"

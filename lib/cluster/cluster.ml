@@ -11,6 +11,7 @@ module Registry = Repro_core.Registry
 module Runner = Repro_core.Runner
 module Wal = Repro_durable.Wal
 module Fsio = Repro_durable.Fsio
+module Record = Repro_util.Record
 
 type outcome = {
   protocol : string;
@@ -72,9 +73,8 @@ let freeze_wal ~src ~dst =
         Error "surviving WAL holds undecodable op records"
       else Ok (Oplog.digest ~ck:r.Wal.r_checkpoint ~entries)
 
-let run ~n ~protocol ~workload ~seed ?run_timeout_ms ?quiet_ms
-    ?connect_timeout_ms ?deadline_ms ?chaos ?(session = false) ?durable
-    ?wal_dir () =
+let run ~n ~protocol ~workload ~seed ?deadline_ms ?chaos ?(session = false)
+    ?durable ?wal_dir () =
   let chaos =
     match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
   in
@@ -85,11 +85,23 @@ let run ~n ~protocol ~workload ~seed ?run_timeout_ms ?quiet_ms
     | Some p -> (
         try
           Fault.Plan.validate ~n p;
-          if p.Fault.Plan.dcrashes <> [] && durable = None then
-            Some
-              "chaos plan: a dcrash schedule needs the durability tier \
-               (pass a fsync policy)"
-          else None
+          match
+            List.filter
+              (fun k -> List.mem k [ "join"; "leave" ])
+              (Fault.Plan.clauses p)
+          with
+          | k :: _ ->
+              Some
+                (Printf.sprintf
+                   "chaos plan: a static cluster does not apply %s= \
+                    (membership events run under reconfig)"
+                   k)
+          | [] ->
+              if p.Fault.Plan.dcrashes <> [] && durable = None then
+                Some
+                  "chaos plan: a dcrash schedule needs the durability tier \
+                   (pass a fsync policy)"
+              else None
         with Invalid_argument msg -> Some ("chaos plan: " ^ msg))
   in
   match plan_error with
@@ -157,10 +169,8 @@ let run ~n ~protocol ~workload ~seed ?run_timeout_ms ?quiet_ms
               let sup =
                 Supervisor.create
                   ~deadline_ms:
-                    (match deadline_ms with
-                    | Some d -> d
-                    | None ->
-                        Option.value run_timeout_ms ~default:60_000 + 30_000)
+                    (* Node.run's 60 s run timeout plus 30 s *)
+                    (Option.value deadline_ms ~default:90_000)
                   ?chaos
                   ~on_respawn:(fun self ->
                     (* durable tier: freeze exactly what the crash left on
@@ -180,8 +190,7 @@ let run ~n ~protocol ~workload ~seed ?run_timeout_ms ?quiet_ms
                           try Unix.close fd with Unix.Unix_error _ -> ())
                       listen_fds;
                     Node.run ~self ~listen_fd:listen_fds.(self) ~peers
-                      ~protocol ~workload:spec ~seed ?run_timeout_ms ?quiet_ms
-                      ?connect_timeout_ms ?chaos ~session ~incarnation
+                      ~protocol ~workload:spec ~seed ?chaos ~session ~incarnation
                       ?durable:(node_durable self) ())
               done;
               (* Under chaos the parent keeps the listeners open: a peer
@@ -347,3 +356,58 @@ let sim_parity ~protocol o =
           ("control bytes", o.control_bytes, m.Memory.control_bytes);
           ("payload bytes", o.payload_bytes, m.Memory.payload_bytes);
         ]
+
+let summary o =
+  Record.
+    [
+      ints "messages" "count" [ o.messages_sent ];
+      ints "control_bytes" "B" [ o.control_bytes ];
+      ints "payload_bytes" "B" [ o.payload_bytes ];
+      ints "overhead_bytes" "B" [ o.overhead_bytes ];
+      ints "retransmits" "count" [ o.retransmits ];
+      ints "dups_suppressed" "count" [ o.dups_suppressed ];
+      ints "dropped_frames" "count" [ o.dropped_frames ];
+      ints "reconnects" "count" [ o.reconnects ];
+      ints "restarts" "count" [ o.restarts ];
+      ints "node_wall" "ms" [ o.wall_ms ];
+      text "verdict" (Checker.verdict_name o.verdict);
+    ]
+
+let nodes_table o =
+  let row (r : Node.result) =
+    let m = r.Node.metrics and w = r.Node.wire in
+    Record.
+      {
+        case = Printf.sprintf "node %d" r.Node.node;
+        metrics =
+          [
+            ints "ops" "count" [ List.length r.Node.ops ];
+            ints "messages" "count" [ m.Memory.messages_sent ];
+            ints "control_bytes" "B" [ m.Memory.control_bytes ];
+            ints "payload_bytes" "B" [ m.Memory.payload_bytes ];
+            ints "wall" "ms" [ r.Node.wall_ms ];
+          ]
+          @ (if not o.session then []
+             else
+               [
+                 ints "incarnation" "count" [ r.Node.incarnation ];
+                 ints "dropped" "count" [ w.Net.dropped ];
+                 ints "retransmits" "count" [ w.Net.retransmits ];
+                 ints "overhead_bytes" "B" [ w.Net.overhead_bytes ];
+               ])
+          @
+          match r.Node.wal_stats with
+          | None -> []
+          | Some s ->
+              [
+                ints "wal_appends" "count" [ s.Wal.appends ];
+                ints "fsyncs" "count" [ s.Wal.syncs ];
+                ints "rotations" "count" [ s.Wal.rotations ];
+              ];
+      }
+  in
+  { Record.title = "Nodes"; rows = List.map row (Array.to_list o.node_results) }
+
+let gates o =
+  Record.gate "accepted" (accepted o)
+  :: (if o.durable then [ Record.gate "WAL digest parity" o.wal_parity ] else [])

@@ -73,9 +73,6 @@ val run :
   protocol:Repro_core.Registry.spec ->
   workload:string ->
   seed:int ->
-  ?run_timeout_ms:int ->
-  ?quiet_ms:int ->
-  ?connect_timeout_ms:int ->
   ?deadline_ms:int ->
   ?chaos:Repro_msgpass.Fault.Plan.t ->
   ?session:bool ->
@@ -85,17 +82,17 @@ val run :
   (outcome, string) result
 (** [Error] reports node crashes (with each crashed node's message) and
     configuration mistakes (unknown workload, blocking protocol, invalid
-    chaos plan); a consistency violation is {e not} an [Error] — it comes
-    back as the [verdict] for the caller to judge.  [session] is forced on
-    whenever a chaos plan is given (lossy links need the reliable session
-    layer); an injected crash whose plan schedules no restart is an
-    [Error].
+    chaos plan, or one with [join=]/[leave=] clauses, which only
+    {!Reconfig} applies); a consistency violation is {e not} an [Error] —
+    it comes back as the [verdict] for the caller to judge.  [session] is
+    forced on whenever a chaos plan is given (lossy links need the
+    reliable session layer); an injected crash whose plan schedules no
+    restart is an [Error].
 
-    [connect_timeout_ms] caps each node's reconnection episodes to a dead
-    peer ({!Repro_transport.Live.config}); [deadline_ms] overrides the
-    supervisor watchdog (default [run_timeout_ms + 30 s]).  A run the
-    watchdog has to put down returns an [Error] prefixed ["wedged: "] —
-    the CLI maps it to a distinct exit code.
+    [deadline_ms] overrides the supervisor watchdog (default 90 s: the
+    nodes' 60 s run timeout plus 30 s).  A run the watchdog has to put
+    down returns an [Error] prefixed ["wedged: "] — the CLI maps it to a
+    distinct exit code.
 
     [durable] engages the durability tier: each node gets its own WAL
     directory under [wal_dir] (kept afterwards) or a tmp root (removed),
@@ -145,3 +142,18 @@ val sim_parity :
     same [(protocol, workload, n, seed)]; [protocol] is the spec the run
     used.  Parity holds when every pair is equal.  [Error] when the
     baseline fails to run. *)
+
+(** {1 Reports}: the outcome as {!Repro_util.Record} rows, shared by the
+    CLI's [cluster] and bench's cluster and chaos tiers. *)
+
+val summary : outcome -> Repro_util.Record.metric list
+(** Both byte lanes, retransmits, duplicates, drops, reconnects, restarts,
+    the slowest node's wall time ([node_wall]) and the verdict. *)
+
+val nodes_table : outcome -> Repro_util.Record.table
+(** A row per node, with session columns when the session layer ran and
+    WAL columns when the nodes ran a WAL. *)
+
+val gates : outcome -> Repro_util.Record.gate list
+(** ["accepted"] ({!accepted}), and ["WAL digest parity"] ([wal_parity])
+    when the nodes ran a WAL. *)

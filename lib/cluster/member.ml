@@ -20,11 +20,6 @@ type config = {
   n_vars : int;
   initial_members : int list;
   writes_target : int;
-  write_period_ms : int;
-  hello_timeout_ms : int;
-  run_timeout_ms : int;
-  quiet_ms : int;
-  connect_timeout_ms : int;
   chaos : Fault.Plan.t option;
   wal_dir : string option;
   incarnation : int;
@@ -48,6 +43,16 @@ type result = {
 }
 
 exception Crash = Supervisor.Crash
+
+(* pacing between a process's writes *)
+let write_period_ms = 5
+
+let hello_timeout_ms = 10_000
+
+let run_timeout_ms = 60_000
+
+(* drain quiet window after [finish] *)
+let quiet_ms = 300
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Crash m)) fmt
 
@@ -211,7 +216,7 @@ let run (cfg : config) : result =
         fingerprint;
         resilient = true;
         incarnation = cfg.incarnation;
-        connect_timeout_ms = cfg.connect_timeout_ms;
+        connect_timeout_ms = 0;
       }
       ~listen_fd:cfg.listen_fd
   in
@@ -485,7 +490,7 @@ let run (cfg : config) : result =
           | _ -> fail "member: bad transfer frame %S" body)
       | Wire.Pong -> ()
       | _ -> ());
-  Live.wait_peers lt ~timeout_ms:cfg.hello_timeout_ms;
+  Live.wait_peers lt ~timeout_ms:hello_timeout_ms;
   (* a respawned node that died mid-transition resumes it: the receiver
      side re-derives the donors it still owes an ack (minus logged dones),
      the donor side rebuilds and resends its batches (idempotent) *)
@@ -539,14 +544,13 @@ let run (cfg : config) : result =
       incr reads_done
     end
   in
-  let deadline = cfg.run_timeout_ms in
   (try
      while not !finish_requested do
        ignore (Live.step lt ~block:true : bool);
        let now = Live.now_ms lt in
-       if now > deadline then fail "member: run timeout";
+       if now > run_timeout_ms then fail "member: run timeout";
        if now >= !next_write && !writes_done < cfg.writes_target then begin
-         next_write := now + cfg.write_period_ms;
+         next_write := now + write_period_ms;
          do_write ();
          do_read ()
        end;
@@ -577,7 +581,7 @@ let run (cfg : config) : result =
      (match wal with Some (w, _) -> (try Wal.close w with _ -> ()) | None -> ());
      raise c);
   Live.finish_program lt;
-  Live.drain lt ~quiet_ms:cfg.quiet_ms ~max_ms:(cfg.quiet_ms + 2_000);
+  Live.drain lt ~quiet_ms ~max_ms:(quiet_ms + 2_000);
   let stale = Live.stale_epochs lt in
   Live.close lt;
   (match wal with Some (w, _) -> Wal.close w | None -> ());

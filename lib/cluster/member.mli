@@ -54,12 +54,10 @@ type config = {
   vnodes : int;
   n_vars : int;
   initial_members : int list;  (** ring members at epoch 0 *)
-  writes_target : int;  (** writes this process issues, paced *)
-  write_period_ms : int;
-  hello_timeout_ms : int;
-  run_timeout_ms : int;
-  quiet_ms : int;  (** drain quiet window after [finish] *)
-  connect_timeout_ms : int;  (** per reconnection episode; 0 = unbounded *)
+  writes_target : int;
+      (** writes this process issues, one every 5 ms; a member gives up
+          on peers after 10 s, on the run after 60 s, and drains for a
+          300 ms quiet window after [finish] *)
   chaos : Fault.Plan.t option;
       (** [crash=N\@K+R] counts {e migration-record sends} in this tier
           (deterministic given the ring); [dcrash] arms the WAL crash

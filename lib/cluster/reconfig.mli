@@ -77,11 +77,6 @@ val run :
   n_vars:int ->
   seed:int ->
   ?writes:int ->
-  ?write_period_ms:int ->
-  ?hello_timeout_ms:int ->
-  ?run_timeout_ms:int ->
-  ?quiet_ms:int ->
-  ?connect_timeout_ms:int ->
   ?deadline_ms:int ->
   ?demote_after_ms:int ->
   ?chaos:Fault.Plan.t ->
@@ -91,5 +86,26 @@ val run :
 (** Initial ring membership is [0..n-1] minus the plan's scheduled
     joiners.  The WAL tier is always on (an anonymous temp root unless
     [wal_dir] names one to keep for post-mortem).  [deadline_ms]
-    (default [run_timeout_ms + 30s]) is the supervisor watchdog; on
-    expiry the error starts with ["wedged:"]. *)
+    (default 90 s: the members' 60 s run timeout plus 30 s) is the
+    supervisor watchdog; on expiry the error starts with ["wedged:"].
+    A plan with link-fault or partition clauses ([drop], [dup],
+    [reorder], [delay], [link], [part]) is an [Error]: member traffic
+    does not pass through {!Repro_transport.Chaos}. *)
+
+(** {1 Reports}: the outcome as {!Repro_util.Record} rows, shared by the
+    CLI's [reconfig] and bench's reconfig tier. *)
+
+val summary : outcome -> Repro_util.Record.metric list
+(** Epoch, worst rebalance time, keys moved (total, worst change, gate),
+    unavailability, restarts, stale frames, transfers, init fallbacks,
+    writes, reads, the cache and PRAM verdicts, members, salvaged nodes
+    and wall time. *)
+
+val events_table : outcome -> Repro_util.Record.table
+(** A row per committed epoch ([epoch N]). *)
+
+val nodes_table : outcome -> Repro_util.Record.table
+
+val gates : outcome -> Repro_util.Record.gate list
+(** ["cache consistent"], ["keys moved per change within the 2kK/n
+    gate"]. *)

@@ -42,38 +42,49 @@ let n_writes h = List.length (History.writes h)
 
 (* --- E1: scaling ------------------------------------------------------------ *)
 
-let scaling ?(sizes = [ 4; 8; 16; 24 ]) ?pool ~seed () =
+(* E1's workload at each size: the five non-blocking protocols on a
+   random 3-replica distribution, full replication for the protocols
+   that need it; [row n spec memory h] renders one run *)
+let scaling_rows ~sizes ?pool ~seed row =
   let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
+  List.concat
+  @@ Pool.map (pool_of pool)
+       (fun n ->
+         let partial_dist =
+           Distribution.random (Rng.create (seed + n)) ~n_procs:n ~n_vars:(2 * n)
+             ~replicas_per_var:3
+         in
+         let full_dist = Distribution.full ~n_procs:n ~n_vars:(2 * n) in
+         let run spec =
+           let dist =
+             if spec.Registry.requires_full_replication then full_dist
+             else partial_dist
+           in
+           let memory = spec.Registry.make ~dist ~seed () in
+           let h = Workload.run_random ~profile ~seed:(seed + 1) memory in
+           row n spec memory h
+         in
+         List.filter_map
+           (fun name -> Option.map run (Registry.find name))
+           [
+             "causal-full"; "causal-delta"; "causal-partial"; "pram-partial";
+             "slow-partial";
+           ])
+       sizes
+
+let scaling ?(sizes = [ 4; 8; 16; 24 ]) ?pool ~seed () =
   let rows =
-    List.concat
-    @@ Pool.map (pool_of pool)
-      (fun n ->
-        let partial_dist =
-          Distribution.random (Rng.create (seed + n)) ~n_procs:n ~n_vars:(2 * n)
-            ~replicas_per_var:3
-        in
-        let full_dist = Distribution.full ~n_procs:n ~n_vars:(2 * n) in
-        let run spec =
-          let dist =
-            if spec.Registry.requires_full_replication then full_dist else partial_dist
-          in
-          let memory = spec.Registry.make ~dist ~seed () in
-          let h = Workload.run_random ~profile ~seed:(seed + 1) memory in
-          let m = memory.Memory.metrics () in
-          let writes = Stdlib.max 1 (n_writes h) in
-          [
-            string_of_int n;
-            spec.Registry.name;
-            string_of_int m.Memory.messages_sent;
-            string_of_int m.Memory.control_bytes;
-            Table.fmt_float (float_of_int m.Memory.control_bytes /. float_of_int writes);
-            string_of_int (Memory.total_offclique_mentions memory);
-          ]
-        in
-        List.filter_map
-          (fun name -> Option.map run (Registry.find name))
-          [ "causal-full"; "causal-delta"; "causal-partial"; "pram-partial"; "slow-partial" ])
-      sizes
+    scaling_rows ~sizes ?pool ~seed (fun n spec memory h ->
+        let m = memory.Memory.metrics () in
+        let writes = Stdlib.max 1 (n_writes h) in
+        [
+          string_of_int n;
+          spec.Registry.name;
+          string_of_int m.Memory.messages_sent;
+          string_of_int m.Memory.control_bytes;
+          Table.fmt_float (float_of_int m.Memory.control_bytes /. float_of_int writes);
+          string_of_int (Memory.total_offclique_mentions memory);
+        ])
   in
   {
     id = "E1";
@@ -285,44 +296,54 @@ let adversarial_histories spec ~seed =
         (name, Runner.run memory ~programs))
       [ scenario_hoop_leak; scenario_fig5; scenario_fig6 ]
 
+(* A2's matrix: one row per registry protocol, "yes" under a criterion
+   when every history of that protocol satisfies it.  The histories are
+   [runs] seeded runs of [profile] on [dist] over jittery links, plus
+   [extra spec]. *)
+let criterion_rows ?pool ~profile ~dist ~runs ~seed extra =
+  let latency = Repro_msgpass.Latency.uniform ~lo:1 ~hi:25 in
+  Pool.map (pool_of pool)
+    (fun spec ->
+      let histories =
+        List.init runs (fun k ->
+            let memory = spec.Registry.make ~latency ~dist ~seed:(seed + k) () in
+            Workload.run_random ~profile ~seed:(seed + k + 100) memory)
+        @ extra spec
+      in
+      (* one relation cache per history: the 8-criteria sweep shares
+         read-from, program order and every closure across criteria *)
+      let caches = List.map Relcache.create histories in
+      let all_consistent criterion =
+        List.for_all
+          (fun rc ->
+            match Checker.check_cached rc criterion with
+            | Checker.Consistent -> true
+            | Checker.Inconsistent | Checker.Undecidable _ -> false)
+          caches
+      in
+      spec.Registry.name
+      :: List.map
+           (fun criterion -> if all_consistent criterion then "yes" else "no")
+           Checker.all_criteria)
+    Registry.all
+
+let criterion_header = "protocol" :: List.map Checker.criterion_name Checker.all_criteria
+
 let criterion_matrix ?pool ~seed () =
   (* A contended configuration: few variables, everyone replicating
      everything, jittery links — gives the weaker protocols every chance
      to exhibit the behaviours their criterion permits. *)
-  let profile = { Workload.ops_per_proc = 12; read_ratio = 0.5; max_think = 5 } in
-  let dist = Distribution.full ~n_procs:4 ~n_vars:2 in
-  let latency = Repro_msgpass.Latency.uniform ~lo:1 ~hi:25 in
-  let criteria = Checker.all_criteria in
   let rows =
-    Pool.map (pool_of pool)
-      (fun spec ->
-        let histories =
-          List.init 16 (fun k ->
-              let memory = spec.Registry.make ~latency ~dist ~seed:(seed + k) () in
-              Workload.run_random ~profile ~seed:(seed + k + 100) memory)
-          @ List.map snd (adversarial_histories spec ~seed)
-        in
-        (* one relation cache per history: the 8-criteria sweep shares
-           read-from, program order and every closure across criteria *)
-        let caches = List.map Relcache.create histories in
-        let all_consistent criterion =
-          List.for_all
-            (fun rc ->
-              match Checker.check_cached rc criterion with
-              | Checker.Consistent -> true
-              | Checker.Inconsistent | Checker.Undecidable _ -> false)
-            caches
-        in
-        spec.Registry.name
-        :: List.map
-             (fun criterion -> if all_consistent criterion then "yes" else "no")
-             criteria)
-      Registry.all
+    criterion_rows ?pool
+      ~profile:{ Workload.ops_per_proc = 12; read_ratio = 0.5; max_think = 5 }
+      ~dist:(Distribution.full ~n_procs:4 ~n_vars:2)
+      ~runs:16 ~seed
+      (fun spec -> List.map snd (adversarial_histories spec ~seed))
   in
   {
     id = "A2";
     title = "protocols x criteria (16 contended runs each; yes = all runs consistent)";
-    header = "protocol" :: List.map Checker.criterion_name criteria;
+    header = criterion_header;
     rows;
     notes =
       [
@@ -341,47 +362,24 @@ let criterion_matrix ?pool ~seed () =
    original sizes. *)
 
 let scaling_checked ?(sizes = [ 32; 48 ]) ?pool ~seed () =
-  let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
   let rows =
-    List.concat
-    @@ Pool.map (pool_of pool)
-         (fun n ->
-           let partial_dist =
-             Distribution.random (Rng.create (seed + n)) ~n_procs:n ~n_vars:(2 * n)
-               ~replicas_per_var:3
-           in
-           let full_dist = Distribution.full ~n_procs:n ~n_vars:(2 * n) in
-           let run spec =
-             let dist =
-               if spec.Registry.requires_full_replication then full_dist
-               else partial_dist
-             in
-             let memory = spec.Registry.make ~dist ~seed () in
-             let h = Workload.run_random ~profile ~seed:(seed + 1) memory in
-             let m = memory.Memory.metrics () in
-             let verdict =
-               match Checker.check spec.Registry.guarantees h with
-               | Checker.Consistent -> "yes"
-               | Checker.Inconsistent -> "NO"
-               | Checker.Undecidable _ -> "?"
-             in
-             [
-               string_of_int n;
-               spec.Registry.name;
-               string_of_int (History.n_ops h);
-               string_of_int m.Memory.messages_sent;
-               string_of_int m.Memory.control_bytes;
-               Checker.criterion_name spec.Registry.guarantees;
-               verdict;
-             ]
-           in
-           List.filter_map
-             (fun name -> Option.map run (Registry.find name))
-             [
-               "causal-full"; "causal-delta"; "causal-partial"; "pram-partial";
-               "slow-partial";
-             ])
-         sizes
+    scaling_rows ~sizes ?pool ~seed (fun n spec memory h ->
+        let m = memory.Memory.metrics () in
+        let verdict =
+          match Checker.check spec.Registry.guarantees h with
+          | Checker.Consistent -> "yes"
+          | Checker.Inconsistent -> "NO"
+          | Checker.Undecidable _ -> "?"
+        in
+        [
+          string_of_int n;
+          spec.Registry.name;
+          string_of_int (History.n_ops h);
+          string_of_int m.Memory.messages_sent;
+          string_of_int m.Memory.control_bytes;
+          Checker.criterion_name spec.Registry.guarantees;
+          verdict;
+        ])
   in
   {
     id = "E1X";
@@ -399,38 +397,18 @@ let scaling_checked ?(sizes = [ 32; 48 ]) ?pool ~seed () =
   }
 
 let criterion_matrix_scaled ?pool ~seed () =
-  let profile = { Workload.ops_per_proc = 20; read_ratio = 0.5; max_think = 5 } in
-  let dist = Distribution.full ~n_procs:6 ~n_vars:3 in
-  let latency = Repro_msgpass.Latency.uniform ~lo:1 ~hi:25 in
-  let criteria = Checker.all_criteria in
   let rows =
-    Pool.map (pool_of pool)
-      (fun spec ->
-        let histories =
-          List.init 8 (fun k ->
-              let memory = spec.Registry.make ~latency ~dist ~seed:(seed + k) () in
-              Workload.run_random ~profile ~seed:(seed + k + 100) memory)
-        in
-        let caches = List.map Relcache.create histories in
-        let all_consistent criterion =
-          List.for_all
-            (fun rc ->
-              match Checker.check_cached rc criterion with
-              | Checker.Consistent -> true
-              | Checker.Inconsistent | Checker.Undecidable _ -> false)
-            caches
-        in
-        spec.Registry.name
-        :: List.map
-             (fun criterion -> if all_consistent criterion then "yes" else "no")
-             criteria)
-      Registry.all
+    criterion_rows ?pool
+      ~profile:{ Workload.ops_per_proc = 20; read_ratio = 0.5; max_think = 5 }
+      ~dist:(Distribution.full ~n_procs:6 ~n_vars:3)
+      ~runs:8 ~seed
+      (fun _ -> [])
   in
   {
     id = "A2X";
     title =
       "protocols x criteria on long contended histories (6 procs x 20 ops, 8 runs)";
-    header = "protocol" :: List.map Checker.criterion_name criteria;
+    header = criterion_header;
     rows;
     notes =
       [

@@ -25,6 +25,11 @@ let criterion_name = function
 
 type verdict = Consistent | Inconsistent | Undecidable of History.rf_error
 
+let verdict_name = function
+  | Consistent -> "consistent"
+  | Inconsistent -> "VIOLATION"
+  | Undecidable _ -> "undecidable"
+
 module V = Unit_view
 
 (* --- packed state keys ---------------------------------------------------- *)

@@ -55,6 +55,10 @@ val criterion_name : criterion -> string
 
 type verdict = Consistent | Inconsistent | Undecidable of History.rf_error
 
+val verdict_name : verdict -> string
+(** ["consistent"], ["VIOLATION"] or ["undecidable"], as run reports
+    print them. *)
+
 type engine = Search | Saturation
 (** [Search]: the exact backtracking serialization search.  [Saturation]:
     the polynomial front-end of {!Saturation}, falling back to the search

@@ -7,7 +7,7 @@ module Registry = Repro_core.Registry
 module Memory = Repro_core.Memory
 module Net = Repro_msgpass.Net
 module Stats = Repro_util.Stats
-module Jsonout = Repro_util.Jsonout
+module Record = Repro_util.Record
 
 type config = {
   protocol : Registry.spec;
@@ -276,75 +276,63 @@ let run (cfg : config) =
               }
   end
 
-let pct st p = if Stats.count st = 0 then 0.0 else Stats.percentile st p
+(* --- reports ----------------------------------------------------------------- *)
 
-let lat_json st =
-  if Stats.count st = 0 then Jsonout.Null
-  else
-    Jsonout.Obj
-      [
-        ("count", Jsonout.Int (Stats.count st));
-        ("mean_us", Jsonout.Float (Stats.mean st));
-        ("p50_us", Jsonout.Float (pct st 50.0));
-        ("p95_us", Jsonout.Float (pct st 95.0));
-        ("p99_us", Jsonout.Float (pct st 99.0));
-        ("max_us", Jsonout.Float (Stats.max st));
-      ]
-
-let json_of_result r =
-  Jsonout.Obj
+let summary r =
+  Record.
     [
-      ("protocol", Jsonout.String r.protocol);
-      ("workload", Jsonout.String r.workload);
-      ("n", Jsonout.Int r.n);
-      ("clients", Jsonout.Int r.clients);
-      ("mix", Jsonout.String r.mix);
-      ("rate_ops_per_sec", Jsonout.Float r.rate);
-      ("duration_ms", Jsonout.Int r.duration_ms);
-      ("seed", Jsonout.Int r.seed);
-      ("coalesce", Jsonout.Int r.coalesce);
-      ("drain_plan", Jsonout.Bool r.drain_plan);
-      ("attempted_ops", Jsonout.Int r.attempted_ops);
-      ("completed_ops", Jsonout.Int r.completed_ops);
-      ("failed_ops", Jsonout.Int r.failed_ops);
-      ("unsent", Jsonout.Int r.unsent);
-      ("timeouts", Jsonout.Int r.timeouts);
-      ("ops_per_sec", Jsonout.Float r.ops_per_sec);
-      ("latency", lat_json r.lat_us);
-      ("latency_read", lat_json r.read_us);
-      ("latency_write", lat_json r.write_us);
-      ("latency_scan", lat_json r.scan_us);
-      ("client_bytes_out", Jsonout.Int r.bytes_out);
-      ("client_bytes_in", Jsonout.Int r.bytes_in);
-      ("client_ops_served", Jsonout.Int r.client_ops_served);
-      ("messages_sent", Jsonout.Int r.messages_sent);
-      ("control_bytes", Jsonout.Int r.control_bytes);
-      ("payload_bytes", Jsonout.Int r.payload_bytes);
-      ("overhead_bytes", Jsonout.Int r.overhead_bytes);
-      ("frames_sent", Jsonout.Int r.frames_sent);
-      ("segs_sent", Jsonout.Int r.segs_sent);
-      ("acks_sent", Jsonout.Int r.acks_sent);
-      ("acks_piggybacked", Jsonout.Int r.acks_piggybacked);
-      ("retransmits", Jsonout.Int r.retransmits);
-      ("node_wall_ms", Jsonout.Int r.node_wall_ms);
-      ("node_cpu_s", Jsonout.Float r.node_cpu_s);
-      ("ops_per_node_cpu_s", Jsonout.Float r.ops_per_node_cpu_s);
+      ints "attempted_ops" "count" [ r.attempted_ops ];
+      ints "completed_ops" "count" [ r.completed_ops ];
+      ints "failed_ops" "count" [ r.failed_ops ];
+      ints "unsent" "count" [ r.unsent ];
+      ints "timeouts" "count" [ r.timeouts ];
+      ints "client_ops_served" "count" [ r.client_ops_served ];
+      nums "ops_per_sec" "1/s" [ r.ops_per_sec ];
+      nums "ops_per_node_cpu_s" "1/s" [ r.ops_per_node_cpu_s ];
     ]
 
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>%s on %s, n=%d, %d client(s), mix=%s, offered %.0f ops/s for %d ms%s@,\
-     ops: attempted=%d completed=%d failed=%d unsent=%d timeouts=%d@,\
-     throughput: %.0f ops/s (served by nodes: %d; %.0f ops per node \
-     cpu-second over %.2fs)@,\
-     latency (us): %a@,\
-     protocol lane: msgs=%d control=%dB payload=%dB@,\
-     overhead lane: %dB in %d frames (%d segs, acks %d standalone / %d \
-     piggybacked, %d retransmits)@]"
-    r.protocol r.workload r.n r.clients r.mix r.rate r.duration_ms
-    (if r.coalesce > 1 then Printf.sprintf ", coalesce=%d" r.coalesce else "")
-    r.attempted_ops r.completed_ops r.failed_ops r.unsent r.timeouts
-    r.ops_per_sec r.client_ops_served r.ops_per_node_cpu_s r.node_cpu_s
-    Stats.pp_summary r.lat_us r.messages_sent
-    r.control_bytes r.payload_bytes r.overhead_bytes r.frames_sent r.segs_sent
-    r.acks_sent r.acks_piggybacked r.retransmits
+let latency_metrics st =
+  (* an empty sketch has no mean or percentiles: n/a, not 0 *)
+  let stat f = if Stats.count st = 0 then nan else f st in
+  let pct p = stat (fun st -> Stats.percentile st p) in
+  Record.
+    [
+      ints "count" "count" [ Stats.count st ];
+      nums "mean" "us" [ stat Stats.mean ];
+      nums "sd" "us" [ stat Stats.stddev ];
+      nums "min" "us" [ stat Stats.min ];
+      nums "p50" "us" [ pct 50.0 ];
+      nums "p95" "us" [ pct 95.0 ];
+      nums "p99" "us" [ pct 99.0 ];
+      nums "max" "us" [ stat Stats.max ];
+    ]
+
+let latency r =
+  {
+    Record.title = "Latency";
+    rows =
+      List.map
+        (fun (case, st) -> { Record.case; metrics = latency_metrics st })
+        [
+          ("all", r.lat_us); ("read", r.read_us); ("write", r.write_us);
+          ("scan", r.scan_us);
+        ];
+  }
+
+let lanes r =
+  Record.
+    [
+      ints "messages" "count" [ r.messages_sent ];
+      ints "control_bytes" "B" [ r.control_bytes ];
+      ints "payload_bytes" "B" [ r.payload_bytes ];
+      ints "overhead_bytes" "B" [ r.overhead_bytes ];
+      ints "frames" "count" [ r.frames_sent ];
+      ints "segs" "count" [ r.segs_sent ];
+      ints "acks_standalone" "count" [ r.acks_sent ];
+      ints "acks_piggybacked" "count" [ r.acks_piggybacked ];
+      ints "retransmits" "count" [ r.retransmits ];
+      ints "client_bytes_out" "B" [ r.bytes_out ];
+      ints "client_bytes_in" "B" [ r.bytes_in ];
+      ints "node_wall" "ms" [ r.node_wall_ms ];
+      nums "node_cpu" "s" [ r.node_cpu_s ];
+    ]

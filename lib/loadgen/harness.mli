@@ -83,8 +83,17 @@ val run : config -> (result, string) Stdlib.result
     any child fails (the first child that failed on its own is reported
     before any the supervisor put down). *)
 
-val json_of_result : result -> Repro_util.Jsonout.t
-(** Flat object with throughput, per-kind latency percentiles
-    (p50/p95/p99 from the sketches) and both byte lanes. *)
+(** {1 Reports}: the result as {!Repro_util.Record} rows, shared by the
+    CLI's [load] and bench's load tier. *)
 
-val pp_result : Format.formatter -> result -> unit
+val summary : result -> Repro_util.Record.metric list
+(** Ops attempted, completed, failed, unsent, timed out and served, and
+    both throughputs. *)
+
+val latency : result -> Repro_util.Record.table
+(** Latency in µs per kind ([all], [read], [write], [scan]): count, mean,
+    sd, min, p50, p95, p99, max; [nan] for a kind with no sample. *)
+
+val lanes : result -> Repro_util.Record.metric list
+(** Protocol and overhead lanes, session frames and acks, client socket
+    bytes, and the nodes' wall time and CPU. *)

@@ -52,6 +52,22 @@ module Plan = struct
     t.default_link = clean && t.links = [] && t.partitions = []
     && t.crashes = [] && t.dcrashes = [] && t.joins = [] && t.leaves = []
 
+  let clauses t =
+    List.filter_map
+      (fun (kind, used) -> if used then Some kind else None)
+      [
+        ("drop", t.default_link.drop > 0.0);
+        ("dup", t.default_link.duplicate > 0.0);
+        ("reorder", t.default_link.reorder > 0.0);
+        ("delay", t.delay_max <> none.delay_max);
+        ("link", t.links <> []);
+        ("part", t.partitions <> []);
+        ("crash", t.crashes <> []);
+        ("dcrash", t.dcrashes <> []);
+        ("join", t.joins <> []);
+        ("leave", t.leaves <> []);
+      ]
+
   let link_for t ~src ~dst =
     match List.assoc_opt (src, dst) t.links with
     | Some l -> l

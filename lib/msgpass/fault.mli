@@ -86,6 +86,13 @@ module Plan : sig
 
   val clean : link
 
+  val clauses : t -> string list
+  (** The fault clause kinds the plan uses, in {!to_string}'s order: each
+      of ["drop"], ["dup"], ["reorder"], ["delay"], ["link"], ["part"],
+      ["crash"], ["dcrash"], ["join"] and ["leave"] that is present.  A
+      runtime rejects the kinds it does not apply rather than ignore
+      them. *)
+
   val link_for : t -> src:int -> dst:int -> link
 
   val partitioned : t -> now:int -> src:int -> dst:int -> bool

@@ -216,10 +216,3 @@ let merge a b =
   absorb t a;
   absorb t b;
   t
-
-let pp_summary ppf t =
-  if t.n = 0 then Format.fprintf ppf "n=0"
-  else
-    Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p99=%.3f max=%.3f"
-      t.n (mean t) (stddev t) t.minimum (percentile t 50.0) (percentile t 99.0)
-      t.maximum

@@ -54,6 +54,3 @@ val merge : t -> t -> t
     sketch iff either side is one (an exact result cannot recover a
     sketch's discarded samples); sketch-sketch merging is bounded-memory —
     moments combine algebraically, bucket counts add. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line [n/mean/σ/min/p50/p99/max] summary. *)

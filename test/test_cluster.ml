@@ -17,6 +17,7 @@ module Memory = Repro_core.Memory
 module Registry = Repro_core.Registry
 module Fault = Repro_msgpass.Fault
 module Wal = Repro_durable.Wal
+module Record = Repro_util.Record
 
 let check = Alcotest.check
 
@@ -59,6 +60,16 @@ let test_e1_pram_partial () =
   check Alcotest.int "one slice per node" 3 (History.n_procs o.Cluster.history);
   assert_parity o ~protocol:"pram-partial" ~workload:"e1";
   check Alcotest.bool "Cluster.accepted" true (Cluster.accepted o);
+  List.iter
+    (fun g -> check Alcotest.bool ("gate " ^ g.Record.gate) true g.Record.ok)
+    (Cluster.gates o);
+  let summary name =
+    (List.find (fun m -> m.Record.name = name) (Cluster.summary o)).Record.values
+  in
+  check Alcotest.bool "summary messages" true
+    (summary "messages" = [ Record.Num (float_of_int o.Cluster.messages_sent) ]);
+  check Alcotest.bool "summary control bytes" true
+    (summary "control_bytes" = [ Record.Num (float_of_int o.Cluster.control_bytes) ]);
   match Cluster.sim_parity ~protocol:(spec_of "pram-partial") o with
   | Error msg -> Alcotest.failf "sim_parity: %s" msg
   | Ok counters ->
@@ -411,6 +422,35 @@ let test_reconfig_wedged_deadline () =
         true
         (String.length msg >= 7 && String.sub msg 0 7 = "wedged:")
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* a static cluster has no membership runtime: join=/leave= clauses are
+   refused up front, naming the clause, instead of parsed and ignored *)
+let test_static_rejects_membership () =
+  match
+    Cluster.run ~n:3 ~protocol:(spec_of "pram-partial") ~workload:"e1" ~seed:7
+      ~chaos:(plan_of "seed=1,join=2@100,leave=1@200") ()
+  with
+  | Ok _ -> Alcotest.fail "join=/leave= accepted by a static cluster"
+  | Error msg ->
+      check Alcotest.bool (Printf.sprintf "%S names join=" msg) true
+        (contains ~sub:"join=" msg)
+
+(* member traffic bypasses Chaos: link faults and partitions are refused
+   up front instead of parsed and ignored *)
+let test_reconfig_rejects_link_faults () =
+  match
+    Reconfig.run ~n:5 ~k:2 ~vnodes:64 ~n_vars:24 ~seed:11
+      ~chaos:(plan_of "seed=7,drop=0.5,part=0..2000:0+1,join=4@250") ()
+  with
+  | Ok _ -> Alcotest.fail "drop=/part= accepted by reconfig"
+  | Error msg ->
+      check Alcotest.bool (Printf.sprintf "%S names drop=" msg) true
+        (contains ~sub:"drop=" msg)
+
 let test_workload_spec_deterministic () =
   (* the parity argument rests on spec construction being pure replay *)
   let fingerprint () =
@@ -476,5 +516,9 @@ let () =
             test_workload_spec_deterministic;
           Alcotest.test_case "Node.run rejects dcrash without a WAL" `Quick
             test_node_dcrash_needs_wal;
+          Alcotest.test_case "static cluster rejects join=/leave=" `Quick
+            test_static_rejects_membership;
+          Alcotest.test_case "reconfig rejects link faults" `Quick
+            test_reconfig_rejects_link_faults;
         ] );
     ]

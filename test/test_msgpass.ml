@@ -323,6 +323,25 @@ let test_plan_to_string_roundtrip () =
         rendered (Fault.Plan.to_string p2))
     texts
 
+let test_plan_clauses () =
+  let clauses text =
+    match Fault.Plan.parse text with
+    | Ok p -> Fault.Plan.clauses p
+    | Error msg -> Alcotest.failf "parse %S: %s" text msg
+  in
+  Alcotest.(check (list string)) "a seed alone is no fault clause" []
+    (clauses "seed=3");
+  Alcotest.(check (list string)) "every kind, in to_string order"
+    [ "drop"; "dup"; "reorder"; "delay"; "link"; "part"; "crash"; "dcrash";
+      "join"; "leave" ]
+    (clauses
+       "leave=2@9,join=1@5,dcrash=0:sync.pre@1,crash=1@6+250,part=0..10:0+1,\
+        link=0>1:drop=0.5,delay=4,reorder=0.1,dup=0.02,drop=0.05,seed=7");
+  Alcotest.(check (list string)) "a link override is not a default drop"
+    [ "link" ] (clauses "link=0>1:drop=0.5");
+  Alcotest.(check (list string)) "membership only" [ "join"; "leave" ]
+    (clauses "seed=7,join=4@250,leave=1@600")
+
 let test_plan_parse_rejects () =
   let bad =
     [
@@ -550,6 +569,7 @@ let () =
           Alcotest.test_case "to_string round-trips" `Quick
             test_plan_to_string_roundtrip;
           Alcotest.test_case "invalid plans rejected" `Quick test_plan_parse_rejects;
+          Alcotest.test_case "clause kinds named" `Quick test_plan_clauses;
           Alcotest.test_case "validate range-checks nodes" `Quick
             test_plan_validate_range_checks;
           Alcotest.test_case "partition windows" `Quick test_plan_partition_window;

@@ -1,5 +1,5 @@
 (* Tests for Repro_util: rng, pqueue, bitset, union_find, stats, table,
-   graph, flow. *)
+   graph, flow, record. *)
 
 module Rng = Repro_util.Rng
 module Pqueue = Repro_util.Pqueue
@@ -11,6 +11,8 @@ module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Graph = Repro_util.Graph
 module Flow = Repro_util.Flow
+module Record = Repro_util.Record
+module Jsonout = Repro_util.Jsonout
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -827,6 +829,116 @@ let test_flow_needs_residual () =
   Flow.add_edge f ~src:2 ~dst:3 ~cap:1;
   check Alcotest.int "flow 2" 2 (Flow.max_flow f ~source:0 ~sink:3)
 
+(* --- record --------------------------------------------------------------- *)
+
+let record_of metrics =
+  {
+    Record.tier = "test";
+    params = [ Record.int_param "seed" 7 ];
+    tables = [ Record.one_row "t" "case" metrics ];
+    gates = [];
+    notes = [];
+  }
+
+(* the JSON fields of the record's only metric *)
+let metric_json m =
+  let field name = function
+    | Jsonout.Obj fields -> List.assoc name fields
+    | _ -> Alcotest.failf "%s: not an object" name
+  in
+  let only = function
+    | Jsonout.List [ x ] -> x
+    | _ -> Alcotest.fail "expected a one-element list"
+  in
+  match
+    only (field "metrics" (only (field "rows" (only (field "tables" (Record.json (record_of [ m ])))))))
+  with
+  | Jsonout.Obj fields -> fields
+  | _ -> Alcotest.fail "metric is not an object"
+
+let test_record_median () =
+  let median m = List.assoc_opt "median" (metric_json m) in
+  check Alcotest.bool "one value: no median" true
+    (median (Record.nums "x" "ms" [ 3.0 ]) = None);
+  check Alcotest.bool "one numeric value beside a missing one: no median" true
+    (median (Record.nums "x" "ms" [ 3.0; nan ]) = None);
+  check Alcotest.bool "text: no median" true (median (Record.text "x" "a") = None);
+  check Alcotest.bool "two values: the upper median" true
+    (median (Record.nums "x" "ms" [ 1.0; 3.0 ]) = Some (Jsonout.Float 3.0));
+  check Alcotest.bool "three values: the middle one" true
+    (median (Record.ints "x" "count" [ 5; 1; 3 ]) = Some (Jsonout.Float 3.0))
+
+let test_record_nan () =
+  let m = Record.nums "lat" "us" [ nan ] in
+  check Alcotest.string "null in JSON" "[\n  null\n]"
+    (Jsonout.to_string (List.assoc "values" (metric_json m)));
+  let text = Record.render (record_of [ m ]) in
+  check Alcotest.bool (Printf.sprintf "n/a in the table: %S" text) true
+    (List.exists
+       (fun line -> String.starts_with ~prefix:"lat us" line && String.ends_with ~suffix:"n/a" line)
+       (String.split_on_char '\n' text))
+
+let test_record_merge_order () =
+  let row =
+    Record.merge "c"
+      [
+        [ Record.ints "a" "count" [ 1 ]; Record.text "v" "x" ];
+        [ Record.ints "a" "count" [ 2 ]; Record.text "v" "y" ];
+        [ Record.ints "a" "count" [ 3 ]; Record.ints "late" "count" [ 9 ] ];
+      ]
+  in
+  check Alcotest.string "case" "c" row.Record.case;
+  check Alcotest.(list string) "metric order" [ "a"; "v"; "late" ]
+    (List.map (fun m -> m.Record.name) row.Record.metrics);
+  let values name =
+    (List.find (fun m -> m.Record.name = name) row.Record.metrics).Record.values
+  in
+  check Alcotest.bool "numbers in rep order" true
+    (values "a" = [ Record.Num 1.0; Record.Num 2.0; Record.Num 3.0 ]);
+  check Alcotest.bool "text in rep order" true
+    (values "v" = [ Record.Text "x"; Record.Text "y" ])
+
+let fresh_dir () =
+  let dir = Filename.temp_file "repro-record" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  dir
+
+let test_record_target_unwritable () =
+  let dir = fresh_dir () in
+  let path = Filename.concat (Filename.concat dir "missing") "x.json" in
+  (match Record.target path with
+  | Ok _ -> Alcotest.fail "a path under a missing directory was accepted"
+  | Error msg ->
+      check Alcotest.bool (Printf.sprintf "error names the path: %S" msg) true
+        (String.starts_with ~prefix:("cannot write " ^ path ^ ": ") msg));
+  check Alcotest.bool "no file created" false (Sys.file_exists path);
+  let ok = Filename.concat dir "ok.json" in
+  (match Record.target ok with
+  | Ok t -> check Alcotest.string "a writable path is kept" ok t.Record.path
+  | Error msg -> Alcotest.failf "writable path rejected: %s" msg);
+  check Alcotest.bool "the probe leaves no file behind" false (Sys.file_exists ok);
+  Sys.rmdir dir
+
+let test_record_target_numbering () =
+  let dir = fresh_dir () in
+  let touch f = close_out (open_out (Filename.concat dir f)) in
+  List.iter touch [ "BENCH_0002.json"; "BENCH_0005.json"; "notes.txt" ];
+  (match Record.target dir with
+  | Error msg -> Alcotest.failf "directory rejected: %s" msg
+  | Ok t ->
+      check Alcotest.string "next slot after the highest"
+        (Filename.concat dir "BENCH_0006.json")
+        t.Record.path;
+      check Alcotest.(list string) "gap note"
+        [
+          "trajectory gap: BENCH_0003, BENCH_0004 never recorded; numbering \
+           continues at the next free slot";
+        ]
+        t.Record.gap_notes);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "repro_util"
     [
@@ -904,6 +1016,18 @@ let () =
           Alcotest.test_case "right align" `Quick test_table_right_align;
           Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows;
           Alcotest.test_case "format helpers" `Quick test_fmt_helpers;
+        ] );
+      ( "record",
+        [
+          Alcotest.test_case "median only over two or more numbers" `Quick
+            test_record_median;
+          Alcotest.test_case "nan is null and n/a" `Quick test_record_nan;
+          Alcotest.test_case "merge keeps rep order" `Quick
+            test_record_merge_order;
+          Alcotest.test_case "unwritable target rejected, no file left" `Quick
+            test_record_target_unwritable;
+          Alcotest.test_case "directory target auto-numbers with a gap note"
+            `Quick test_record_target_numbering;
         ] );
       ( "graph",
         [
