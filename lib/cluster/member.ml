@@ -1,11 +1,15 @@
 module Live = Repro_transport.Live
 module Wire = Repro_transport.Wire
+module Codec = Repro_transport.Codec
+module Transport = Repro_transport.Transport
 module Chaos = Repro_transport.Chaos
+module Net = Repro_msgpass.Net
 module Fault = Repro_msgpass.Fault
 module Ring = Repro_sharegraph.Ring
 module Op = Repro_history.Op
 module Wal = Repro_durable.Wal
 module Fsio = Repro_durable.Fsio
+module Memory = Repro_core.Memory
 
 let supervisor_id = 0xFFFF
 
@@ -56,6 +60,50 @@ let quiet_ms = 300
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Crash m)) fmt
 
+(* Member-to-member messages, sent as [Data] frames through the
+   transport.  A writer pushes [Update]s to the replica set; a donor
+   streams [Migrate] records to each new holder, then one [Done]; a
+   receiver still owed a [Done] sends [Pull], and the donor answers it. *)
+type msg =
+  | Update of { var : int; wseq : int; value : int }
+  | Migrate of { var : int; wseq : int; value : int }
+  | Done of { epoch : int }
+  | Pull of { epoch : int }
+
+(* A tag byte, then i32 var and wseq and an i64 value, or an i32 epoch. *)
+let codec : msg Codec.t =
+  let size = function
+    | Update _ | Migrate _ -> 1 + 4 + 4 + 8
+    | Done _ | Pull _ -> 1 + 4
+  in
+  let emit buf off m =
+    match m with
+    | Update { var; wseq; value } | Migrate { var; wseq; value } ->
+        let off = Codec.put_u8 buf off (match m with Update _ -> 0 | _ -> 1) in
+        let off = Codec.put_i32 buf off var in
+        let off = Codec.put_i32 buf off wseq in
+        Codec.put_i64 buf off value
+    | Done { epoch } | Pull { epoch } ->
+        let off = Codec.put_u8 buf off (match m with Done _ -> 2 | _ -> 3) in
+        Codec.put_i32 buf off epoch
+  in
+  let parse buf pos limit =
+    let tag, pos = Codec.get_u8 buf pos limit in
+    match tag with
+    | 0 | 1 ->
+        let var, pos = Codec.get_i32 buf pos limit in
+        let wseq, pos = Codec.get_i32 buf pos limit in
+        let value, pos = Codec.get_i64 buf pos limit in
+        ( (if tag = 0 then Update { var; wseq; value }
+           else Migrate { var; wseq; value }),
+          pos )
+    | 2 | 3 ->
+        let epoch, pos = Codec.get_i32 buf pos limit in
+        ((if tag = 2 then Done { epoch } else Pull { epoch }), pos)
+    | t -> raise (Codec.Bad (Printf.sprintf "member: unknown tag %d" t))
+  in
+  { Codec.size; emit; parse }
+
 (* Everything that must survive a crash, appended (and fsynced, [Every 1])
    before the effect it records becomes externally visible.  That ordering
    is the whole recovery story: a write reaches the WAL before any peer
@@ -69,6 +117,49 @@ type wal_entry =
   | W_epoch of int * int list * int list * bool
       (* epoch, members, down, committed *)
 
+let decode_entry seq payload : wal_entry =
+  try Marshal.from_string payload 0
+  with _ -> fail "member: WAL record %d undecodable" seq
+
+(* the operation of this process that an entry records, if any *)
+let op_of_entry = function
+  | W_write (x, _, v) -> Some (Op.write ~var:x (Op.Val v))
+  | W_read (x, vo) ->
+      Some (Op.read ~var:x (match vo with Some v -> Op.Val v | None -> Op.Init))
+  | W_apply _ | W_done _ | W_epoch _ -> None
+
+let salvage ~node ~dir =
+  match Wal.load ~dir with
+  | Error _ -> None
+  | Ok r -> (
+      match List.map (fun (seq, p) -> decode_entry seq p) r.Wal.r_entries with
+      | exception Crash _ -> None
+      | entries ->
+          let ops = List.filter_map op_of_entry entries in
+          let count kind =
+            List.length (List.filter (fun (k, _, _) -> k = kind) ops)
+          in
+          Some
+            {
+              node;
+              incarnation = 0;
+              ops;
+              writes_done = count Op.Write;
+              reads_done = count Op.Read;
+              committed_epoch =
+                List.fold_left
+                  (fun e -> function W_epoch (e', _, _, true) -> e' | _ -> e)
+                  0 entries;
+              stale_epochs = 0;
+              transfers_in = 0;
+              transfers_out = 0;
+              retries = 0;
+              init_fallbacks = 0;
+              unavail_ms = 0;
+              recovered_ops = 0;
+              wall_ms = 0;
+            })
+
 (* An in-flight transition: proposal received, commit not yet. *)
 type trans = {
   t_epoch : int;
@@ -79,19 +170,18 @@ type trans = {
   t_started : int;  (* now_ms at proposal, for the unavailability window *)
   t_owed : bool;  (* this member gains variables in the transition *)
   mutable t_next_query : int;
-      (* next time to nudge pending donors: if receiver and donor ever
-         disagree about who owes what (frames lost around a crash, a
-         starved donor), the receiver pulls instead of waiting forever *)
+      (* next time to pull from pending donors: the receiver's pull is
+         the only resend, so a batch lost to a crash on either side is
+         asked for again instead of waited on forever *)
 }
 
-(* A donor's outstanding migration batch: resent whole (idempotent by
-   wseq) on a bounded exponential backoff until the receiver acks. *)
+(* A donor's migration batch for one receiver, kept until a newer
+   proposal supersedes it and resent whole (idempotent by wseq) when the
+   receiver pulls. *)
 type batch = {
   b_epoch : int;
   b_receiver : int;
   b_records : (int * int * int) list;  (* var, wseq, value *)
-  mutable b_next_ms : int;
-  mutable b_delay_ms : int;
 }
 
 let ints_to_string is = String.concat "," (List.map string_of_int is)
@@ -141,49 +231,41 @@ let run (cfg : config) : result =
   let members = ref (List.sort compare cfg.initial_members) in
   let committed = ref 0 in
   let trans : trans option ref = ref None in
-  let recovered_dones : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
+  (* (epoch, donor) pairs whose [done] arrived before this member
+     processed that epoch's proposal, from the WAL or off the wire *)
+  let dones : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
   let recovered_proposal = ref None in
   let transfers_in = ref 0 in
   let transfers_out = ref 0 in
   let retries = ref 0 in
   let init_fallbacks = ref 0 in
   let unavail_ms = ref 0 in
-  let apply_record x s v =
-    let fresh =
-      match Hashtbl.find_opt store x with
-      | Some (s0, _) -> s > s0
-      | None -> true
-    in
-    if fresh then Hashtbl.replace store x (s, v);
-    fresh
+  let fresher x s =
+    match Hashtbl.find_opt store x with Some (s0, _) -> s > s0 | None -> true
   in
+  let apply_record x s v = if fresher x s then Hashtbl.replace store x (s, v) in
   (* replay the log: reads return logged values, writes and applies are
      re-applied to the store, membership entries restore the epoch *)
   (match wal with
   | Some (_, recovered) when cfg.incarnation > 0 ->
       List.iter
         (fun (seq, payload) ->
-          match (Marshal.from_string payload 0 : wal_entry) with
+          let entry = decode_entry seq payload in
+          Option.iter (fun op -> ops := op :: !ops) (op_of_entry entry);
+          match entry with
           | W_write (x, s, v) ->
               Hashtbl.replace wseq x s;
-              ignore (apply_record x s v : bool);
-              ops := Op.write ~var:x (Op.Val v) :: !ops;
+              apply_record x s v;
               incr writes_done
-          | W_read (x, vo) ->
-              ops :=
-                Op.read ~var:x
-                  (match vo with Some v -> Op.Val v | None -> Op.Init)
-                :: !ops;
-              incr reads_done
-          | W_apply (x, s, v) -> ignore (apply_record x s v : bool)
-          | W_done (e, d) -> Hashtbl.replace recovered_dones (e, d) ()
+          | W_read _ -> incr reads_done
+          | W_apply (x, s, v) -> apply_record x s v
+          | W_done (e, d) -> Hashtbl.replace dones (e, d) ()
           | W_epoch (e, ms, _, true) ->
               committed := e;
               members := ms;
               recovered_proposal := None
           | W_epoch (e, ms, dn, false) ->
-              recovered_proposal := Some (e, ms, dn)
-          | exception _ -> fail "member: WAL record %d undecodable" seq)
+              recovered_proposal := Some (e, ms, dn))
         recovered.Wal.r_entries
   | _ -> ());
   let recovered_ops = List.length !ops in
@@ -221,6 +303,17 @@ let run (cfg : config) : result =
       ~listen_fd:cfg.listen_fd
   in
   Live.set_epoch lt !committed;
+  let tr = (Live.factory lt).Transport.create ~codec cfg.n in
+  (* priced as pram-partial prices an update: the wseq (or epoch) is the
+     control information, a value is payload *)
+  let send dst m =
+    let payload_bytes =
+      match m with
+      | Update _ | Migrate _ -> Memory.value_bytes
+      | Done _ | Pull _ -> 0
+    in
+    tr.Transport.send ~src:cfg.self ~dst ~control_bytes:8 ~payload_bytes m
+  in
   let crash_sched =
     match cfg.chaos with
     | Some p when cfg.incarnation = 0 -> Fault.Plan.crash_for p cfg.self
@@ -240,15 +333,12 @@ let run (cfg : config) : result =
   let batches : batch list ref = ref [] in
   let send_batch b =
     List.iter
-      (fun (x, s, v) ->
-        Live.send_control lt ~dst:b.b_receiver ~kind:Wire.Transfer
-          ~body:(Printf.sprintf "m|%d|%d|%d" x s v);
+      (fun (var, wseq, value) ->
+        send b.b_receiver (Migrate { var; wseq; value });
         incr transfers_out;
         count_migration_send ())
       b.b_records;
-    Live.send_control lt ~dst:b.b_receiver ~kind:Wire.Transfer
-      ~body:
-        (Printf.sprintf "d|%d|%d" b.b_epoch (List.length b.b_records))
+    send b.b_receiver (Done { epoch = b.b_epoch })
   in
   let finish_requested = ref false in
   (* --- the transition state machine -------------------------------------- *)
@@ -258,38 +348,35 @@ let run (cfg : config) : result =
         Stdlib.max !unavail_ms (Live.now_ms lt - tr.t_started)
   in
   let on_proposal e new_members down =
-    let superseded b = b.b_epoch < e in
     if e > !committed
        && (match !trans with Some tr -> e > tr.t_epoch | None -> true)
     then begin
-      batches := List.filter (fun b -> not (superseded b)) !batches;
+      batches := List.filter (fun b -> b.b_epoch >= e) !batches;
       let new_members = List.sort compare new_members in
       let new_ring = ring_of new_members in
       wal_log (W_epoch (e, new_members, down, false));
+      let old_holders x = Ring.replicas !ring ~k:cfg.k x in
+      let gains p x =
+        List.mem p (Ring.replicas new_ring ~k:cfg.k x)
+        && not (List.mem p (old_holders x))
+      in
+      (* the least-id surviving old holder streams [x] to new holders *)
+      let donor_of x =
+        List.find_opt (fun p -> not (List.mem p down)) (old_holders x)
+      in
       (* receiver side: variables this proposal makes us a holder of, and
-         the donors (least-id surviving old holders) we expect them from *)
+         the donors we expect them from *)
       let donors = ref [] in
       let owed = ref false in
       if List.mem cfg.self new_members then
         for x = 0 to cfg.n_vars - 1 do
-          let now_holds = List.mem cfg.self (Ring.replicas new_ring ~k:cfg.k x) in
-          let had = List.mem cfg.self (Ring.replicas !ring ~k:cfg.k x) in
-          if now_holds && not had then begin
+          if gains cfg.self x then begin
             owed := true;
-            match
-              List.filter
-                (fun p -> not (List.mem p down))
-                (Ring.replicas !ring ~k:cfg.k x)
-            with
-            | [] -> incr init_fallbacks  (* no surviving donor: serve Init *)
-            | d :: _ -> if not (List.mem d !donors) then donors := d :: !donors
+            match donor_of x with
+            | None -> incr init_fallbacks  (* no surviving donor: serve Init *)
+            | Some d -> if not (List.mem d !donors) then donors := d :: !donors
           end
         done;
-      let pending =
-        List.filter
-          (fun d -> not (Hashtbl.mem recovered_dones (e, d)))
-          !donors
-      in
       trans :=
         Some
           {
@@ -297,61 +384,28 @@ let run (cfg : config) : result =
             t_members = new_members;
             t_down = down;
             t_ring = new_ring;
-            t_pending = pending;
+            t_pending =
+              List.filter (fun d -> not (Hashtbl.mem dones (e, d))) !donors;
             t_started = Live.now_ms lt;
             t_owed = !owed;
             t_next_query = Live.now_ms lt + 500;
           };
-      (* donor side: for each receiver, the variables whose least-id
-         surviving old holder is this member *)
+      (* donor side: for each receiver, the variables we stream to it *)
       if List.mem cfg.self !members && not (List.mem cfg.self down) then
         List.iter
           (fun r ->
             if r <> cfg.self then begin
-              let records = ref [] in
+              let records = ref [] and owes = ref false in
               for x = cfg.n_vars - 1 downto 0 do
-                let gains =
-                  List.mem r (Ring.replicas new_ring ~k:cfg.k x)
-                  && not (List.mem r (Ring.replicas !ring ~k:cfg.k x))
-                in
-                if gains then
-                  match
-                    List.filter
-                      (fun p -> not (List.mem p down))
-                      (Ring.replicas !ring ~k:cfg.k x)
-                  with
-                  | d :: _ when d = cfg.self -> (
-                      match Hashtbl.find_opt store x with
-                      | Some (s, v) -> records := (x, s, v) :: !records
-                      | None -> () (* never written: receiver defaults Init *))
-                  | _ -> ()
+                if gains r x && donor_of x = Some cfg.self then begin
+                  owes := true;
+                  match Hashtbl.find_opt store x with
+                  | Some (s, v) -> records := (x, s, v) :: !records
+                  | None -> () (* never written: receiver defaults Init *)
+                end
               done;
-              let gains_any =
-                !records <> []
-                || List.exists
-                     (fun x ->
-                       List.mem r (Ring.replicas new_ring ~k:cfg.k x)
-                       && not (List.mem r (Ring.replicas !ring ~k:cfg.k x))
-                       &&
-                       match
-                         List.filter
-                           (fun p -> not (List.mem p down))
-                           (Ring.replicas !ring ~k:cfg.k x)
-                       with
-                       | d :: _ -> d = cfg.self
-                       | [] -> false)
-                     (List.init cfg.n_vars Fun.id)
-              in
-              if gains_any then begin
-                let b =
-                  {
-                    b_epoch = e;
-                    b_receiver = r;
-                    b_records = !records;
-                    b_next_ms = Live.now_ms lt + 150;
-                    b_delay_ms = 150;
-                  }
-                in
+              if !owes then begin
+                let b = { b_epoch = e; b_receiver = r; b_records = !records } in
                 batches := b :: !batches;
                 send_batch b
               end
@@ -383,25 +437,55 @@ let run (cfg : config) : result =
       Live.set_epoch lt e
     end
   in
+  (* proposal [e] has reached this member: committed or in flight *)
+  let seen e =
+    !committed >= e
+    || match !trans with Some tr -> tr.t_epoch >= e | None -> false
+  in
   let on_done ~donor e =
-    (match !trans with
+    match !trans with
     | Some tr when tr.t_epoch = e && List.mem donor tr.t_pending ->
         wal_log (W_done (e, donor));
         tr.t_pending <- List.filter (fun d -> d <> donor) tr.t_pending;
         if tr.t_pending = [] then close_window tr
-    | _ -> ());
-    (* always ack: the donor retries until it hears one, and a duplicate
-       [done] means the previous ack was lost *)
-    if donor >= 0 && donor < cfg.n then
-      Live.send_control lt ~dst:donor ~kind:Wire.Transfer
-        ~body:(Printf.sprintf "a|%d" e)
+    | _ when not (seen e || Hashtbl.mem dones (e, donor)) ->
+        (* the batch overtook its proposal, which the supervisor sends on
+           another socket: log the [done] where [on_proposal] finds it *)
+        wal_log (W_done (e, donor));
+        Hashtbl.replace dones (e, donor) ()
+    | _ -> ()
   in
-  let on_ack ~receiver e =
-    batches :=
-      List.filter
-        (fun b -> not (b.b_epoch = e && b.b_receiver = receiver))
-        !batches
+  (* a receiver still waiting on us for epoch [e]: resend the batch if we
+     hold one, or answer an empty [done] if we have processed the proposal
+     and owe nothing — but stay silent if the proposal has not reached us
+     yet, so a premature reply can never release the receiver before the
+     records exist *)
+  let on_pull ~receiver e =
+    match
+      List.find_opt (fun b -> b.b_epoch = e && b.b_receiver = receiver) !batches
+    with
+    | Some b ->
+        incr retries;
+        send_batch b
+    | None -> if seen e then send receiver (Done { epoch = e })
   in
+  (* a remote write or migrated record, logged before the store changes *)
+  let apply_remote x s v =
+    let fresh = fresher x s in
+    if fresh then begin
+      wal_log (W_apply (x, s, v));
+      Hashtbl.replace store x (s, v)
+    end;
+    fresh
+  in
+  tr.Transport.set_handler cfg.self (fun env ->
+      match env.Net.msg with
+      | Update { var; wseq; value } ->
+          ignore (apply_remote var wseq value : bool)
+      | Migrate { var; wseq; value } ->
+          if apply_remote var wseq value then incr transfers_in
+      | Done { epoch } -> on_done ~donor:env.Net.src epoch
+      | Pull { epoch } -> on_pull ~receiver:env.Net.src epoch);
   (* --- control frames ----------------------------------------------------- *)
   let parse_proposal body =
     match String.split_on_char '|' body with
@@ -414,7 +498,7 @@ let run (cfg : config) : result =
     match !trans with Some tr -> tr.t_pending = [] | None -> false
   in
   Live.set_control_handler lt (fun ~reply (v : Wire.view) ->
-      let body = Bytes.sub_string v.Wire.v_buf v.Wire.v_off v.Wire.v_len in
+      let body = Wire.view_body v in
       match v.Wire.v_kind with
       | Wire.Ping ->
           reply ~kind:Wire.Pong ~dst:v.Wire.v_src
@@ -423,76 +507,19 @@ let run (cfg : config) : result =
                  (match !trans with Some tr -> tr.t_epoch | None -> 0)
                  (if ready () then 1 else 0)
                  !writes_done (Live.stale_epochs lt))
-      | Wire.Join | Wire.Leave ->
+      | Wire.Propose ->
           let e, ms, dn = parse_proposal body in
           on_proposal e ms dn
       | Wire.Epoch -> (
           match String.split_on_char '|' body with
           | "finish" :: _ -> finish_requested := true
-          | [ "commit"; e; ms ] -> (
-              try on_commit (int_of_string e) (ints_of_string ms)
-              with Crash _ as c -> raise c)
+          | [ "commit"; e; ms ] ->
+              on_commit (int_of_string e) (ints_of_string ms)
           | _ -> fail "member: bad epoch frame %S" body)
-      | Wire.Transfer -> (
-          match String.split_on_char '|' body with
-          | [ "u"; x; s; vv ] ->
-              let x = int_of_string x
-              and s = int_of_string s
-              and vv = int_of_string vv in
-              if
-                match Hashtbl.find_opt store x with
-                | Some (s0, _) -> s > s0
-                | None -> true
-              then begin
-                wal_log (W_apply (x, s, vv));
-                Hashtbl.replace store x (s, vv)
-              end
-          | [ "m"; x; s; vv ] ->
-              let x = int_of_string x
-              and s = int_of_string s
-              and vv = int_of_string vv in
-              if
-                match Hashtbl.find_opt store x with
-                | Some (s0, _) -> s > s0
-                | None -> true
-              then begin
-                wal_log (W_apply (x, s, vv));
-                Hashtbl.replace store x (s, vv);
-                incr transfers_in
-              end
-          | "d" :: e :: _ -> on_done ~donor:v.Wire.v_src (int_of_string e)
-          | [ "a"; e ] -> on_ack ~receiver:v.Wire.v_src (int_of_string e)
-          | [ "q"; e ] ->
-              (* a receiver still waiting on us for epoch [e]: resend the
-                 batch if we hold one, or answer an empty [done] if we
-                 have processed the proposal and owe nothing — but stay
-                 silent if the proposal has not reached us yet, so a
-                 premature reply can never release the receiver before
-                 the records exist *)
-              let e = int_of_string e in
-              let receiver = v.Wire.v_src in
-              (match
-                 List.find_opt
-                   (fun b -> b.b_epoch = e && b.b_receiver = receiver)
-                   !batches
-               with
-              | Some b -> send_batch b
-              | None ->
-                  let seen =
-                    !committed >= e
-                    || match !trans with
-                       | Some tr -> tr.t_epoch >= e
-                       | None -> false
-                  in
-                  if seen && receiver >= 0 && receiver < cfg.n then
-                    Live.send_control lt ~dst:receiver ~kind:Wire.Transfer
-                      ~body:(Printf.sprintf "d|%d|0" e))
-          | _ -> fail "member: bad transfer frame %S" body)
-      | Wire.Pong -> ()
       | _ -> ());
   Live.wait_peers lt ~timeout_ms:hello_timeout_ms;
   (* a respawned node that died mid-transition resumes it: the receiver
-     side re-derives the donors it still owes an ack (minus logged dones),
+     side re-derives the donors it still waits on (minus logged dones),
      the donor side rebuilds and resends its batches (idempotent) *)
   (match !recovered_proposal with
   | Some (e, ms, dn) when e > !committed -> on_proposal e ms dn
@@ -521,14 +548,13 @@ let run (cfg : config) : result =
       let v = (x * 1_000_000) + s in
       wal_log (W_write (x, s, v));
       Hashtbl.replace wseq x s;
-      ignore (apply_record x s v : bool);
+      apply_record x s v;
       ops := Op.write ~var:x (Op.Val v) :: !ops;
       incr writes_done;
       List.iter
         (fun dst ->
           if dst <> cfg.self then
-            Live.send_control lt ~dst ~kind:Wire.Transfer
-              ~body:(Printf.sprintf "u|%d|%d|%d" x s v))
+            send dst (Update { var = x; wseq = s; value = v }))
         (targets_of x)
     end
     else incr writes_done
@@ -554,28 +580,15 @@ let run (cfg : config) : result =
          do_write ();
          do_read ()
        end;
-       (* bounded-backoff retransmission of unacked migration batches *)
-       List.iter
-         (fun b ->
-           if now >= b.b_next_ms then begin
-             b.b_delay_ms <- Stdlib.min 1_600 (b.b_delay_ms * 2);
-             b.b_next_ms <- now + b.b_delay_ms;
-             incr retries;
-             send_batch b
-           end)
-         !batches;
-       (* pull from donors still owed a [done]: heals any receiver/donor
-          disagreement about the migration plan instead of wedging *)
-       (match !trans with
+       (* pull from donors still owed a [done]: the only resend of a
+          migration batch *)
+       match !trans with
        | Some tr when tr.t_pending <> [] && now >= tr.t_next_query ->
            tr.t_next_query <- now + 400;
            List.iter
-             (fun d ->
-               if d >= 0 && d < cfg.n && d <> cfg.self then
-                 Live.send_control lt ~dst:d ~kind:Wire.Transfer
-                   ~body:(Printf.sprintf "q|%d" tr.t_epoch))
+             (fun d -> send d (Pull { epoch = tr.t_epoch }))
              tr.t_pending
-       | _ -> ())
+       | _ -> ()
      done
    with Chaos.Injected_crash _ as c ->
      (match wal with Some (w, _) -> (try Wal.close w with _ -> ()) | None -> ());

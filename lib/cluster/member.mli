@@ -14,20 +14,25 @@
       push updates to the replica set; during a transition they push to
       the {e union} of old and new holders.
     - {e State transfer}: when a proposal makes this member a new holder
-      of [x], the donor — the least-id surviving old holder — pushes its
-      record of [x] (idempotent by sequence number), then a [done]
-      marker per receiver; the batch is retried on a bounded backoff
-      until the receiver acknowledges.  A variable with no surviving
-      donor degrades gracefully to [Init].
-    - {e Epoch fencing}: the committed epoch is stamped into every frame
-      ({!Repro_transport.Live.set_epoch}); stale [Data]/[Transfer]
-      frames are dropped and counted at the transport seam.
+      of [x], the donor — the least-id surviving old holder — streams
+      its record of [x] ({!Migrate}, idempotent by sequence number),
+      then one {!Done} per receiver.  The receiver pulls ({!Pull}) from
+      every donor whose [Done] has not arrived, every 400 ms after the
+      first 500, and the donor answers by resending the batch it keeps
+      until a newer proposal supersedes it: the pull is the only resend.
+      A variable with no surviving donor degrades gracefully to [Init].
+    - {e One data path}: every member-to-member message is a {!msg} in a
+      [Data] frame, sent through the {!Repro_transport.Transport.t} that
+      {!Repro_transport.Live.factory} builds with {!codec}.  The
+      committed epoch is stamped into every frame
+      ({!Repro_transport.Live.set_epoch}), so stale frames are dropped
+      and counted at the transport seam.
     - {e Durability}: every externalized effect (own op, applied remote
-      record, membership transition, received [done]) is appended to a
-      PR-8 write-ahead log {e before} it becomes visible, with [Every 1]
+      record, membership transition, received [Done]) is appended to a
+      write-ahead log {e before} it becomes visible, with [Every 1]
       fsync, so a crash mid-migration resumes exactly where it stopped:
       a respawned donor re-derives and re-sends its batches, a respawned
-      receiver re-derives the donors it still owes an ack.
+      receiver re-derives the donors it still waits on.
 
     The advertised criterion for this tier is {e cache consistency}
     (per-variable sequential): single-writer per-variable sequencing and
@@ -39,6 +44,23 @@
 
 module Fault = Repro_msgpass.Fault
 module Op = Repro_history.Op
+
+(** Member-to-member messages.  Each carries 8 declared control bytes
+    (the per-writer sequence number, or the epoch), and [Update] and
+    [Migrate] 8 payload bytes for the value — the pricing of
+    [pram-partial]'s update. *)
+type msg =
+  | Update of { var : int; wseq : int; value : int }
+      (** a writer's [wseq]-th write of [var], pushed to its holders *)
+  | Migrate of { var : int; wseq : int; value : int }
+      (** a donor's record of [var], streamed to a new holder *)
+  | Done of { epoch : int }  (** the donor's batch for [epoch] is complete *)
+  | Pull of { epoch : int }  (** a receiver still waits on the donor *)
+
+val codec : msg Repro_transport.Codec.t
+(** Strict: a tag byte, then [i32] var and wseq and an [i64] value, or
+    an [i32] epoch.  An unknown tag, a truncated body or trailing bytes
+    raise {!Repro_transport.Codec.Bad}. *)
 
 val supervisor_id : int
 (** Sentinel [src] (0xFFFF) the supervisor stamps on control frames —
@@ -73,10 +95,10 @@ type result = {
   writes_done : int;
   reads_done : int;
   committed_epoch : int;
-  stale_epochs : int;  (** frames the epoch fence rejected at this node *)
+  stale_epochs : int;  (** [Data] frames the epoch fence rejected here *)
   transfers_in : int;  (** migration records applied *)
   transfers_out : int;  (** migration records sent *)
-  retries : int;  (** migration batch resends *)
+  retries : int;  (** batches resent because a receiver pulled *)
   init_fallbacks : int;  (** owed variables with no surviving donor *)
   unavail_ms : int;
       (** longest proposal→ready/commit window during which this member
@@ -84,16 +106,6 @@ type result = {
   recovered_ops : int;  (** ops replayed from the WAL on respawn *)
   wall_ms : int;
 }
-
-type wal_entry =
-  | W_write of int * int * int  (** var, wseq, value *)
-  | W_read of int * int option  (** var, value read ([None] = Init) *)
-  | W_apply of int * int * int  (** var, wseq, value — remote or migrated *)
-  | W_done of int * int  (** epoch, donor whose batch completed *)
-  | W_epoch of int * int list * int list * bool
-      (** epoch, members, down, committed *)
-(** WAL record payloads ([Marshal]-framed), exposed so the supervisor can
-    salvage a dead node's operations from its surviving log. *)
 
 exception Crash of string
 (** {!Supervisor.Crash}. *)
@@ -104,3 +116,11 @@ val run : config -> result
     {!Repro_transport.Chaos.Injected_crash}; the supervisor maps it to
     exit 42 and respawns with [incarnation + 1].
     @raise Crash on timeout or a malformed control frame. *)
+
+val salvage : node:int -> dir:string -> result option
+(** Read a dead member's operations back from the WAL it left in [dir]
+    (a member logs every op before any peer can see it), so the history
+    stays closed under reads even when the process never reported.
+    [None] when the log is missing or a record does not decode.  The
+    result carries the ops, their counts and the last committed epoch;
+    every other counter is 0. *)

@@ -5,7 +5,6 @@ module Ring = Repro_sharegraph.Ring
 module History = Repro_history.History
 module Checker = Repro_history.Checker
 module Op = Repro_history.Op
-module Wal = Repro_durable.Wal
 module Fsio = Repro_durable.Fsio
 module Record = Repro_util.Record
 
@@ -100,49 +99,8 @@ let write_all fd buf =
 
 let ints_to_string is = String.concat "," (List.map string_of_int is)
 
-(* A dead node's externalized operations survive in its WAL (the member
-   logs before it sends): decode them so the history stays closed under
-   reads even when the process never reported. *)
-let salvage ~node ~dir : Member.result option =
-  match Wal.load ~dir with
-  | Error _ -> None
-  | Ok r -> (
-      try
-        let ops = ref [] in
-        let w = ref 0 and rd = ref 0 and epoch = ref 0 in
-        List.iter
-          (fun (_, payload) ->
-            match (Marshal.from_string payload 0 : Member.wal_entry) with
-            | Member.W_write (x, _, v) ->
-                ops := Op.write ~var:x (Op.Val v) :: !ops;
-                incr w
-            | Member.W_read (x, vo) ->
-                ops :=
-                  Op.read ~var:x
-                    (match vo with Some v -> Op.Val v | None -> Op.Init)
-                  :: !ops;
-                incr rd
-            | Member.W_epoch (e, _, _, true) -> epoch := e
-            | _ -> ())
-          r.Wal.r_entries;
-        Some
-          {
-            Member.node;
-            incarnation = 0;
-            ops = List.rev !ops;
-            writes_done = !w;
-            reads_done = !rd;
-            committed_epoch = !epoch;
-            stale_epochs = 0;
-            transfers_in = 0;
-            transfers_out = 0;
-            retries = 0;
-            init_fallbacks = 0;
-            unavail_ms = 0;
-            recovered_ops = 0;
-            wall_ms = 0;
-          }
-      with _ -> None)
+let proposal_body e members down =
+  Printf.sprintf "%d|%s|%s" e (ints_to_string members) (ints_to_string down)
 
 let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
     ?(demote_after_ms = 2_500) ?chaos ?wal_dir () : (outcome, string) result =
@@ -326,14 +284,8 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
               Ring.moved ~before:(ring_of !members)
                 ~after:(ring_of new_members) ~k ~n_vars
             in
-            let body =
-              Printf.sprintf "%d|%s|%s" e
-                (ints_to_string new_members)
-                (ints_to_string (down ()))
-            in
-            broadcast
-              ~kind:(if kind = "join" then Wire.Join else Wire.Leave)
-              ~body;
+            broadcast ~kind:Wire.Propose
+              ~body:(proposal_body e new_members (down ()));
             pending :=
               Some
                 {
@@ -543,14 +495,9 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                         && now -. c.catchup_at > 0.3
                       then begin
                         c.catchup_at <- now;
-                        send_ctl c
-                          ~kind:
-                            (if p.pd_kind = "leave" then Wire.Leave
-                             else Wire.Join)
+                        send_ctl c ~kind:Wire.Propose
                           ~body:
-                            (Printf.sprintf "%d|%s|%s" p.pd_epoch
-                               (ints_to_string p.pd_members)
-                               (ints_to_string p.pd_down))
+                            (proposal_body p.pd_epoch p.pd_members p.pd_down)
                       end)
                     p.pd_members;
                   (* belt and braces while a commit is outstanding: a
@@ -559,14 +506,8 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                      space (members drop duplicates by epoch) *)
                   if now >= p.pd_rebroadcast_at then begin
                     p.pd_rebroadcast_at <- now +. 1.5;
-                    broadcast
-                      ~kind:
-                        (if p.pd_kind = "leave" then Wire.Leave
-                         else Wire.Join)
-                      ~body:
-                        (Printf.sprintf "%d|%s|%s" p.pd_epoch
-                           (ints_to_string p.pd_members)
-                           (ints_to_string p.pd_down))
+                    broadcast ~kind:Wire.Propose
+                      ~body:(proposal_body p.pd_epoch p.pd_members p.pd_down)
                   end
                 end
             | None ->
@@ -579,11 +520,9 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                       && now -. c.catchup_at > 0.3
                     then begin
                       c.catchup_at <- now;
-                      send_ctl c ~kind:Wire.Join
+                      send_ctl c ~kind:Wire.Propose
                         ~body:
-                          (Printf.sprintf "%d|%s|%s" !committed_epoch
-                             (ints_to_string !members)
-                             (ints_to_string (down ())));
+                          (proposal_body !committed_epoch !members (down ()));
                       send_ctl c ~kind:Wire.Epoch
                         ~body:
                           (Printf.sprintf "commit|%d|%s" !committed_epoch
@@ -651,7 +590,7 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                       (* an injected crash with no restart leaves a WAL the
                          member logged before every send: its ops can be
                          reconstructed even though it never reported *)
-                      match (e, salvage ~node:i ~dir:(node_wal i)) with
+                      match (e, Member.salvage ~node:i ~dir:(node_wal i)) with
                       | Supervisor.Injected_crash, Some r ->
                           salvaged := i :: !salvaged;
                           Ok r

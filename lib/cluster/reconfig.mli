@@ -11,8 +11,8 @@
       poll — a member silent past [demote_after_ms] is demoted by a
       superseding proposal that excludes it;
     + a scripted [join=]/[leave=] event (from the chaos plan) or a
-      demotion produces a {e proposal} ([Join]/[Leave] frame carrying
-      the new member set and the down set) broadcast to every process;
+      demotion produces a {e proposal} (a [Propose] frame carrying the
+      new member set and the down set) broadcast to every process;
     + when every member of the proposed set reports ready (migration
       complete), the supervisor broadcasts the {e commit} ([Epoch]
       frame) and the new epoch takes effect — stragglers are fenced at

@@ -459,54 +459,34 @@ let conn_control t c ~kind ~dst ~body =
   Bytes.blit_string body 0 buf Wire.body_offset body_len;
   enqueue_conn t c buf total
 
-(* Same, over the peer mesh (a member pushing Transfer frames to a peer). *)
-let send_control t ~dst ~kind ~body =
-  if dst < 0 || dst >= t.cfg.n then invalid_arg "live: bad control dst";
-  let body_len = String.length body in
-  let total = Wire.body_offset + body_len in
-  let buf = Wire.Pool.acquire t.pool total in
-  Wire.set_header buf ~kind ~src:t.cfg.self ~dst ~epoch:t.cur_epoch
-    ~control_bytes:0 ~payload_bytes:0 ~body_len;
-  Bytes.blit_string body 0 buf Wire.body_offset body_len;
-  enqueue_peer t dst buf total
-
-let dispatch ?conn t (v : Wire.view) =
+let dispatch t c (v : Wire.view) =
   match v.Wire.v_kind with
-  | Wire.Join | Wire.Leave | Wire.Transfer | Wire.Epoch | Wire.Ping
-  | Wire.Pong -> (
+  | Wire.Propose | Wire.Epoch | Wire.Ping | Wire.Pong -> (
       (* membership / heartbeat control plane: src may be the supervisor's
          sentinel id (outside the node range), and the reply goes back on
-         the connection the frame arrived on.  A Transfer stamped with an
-         epoch older than ours is a straggler from a superseded
-         configuration: reject it here, at the seam, and count it.  The
-         other control kinds must cross epochs — they are how a node
-         {e learns} of a newer epoch (or how the supervisor spots a stale
-         one), so they pass through and the handler decides. *)
+         the connection the frame arrived on.  These kinds cross epochs
+         unfenced — they are how a node {e learns} of a newer epoch (or
+         how the supervisor spots a stale one) — and the handler decides. *)
       t.activity <- t.activity + 1;
-      if v.Wire.v_kind = Wire.Transfer && v.Wire.v_epoch < t.cur_epoch then
-        t.stale_epochs <- t.stale_epochs + 1
-      else
-        match (t.on_control, conn) with
-        | Some handler, Some c ->
-            handler
-              ~reply:(fun ~kind ~dst ~body -> conn_control t c ~kind ~dst ~body)
-              v
-        | Some handler, None ->
-            handler ~reply:(fun ~kind:_ ~dst:_ ~body:_ -> ()) v
-        | None, _ -> () (* static cluster: stray control frames are inert *))
+      match t.on_control with
+      | Some handler ->
+          handler
+            ~reply:(fun ~kind ~dst ~body -> conn_control t c ~kind ~dst ~body)
+            v
+      | None -> () (* static cluster: stray control frames are inert *))
   | Wire.Creq -> (
       (* client traffic: src is a client id, deliberately outside the node
          range, and the reply goes back on the connection the request came
          in on — never through the peer mesh *)
       t.activity <- t.activity + 1;
       t.client_reqs <- t.client_reqs + 1;
-      match (t.on_client, conn) with
-      | Some handler, Some c ->
+      match t.on_client with
+      | Some handler ->
           handler
             ~reply:(fun ~dst ~control_bytes ~payload_bytes ~body_len ~emit ->
               conn_reply t c ~dst ~control_bytes ~payload_bytes ~body_len ~emit)
             v
-      | _ -> () (* no front door installed: drop, the client times out *))
+      | None -> () (* no front door installed: drop, the client times out *))
   | Wire.Cresp -> () (* nodes never consume responses; tolerate strays *)
   | Wire.Hello | Wire.Done | Wire.Data ->
       if v.Wire.v_src < 0 || v.Wire.v_src >= t.cfg.n then
@@ -527,16 +507,14 @@ let dispatch ?conn t (v : Wire.view) =
           end
       | Wire.Done -> t.done_seen.(v.Wire.v_src) <- true
       | Wire.Data ->
-          (* epoch fence: a data frame from a configuration older than
-             ours (a peer that has not heard of the reconfiguration, or a
-             crashed node recovering at its pre-crash epoch) is dropped
-             and counted, never delivered *)
+          (* the epoch fence: a data frame from a configuration older
+             than ours (a peer that has not heard of the reconfiguration,
+             or a crashed node recovering at its pre-crash epoch) is
+             dropped and counted, never delivered *)
           if v.Wire.v_epoch < t.cur_epoch then
             t.stale_epochs <- t.stale_epochs + 1
           else t.on_data_view v
-      | Wire.Join | Wire.Leave | Wire.Transfer | Wire.Epoch | Wire.Ping
-      | Wire.Pong ->
-          assert false)
+      | Wire.Propose | Wire.Epoch | Wire.Ping | Wire.Pong -> assert false)
 
 let fire_due t =
   let fired = ref false in
@@ -598,7 +576,7 @@ let service_conn t c =
     let rec pump () =
       match Wire.next_view c.dec with
       | Ok (Some v) ->
-          dispatch ~conn:c t v;
+          dispatch t c v;
           pump ()
       | Ok None -> ()
       | Error msg -> failwith ("live: corrupt stream: " ^ msg)

@@ -154,15 +154,16 @@ val client_reqs : t -> int
 
 (** {1 Membership control plane}
 
-    Reconfiguration frames ([Join]/[Leave]/[Transfer]/[Epoch]/
-    [Ping]/[Pong]) ride the same sockets as everything else but never
-    enter the protocol transport or its accounting.  The epoch fence
-    lives here, at the seam: every outgoing frame is stamped with
-    {!current_epoch}, and an incoming [Data] or [Transfer] frame stamped
-    older is dropped and counted in {!stale_epochs} — a node that missed
-    a reconfiguration cannot corrupt post-change state.  The remaining
-    control kinds cross epochs freely (they are how nodes {e learn} of a
-    newer epoch). *)
+    The frames between the supervisor and each member ([Propose]/
+    [Epoch]/[Ping]/[Pong]) ride the same sockets as everything else but
+    never enter the transport or its accounting; member-to-member
+    traffic, state transfer included, is [Data] through
+    {!val-factory}.  The epoch fence lives here, at the seam: every
+    outgoing frame is stamped with {!current_epoch}, and an incoming
+    [Data] frame stamped older is dropped and counted in
+    {!stale_epochs} — a node that missed a reconfiguration cannot
+    corrupt post-change state.  Control kinds cross epochs freely (they
+    are how nodes {e learn} of a newer epoch). *)
 
 type control_reply = kind:Wire.kind -> dst:int -> body:string -> unit
 (** Send one control frame back on the connection the triggering frame
@@ -175,10 +176,6 @@ val set_control_handler :
     are inert (static clusters).  As with the client front door, parse
     the view's body before returning. *)
 
-val send_control : t -> dst:int -> kind:Wire.kind -> body:string -> unit
-(** Queue a control frame to peer [dst] over the mesh (state transfer
-    between members).  Not counted in protocol stats. *)
-
 val set_epoch : t -> int -> unit
 (** Raise this node's configuration epoch (monotonic: lowering is a
     no-op).  @raise Invalid_argument outside [0, 0xFFFF]. *)
@@ -186,6 +183,6 @@ val set_epoch : t -> int -> unit
 val current_epoch : t -> int
 
 val stale_epochs : t -> int
-(** Frames rejected by the epoch fence so far. *)
+(** [Data] frames rejected by the epoch fence so far. *)
 
 val close : t -> unit

@@ -4,9 +4,7 @@ type kind =
   | Done
   | Creq
   | Cresp
-  | Join
-  | Leave
-  | Transfer
+  | Propose
   | Epoch
   | Ping
   | Pong
@@ -32,15 +30,15 @@ let body_offset = 4 + header_bytes
 
 let max_frame_bytes = 1 lsl 24
 
+(* bytes 6 and 7 are unassigned: the decoder rejects them like any
+   other unknown kind *)
 let kind_byte = function
   | Data -> 0
   | Hello -> 1
   | Done -> 2
   | Creq -> 3
   | Cresp -> 4
-  | Join -> 5
-  | Leave -> 6
-  | Transfer -> 7
+  | Propose -> 5
   | Epoch -> 8
   | Ping -> 9
   | Pong -> 10
@@ -51,9 +49,7 @@ let kind_of_byte = function
   | 2 -> Some Done
   | 3 -> Some Creq
   | 4 -> Some Cresp
-  | 5 -> Some Join
-  | 6 -> Some Leave
-  | 7 -> Some Transfer
+  | 5 -> Some Propose
   | 8 -> Some Epoch
   | 9 -> Some Ping
   | 10 -> Some Pong

@@ -8,8 +8,8 @@
       offset 4   1 byte   magic 0xD5
       offset 5   1 byte   kind (0 = data, 1 = hello, 2 = done,
                                 3 = client request, 4 = client response,
-                                5 = join, 6 = leave, 7 = state transfer,
-                                8 = epoch commit, 9 = ping, 10 = pong)
+                                5 = proposal, 8 = epoch commit,
+                                9 = ping, 10 = pong; 6 and 7 unassigned)
       offset 6   2 bytes  src node id
       offset 8   2 bytes  dst node id
       offset 10  2 bytes  configuration epoch
@@ -34,10 +34,11 @@
     data-plane frames stamped with an older epoch than its own — a node
     that has not yet heard about a membership change cannot corrupt
     post-change state.  Static clusters carry epoch 0 forever.
-    [Join]/[Leave] announce a new member set, [Transfer] carries
-    migrated variable state, [Epoch] commits the new configuration, and
-    [Ping]/[Pong] form the heartbeat used for failure detection and
-    epoch-readiness polling (the membership runtime in [repro_cluster]).
+    [Propose] announces a new member set, [Epoch] commits the new
+    configuration, and [Ping]/[Pong] form the heartbeat used for failure
+    detection and epoch-readiness polling (the membership runtime in
+    [repro_cluster]).  Member-to-member traffic, state transfer
+    included, is ordinary [Data].
 
     {b Hot path.}  Frames are built in place: {!Pool.acquire} a buffer,
     emit the body at {!body_offset}, {!set_header}, hand the buffer to
@@ -51,9 +52,7 @@ type kind =
   | Done
   | Creq
   | Cresp
-  | Join
-  | Leave
-  | Transfer
+  | Propose
   | Epoch
   | Ping
   | Pong

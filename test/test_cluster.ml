@@ -381,6 +381,18 @@ let test_reconfig_join_leave_crash () =
   check Alcotest.bool "minimal movement gate" true o.Reconfig.moved_ok;
   check Alcotest.bool "state actually transferred" true (o.Reconfig.transfers > 0);
   check Alcotest.int "no variable degraded to Init" 0 o.Reconfig.init_fallbacks;
+  (* the leave epoch completes without waiting for a pull (the first one
+     goes out 500 ms after the proposal), even when a donor's [Done]
+     overtakes the proposal at its receiver *)
+  List.iter
+    (fun e ->
+      if e.Reconfig.ev_kind = "leave" then
+        check Alcotest.bool
+          (Printf.sprintf "leave epoch rebalanced in %d ms < 450"
+             e.Reconfig.ev_rebalance_ms)
+          true
+          (e.Reconfig.ev_rebalance_ms < 450))
+    o.Reconfig.events;
   (* the joiner wrote from the start (writers are fixed); every node's
      recorded epoch reached the final commit *)
   Array.iter

@@ -1,8 +1,9 @@
-(* Binary codec tier: qcheck round-trips for every protocol codec (and
-   the session-wrapped lift), strict rejection of truncated / corrupt /
-   padded input, the Marshal cross-check oracle, the decoder buffer
-   shrink-after-idle policy, and the allocation bounds the zero-copy hot
-   path promises (emit into a pooled frame allocates nothing). *)
+(* Binary codec tier: qcheck round-trips for every protocol codec (plus
+   the session-wrapped lift and the membership tier's messages), strict
+   rejection of truncated / corrupt / padded input, the Marshal
+   cross-check oracle, the decoder buffer shrink-after-idle policy, and
+   the allocation bounds the zero-copy hot path promises (emit into a
+   pooled frame allocates nothing). *)
 
 module Codec = Repro_transport.Codec
 module Wire = Repro_transport.Wire
@@ -15,6 +16,7 @@ module Causal_partial = Repro_core.Causal_partial
 module Causal_gossip = Repro_core.Causal_gossip
 module Causal_adhoc = Repro_core.Causal_adhoc
 module Causal_delta = Repro_core.Causal_delta
+module Member = Repro_cluster.Member
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -96,6 +98,22 @@ let causal_delta_gen =
       (quad id_gen value_gen id_gen
          (list_size (int_range 0 10) (pair id_gen id_gen))))
 
+(* the membership tier's messages: var, wseq and epoch ride i32 slots,
+   the value an i64 *)
+let member_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map3
+          (fun var wseq value -> Member.Update { var; wseq; value })
+          id_gen id_gen int;
+        map3
+          (fun var wseq value -> Member.Migrate { var; wseq; value })
+          id_gen id_gen int;
+        map (fun epoch -> Member.Done { epoch }) id_gen;
+        map (fun epoch -> Member.Pull { epoch }) id_gen;
+      ])
+
 (* --- round-trip + strictness, over every protocol codec ----------------------- *)
 
 (* One qcheck property per codec:
@@ -172,7 +190,11 @@ let test_corrupt_tags () =
   in
   Bytes.set_uint8 pb 0 255;
   check_bad "causal-partial variant tag" (fun () ->
-      Codec.decode pc pb ~pos:0 ~len:(Bytes.length pb))
+      Codec.decode pc pb ~pos:0 ~len:(Bytes.length pb));
+  let mb = Codec.encode Member.codec (Member.Pull { epoch = 3 }) in
+  Bytes.set_uint8 mb 0 4;
+  check_bad "member message tag" (fun () ->
+      Codec.decode Member.codec mb ~pos:0 ~len:(Bytes.length mb))
 
 let test_encode_range_checks () =
   let c = Pram_partial.codec in
@@ -286,6 +308,7 @@ let () =
           roundtrip_strict "causal-delta" causal_delta_gen Causal_delta.codec;
           roundtrip_strict "session-wrapped" session_wrapped_gen
             (Session.wrapped_codec Pram_partial.codec);
+          roundtrip_strict "member" member_gen Member.codec;
         ] );
       ( "strict",
         [

@@ -25,8 +25,8 @@ let frame_gen =
     let* kind =
       oneofl
         [
-          Wire.Data; Wire.Hello; Wire.Done; Wire.Creq; Wire.Cresp; Wire.Join;
-          Wire.Leave; Wire.Transfer; Wire.Epoch; Wire.Ping; Wire.Pong;
+          Wire.Data; Wire.Hello; Wire.Done; Wire.Creq; Wire.Cresp;
+          Wire.Propose; Wire.Epoch; Wire.Ping; Wire.Pong;
         ]
     in
     let* src = int_bound 0xFFFF in
@@ -45,9 +45,7 @@ let frame_print (f : Wire.frame) =
     | Done -> "done"
     | Creq -> "creq"
     | Cresp -> "cresp"
-    | Join -> "join"
-    | Leave -> "leave"
-    | Transfer -> "transfer"
+    | Propose -> "propose"
     | Epoch -> "epoch"
     | Ping -> "ping"
     | Pong -> "pong")
@@ -109,9 +107,12 @@ let test_bad_magic_rejected () =
   expect_error "bad magic" buf
 
 let test_unknown_kind_rejected () =
-  let buf = encoded () in
-  Bytes.set_uint8 buf 5 11;
-  expect_error "unknown kind" buf
+  List.iter
+    (fun k ->
+      let buf = encoded () in
+      Bytes.set_uint8 buf 5 k;
+      expect_error (Printf.sprintf "unknown kind %d" k) buf)
+    [ 6; 7; 11 ]
 
 let test_oversized_rejected () =
   let buf = encoded () in
@@ -495,12 +496,18 @@ let test_coalescing_equivalence () =
 
 (* --- epoch fence at the live seam ------------------------------------------ *)
 
+(* an int rides a [Data] body as one i32: enough to tell messages apart *)
+let int_codec : int Repro_transport.Codec.t =
+  Repro_transport.Codec.
+    { size = (fun _ -> 4); emit = put_i32; parse = get_i32 }
+
 (* Two real Live endpoints over loopback (the peer forked, as in the
-   cluster harness).  The peer emits a [Transfer] while still at epoch 0
-   after this node has committed epoch 2 — the fence must drop and count
-   it; its [Ping] crosses freely (control kinds are how nodes learn of a
-   newer epoch), and a [Transfer] re-stamped at the current epoch is
-   delivered. *)
+   cluster harness).  The peer sends a [Data] message while still at
+   epoch 0 after this node has committed epoch 2 — the fence must drop
+   and count it.  A supervisor-style [Ping] at epoch 0, written on a raw
+   dialed socket as Reconfig writes it, crosses freely (control kinds are
+   how nodes learn of a newer epoch), and a message sent once the peer
+   is at the current epoch is delivered. *)
 let test_epoch_fence () =
   let fd0 = Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
   let fd1 = Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
@@ -523,17 +530,29 @@ let test_epoch_fence () =
         try
           Unix.close fd0;
           let t = Live.create (config 1) ~listen_fd:fd1 in
+          let tr = (Live.factory t).Transport.create ~codec:int_codec 2 in
+          let send m =
+            tr.Transport.send ~src:1 ~dst:0 ~control_bytes:8 ~payload_bytes:0 m
+          in
           Live.wait_peers t ~timeout_ms:5_000;
           (* let the parent raise its epoch first *)
           Unix.sleepf 0.3;
-          Live.send_control t ~dst:0 ~kind:Wire.Transfer ~body:"stale";
-          Live.send_control t ~dst:0 ~kind:Wire.Ping ~body:"ping";
+          send 1;
+          let ctl = Unix.socket PF_INET SOCK_STREAM 0 in
+          Unix.connect ctl peers.(0);
+          let ping =
+            Wire.encode
+              { Wire.kind = Wire.Ping; src = 0xFFFF; dst = 0; epoch = 0;
+                control_bytes = 0; payload_bytes = 0; body = "ping" }
+          in
+          ignore (Unix.write ctl ping 0 (Bytes.length ping) : int);
           Live.set_epoch t 2;
-          Live.send_control t ~dst:0 ~kind:Wire.Transfer ~body:"fresh";
+          send 2;
           let deadline = Live.now_ms t + 1_000 in
           while Live.now_ms t < deadline do
             ignore (Live.step t ~block:true)
           done;
+          Unix.close ctl;
           Live.close t;
           0
         with _ -> 1
@@ -542,24 +561,26 @@ let test_epoch_fence () =
   | child ->
       Unix.close fd1;
       let t = Live.create (config 0) ~listen_fd:fd0 in
-      let seen = ref [] in
+      let tr = (Live.factory t).Transport.create ~codec:int_codec 2 in
+      let delivered = ref [] and pinged = ref false in
+      tr.Transport.set_handler 0 (fun e ->
+          delivered := e.Repro_msgpass.Net.msg :: !delivered);
       Live.set_control_handler t (fun ~reply:_ v ->
-          seen := (v.Wire.v_kind, Wire.view_body v) :: !seen);
+          if v.Wire.v_kind = Wire.Ping && Wire.view_body v = "ping" then
+            pinged := true);
       Live.wait_peers t ~timeout_ms:5_000;
       Live.set_epoch t 2;
-      let got k body = List.mem (k, body) !seen in
       let deadline = Live.now_ms t + 5_000 in
       while
-        not (got Wire.Ping "ping" && got Wire.Transfer "fresh")
-        && Live.now_ms t < deadline
+        not (!pinged && List.mem 2 !delivered) && Live.now_ms t < deadline
       do
         ignore (Live.step t ~block:true)
       done;
-      check Alcotest.bool "ping crossed the fence" true (got Wire.Ping "ping");
-      check Alcotest.bool "current-epoch transfer delivered" true
-        (got Wire.Transfer "fresh");
-      check Alcotest.bool "stale transfer never dispatched" false
-        (got Wire.Transfer "stale");
+      check Alcotest.bool "supervisor ping crossed the fence" true !pinged;
+      check Alcotest.bool "current-epoch message delivered" true
+        (List.mem 2 !delivered);
+      check Alcotest.bool "stale message never delivered" false
+        (List.mem 1 !delivered);
       check Alcotest.int "stale frame counted" 1 (Live.stale_epochs t);
       Live.close t;
       let _, status = Unix.waitpid [] child in
