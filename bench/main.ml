@@ -497,18 +497,17 @@ let cluster_cases =
     ("pram-partial", "bellman-ford", 5);
   ]
 
-(* One row and its gates from [cluster_reps] live runs of one case, rep i
-   at seed + i: Cluster's summary of every rep merged in rep order, with
-   the parent's fork-to-join wall clock beside it, then [extra].  Each of
-   Cluster's gates (and sim parity, when asked) is named after the case
-   and must hold on every rep. *)
+(* One row and its gates from [cluster_reps] live runs of one case, every
+   rep at the tier's seed so the reps repeat one workload: Cluster's
+   summary of every rep merged in rep order, with the parent's
+   fork-to-join wall clock beside it, then [extra].  Each of Cluster's
+   gates (and sim parity, when asked) is named after the case and must
+   hold on every rep. *)
 let live_case ~case ~n ~protocol ~workload ~parity ?chaos ?session extra =
   let outcomes =
-    List.init cluster_reps (fun rep ->
+    List.init cluster_reps (fun _ ->
         let t0 = Unix.gettimeofday () in
-        match
-          Cluster.run ~n ~protocol ~workload ~seed:(seed + rep) ?chaos ?session ()
-        with
+        match Cluster.run ~n ~protocol ~workload ~seed ?chaos ?session () with
         | Error msg -> failwith (Printf.sprintf "%s: %s" case msg)
         | Ok o -> (o, (Unix.gettimeofday () -. t0) *. 1e3))
   in
@@ -954,16 +953,6 @@ let durable_policies =
 
 let durable_recovery_lengths = [ 1_000; 10_000; 50_000 ]
 
-let durable_tmp_root () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "repro-bench-wal-%d" (Unix.getpid ()))
-  in
-  Fsio.remove_tree dir;
-  Unix.mkdir dir 0o700;
-  (dir, fun () -> Fsio.remove_tree dir)
-
 let run_durable_policy root (label, policy) =
   let dir = Filename.concat root ("policy-" ^ label) in
   let payload i =
@@ -1050,7 +1039,7 @@ let run_durable_recovery root n_records =
     ] )
 
 let run_durable_benchmarks ?target () =
-  let root, cleanup = durable_tmp_root () in
+  let root, cleanup = Fsio.scratch_dir "repro-bench-wal" in
   let record =
     Fun.protect ~finally:cleanup (fun () ->
         let policies, policy_gates =

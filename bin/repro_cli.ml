@@ -202,17 +202,6 @@ let chaos_arg =
                  plan reproduces identically on the simulator and on live \
                  TCP.")
 
-(* a runtime rejects the plan clauses it does not apply instead of
-   parsing and then ignoring them *)
-let reject_clauses ~runtime kinds = function
-  | None -> ()
-  | Some plan -> (
-      match List.filter (fun k -> List.mem k kinds) (Fault.Plan.clauses plan) with
-      | [] -> ()
-      | k :: _ ->
-          Printf.eprintf "chaos plan: %s does not apply %s=\n" runtime k;
-          exit 1)
-
 (* [--json FILE|DIR] is resolved and probed before any run or fork, so an
    unwritable path is a usage error, not a record lost after the run *)
 let json_arg =
@@ -244,12 +233,9 @@ let session_arg =
                  given.")
 
 (* sim transport stack mirroring a live node's: backend → chaos → session;
-   the session comes along when asked for or under a chaos plan *)
+   the session comes along when asked for or under a checked chaos plan *)
 let sim_chaos_factory ~chaos ~session ~seed =
-  let chaotic =
-    match chaos with Some p -> not (Fault.Plan.is_none p) | None -> false
-  in
-  if session || chaotic then
+  if session || chaos <> None then
     Some
       (Session.stack ?plan:chaos ~seed
          (Transport.sim ~latency:Latency.lan ~seed ()))
@@ -329,7 +315,16 @@ let protocol_arg =
 let run_cmd =
   let run spec dist seed ops read_ratio timed diagram chaos session jobs =
     apply_jobs jobs;
-    reject_clauses ~runtime:"the simulator" [ "join"; "leave"; "dcrash" ] chaos;
+    let chaos =
+      match
+        Fault.Plan.check ~runtime:"the simulator"
+          ~rejects:[ "join"; "leave"; "dcrash" ] chaos
+      with
+      | Ok c -> c
+      | Error msg ->
+          prerr_endline msg;
+          exit 1
+    in
     let dist =
       if spec.Registry.requires_full_replication then
         Distribution.full ~n_procs:(Distribution.n_procs dist)
@@ -707,7 +702,6 @@ let serve_cmd =
   let run node nodes listen peers spec workload seed chaos session incarnation
       out wal fsync_every fsync_interval =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
-    reject_clauses ~runtime:"a static cluster node" [ "join"; "leave" ] chaos;
     let durable =
       match wal with
       | None ->
@@ -1286,7 +1280,7 @@ let load_cmd =
     match Load_harness.run cfg with
     | Error msg ->
         prerr_endline msg;
-        exit 1
+        exit (exit_of_harness_error msg)
     | Ok r ->
         let case =
           Printf.sprintf "%s n=%d" r.Load_harness.protocol r.Load_harness.n
@@ -1373,7 +1367,8 @@ let load_cmd =
              pipelined read/write/scan RPCs against every replica, seeded \
              deterministic arrival schedules, throughput and latency \
              percentiles per operation kind. Exit status: 1 on harness \
-             error, 2 when no operation completed.")
+             error, 2 when no operation completed, 4 when the supervisor \
+             watchdog had to put down a wedged child.")
     Term.(const run $ protocol_arg $ nodes_arg $ clients_arg $ rate_arg
           $ duration_arg $ mix_arg $ seed_arg $ coalesce_arg $ drain_arg
           $ json_arg)

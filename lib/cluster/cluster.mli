@@ -3,11 +3,11 @@
     it with the saturation engine.
 
     The parent pre-binds every node's listener on 127.0.0.1 (kernel-chosen
-    ports) {e before} forking, so no child can race another for an
-    address; children inherit their listen socket, run {!Node.run}, and
-    report their results through the {!Supervisor}, which drains every
-    report pipe in one [select], respawns crashed nodes and runs the
-    watchdog.
+    ports, {!Supervisor.loopback}) {e before} forking, so no child can
+    race another for an address; children keep only their own listen
+    socket ({!Supervisor.spawn_node}), run {!Node.run}, and report their
+    results through the {!Supervisor}, which drains every report pipe in
+    one [select], respawns crashed nodes and runs the watchdog.
 
     With a chaos plan the harness validates the plan, keeps every
     listener open (a peer redialing a crashed node lands in the backlog;
@@ -80,10 +80,12 @@ val run :
   ?wal_dir:string ->
   unit ->
   (outcome, string) result
-(** [Error] reports node crashes (with each crashed node's message) and
-    configuration mistakes (unknown workload, blocking protocol, invalid
-    chaos plan, or one with [join=]/[leave=] clauses, which only
-    {!Reconfig} applies); a consistency violation is {e not} an [Error] —
+(** [Error] reports node crashes ({!Supervisor.outcome}: one line per
+    node that did not finish, with its message) and configuration
+    mistakes (unknown workload, blocking protocol, a chaos plan that
+    fails {!Repro_msgpass.Fault.Plan.check}, which refuses
+    [join=]/[leave=] clauses as only {!Reconfig} applies them); a
+    consistency violation is {e not} an [Error] —
     it comes back as the [verdict] for the caller to judge.  [session] is
     forced on whenever a chaos plan is given (lossy links need the
     reliable session layer); an injected crash whose plan schedules no

@@ -8,7 +8,6 @@ module Fault = Repro_msgpass.Fault
 module Ring = Repro_sharegraph.Ring
 module Op = Repro_history.Op
 module Wal = Repro_durable.Wal
-module Fsio = Repro_durable.Fsio
 module Memory = Repro_core.Memory
 
 let supervisor_id = 0xFFFF
@@ -208,15 +207,8 @@ let run (cfg : config) : result =
         Wal.open_ ~dir ~policy:(Wal.Every 1) ~fresh:(cfg.incarnation = 0) ())
       cfg.wal_dir
   in
-  (match cfg.chaos with
-  | Some plan when cfg.incarnation = 0 && wal <> None ->
-      Option.iter
-        (fun (c : Fault.Plan.dcrash) ->
-          Fsio.Crashpoint.arm ~point:c.Fault.Plan.point
-            ~after:c.Fault.Plan.after_hits ~powercut:c.Fault.Plan.powercut
-            (fun () -> raise (Chaos.Injected_crash cfg.self)))
-        (Fault.Plan.dcrash_for plan cfg.self)
-  | _ -> ());
+  if wal <> None then
+    Supervisor.arm_dcrash ~self:cfg.self ~incarnation:cfg.incarnation cfg.chaos;
   let wal_log e =
     match wal with
     | None -> ()
@@ -298,7 +290,6 @@ let run (cfg : config) : result =
         fingerprint;
         resilient = true;
         incarnation = cfg.incarnation;
-        connect_timeout_ms = 0;
       }
       ~listen_fd:cfg.listen_fd
   in
@@ -503,10 +494,10 @@ let run (cfg : config) : result =
       | Wire.Ping ->
           reply ~kind:Wire.Pong ~dst:v.Wire.v_src
             ~body:
-              (Printf.sprintf "e=%d;p=%d;r=%d;w=%d;s=%d" !committed
+              (Printf.sprintf "e=%d;p=%d;r=%d;w=%d" !committed
                  (match !trans with Some tr -> tr.t_epoch | None -> 0)
                  (if ready () then 1 else 0)
-                 !writes_done (Live.stale_epochs lt))
+                 !writes_done)
       | Wire.Propose ->
           let e, ms, dn = parse_proposal body in
           on_proposal e ms dn

@@ -12,7 +12,6 @@ module Op = Repro_history.Op
 module Wire = Repro_transport.Wire
 module Rpc = Repro_transport.Rpc
 module Wal = Repro_durable.Wal
-module Fsio = Repro_durable.Fsio
 
 type result = {
   node : int;
@@ -60,14 +59,19 @@ let hello_timeout_ms = 10_000
 let kind_text = function Op.Read -> "read" | Op.Write -> "write"
 
 let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
-    ?(run_timeout_ms = 60_000) ?(quiet_ms = 150) ?(connect_timeout_ms = 0)
-    ?chaos ?(session = false) ?(coalesce = 1) ?(incarnation = 0) ?durable () =
+    ?(run_timeout_ms = 60_000) ?(quiet_ms = 150) ?chaos ?(session = false)
+    ?(coalesce = 1) ?(incarnation = 0) ?durable () =
   if protocol.Registry.blocking then
     crashf "protocol %s has blocking operations; only non-blocking protocols run live"
       protocol.Registry.name;
   let n = workload.Workload_spec.n in
   let chaos =
-    match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
+    match
+      Fault.Plan.check ~n ~runtime:"a static cluster node"
+        ~rejects:[ "join"; "leave" ] chaos
+    with
+    | Ok c -> c
+    | Error msg -> raise (Crash msg)
   in
   (match chaos with
   | Some p when durable = None && Fault.Plan.dcrash_for p self <> None ->
@@ -87,7 +91,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
   let lt =
     Live.create
       { Live.self; n; peers; fingerprint; resilient = chaos <> None;
-        incarnation; connect_timeout_ms }
+        incarnation }
       ~listen_fd
   in
   let fail fmt =
@@ -138,15 +142,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
           Wal.open_ ~dir ~policy ~fresh:(incarnation = 0) ())
         durable
     in
-    (match chaos with
-    | Some plan when incarnation = 0 ->
-        Option.iter
-          (fun (c : Fault.Plan.dcrash) ->
-            Fsio.Crashpoint.arm ~point:c.Fault.Plan.point
-              ~after:c.Fault.Plan.after_hits ~powercut:c.Fault.Plan.powercut
-              (fun () -> raise (Chaos.Injected_crash self)))
-          (Fault.Plan.dcrash_for plan self)
-    | _ -> ());
+    Supervisor.arm_dcrash ~self ~incarnation chaos;
     (* client front door: serve Read/Write/Batch RPCs against this
        replica's memory.  Requests a partial replica cannot serve (a read
        of a variable it does not hold) come back [Failed] rather than

@@ -50,9 +50,10 @@ type result = {
 exception Crash of string
 (** {!Supervisor.Crash}.  Raised on timeout (peers missing, program
     stuck), protocol rejection (blocking protocols need a node for every
-    fiber they suspend on), a [dcrash] schedule for this node without
-    [durable], fingerprint mismatch, a corrupt stream, or replay
-    divergence during crash recovery. *)
+    fiber they suspend on), a chaos plan this node does not apply, a
+    [dcrash] schedule for this node without [durable], fingerprint
+    mismatch, a corrupt stream, or replay divergence during crash
+    recovery. *)
 
 val run :
   self:int ->
@@ -63,7 +64,6 @@ val run :
   seed:int ->
   ?run_timeout_ms:int ->
   ?quiet_ms:int ->
-  ?connect_timeout_ms:int ->
   ?chaos:Repro_msgpass.Fault.Plan.t ->
   ?session:bool ->
   ?coalesce:int ->
@@ -73,9 +73,8 @@ val run :
   result
 (** Peers must all say hello within 10 s.  Defaults: 60 s run timeout,
     150 ms quiet window (raised to ≥600 ms under chaos — the quiet window
-    must outlast a full retransmission backoff).  [connect_timeout_ms] caps each reconnection
-    episode to a dead peer (0 = retry until the run timeout; see
-    {!Repro_transport.Live.config}).  The [seed] stamps the fingerprint and seeds
+    must outlast a full retransmission backoff).  A dead peer is redialed
+    until the run timeout.  The [seed] stamps the fingerprint and seeds
     the session layer's jitter; workload scripts were already drawn when
     [workload] was built.  [coalesce > 1] sets the session layer's flush
     budget (forcing the session layer on); peers with different budgets
@@ -106,4 +105,9 @@ val run :
 
     A scheduled crash from the chaos plan escapes as
     {!Repro_transport.Chaos.Injected_crash}; the caller decides whether to
-    respawn (the cluster harness maps it to exit code 42). *)
+    respawn (the cluster harness maps it to exit code 42).
+
+    The plan goes through {!Repro_msgpass.Fault.Plan.check} first: a
+    plan with a [join=] or [leave=] clause, or a node id out of range for
+    the workload's [n], raises {!Crash} naming it, before any socket is
+    touched. *)

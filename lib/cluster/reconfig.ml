@@ -1,10 +1,8 @@
-module Live = Repro_transport.Live
 module Wire = Repro_transport.Wire
 module Fault = Repro_msgpass.Fault
 module Ring = Repro_sharegraph.Ring
 module History = Repro_history.History
 module Checker = Repro_history.Checker
-module Op = Repro_history.Op
 module Fsio = Repro_durable.Fsio
 module Record = Repro_util.Record
 
@@ -46,8 +44,6 @@ type outcome = {
   wall_ms : int;
 }
 
-let loopback = Unix.inet_addr_loopback
-
 (* --- control-plane bookkeeping -------------------------------------------- *)
 
 (* One control connection: a dialed socket speaking Wire frames with the
@@ -65,7 +61,6 @@ type ctl = {
   mutable p_proposed : int;
   mutable p_ready : bool;
   mutable p_writes : int;
-  mutable p_stale : int;
   mutable catchup_at : float;
   mutable p_pings : int;
       (** pings sent since the last pong: the silence detector only fires
@@ -105,31 +100,13 @@ let proposal_body e members down =
 let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
     ?(demote_after_ms = 2_500) ?chaos ?wal_dir () : (outcome, string) result =
   let t_start = Unix.gettimeofday () in
-  let chaos =
-    match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
-  in
-  let plan_error =
-    match chaos with
-    | None -> None
-    | Some p -> (
-        try
-          Fault.Plan.validate ~n p;
-          (* member traffic bypasses Chaos: link faults and partitions
-             would be parsed and then silently ignored *)
-          match
-            List.filter
-              (fun k ->
-                List.mem k [ "drop"; "dup"; "reorder"; "delay"; "link"; "part" ])
-              (Fault.Plan.clauses p)
-          with
-          | k :: _ ->
-              Some
-                (Printf.sprintf
-                   "chaos plan: reconfig does not apply %s= (it applies \
-                    crash, dcrash, join and leave)"
-                   k)
-          | [] -> None
-        with Invalid_argument msg -> Some ("chaos plan: " ^ msg))
+  let ( let* ) = Result.bind in
+  (* member traffic bypasses Chaos: link faults and partitions would be
+     parsed and then silently ignored *)
+  let* chaos =
+    Fault.Plan.check ~n ~runtime:"reconfig"
+      ~rejects:[ "drop"; "dup"; "reorder"; "delay"; "link"; "part" ]
+      chaos
   in
   let joiners =
     match chaos with
@@ -139,537 +116,474 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
   let initial_members =
     List.filter (fun p -> not (List.mem p joiners)) (List.init n Fun.id)
   in
-  match plan_error with
-  | Some msg -> Error msg
-  | None ->
-      if n < 1 || n > 0x7FFF then Error "reconfig: n out of range"
-      else if initial_members = [] then
-        Error "reconfig: every node is a scheduled joiner"
-      else if k < 1 then Error "reconfig: k must be >= 1"
-      else begin
-        try
-          let listen_fds =
-            Array.init n (fun _ -> Live.bind (Unix.ADDR_INET (loopback, 0)))
-          in
-          let peers = Array.map Live.listen_addr listen_fds in
-          let wal_root =
-            match wal_dir with
-            | Some d ->
-                (try Unix.mkdir d 0o700
-                 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                d
-            | None ->
-                let d =
-                  Filename.concat
-                    (Filename.get_temp_dir_name ())
-                    (Printf.sprintf "repro-reconfig-%d" (Unix.getpid ()))
-                in
-                (try Unix.mkdir d 0o700
-                 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                d
-          in
-          let node_wal self =
-            Filename.concat wal_root (Printf.sprintf "node-%d.wal" self)
-          in
-          let ctls =
-            Array.init n (fun node ->
-                {
-                  node;
-                  fd = None;
-                  dec = Wire.decoder ();
-                  redial_at = 0.;
-                  p_at = 0.;
-                  p_epoch = 0;
-                  p_proposed = 0;
-                  p_ready = false;
-                  p_writes = 0;
-                  p_stale = 0;
-                  catchup_at = 0.;
-                  p_pings = 0;
-                })
-          in
-          let sup =
-            Supervisor.create
-              ~deadline_ms:
-                (* the members' 60 s run timeout plus 30 s *)
-                (Option.value deadline_ms ~default:90_000)
-              ?chaos
-              ~on_respawn:(fun self ->
-                (* grace until the respawn's first pong: recovery time must
-                   not count as silence *)
-                ctls.(self).p_at <- 0.;
-                ctls.(self).p_pings <- 0)
-              ()
-          in
-          for self = 0 to n - 1 do
-            Supervisor.spawn sup (fun ~incarnation ->
-                Array.iteri
-                  (fun i fd ->
-                    if i <> self then
-                      try Unix.close fd with Unix.Unix_error _ -> ())
-                  listen_fds;
-                Member.run
-                  {
-                    Member.self;
-                    n;
-                    listen_fd = listen_fds.(self);
-                    peers;
-                    seed;
-                    k;
-                    vnodes;
-                    n_vars;
-                    initial_members;
-                    writes_target = writes;
-                    chaos;
-                    wal_dir = Some (node_wal self);
-                    incarnation;
-                  })
-          done;
-          let kill_ctl c =
-            (match c.fd with
-            | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-            | None -> ());
-            c.fd <- None;
-            c.dec <- Wire.decoder ();
+  if n < 1 || n > 0x7FFF then Error "reconfig: n out of range"
+  else if initial_members = [] then
+    Error "reconfig: every node is a scheduled joiner"
+  else if k < 1 then Error "reconfig: k must be >= 1"
+  else
+    try
+      let listeners, peers = Supervisor.loopback n in
+      let wal_root, dispose_wal =
+        Fsio.scratch_dir ?keep:wal_dir "repro-reconfig"
+      in
+      let node_wal self =
+        Filename.concat wal_root (Printf.sprintf "node-%d.wal" self)
+      in
+      let ctls =
+        Array.init n (fun node ->
+            {
+              node;
+              fd = None;
+              dec = Wire.decoder ();
+              redial_at = 0.;
+              p_at = 0.;
+              p_epoch = 0;
+              p_proposed = 0;
+              p_ready = false;
+              p_writes = 0;
+              catchup_at = 0.;
+              p_pings = 0;
+            })
+      in
+      let sup =
+        Supervisor.create
+          ~deadline_ms:
+            (* the members' 60 s run timeout plus 30 s *)
+            (Option.value deadline_ms ~default:90_000)
+          ?chaos
+          ~on_respawn:(fun self ->
+            (* grace until the respawn's first pong: recovery time must
+               not count as silence *)
+            ctls.(self).p_at <- 0.;
+            ctls.(self).p_pings <- 0)
+          ()
+      in
+      for self = 0 to n - 1 do
+        Supervisor.spawn_node sup listeners ~self (fun ~incarnation ->
+            Member.run
+              {
+                Member.self;
+                n;
+                listen_fd = listeners.(self);
+                peers;
+                seed;
+                k;
+                vnodes;
+                n_vars;
+                initial_members;
+                writes_target = writes;
+                chaos;
+                wal_dir = Some (node_wal self);
+                incarnation;
+              })
+      done;
+      let kill_ctl c =
+        (match c.fd with
+        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+        | None -> ());
+        c.fd <- None;
+        c.dec <- Wire.decoder ();
+        c.redial_at <- Unix.gettimeofday () +. 0.2
+      in
+      let dial_ctl c =
+        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+        match Unix.connect fd peers.(c.node) with
+        | () ->
+            (try Unix.setsockopt fd TCP_NODELAY true
+             with Unix.Unix_error _ -> ());
+            c.fd <- Some fd;
+            c.dec <- Wire.decoder ()
+        | exception Unix.Unix_error _ ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
             c.redial_at <- Unix.gettimeofday () +. 0.2
-          in
-          let dial_ctl c =
-            let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-            match Unix.connect fd peers.(c.node) with
-            | () ->
-                (try Unix.setsockopt fd TCP_NODELAY true
-                 with Unix.Unix_error _ -> ());
-                c.fd <- Some fd;
-                c.dec <- Wire.decoder ()
-            | exception Unix.Unix_error _ ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                c.redial_at <- Unix.gettimeofday () +. 0.2
-          in
-          let committed_epoch = ref 0 in
-          let members = ref initial_members in
-          let send_ctl c ~kind ~body =
-            match c.fd with
-            | None -> ()
-            | Some fd -> (
-                let buf =
-                  Wire.encode
-                    {
-                      Wire.kind;
-                      src = Member.supervisor_id;
-                      dst = c.node;
-                      epoch = !committed_epoch;
-                      control_bytes = 0;
-                      payload_bytes = 0;
-                      body;
-                    }
-                in
-                try write_all fd buf
-                with Unix.Unix_error _ -> kill_ctl c)
-          in
-          let broadcast ~kind ~body =
-            Array.iter (fun c -> send_ctl c ~kind ~body) ctls
-          in
-          let pending : pending option ref = ref None in
-          let events = ref [] in
-          let demoted = ref [] in
-          let down () = !demoted in
-          let ring_of ms = Ring.make ~seed ~vnodes ~members:ms in
-          let propose ~kind ~node new_members =
-            let new_members = List.sort compare new_members in
-            let e = (match !pending with
-              | Some p -> p.pd_epoch
-              | None -> !committed_epoch) + 1
-            in
-            let moved =
-              Ring.moved ~before:(ring_of !members)
-                ~after:(ring_of new_members) ~k ~n_vars
-            in
-            broadcast ~kind:Wire.Propose
-              ~body:(proposal_body e new_members (down ()));
-            pending :=
-              Some
+      in
+      let committed_epoch = ref 0 in
+      let members = ref initial_members in
+      let send_ctl c ~kind ~body =
+        match c.fd with
+        | None -> ()
+        | Some fd -> (
+            let buf =
+              Wire.encode
                 {
-                  pd_epoch = e;
-                  pd_members = new_members;
-                  pd_down = down ();
-                  pd_kind = kind;
-                  pd_node = node;
-                  pd_keys_moved = moved;
-                  pd_proposed_at = Unix.gettimeofday ();
-                  pd_rebroadcast_at = Unix.gettimeofday () +. 1.5;
+                  Wire.kind;
+                  src = Member.supervisor_id;
+                  dst = c.node;
+                  epoch = !committed_epoch;
+                  control_bytes = 0;
+                  payload_bytes = 0;
+                  body;
                 }
-          in
-          (* scripted schedule, in time order *)
-          let sched =
-            (match chaos with
-            | None -> []
-            | Some p ->
-                List.map
-                  (fun r -> (r.Fault.Plan.at_ms, "join", r.Fault.Plan.rnode))
-                  p.Fault.Plan.joins
-                @ List.map
-                    (fun r -> (r.Fault.Plan.at_ms, "leave", r.Fault.Plan.rnode))
-                    p.Fault.Plan.leaves)
-            |> List.sort compare
-            |> ref
-          in
-          let t0 = ref None in
-          let last_ping = ref 0. in
-          let finish_sent = ref false in
-          let rbuf = Bytes.create 65536 in
-          let node_alive i = Option.is_none (Supervisor.ending sup i) in
-          while Supervisor.running sup do
-            let now = Unix.gettimeofday () in
-            (* control connections: dial / redial *)
-            Array.iter
-              (fun c ->
-                if c.fd = None && now >= c.redial_at && node_alive c.node then
-                  dial_ctl c)
-              ctls;
-            (* heartbeats *)
-            if now -. !last_ping >= 0.05 then begin
-              last_ping := now;
-              Array.iter
-                (fun c ->
-                  if c.fd <> None then begin
-                    send_ctl c ~kind:Wire.Ping ~body:"";
-                    c.p_pings <- c.p_pings + 1
-                  end)
-                ctls
-            end;
-            (* pump sockets and report pipes together *)
-            let ready =
-              Supervisor.step sup
-                ~fds:(Array.to_list ctls |> List.filter_map (fun c -> c.fd))
-                ~timeout:0.02 ()
             in
-            (* control socket reads: pongs *)
-            Array.iter
-              (fun c ->
-                match c.fd with
-                | Some fd when List.memq fd ready -> (
-                    match Unix.read fd rbuf 0 (Bytes.length rbuf) with
-                    | exception
-                        Unix.Unix_error
-                          ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-                        ()
-                    | exception Unix.Unix_error _ -> kill_ctl c
-                    | 0 -> kill_ctl c
-                    | nread -> (
-                        Wire.feed c.dec rbuf nread;
-                        let rec pump () =
-                          match Wire.next c.dec with
-                          | Ok (Some fr) ->
-                              (match fr.Wire.kind with
-                              | Wire.Pong ->
-                                  List.iter
-                                    (fun kv ->
-                                      match String.split_on_char '=' kv with
-                                      | [ "e"; x ] ->
-                                          c.p_epoch <- int_of_string x
-                                      | [ "p"; x ] ->
-                                          c.p_proposed <- int_of_string x
-                                      | [ "r"; x ] -> c.p_ready <- x = "1"
-                                      | [ "w"; x ] ->
-                                          c.p_writes <- int_of_string x
-                                      | [ "s"; x ] ->
-                                          c.p_stale <- int_of_string x
-                                      | _ -> ())
-                                    (String.split_on_char ';' fr.Wire.body);
-                                  c.p_at <- Unix.gettimeofday ();
-                                  c.p_pings <- 0
-                              | _ -> ());
-                              pump ()
-                          | Ok None -> ()
-                          | Error _ -> kill_ctl c
-                        in
-                        pump ()))
-                | _ -> ())
-              ctls;
-            (* the schedule clock starts when the whole cluster has ponged *)
-            if !t0 = None && Array.for_all (fun c -> c.p_at > 0.) ctls then
-              t0 := Some (Unix.gettimeofday ());
-            let run_ms =
-              match !t0 with
-              | None -> -1.
-              | Some t -> (Unix.gettimeofday () -. t) *. 1000.
-            in
-            (* failure detector: a member whose process is gone for good is
-               demoted as soon as the supervisor reaps it; a member still
-               running but silent past the demotion window is demoted only
-               after enough heartbeats were actually sent its way, so a
-               starved box cannot produce spurious demotions *)
-            (match !t0 with
-            | Some _ when not !finish_sent ->
-                Array.iter
-                  (fun c ->
-                    let dead =
-                      match Supervisor.ending sup c.node with
-                      | None | Some (Supervisor.Finished _) -> false
-                      | Some _ -> true
-                    in
-                    let silent =
-                      c.p_at > 0.
-                      && (not (Supervisor.awaiting_respawn sup c.node))
-                      && (now -. c.p_at) *. 1000. > float demote_after_ms
-                      && c.p_pings >= 8
-                    in
-                    let relevant =
-                      List.mem c.node !members
-                      || (match !pending with
-                         | Some p -> List.mem c.node p.pd_members
-                         | None -> false)
-                    in
-                    if (dead || silent) && relevant
-                       && not (List.mem c.node !demoted)
-                    then begin
-                      demoted := List.sort compare (c.node :: !demoted);
-                      (* supersede an in-flight proposal without losing its
-                         membership change: drop the dead node from the
-                         proposed set, not from the committed one *)
-                      let base =
-                        match !pending with
-                        | Some p -> p.pd_members
-                        | None -> !members
-                      in
-                      propose ~kind:"demote" ~node:c.node
-                        (List.filter (fun p -> p <> c.node) base)
-                    end)
-                  ctls
-            | _ -> ());
-            (* scripted events fire only between transitions *)
-            (match (!sched, !pending) with
-            | (at, kind, node) :: rest, None when run_ms >= float at ->
-                sched := rest;
-                if List.mem node !demoted then ()
-                else if kind = "join" && not (List.mem node !members) then
-                  propose ~kind ~node (node :: !members)
-                else if
-                  kind = "leave" && List.mem node !members
-                  && List.length !members > 1
-                then
-                  propose ~kind ~node
-                    (List.filter (fun p -> p <> node) !members)
-            | _ -> ());
-            (* commit when every proposed member is ready for the epoch *)
-            (match !pending with
-            | Some p ->
-                let ready_node m =
-                  let c = ctls.(m) in
-                  c.p_epoch >= p.pd_epoch
-                  || (c.p_proposed = p.pd_epoch && c.p_ready
-                      && c.p_at > p.pd_proposed_at)
-                in
-                if List.for_all ready_node p.pd_members then begin
-                  broadcast ~kind:Wire.Epoch
-                    ~body:
-                      (Printf.sprintf "commit|%d|%s" p.pd_epoch
-                         (ints_to_string p.pd_members));
-                  committed_epoch := p.pd_epoch;
-                  members := p.pd_members;
-                  events :=
-                    {
-                      ev_epoch = p.pd_epoch;
-                      ev_kind = p.pd_kind;
-                      ev_node = p.pd_node;
-                      ev_members = p.pd_members;
-                      ev_keys_moved = p.pd_keys_moved;
-                      ev_rebalance_ms =
-                        int_of_float
-                          ((Unix.gettimeofday () -. p.pd_proposed_at)
-                          *. 1000.);
-                    }
-                    :: !events;
-                  pending := None
-                end
-                else begin
-                  (* straggler healing: re-send the proposal to nodes that
-                     have not caught up (a respawned child recovers at its
-                     pre-crash epoch and needs the proposal again) *)
-                  List.iter
-                    (fun m ->
-                      let c = ctls.(m) in
-                      if
-                        (not (ready_node m))
-                        && c.p_proposed < p.pd_epoch
-                        && now -. c.catchup_at > 0.3
-                      then begin
-                        c.catchup_at <- now;
-                        send_ctl c ~kind:Wire.Propose
-                          ~body:
-                            (proposal_body p.pd_epoch p.pd_members p.pd_down)
-                      end)
-                    p.pd_members;
-                  (* belt and braces while a commit is outstanding: a
-                     periodic full re-send costs one frame per member and
-                     removes every lost-proposal stall from the state
-                     space (members drop duplicates by epoch) *)
-                  if now >= p.pd_rebroadcast_at then begin
-                    p.pd_rebroadcast_at <- now +. 1.5;
-                    broadcast ~kind:Wire.Propose
-                      ~body:(proposal_body p.pd_epoch p.pd_members p.pd_down)
-                  end
-                end
-            | None ->
-                (* catch-up for nodes behind the committed epoch *)
-                Array.iter
-                  (fun c ->
-                    if
-                      c.p_at > 0.
-                      && c.p_epoch < !committed_epoch
-                      && now -. c.catchup_at > 0.3
-                    then begin
-                      c.catchup_at <- now;
-                      send_ctl c ~kind:Wire.Propose
-                        ~body:
-                          (proposal_body !committed_epoch !members (down ()));
-                      send_ctl c ~kind:Wire.Epoch
-                        ~body:
-                          (Printf.sprintf "commit|%d|%s" !committed_epoch
-                             (ints_to_string !members))
-                    end)
-                  ctls);
-            (* finish once the schedule is drained, nothing is in flight,
-               and every reachable node has issued its writes *)
-            if
-              (not !finish_sent)
-              && !sched = [] && !pending = None && !t0 <> None
-              && Array.for_all
-                   (fun c ->
-                     (not (node_alive c.node))
-                     || (c.p_at > 0. && c.p_writes >= writes)
-                     || List.mem c.node !demoted)
-                   ctls
-            then begin
-              finish_sent := true;
-              broadcast ~kind:Wire.Epoch ~body:"finish"
-            end;
-          done;
-          let endings = Supervisor.stop sup in
-          Array.iter (fun c -> kill_ctl c) ctls;
+            try write_all fd buf
+            with Unix.Unix_error _ -> kill_ctl c)
+      in
+      let broadcast ~kind ~body =
+        Array.iter (fun c -> send_ctl c ~kind ~body) ctls
+      in
+      let pending : pending option ref = ref None in
+      let events = ref [] in
+      let demoted = ref [] in
+      let down () = !demoted in
+      let ring_of ms = Ring.make ~seed ~vnodes ~members:ms in
+      let propose ~kind ~node new_members =
+        let new_members = List.sort compare new_members in
+        let e = (match !pending with
+          | Some p -> p.pd_epoch
+          | None -> !committed_epoch) + 1
+        in
+        let moved =
+          Ring.moved ~before:(ring_of !members)
+            ~after:(ring_of new_members) ~k ~n_vars
+        in
+        broadcast ~kind:Wire.Propose
+          ~body:(proposal_body e new_members (down ()));
+        pending :=
+          Some
+            {
+              pd_epoch = e;
+              pd_members = new_members;
+              pd_down = down ();
+              pd_kind = kind;
+              pd_node = node;
+              pd_keys_moved = moved;
+              pd_proposed_at = Unix.gettimeofday ();
+              pd_rebroadcast_at = Unix.gettimeofday () +. 1.5;
+            }
+      in
+      (* scripted schedule, in time order *)
+      let sched =
+        (match chaos with
+        | None -> []
+        | Some p ->
+            List.map
+              (fun r -> (r.Fault.Plan.at_ms, "join", r.Fault.Plan.rnode))
+              p.Fault.Plan.joins
+            @ List.map
+                (fun r -> (r.Fault.Plan.at_ms, "leave", r.Fault.Plan.rnode))
+                p.Fault.Plan.leaves)
+        |> List.sort compare
+        |> ref
+      in
+      let t0 = ref None in
+      let last_ping = ref 0. in
+      let finish_sent = ref false in
+      let rbuf = Bytes.create 65536 in
+      let node_alive i = Option.is_none (Supervisor.ending sup i) in
+      while Supervisor.running sup do
+        let now = Unix.gettimeofday () in
+        (* control connections: dial / redial *)
+        Array.iter
+          (fun c ->
+            if c.fd = None && now >= c.redial_at && node_alive c.node then
+              dial_ctl c)
+          ctls;
+        (* heartbeats *)
+        if now -. !last_ping >= 0.05 then begin
+          last_ping := now;
           Array.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            listen_fds;
-          let state = function
-            | Supervisor.Finished _ -> "finished"
-            | Supervisor.Crashed m -> m
-            | Supervisor.Injected_crash ->
-                "injected crash (no restart scheduled)"
-            | Supervisor.Put_down -> "wedged (supervisor deadline)"
-          in
-          if
-            Array.exists
-              (function Supervisor.Put_down -> true | _ -> false)
-              endings
-          then begin
-            let states =
-              Array.to_list endings
-              |> List.mapi (fun i e -> Printf.sprintf "node %d: %s" i (state e))
-              |> String.concat "; "
+            (fun c ->
+              if c.fd <> None then begin
+                send_ctl c ~kind:Wire.Ping ~body:"";
+                c.p_pings <- c.p_pings + 1
+              end)
+            ctls
+        end;
+        (* pump sockets and report pipes together *)
+        let ready =
+          Supervisor.step sup
+            ~fds:(Array.to_list ctls |> List.filter_map (fun c -> c.fd))
+            ~timeout:0.02 ()
+        in
+        (* control socket reads: pongs *)
+        Array.iter
+          (fun c ->
+            match c.fd with
+            | Some fd when List.memq fd ready -> (
+                match Unix.read fd rbuf 0 (Bytes.length rbuf) with
+                | exception
+                    Unix.Unix_error
+                      ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+                    ()
+                | exception Unix.Unix_error _ -> kill_ctl c
+                | 0 -> kill_ctl c
+                | nread -> (
+                    Wire.feed c.dec rbuf nread;
+                    let rec pump () =
+                      match Wire.next c.dec with
+                      | Ok (Some fr) ->
+                          (match fr.Wire.kind with
+                          | Wire.Pong ->
+                              List.iter
+                                (fun kv ->
+                                  match String.split_on_char '=' kv with
+                                  | [ "e"; x ] ->
+                                      c.p_epoch <- int_of_string x
+                                  | [ "p"; x ] ->
+                                      c.p_proposed <- int_of_string x
+                                  | [ "r"; x ] -> c.p_ready <- x = "1"
+                                  | [ "w"; x ] ->
+                                      c.p_writes <- int_of_string x
+                                  | _ -> ())
+                                (String.split_on_char ';' fr.Wire.body);
+                              c.p_at <- Unix.gettimeofday ();
+                              c.p_pings <- 0
+                          | _ -> ());
+                          pump ()
+                      | Ok None -> ()
+                      | Error _ -> kill_ctl c
+                    in
+                    pump ()))
+            | _ -> ())
+          ctls;
+        (* the schedule clock starts when the whole cluster has ponged *)
+        if !t0 = None && Array.for_all (fun c -> c.p_at > 0.) ctls then
+          t0 := Some (Unix.gettimeofday ());
+        let run_ms =
+          match !t0 with
+          | None -> -1.
+          | Some t -> (Unix.gettimeofday () -. t) *. 1000.
+        in
+        (* failure detector: a member whose process is gone for good is
+           demoted as soon as the supervisor reaps it; a member still
+           running but silent past the demotion window is demoted only
+           after enough heartbeats were actually sent its way, so a
+           starved box cannot produce spurious demotions *)
+        (match !t0 with
+        | Some _ when not !finish_sent ->
+            Array.iter
+              (fun c ->
+                let dead =
+                  match Supervisor.ending sup c.node with
+                  | None | Some (Supervisor.Finished _) -> false
+                  | Some _ -> true
+                in
+                let silent =
+                  c.p_at > 0.
+                  && (not (Supervisor.awaiting_respawn sup c.node))
+                  && (now -. c.p_at) *. 1000. > float demote_after_ms
+                  && c.p_pings >= 8
+                in
+                let relevant =
+                  List.mem c.node !members
+                  || (match !pending with
+                     | Some p -> List.mem c.node p.pd_members
+                     | None -> false)
+                in
+                if (dead || silent) && relevant
+                   && not (List.mem c.node !demoted)
+                then begin
+                  demoted := List.sort compare (c.node :: !demoted);
+                  (* supersede an in-flight proposal without losing its
+                     membership change: drop the dead node from the
+                     proposed set, not from the committed one *)
+                  let base =
+                    match !pending with
+                    | Some p -> p.pd_members
+                    | None -> !members
+                  in
+                  propose ~kind:"demote" ~node:c.node
+                    (List.filter (fun p -> p <> c.node) base)
+                end)
+              ctls
+        | _ -> ());
+        (* scripted events fire only between transitions *)
+        (match (!sched, !pending) with
+        | (at, kind, node) :: rest, None when run_ms >= float at ->
+            sched := rest;
+            if List.mem node !demoted then ()
+            else if kind = "join" && not (List.mem node !members) then
+              propose ~kind ~node (node :: !members)
+            else if
+              kind = "leave" && List.mem node !members
+              && List.length !members > 1
+            then
+              propose ~kind ~node
+                (List.filter (fun p -> p <> node) !members)
+        | _ -> ());
+        (* commit when every proposed member is ready for the epoch *)
+        (match !pending with
+        | Some p ->
+            let ready_node m =
+              let c = ctls.(m) in
+              c.p_epoch >= p.pd_epoch
+              || (c.p_proposed = p.pd_epoch && c.p_ready
+                  && c.p_at > p.pd_proposed_at)
             in
-            if wal_dir = None then Fsio.remove_tree wal_root;
-            Error
-              (Printf.sprintf
-                 "wedged: supervisor deadline expired (epoch %d, pending %s) \
-                  — %s"
-                 !committed_epoch
-                 (match !pending with
-                 | Some p -> Printf.sprintf "epoch %d" p.pd_epoch
-                 | None -> "none")
-                 states)
-          end
-          else begin
-            (* a demoted node that never reported still has a WAL *)
-            let salvaged = ref [] in
-            let reports =
-              Array.mapi
-                (fun i e ->
-                  match e with
-                  | Supervisor.Finished r -> Ok r
-                  | e -> (
-                      (* an injected crash with no restart leaves a WAL the
-                         member logged before every send: its ops can be
-                         reconstructed even though it never reported *)
-                      match (e, Member.salvage ~node:i ~dir:(node_wal i)) with
-                      | Supervisor.Injected_crash, Some r ->
-                          salvaged := i :: !salvaged;
-                          Ok r
-                      | _ -> Error (Printf.sprintf "node %d: %s" i (state e))))
-                endings
-            in
-            let errors =
-              Array.to_list reports
-              |> List.filter_map (function Error e -> Some e | Ok _ -> None)
-            in
-            if wal_dir = None then Fsio.remove_tree wal_root;
-            if errors <> [] then Error (String.concat "\n" errors)
-            else
-              let node_results =
-                Array.map
-                  (function Ok r -> r | Error _ -> assert false)
-                  reports
-              in
-              let history =
-                History.of_lists
-                  (Array.to_list node_results
-                  |> List.map (fun r -> r.Member.ops))
-              in
-              let sum f =
-                Array.fold_left (fun acc r -> acc + f r) 0 node_results
-              in
-              let events = List.rev !events in
-              let moved_gate =
-                let nm = Stdlib.max 1 (List.length initial_members) in
-                2 * k * n_vars / nm
-              in
-              let max_moved =
-                List.fold_left
-                  (fun acc e -> Stdlib.max acc e.ev_keys_moved)
-                  0 events
-              in
-              Ok
+            if List.for_all ready_node p.pd_members then begin
+              broadcast ~kind:Wire.Epoch
+                ~body:
+                  (Printf.sprintf "commit|%d|%s" p.pd_epoch
+                     (ints_to_string p.pd_members));
+              committed_epoch := p.pd_epoch;
+              members := p.pd_members;
+              events :=
                 {
-                  n;
-                  k;
-                  vnodes;
-                  seed;
-                  n_vars;
-                  committed_epoch = !committed_epoch;
-                  members = !members;
-                  events;
-                  history;
-                  verdict = Checker.check Checker.Cache history;
-                  pram = Checker.check Checker.Pram history;
-                  stale_epochs = sum (fun r -> r.Member.stale_epochs);
-                  restarts = Supervisor.restarts sup;
-                  salvaged = List.sort compare !salvaged;
-                  keys_moved_total =
-                    List.fold_left (fun acc e -> acc + e.ev_keys_moved) 0 events;
-                  max_keys_moved = max_moved;
-                  moved_gate;
-                  moved_ok = max_moved <= moved_gate;
-                  unavail_ms =
-                    Array.fold_left
-                      (fun acc r -> Stdlib.max acc r.Member.unavail_ms)
-                      0 node_results;
-                  transfers = sum (fun r -> r.Member.transfers_in);
-                  init_fallbacks = sum (fun r -> r.Member.init_fallbacks);
-                  writes_total = sum (fun r -> r.Member.writes_done);
-                  reads_total = sum (fun r -> r.Member.reads_done);
-                  node_results;
-                  chaos =
-                    (match chaos with
-                    | None -> ""
-                    | Some p -> Fault.Plan.to_string p);
-                  wall_ms =
-                    int_of_float ((Unix.gettimeofday () -. t_start) *. 1000.);
+                  ev_epoch = p.pd_epoch;
+                  ev_kind = p.pd_kind;
+                  ev_node = p.pd_node;
+                  ev_members = p.pd_members;
+                  ev_keys_moved = p.pd_keys_moved;
+                  ev_rebalance_ms =
+                    int_of_float
+                      ((Unix.gettimeofday () -. p.pd_proposed_at)
+                      *. 1000.);
                 }
-          end
-        with Unix.Unix_error (err, fn, _) ->
+                :: !events;
+              pending := None
+            end
+            else begin
+              (* straggler healing: re-send the proposal to nodes that
+                 have not caught up (a respawned child recovers at its
+                 pre-crash epoch and needs the proposal again) *)
+              List.iter
+                (fun m ->
+                  let c = ctls.(m) in
+                  if
+                    (not (ready_node m))
+                    && c.p_proposed < p.pd_epoch
+                    && now -. c.catchup_at > 0.3
+                  then begin
+                    c.catchup_at <- now;
+                    send_ctl c ~kind:Wire.Propose
+                      ~body:
+                        (proposal_body p.pd_epoch p.pd_members p.pd_down)
+                  end)
+                p.pd_members;
+              (* belt and braces while a commit is outstanding: a
+                 periodic full re-send costs one frame per member and
+                 removes every lost-proposal stall from the state
+                 space (members drop duplicates by epoch) *)
+              if now >= p.pd_rebroadcast_at then begin
+                p.pd_rebroadcast_at <- now +. 1.5;
+                broadcast ~kind:Wire.Propose
+                  ~body:(proposal_body p.pd_epoch p.pd_members p.pd_down)
+              end
+            end
+        | None ->
+            (* catch-up for nodes behind the committed epoch *)
+            Array.iter
+              (fun c ->
+                if
+                  c.p_at > 0.
+                  && c.p_epoch < !committed_epoch
+                  && now -. c.catchup_at > 0.3
+                then begin
+                  c.catchup_at <- now;
+                  send_ctl c ~kind:Wire.Propose
+                    ~body:
+                      (proposal_body !committed_epoch !members (down ()));
+                  send_ctl c ~kind:Wire.Epoch
+                    ~body:
+                      (Printf.sprintf "commit|%d|%s" !committed_epoch
+                         (ints_to_string !members))
+                end)
+              ctls);
+        (* finish once the schedule is drained, nothing is in flight,
+           and every reachable node has issued its writes *)
+        if
+          (not !finish_sent)
+          && !sched = [] && !pending = None && !t0 <> None
+          && Array.for_all
+               (fun c ->
+                 (not (node_alive c.node))
+                 || (c.p_at > 0. && c.p_writes >= writes)
+                 || List.mem c.node !demoted)
+               ctls
+        then begin
+          finish_sent := true;
+          broadcast ~kind:Wire.Epoch ~body:"finish"
+        end;
+      done;
+      let endings = Supervisor.stop sup in
+      Array.iter kill_ctl ctls;
+      Supervisor.close_all (Array.to_list listeners);
+      (* an injected crash with no restart leaves a WAL the member
+         logged before every send: its ops can be reconstructed even
+         though it never reported *)
+      let salvaged = ref [] in
+      let endings =
+        Array.mapi
+          (fun i -> function
+            | Supervisor.Injected_crash as e -> (
+                match Member.salvage ~node:i ~dir:(node_wal i) with
+                | Some r ->
+                    salvaged := i :: !salvaged;
+                    Supervisor.Finished r
+                | None -> e)
+            | e -> e)
+          endings
+      in
+      dispose_wal ();
+      match Supervisor.outcome ~name:(Printf.sprintf "node %d") endings with
+      | Error msg ->
+          (* a wedged run names the stage it was stuck in *)
           Error
-            (Printf.sprintf "reconfig: %s failed: %s" fn
-               (Unix.error_message err))
-      end
+            (Printf.sprintf "%s (epoch %d committed, %s pending)" msg
+               !committed_epoch
+               (match !pending with
+               | Some p -> Printf.sprintf "epoch %d" p.pd_epoch
+               | None -> "none"))
+      | Ok node_results ->
+          let history =
+            History.of_lists
+              (Array.to_list node_results
+              |> List.map (fun r -> r.Member.ops))
+          in
+          let sum f =
+            Array.fold_left (fun acc r -> acc + f r) 0 node_results
+          in
+          let events = List.rev !events in
+          let moved_gate =
+            let nm = Stdlib.max 1 (List.length initial_members) in
+            2 * k * n_vars / nm
+          in
+          let max_moved =
+            List.fold_left
+              (fun acc e -> Stdlib.max acc e.ev_keys_moved)
+              0 events
+          in
+          Ok
+            {
+              n;
+              k;
+              vnodes;
+              seed;
+              n_vars;
+              committed_epoch = !committed_epoch;
+              members = !members;
+              events;
+              history;
+              verdict = Checker.check Checker.Cache history;
+              pram = Checker.check Checker.Pram history;
+              stale_epochs = sum (fun r -> r.Member.stale_epochs);
+              restarts = Supervisor.restarts sup;
+              salvaged = List.sort compare !salvaged;
+              keys_moved_total =
+                List.fold_left (fun acc e -> acc + e.ev_keys_moved) 0 events;
+              max_keys_moved = max_moved;
+              moved_gate;
+              moved_ok = max_moved <= moved_gate;
+              unavail_ms =
+                Array.fold_left
+                  (fun acc r -> Stdlib.max acc r.Member.unavail_ms)
+                  0 node_results;
+              transfers = sum (fun r -> r.Member.transfers_in);
+              init_fallbacks = sum (fun r -> r.Member.init_fallbacks);
+              writes_total = sum (fun r -> r.Member.writes_done);
+              reads_total = sum (fun r -> r.Member.reads_done);
+              node_results;
+              chaos =
+                (match chaos with
+                | None -> ""
+                | Some p -> Fault.Plan.to_string p);
+              wall_ms =
+                int_of_float ((Unix.gettimeofday () -. t_start) *. 1000.);
+            }
+    with Unix.Unix_error (err, fn, _) ->
+      Error
+        (Printf.sprintf "reconfig: %s failed: %s" fn
+           (Unix.error_message err))
 
 (* --- reports ----------------------------------------------------------------- *)
 

@@ -24,7 +24,9 @@
       stays closed under reads.
 
     A watchdog deadline fails a wedged run with an error prefixed
-    ["wedged:"] — the CLI maps it to a distinct exit code. *)
+    ["wedged:"] ({!Supervisor.outcome}) that ends naming the stuck stage,
+    [(epoch E committed, P pending)] — the CLI maps it to a distinct exit
+    code. *)
 
 module Fault = Repro_msgpass.Fault
 module History = Repro_history.History
@@ -88,9 +90,11 @@ val run :
     [wal_dir] names one to keep for post-mortem).  [deadline_ms]
     (default 90 s: the members' 60 s run timeout plus 30 s) is the
     supervisor watchdog; on expiry the error starts with ["wedged:"].
-    A plan with link-fault or partition clauses ([drop], [dup],
-    [reorder], [delay], [link], [part]) is an [Error]: member traffic
-    does not pass through {!Repro_transport.Chaos}. *)
+    Any error from the run itself lists each node that did not finish
+    (after salvage) and ends with the committed and pending epochs.  A
+    plan with link-fault or partition clauses ([drop], [dup], [reorder],
+    [delay], [link], [part]) is an [Error]: member traffic does not pass
+    through {!Repro_transport.Chaos}. *)
 
 (** {1 Reports}: the outcome as {!Repro_util.Record} rows, shared by the
     CLI's [reconfig] and bench's reconfig tier. *)

@@ -1,5 +1,7 @@
 module Chaos = Repro_transport.Chaos
+module Live = Repro_transport.Live
 module Fault = Repro_msgpass.Fault
+module Fsio = Repro_durable.Fsio
 
 exception Crash of string
 
@@ -225,3 +227,54 @@ let wait t =
     ignore (step t ~timeout:0.2 ())
   done;
   stop t
+
+(* --- loopback clusters -------------------------------------------------------- *)
+
+let loopback n =
+  let listeners =
+    Array.init n (fun _ ->
+        Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
+  in
+  (listeners, Array.map Live.listen_addr listeners)
+
+let close_all =
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+
+let spawn_node t listeners ~self body =
+  spawn t (fun ~incarnation ->
+      close_all
+        (List.filteri (fun i _ -> i <> self) (Array.to_list listeners));
+      body ~incarnation)
+
+let arm_dcrash ~self ~incarnation = function
+  | Some plan when incarnation = 0 ->
+      Option.iter
+        (fun (c : Fault.Plan.dcrash) ->
+          Fsio.Crashpoint.arm ~point:c.Fault.Plan.point
+            ~after:c.Fault.Plan.after_hits ~powercut:c.Fault.Plan.powercut
+            (fun () -> raise (Chaos.Injected_crash self)))
+        (Fault.Plan.dcrash_for plan self)
+  | _ -> ()
+
+let outcome ~name endings =
+  let lines text =
+    Array.to_list endings
+    |> List.mapi (fun i e ->
+           Option.map (Printf.sprintf "%s: %s" (name i)) (text e))
+    |> List.filter_map Fun.id
+  in
+  let failed =
+    lines (function
+      | Crashed msg -> Some msg
+      | Injected_crash -> Some "injected crash (no restart scheduled)"
+      | Finished _ | Put_down -> None)
+  and put_down =
+    lines (function
+      | Put_down -> Some "put down by the supervisor watchdog"
+      | _ -> None)
+  in
+  match (failed, put_down) with
+  | [], [] ->
+      Ok (Array.map (function Finished r -> r | _ -> assert false) endings)
+  | _, [] -> Error (String.concat "\n" failed)
+  | _ -> Error ("wedged: " ^ String.concat "\n" (failed @ put_down))

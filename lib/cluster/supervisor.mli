@@ -1,7 +1,10 @@
 (** Process supervision for the live tier: one forked child per slot,
     each marshalling its result back to the parent over a report pipe.
     {!Cluster.run}, {!Reconfig.run} and [Repro_loadgen.Harness.run] all
-    fork through this module.
+    fork through this module, launch their nodes on its loopback
+    listeners ({!loopback}, {!spawn_node}) and turn the slots' endings
+    into one result or one error text ({!outcome}); {!Node.run} and
+    {!Member.run} arm their WAL crash points through {!arm_dcrash}.
 
     {b Child contract.}  A slot's body runs in the forked child.  A
     returned value is marshalled over the pipe and the child exits 0.
@@ -81,3 +84,35 @@ val stop : 'r t -> 'r ending array
 
 val wait : 'r t -> 'r ending array
 (** [step] while {!running}, then {!stop}. *)
+
+(** {1 Loopback clusters} *)
+
+val loopback : int -> Unix.file_descr array * Unix.sockaddr array
+(** [loopback n]: [n] listening sockets on ephemeral loopback ports
+    ({!Repro_transport.Live.bind}) and their addresses, node [i]'s at
+    index [i]. *)
+
+val spawn_node :
+  'r t -> Unix.file_descr array -> self:int -> (incarnation:int -> 'r) -> unit
+(** {!spawn} node [self]'s body; the child first closes every listener
+    but [listeners.(self)], so a node accepts only on its own socket.  The
+    slot is the next one in spawn order: callers with a chaos plan spawn
+    node [i] as slot [i]. *)
+
+val close_all : Unix.file_descr list -> unit
+(** Close each descriptor, ignoring errors. *)
+
+val arm_dcrash :
+  self:int -> incarnation:int -> Repro_msgpass.Fault.Plan.t option -> unit
+(** On a first incarnation, arm the plan's [dcrash] clause for node
+    [self] ({!Repro_durable.Fsio.Crashpoint.arm}): the named point in the
+    WAL write path raises {!Repro_transport.Chaos.Injected_crash}.  A
+    respawn is never re-armed. *)
+
+val outcome : name:(int -> string) -> 'r ending array -> ('r array, string) result
+(** Every slot's result when all of them finished.  Otherwise one line
+    [name i ^ ": " ^ text] per slot that did not: first the slots that
+    failed on their own (the crash message, or
+    ["injected crash (no restart scheduled)"]), then the ones put down
+    (["put down by the supervisor watchdog"]), each group in slot order.
+    The text starts with ["wedged: "] when any slot was put down. *)

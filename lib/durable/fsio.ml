@@ -19,6 +19,21 @@ let rec remove_tree path =
     end
     else try Sys.remove path with Sys_error _ -> ()
 
+let scratch_dir ?keep prefix =
+  match keep with
+  | Some dir ->
+      (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      (dir, ignore)
+  | None ->
+      let dir =
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "%s-%d" prefix (Unix.getpid ()))
+      in
+      remove_tree dir;
+      Unix.mkdir dir 0o700;
+      (dir, fun () -> remove_tree dir)
+
 module Crashpoint = struct
   let points =
     [

@@ -21,6 +21,13 @@ val remove_tree : string -> unit
     a missing path is a no-op and removal errors are ignored — it cleans
     up scratch directories. *)
 
+val scratch_dir : ?keep:string -> string -> string * (unit -> unit)
+(** A root directory for a run's WAL files, and the function that
+    disposes of it.  With [keep] the named directory is created if
+    missing and kept for post-mortem inspection: disposing does nothing.
+    Without it [PREFIX-PID] under the temp dir is made fresh (a stale one
+    is removed first) and disposing removes it. *)
+
 (** Named kill switches inside the durability write path.
 
     A chaos plan arms a point with a hit countdown; the WAL and blob

@@ -106,6 +106,9 @@ let transient = function
   | Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EINTR | Unix.EAGAIN -> true
   | _ -> false
 
+(* how long a client keeps redialing a node that is not listening yet *)
+let connect_timeout_s = 10.
+
 (* Nodes come up in any order relative to clients: retry refused dials on
    a bounded backoff until the connect deadline. *)
 let dial_retry addr ~deadline =
@@ -130,12 +133,11 @@ let kind_of = function
   | Rpc.Op (Rpc.Write _) -> `W
   | Rpc.Batch _ -> `S
 
-let run ~client_id ~peers ~events ~drain_plan ~duration_ms ~grace_ms
-    ?(connect_timeout_ms = 10_000) () =
+let run ~client_id ~peers ~events ~drain_plan ~duration_ms ~grace_ms =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let start = Unix.gettimeofday () in
   let now_us () = int_of_float ((Unix.gettimeofday () -. start) *. 1e6) in
-  let deadline = start +. (float_of_int connect_timeout_ms /. 1000.) in
+  let deadline = start +. connect_timeout_s in
   let conns =
     Array.map
       (fun addr ->

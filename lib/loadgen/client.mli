@@ -58,10 +58,9 @@ val run :
   drain_plan:bool ->
   duration_ms:int ->
   grace_ms:int ->
-  ?connect_timeout_ms:int ->
-  unit ->
   report
-(** Replay [events].  With [drain_plan] false the client stops submitting
+(** Dial every node in [peers], retrying refused dials for up to 10 s,
+    then replay [events].  With [drain_plan] false the client stops submitting
     at [duration_ms] (open-loop measurement window); with it true the
     whole plan is submitted however long that takes — the mode the
     coalescing comparison uses, so both runs offer byte-identical op

@@ -1,4 +1,3 @@
-module Live = Repro_transport.Live
 module Session = Repro_transport.Session
 module Node = Repro_cluster.Node
 module Supervisor = Repro_cluster.Supervisor
@@ -82,17 +81,11 @@ let run (cfg : config) =
     match Workload_spec.make ~name:workload_name ~n:cfg.n ~seed:cfg.seed with
     | Error msg -> Error msg
     | Ok spec ->
-        let listen_fds =
-          Array.init cfg.n (fun _ ->
-              Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
-        in
-        let peers = Array.map Live.listen_addr listen_fds in
+        let listeners, peers = Supervisor.loopback cfg.n in
         let grace_ms = 5_000 in
         let run_timeout_ms = cfg.duration_ms + grace_ms + 40_000 in
         let sup = Supervisor.create ~deadline_ms:(run_timeout_ms + 30_000) () in
-        let close_all =
-          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        in
+        let close_all = Supervisor.close_all in
         (* Clients are forked first and each builds its plan in its own
            process: a plan is large, and the parent's heap is copied into
            every child forked after it.  Nodes leave after a quiet window,
@@ -102,7 +95,7 @@ let run (cfg : config) =
         let go_r, go_w = Unix.pipe () in
         for cid = 0 to cfg.clients - 1 do
           Supervisor.spawn sup (fun ~incarnation:_ ->
-              close_all (ready_r :: go_w :: Array.to_list listen_fds);
+              close_all (ready_r :: go_w :: Array.to_list listeners);
               let events =
                 Client.plan ~mix:cfg.mix ~dist:spec.Workload_spec.dist
                   ~rate:(cfg.rate /. float_of_int cfg.clients)
@@ -115,7 +108,7 @@ let run (cfg : config) =
               Client_ok
                 (Client.run ~client_id:cid ~peers ~events
                    ~drain_plan:cfg.drain_plan ~duration_ms:cfg.duration_ms
-                   ~grace_ms ()))
+                   ~grace_ms))
         done;
         close_all [ ready_w; go_r ];
         let client_ended () =
@@ -133,72 +126,45 @@ let run (cfg : config) =
           if Supervisor.step sup ~fds:[ ready_r ] ~timeout:0.2 () <> [] then
             ready := !ready + Unix.read ready_r chunk 0 (Bytes.length chunk)
         done;
+        if !ready = cfg.clients then begin
+          for self = 0 to cfg.n - 1 do
+            Supervisor.spawn_node sup listeners ~self (fun ~incarnation:_ ->
+                let r =
+                  Node.run ~self ~listen_fd:listeners.(self) ~peers
+                    ~protocol:cfg.protocol ~workload:spec ~seed:cfg.seed
+                    ~session:true ~coalesce:cfg.coalesce ~run_timeout_ms
+                    ~quiet_ms:1_000 ()
+                in
+                let tms = Unix.times () in
+                Node_ok (r, tms.Unix.tms_utime +. tms.Unix.tms_stime))
+          done;
+          ignore
+            (Unix.write_substring go_w (String.make cfg.clients 'g') 0
+               cfg.clients
+              : int)
+        end;
+        (* with no go byte (a client failed before every plan was ready)
+           the waiting clients read end of file and fail too; [ready_r]
+           stays open until then, so a client still building its plan can
+           report it ready *)
+        close_all (go_w :: Array.to_list listeners);
+        let endings = Supervisor.wait sup in
         close_all [ ready_r ];
-        let endings =
-          if !ready < cfg.clients then begin
-            (* a client failed before its plan was ready: the others still
-               wait for the go byte *)
-            let endings = Supervisor.stop sup in
-            close_all (go_w :: Array.to_list listen_fds);
-            endings
-          end
-          else begin
-            for self = 0 to cfg.n - 1 do
-              Supervisor.spawn sup (fun ~incarnation:_ ->
-                  Array.iteri
-                    (fun j fd -> if j <> self then Unix.close fd)
-                    listen_fds;
-                  let r =
-                    Node.run ~self ~listen_fd:listen_fds.(self) ~peers
-                      ~protocol:cfg.protocol ~workload:spec ~seed:cfg.seed
-                      ~session:true ~coalesce:cfg.coalesce ~run_timeout_ms
-                      ~quiet_ms:1_000 ()
-                  in
-                  let tms = Unix.times () in
-                  Node_ok (r, tms.Unix.tms_utime +. tms.Unix.tms_stime))
-            done;
-            close_all (Array.to_list listen_fds);
-            ignore
-              (Unix.write_substring go_w (String.make cfg.clients 'g') 0
-                 cfg.clients
-                : int);
-            close_all [ go_w ];
-            Supervisor.wait sup
-          end
-        in
         let name i =
           if i < cfg.clients then Printf.sprintf "client %d" i
           else Printf.sprintf "node %d" (i - cfg.clients)
         in
-        (* a child that failed on its own is reported before the ones the
-           supervisor put down *)
-        let failures =
-          Array.to_list endings
-          |> List.mapi (fun i e ->
-                 match e with
-                 | Supervisor.Finished _ -> None
-                 | Supervisor.Crashed msg -> Some (false, name i ^ ": " ^ msg)
-                 | Supervisor.Injected_crash ->
-                     Some (false, name i ^ ": injected crash")
-                 | Supervisor.Put_down ->
-                     Some
-                       (true, name i ^ ": put down by the supervisor watchdog"))
-          |> List.filter_map Fun.id
-          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-        in
-        match failures with
-        | (_, e) :: _ -> Error e
-        | [] ->
+        match Supervisor.outcome ~name endings with
+        | Error _ as e -> e
+        | Ok results ->
             let creps =
-              Array.to_list endings
-              |> List.filter_map (function
-                   | Supervisor.Finished (Client_ok r) -> Some r
-                   | _ -> None)
+              Array.to_list results
+              |> List.filter_map (function Client_ok r -> Some r | _ -> None)
             in
             let nreps =
-              Array.to_list endings
+              Array.to_list results
               |> List.filter_map (function
-                   | Supervisor.Finished (Node_ok (r, cpu)) -> Some (r, cpu)
+                   | Node_ok (r, cpu) -> Some (r, cpu)
                    | _ -> None)
             in
             let sum f l = List.fold_left (fun a x -> a + f x) 0 l in

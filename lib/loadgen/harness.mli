@@ -7,9 +7,10 @@
     session layer on so coalescing and ack piggybacking are in play.
     Clients replay deterministic {!Client.plan} schedules.
 
-    Every child forks through {!Repro_cluster.Supervisor}, which drains
-    the marshalled reports in one [select] (reports can exceed a pipe
-    buffer) and puts the run down at a watchdog deadline.  The clients
+    Every child forks through {!Repro_cluster.Supervisor}, which binds
+    the nodes' loopback listeners, drains the marshalled reports in one
+    [select] (reports can exceed a pipe buffer) and puts the run down at
+    a watchdog deadline.  The clients
     are forked first and each builds its plan in its own process — a
     plan is large, and the parent's heap would be copied into every node
     forked after it.  The nodes are forked only once every client has
@@ -79,9 +80,12 @@ type result = {
 }
 
 val run : config -> (result, string) Stdlib.result
-(** Fork, load, collect, aggregate.  [Error] on invalid config or when
-    any child fails (the first child that failed on its own is reported
-    before any the supervisor put down). *)
+(** Fork, load, collect, aggregate.  [Error] on invalid config, or when
+    any child fails: {!Repro_cluster.Supervisor.outcome}'s text, one line
+    per failed child (["client C: ..."], ["node I: ..."]), with the
+    ["wedged: "] prefix when the watchdog put one down.  A client that
+    fails before every plan is ready leaves the others without a go byte,
+    and they fail too. *)
 
 (** {1 Reports}: the result as {!Repro_util.Record} rows, shared by the
     CLI's [load] and bench's load tier. *)

@@ -399,6 +399,19 @@ module Plan = struct
     | Failure msg -> Error msg
     | Invalid_argument msg -> Error msg
 
+  let check ?n ~runtime ~rejects = function
+    | None -> Ok None
+    | Some p when is_none p -> Ok None
+    | Some p -> (
+        match validate ?n p with
+        | exception Invalid_argument msg -> Error ("chaos plan: " ^ msg)
+        | () -> (
+            match List.find_opt (fun k -> List.mem k rejects) (clauses p) with
+            | Some k ->
+                Error
+                  (Printf.sprintf "chaos plan: %s does not apply %s=" runtime k)
+            | None -> Ok (Some p)))
+
   let link_to_fields l =
     let f name v acc =
       if v = 0.0 then acc else Printf.sprintf "%s=%g" name v :: acc

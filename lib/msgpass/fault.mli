@@ -91,7 +91,7 @@ module Plan : sig
       of ["drop"], ["dup"], ["reorder"], ["delay"], ["link"], ["part"],
       ["crash"], ["dcrash"], ["join"] and ["leave"] that is present.  A
       runtime rejects the kinds it does not apply rather than ignore
-      them. *)
+      them, through {!check}. *)
 
   val link_for : t -> src:int -> dst:int -> link
 
@@ -110,6 +110,16 @@ module Plan : sig
   (** Static sanity check; when [n] is given, node ids are range-checked.
       @raise Invalid_argument on out-of-range probabilities, bad windows,
       duplicate link overrides, duplicate or malformed crash entries. *)
+
+  val check :
+    ?n:int -> runtime:string -> rejects:string list -> t option ->
+    (t option, string) result
+  (** The one gate a runtime puts a plan through.  An absent plan, or one
+      that injects nothing ({!is_none}), is [Ok None].  A plan that fails
+      {!validate} (with [n]) is [Error "chaos plan: <msg>"]; one that uses
+      a clause kind in [rejects] (see {!clauses}) is
+      [Error "chaos plan: <runtime> does not apply <kind>="], naming the
+      first such kind. *)
 
   val parse : string -> (t, string) result
   (** Parse the compact comma-separated syntax, e.g.

@@ -10,9 +10,6 @@ type config = {
   fingerprint : string;
   resilient : bool;
   incarnation : int;
-  connect_timeout_ms : int;
-      (* cap on one reconnection episode's retries; 0 = keep trying until
-         the run timeout cuts the loop (the pre-watchdog behaviour) *)
 }
 
 type reply =
@@ -305,16 +302,12 @@ and mark_peer_lost t i =
   | None -> ());
   schedule_reconnect t i
 
-(* Bounded exponential backoff with jitter.  With [connect_timeout_ms = 0]
-   attempts continue until the node's own run timeout cuts the loop, so a
-   slow restart is survived and a permanent failure still terminates; a
-   positive cap abandons the episode instead (the frames already count as
-   dropped, the membership layer's failure detector does the demoting),
-   and a later send to the peer opens a fresh episode. *)
+(* Bounded exponential backoff with jitter.  Attempts continue until the
+   node's own run timeout cuts the loop, so a slow restart is survived and
+   a permanent failure still terminates. *)
 and schedule_reconnect t i =
   if not t.reconnect_pending.(i) then begin
     t.reconnect_pending.(i) <- true;
-    let started = now_ms t in
     let rec attempt ~delay () =
       match dial t.cfg.peers.(i) with
       | Ok fd ->
@@ -323,13 +316,8 @@ and schedule_reconnect t i =
           t.reconnects <- t.reconnects + 1;
           ignore (write_all t fd (Wire.encode (hello_frame t i)))
       | Error e when transient_connect_error e ->
-          if
-            t.cfg.connect_timeout_ms > 0
-            && now_ms t - started >= t.cfg.connect_timeout_ms
-          then t.reconnect_pending.(i) <- false
-          else
-            let delay = min 500 (delay * 2) in
-            add_timer t ~delay:(delay + Rng.int t.jrng 20) (attempt ~delay)
+          let delay = min 500 (delay * 2) in
+          add_timer t ~delay:(delay + Rng.int t.jrng 20) (attempt ~delay)
       | Error e ->
           t.reconnect_pending.(i) <- false;
           if not t.draining then

@@ -54,11 +54,6 @@ type config = {
   incarnation : int;
       (** 0 for a first launch; a respawned node advertises its restart
           count in its [Hello] so peers refresh their outbound links. *)
-  connect_timeout_ms : int;
-      (** Watchdog cap on one reconnection episode: a resilient node stops
-          redialing a dead peer after this many milliseconds (the next
-          send to it opens a fresh episode).  [0] keeps the pre-watchdog
-          behaviour — retry until the run timeout cuts the loop. *)
 }
 
 type t

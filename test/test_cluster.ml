@@ -307,6 +307,13 @@ let test_dcrash_needs_durable () =
 
 (* the same guard inside the node itself, for a daemon started without the
    harness: the plan must be refused before the node opens any traffic *)
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Node.run refuses, before any traffic, a plan it cannot apply: a dcrash
+   schedule without a WAL, and membership clauses (named) *)
 let test_node_dcrash_needs_wal () =
   match Workload_spec.make ~name:"e1" ~n:1 ~seed:1 with
   | Error msg -> Alcotest.failf "spec: %s" msg
@@ -319,13 +326,22 @@ let test_node_dcrash_needs_wal () =
       Fun.protect
         ~finally:(fun () -> try Unix.close listen_fd with Unix.Unix_error _ -> ())
         (fun () ->
-          match
-            Node.run ~self:0 ~listen_fd ~peers
-              ~protocol:(spec_of "pram-partial") ~workload ~seed:1
-              ~chaos:(plan_of "seed=1,dcrash=0:append.pre@1+100") ()
-          with
-          | exception Node.Crash _ -> ()
-          | _ -> Alcotest.fail "Node.run ignored a dcrash plan without a WAL")
+          List.iter
+            (fun (plan, sub) ->
+              match
+                Node.run ~self:0 ~listen_fd ~peers
+                  ~protocol:(spec_of "pram-partial") ~workload ~seed:1
+                  ~chaos:(plan_of plan) ()
+              with
+              | exception Node.Crash msg ->
+                  check Alcotest.bool
+                    (Printf.sprintf "%S names %s" msg sub)
+                    true (contains ~sub msg)
+              | _ -> Alcotest.failf "Node.run ignored the plan %S" plan)
+            [
+              ("seed=1,dcrash=0:append.pre@1+100", "write-ahead log");
+              ("seed=1,join=0@5", "join=");
+            ])
 
 let test_invalid_plan_rejected () =
   match
@@ -433,11 +449,6 @@ let test_reconfig_wedged_deadline () =
         (Printf.sprintf "error %S carries the wedged prefix" msg)
         true
         (String.length msg >= 7 && String.sub msg 0 7 = "wedged:")
-
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
 
 (* a static cluster has no membership runtime: join=/leave= clauses are
    refused up front, naming the clause, instead of parsed and ignored *)

@@ -495,6 +495,32 @@ let test_dcrash_validation () =
       "dcrash=0:sync.pre@1+100,dcrash=0:sync.post@1+100";
     ]
 
+(* one WAL scratch root: a kept directory is created and survives its
+   dispose; a temp root is PREFIX-PID, starts empty over a stale one, and
+   its dispose removes it *)
+let test_scratch_dir () =
+  let kept = fresh_dir () in
+  let dir, dispose = Fsio.scratch_dir ~keep:kept "repro-scratch-test" in
+  check Alcotest.string "the named directory" kept dir;
+  Out_channel.with_open_bin (Filename.concat kept "node-0.wal") ignore;
+  dispose ();
+  check Alcotest.(array string) "a kept directory survives its dispose"
+    [| "node-0.wal" |] (Sys.readdir kept);
+  Fsio.remove_tree kept;
+  let stale, _ = Fsio.scratch_dir "repro-scratch-test" in
+  Out_channel.with_open_bin (Filename.concat stale "leftover") ignore;
+  let dir, dispose = Fsio.scratch_dir "repro-scratch-test" in
+  check Alcotest.string "PREFIX-PID under the temp dir"
+    (Filename.concat
+       (Filename.get_temp_dir_name ())
+       (Printf.sprintf "repro-scratch-test-%d" (Unix.getpid ())))
+    dir;
+  check Alcotest.(array string) "a stale root starts empty" [||]
+    (Sys.readdir dir);
+  dispose ();
+  check Alcotest.bool "the dispose removes the temp root" false
+    (Sys.file_exists dir)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "repro_durable"
@@ -529,6 +555,7 @@ let () =
             test_wal_sync_crash_points;
         ] );
       ("kill9", [ tc "digest survives SIGKILL" `Quick test_wal_kill9_digest ]);
+      ("scratch", [ tc "scratch_dir keeps or disposes" `Quick test_scratch_dir ]);
       ( "plan",
         [
           tc "dcrash parse" `Quick test_dcrash_parse;

@@ -340,7 +340,32 @@ let test_plan_clauses () =
   Alcotest.(check (list string)) "a link override is not a default drop"
     [ "link" ] (clauses "link=0>1:drop=0.5");
   Alcotest.(check (list string)) "membership only" [ "join"; "leave" ]
-    (clauses "seed=7,join=4@250,leave=1@600")
+    (clauses "seed=7,join=4@250,leave=1@600");
+  (* the one gate every runtime puts a plan through *)
+  let check_plan ?n ~rejects text =
+    Fault.Plan.check ?n ~runtime:"this runtime" ~rejects
+      (Option.map (fun t -> Result.get_ok (Fault.Plan.parse t)) text)
+  in
+  let is_none_ok = function Ok None -> true | _ -> false in
+  Alcotest.(check bool) "an absent plan is none" true
+    (is_none_ok (check_plan ~rejects:[ "join" ] None));
+  Alcotest.(check bool) "a seed alone is none" true
+    (is_none_ok (check_plan ~rejects:[ "join" ] (Some "seed=3")));
+  (match check_plan ~n:3 ~rejects:[] (Some "crash=9@5+100") with
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is a chaos plan error" msg)
+        true
+        (String.starts_with ~prefix:"chaos plan: " msg)
+  | Ok _ -> Alcotest.fail "node 9 accepted in a 3-node plan");
+  Alcotest.(check (result reject string))
+    "a rejected kind is named"
+    (Error "chaos plan: this runtime does not apply join=")
+    (check_plan ~rejects:[ "join"; "leave" ] (Some "seed=1,join=1@5"));
+  Alcotest.(check bool) "an applied plan passes" true
+    (match check_plan ~n:3 ~rejects:[ "join" ] (Some "seed=1,drop=0.1") with
+    | Ok (Some p) -> p.Fault.Plan.default_link.Fault.Plan.drop = 0.1
+    | _ -> false)
 
 let test_plan_parse_rejects () =
   let bad =

@@ -1,6 +1,7 @@
 (* Tests for Repro_cluster.Supervisor: the forked-child contract, report
-   collection, crash respawn and the watchdog, with plain child bodies —
-   no sockets, no protocol.
+   collection, crash respawn, the watchdog, the ending report and the
+   loopback launcher's listener hygiene, with plain child bodies — no
+   protocol.
 
    This executable forks; it must never create a domain before doing so. *)
 
@@ -33,15 +34,28 @@ let no_children_left () =
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
   | pid, _ -> Alcotest.failf "a child is left behind (waitpid gave %d)" pid
 
+let slot = Printf.sprintf "slot %d"
+
+let outcome_t = Alcotest.(result (array int) string)
+
 let test_finished_and_crashed () =
   let sup = Supervisor.create ~deadline_ms:10_000 () in
   Supervisor.spawn sup (fun ~incarnation:_ -> 42);
   Supervisor.spawn sup (fun ~incarnation:_ -> raise (Supervisor.Crash "boom"));
+  let endings = Supervisor.wait sup in
   check int_endings "endings"
     [| Supervisor.Finished 42; Supervisor.Crashed "boom" |]
-    (Supervisor.wait sup);
+    endings;
   check Alcotest.int "no restarts" 0 (Supervisor.restarts sup);
-  no_children_left ()
+  no_children_left ();
+  check outcome_t "every slot finished" (Ok [| 42 |])
+    (Supervisor.outcome ~name:slot (Array.sub endings 0 1));
+  check outcome_t "a crash is one line, no prefix" (Error "slot 1: boom")
+    (Supervisor.outcome ~name:slot endings);
+  check outcome_t "slot order, each ending's one text"
+    (Error "slot 1: boom\nslot 2: injected crash (no restart scheduled)")
+    (Supervisor.outcome ~name:slot
+       (Array.append endings [| Supervisor.Injected_crash |]))
 
 let test_respawn_once () =
   let respawned = ref [] in
@@ -100,11 +114,50 @@ let test_watchdog_puts_down () =
   Supervisor.spawn sup (fun ~incarnation:_ -> forever ());
   Supervisor.spawn sup (fun ~incarnation:_ -> raise (Chaos.Injected_crash 1));
   let t0 = Unix.gettimeofday () in
+  let endings = Supervisor.wait sup in
   check int_endings "both put down"
     [| Supervisor.Put_down; Supervisor.Put_down |]
-    (Supervisor.wait sup);
+    endings;
   check Alcotest.bool "within a few seconds" true
     (Unix.gettimeofday () -. t0 < 5.);
+  no_children_left ();
+  check outcome_t "wedged, one line per slot put down"
+    (Error
+       "wedged: slot 0: put down by the supervisor watchdog\n\
+        slot 1: put down by the supervisor watchdog")
+    (Supervisor.outcome ~name:slot endings);
+  check outcome_t "a slot that failed on its own comes first"
+    (Error
+       "wedged: slot 2: boom\nslot 0: put down by the supervisor watchdog\n\
+        slot 1: put down by the supervisor watchdog")
+    (Supervisor.outcome ~name:slot
+       (Array.append endings [| Supervisor.Crashed "boom" |]))
+
+(* the loopback launcher: node i's child keeps listener i open and closes
+   every other one, so it accepts only on its own socket *)
+let test_loopback_hygiene () =
+  let listeners, peers = Supervisor.loopback 3 in
+  let sup = Supervisor.create ~deadline_ms:10_000 () in
+  for self = 0 to 2 do
+    Supervisor.spawn_node sup listeners ~self (fun ~incarnation:_ ->
+        Array.map
+          (fun fd ->
+            match Unix.fstat fd with
+            | _ -> true
+            | exception Unix.Unix_error (Unix.EBADF, _, _) -> false)
+          listeners)
+  done;
+  let got = Supervisor.wait sup in
+  Supervisor.close_all (Array.to_list listeners);
+  check
+    (endings (fun open_ ->
+         String.concat "," (Array.to_list (Array.map string_of_bool open_))))
+    "each child has only its own listener open"
+    (Array.init 3 (fun self ->
+         Supervisor.Finished (Array.init 3 (fun i -> i = self))))
+    got;
+  check Alcotest.int "three distinct addresses" 3
+    (List.length (List.sort_uniq compare (Array.to_list peers)));
   no_children_left ()
 
 let () =
@@ -127,5 +180,10 @@ let () =
             test_large_reports;
           Alcotest.test_case "watchdog puts down, leaves no zombie" `Quick
             test_watchdog_puts_down;
+        ] );
+      ( "loopback cluster",
+        [
+          Alcotest.test_case "each node keeps only its own listener" `Quick
+            test_loopback_hygiene;
         ] );
     ]

@@ -520,7 +520,6 @@ let test_epoch_fence () =
       fingerprint = "epoch-fence-test";
       resilient = false;
       incarnation = 0;
-      connect_timeout_ms = 0;
     }
   in
   match Unix.fork () with
@@ -602,7 +601,6 @@ let test_live_factory_needs_codec () =
         fingerprint = "codec-test";
         resilient = false;
         incarnation = 0;
-        connect_timeout_ms = 0;
       }
       ~listen_fd:fd
   in
