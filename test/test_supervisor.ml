@@ -181,7 +181,7 @@ let () =
           Alcotest.test_case "watchdog puts down, leaves no zombie" `Quick
             test_watchdog_puts_down;
         ] );
-      ( "loopback cluster",
+      ( "loopback",
         [
           Alcotest.test_case "each node keeps only its own listener" `Quick
             test_loopback_hygiene;
