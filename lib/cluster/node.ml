@@ -75,7 +75,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
   in
   (match chaos with
   | Some p when durable = None && Fault.Plan.dcrash_for p self <> None ->
-      crashf "node %d: a dcrash schedule needs a write-ahead log" self
+      crashf "a dcrash schedule needs a write-ahead log"
   | _ -> ());
   let session = session || chaos <> None || coalesce > 1 in
   (* lossy links hide in silence up to a full retransmission backoff; the
@@ -296,8 +296,8 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
         let logged kind var =
           let k, v, value, _, _ = replayed.(!cursor) in
           if k <> kind || v <> var then
-            crashf "node %d: replay divergence at op %d: log has %s x%d, program did %s x%d"
-              self !cursor (kind_text k) v (kind_text kind) var;
+            crashf "replay divergence at op %d: log has %s x%d, program did %s x%d"
+              !cursor (kind_text k) v (kind_text kind) var;
           incr cursor;
           value
         in
@@ -331,7 +331,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
         (fun () -> workload.Workload_spec.programs.(self) api);
     while not !finished do
       if Live.now_ms lt > run_timeout_ms then
-        fail "node %d: program still running after %d ms" self run_timeout_ms;
+        fail "program still running after %d ms" run_timeout_ms;
       ignore (Live.step lt ~block:true)
     done;
     (* make the finished flag durable before announcing it *)
@@ -339,7 +339,7 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
     Live.finish_program lt;
     while not (Live.all_done lt) do
       if Live.now_ms lt > run_timeout_ms then
-        fail "node %d: peers still running after %d ms" self run_timeout_ms;
+        fail "peers still running after %d ms" run_timeout_ms;
       ignore (Live.step lt ~block:true)
     done;
     (* peers may still be producing handler-to-handler traffic (acks,

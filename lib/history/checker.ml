@@ -247,7 +247,7 @@ let search_view (view : V.t) =
   end
 
 let find_serialization h ~subset ~relation =
-  search_view (V.make (History.ops h) ~subset ~relation)
+  search_view (V.make (V.index (History.ops h)) ~subset ~relation)
 
 let validate_serialization h ~subset ~relation ~order =
   let sorted_subset = List.sort_uniq compare subset in
@@ -285,8 +285,8 @@ let oracle = lazy (Sys.getenv_opt "REPRO_CHECK_ORACLE" <> None)
 (* Decide one unit: the saturation front-end answers directly when it can
    prove the verdict, and punts to the exact search otherwise, so both
    engines decide identically on every input.  Both run on one view. *)
-let decide ?(engine = Saturation) ops ~subset ~relation =
-  let view = V.make ops ~subset ~relation in
+let decide ?(engine = Saturation) index ~subset ~relation =
+  let view = V.make index ~subset ~relation in
   let search () = search_view view <> None in
   let verdict =
     match engine with
@@ -307,7 +307,7 @@ let decide ?(engine = Saturation) ops ~subset ~relation =
   verdict
 
 let serializable ?engine h ~subset ~relation =
-  decide ?engine (History.ops h) ~subset ~relation
+  decide ?engine (V.index (History.ops h)) ~subset ~relation
 
 (* --- criterion decomposition --------------------------------------------- *)
 
@@ -357,10 +357,11 @@ let check_with ~for_all ?engine criterion rc =
   | Error (History.Dangling_read _) -> Inconsistent
   | Error (History.Ambiguous_read _ as e) -> Undecidable e
   | Ok _ ->
-      let ops = Relcache.ops rc in
+      (* forced here, before the units may reach other domains *)
+      let index = Relcache.index rc in
       let consistent =
         for_all
-          (fun (_, subset, relation) -> decide ?engine ops ~subset ~relation)
+          (fun (_, subset, relation) -> decide ?engine index ~subset ~relation)
           (units criterion rc)
       in
       if consistent then Consistent else Inconsistent
@@ -390,11 +391,11 @@ let witness criterion h =
   match Relcache.read_from rc with
   | Error _ -> None
   | Ok _ ->
-      let ops = Relcache.ops rc in
+      let index = Relcache.index rc in
       let rec collect acc = function
         | [] -> Some (List.rev acc)
         | (key, subset, relation) :: rest -> (
-            match search_view (V.make ops ~subset ~relation) with
+            match search_view (V.make index ~subset ~relation) with
             | None -> None
             | Some order -> collect ((key, order) :: acc) rest)
       in

@@ -3,6 +3,7 @@ module Graph = Repro_util.Graph
 type t = {
   h : History.t;
   ops : Op.t array Lazy.t; (* one shared copy of [History.ops h] *)
+  index : Unit_view.index Lazy.t;
   rf : (int option array, History.rf_error) result Lazy.t;
   program_order : Orders.relation Lazy.t;
   read_from_relation : Orders.relation Lazy.t;
@@ -30,6 +31,7 @@ let create h =
   {
     h;
     ops;
+    index = lazy (Unit_view.index (Lazy.force ops));
     rf;
     program_order;
     read_from_relation;
@@ -65,7 +67,7 @@ let create h =
   }
 
 let history t = t.h
-let ops t = Lazy.force t.ops
+let index t = Lazy.force t.index
 let read_from t = Lazy.force t.rf
 let rf_exn t = rf_exn_of (Lazy.force t.rf)
 let program_order t = Lazy.force t.program_order

@@ -16,8 +16,11 @@ val create : History.t -> t
 
 val history : t -> History.t
 
-val ops : t -> Op.t array
-(** {!History.ops}, computed once and shared: callers must not mutate it. *)
+val index : t -> Unit_view.index
+(** The history's writer index ({!Unit_view.index} over one shared copy of
+    {!History.ops}), built once and shared by every unit of every
+    criterion.  Force it before handing units to other domains: a lazy
+    value is not domain-safe. *)
 
 val read_from : t -> (int option array, History.rf_error) result
 (** Memoized {!History.read_from}. *)

@@ -41,7 +41,9 @@ val serializable :
     of reads whose source lies outside the subset (no serialization).
     Subsets containing two writes of the same value to the same variable
     (non-differentiated within the unit) answer [Unknown].  Builds the
-    unit's view and calls {!decide}. *)
+    history's writer index and the unit's view, then calls {!decide}; to
+    decide many units of one history, build the index once
+    ({!Relcache.index}) and call {!decide} on each view. *)
 
 (** {2 Instrumentation} *)
 
@@ -59,3 +61,13 @@ val counters : unit -> counters
     atomically (the parallel checker shares them across domains). *)
 
 val reset_counters : unit -> unit
+
+(**/**)
+
+module Private : sig
+  val saturate : Unit_view.t -> [ `Cycle | `Acyclic of int array array ]
+  (** The saturated successor rows of a unit, exactly closed, or [`Cycle]
+      when the forced precedence has one.  Exposed only so tests can assert
+      that a view whose relation is closed saturates exactly as one whose
+      relation is closed here. *)
+end

@@ -46,6 +46,22 @@ let rec first_from pred row wi w =
 let first_such pred row =
   if Array.length row = 0 then -1 else first_from pred row 0 row.(0)
 
+(* --- the writer index ----------------------------------------------------- *)
+
+type index = { all_ops : Op.t array; writers : int list array }
+
+let index all_ops =
+  let writes = Hashtbl.create 64 in
+  Array.iteri
+    (fun gid (o : Op.t) -> if Op.is_write o then Hashtbl.add writes (o.var, o.value) gid)
+    all_ops;
+  let writers_of (o : Op.t) =
+    match (o.kind, o.value) with
+    | Op.Read, Op.Init -> []
+    | _ -> Hashtbl.find_all writes (o.var, o.value)
+  in
+  { all_ops; writers = Array.map writers_of all_ops }
+
 (* --- the view ------------------------------------------------------------- *)
 
 type t = {
@@ -53,6 +69,7 @@ type t = {
   gids : int array;
   preds : int array array;
   succs : int array array;
+  closed : bool;
   var_slot_of : int array;
   n_vars : int;
   source : int array;
@@ -60,7 +77,7 @@ type t = {
   dup_writer : bool;
 }
 
-let make all_ops ~subset ~relation =
+let make { all_ops; writers } ~subset ~relation =
   let gids = Array.of_list subset in
   let k = Array.length gids in
   let local_of = Array.make (Array.length all_ops) (-1) in
@@ -92,39 +109,30 @@ let make all_ops ~subset ~relation =
         incr n_vars
       end)
     ops;
-  (* writers per slot, newest first, so a read finds its source among its
-     variable's few writes by value; of two writers of one value, the
-     later one is the source *)
-  let writers = Array.make (Stdlib.max !n_vars 1) [] in
-  let writer_of (o : Op.t) =
-    List.find_opt
-      (fun w -> Op.equal_value ops.(w).Op.value o.value)
-      writers.(var_slot_of.(o.var))
-  in
-  let dup_writer = ref false in
-  Array.iteri
-    (fun i (o : Op.t) ->
-      if Op.is_write o then begin
-        if writer_of o <> None then dup_writer := true;
-        let sl = var_slot_of.(o.var) in
-        writers.(sl) <- i :: writers.(sl)
-      end)
-    ops;
-  let missing_source = ref false in
+  (* a read's source is its value's writer in the unit; of two, the one
+     later in subset order *)
+  let missing_source = ref false and dup_writer = ref false in
   let source =
-    Array.map
-      (fun (o : Op.t) ->
+    Array.mapi
+      (fun i (o : Op.t) ->
+        let gid = gids.(i) in
         match o.kind with
-        | Op.Write -> -2
+        | Op.Write ->
+            if List.exists (fun w -> w <> gid && local_of.(w) >= 0) writers.(gid)
+            then dup_writer := true;
+            -2
         | Op.Read -> (
             match o.value with
             | Op.Init -> -1
-            | Op.Val _ -> (
-                match writer_of o with
-                | Some w -> w
-                | None ->
-                    missing_source := true;
-                    -2)))
+            | Op.Val _ ->
+                let s =
+                  List.fold_left (fun s w -> Stdlib.max s local_of.(w)) (-1) writers.(gid)
+                in
+                if s < 0 then begin
+                  missing_source := true;
+                  -2
+                end
+                else s))
       ops
   in
   {
@@ -132,6 +140,7 @@ let make all_ops ~subset ~relation =
     gids;
     preds;
     succs;
+    closed = Graph.is_closed relation;
     var_slot_of;
     n_vars = !n_vars;
     source;

@@ -31,6 +31,20 @@ val iter_row : (int -> unit) -> int array -> unit
 val first_such : (int -> bool) -> int array -> int
 (** The lowest set bit satisfying the predicate, or [-1]. *)
 
+(** {1 The writer index} *)
+
+type index
+(** A whole history's operations, each mapped to the global ids of the
+    writes that store its value in its variable: a write maps to itself and
+    any duplicate, a read to the candidate sources of its value, an
+    [Init]-read to none.  Built once per history and shared by all its
+    units. *)
+
+val index : Op.t array -> index
+(** [index ops]: [ops] is the whole history in global-id order
+    ({!History.ops}); it is kept, not copied.  {!Relcache.index} memoizes
+    it per history. *)
+
 (** {1 Views} *)
 
 type t = {
@@ -38,22 +52,27 @@ type t = {
   gids : int array;  (** local index -> global id *)
   preds : int array array;  (** local index -> relation predecessors *)
   succs : int array array;  (** local index -> relation successors *)
+  closed : bool;
+      (** the relation is known to be transitively closed
+          ({!Repro_util.Graph.is_closed}), and so are [succs] and [preds]:
+          a restriction of a closed relation stays closed *)
   var_slot_of : int array;  (** variable -> dense slot, [-1] when absent *)
   n_vars : int;  (** number of slots *)
   source : int array;
       (** local index -> for a read, the local index of the write in the
-          unit that supplies its value; [-1] for an [Init]-read; [-2] for
-          writes and for reads no write of the unit supplies *)
+          unit that supplies its value (of several, the latest in subset
+          order); [-1] for an [Init]-read; [-2] for writes and for reads no
+          write of the unit supplies *)
   missing_source : bool;  (** some read has source [-2] *)
   dup_writer : bool;
       (** two writes of the unit store the same value in the same
           variable, so [source] is not determined by the value alone *)
 }
 
-val make : Op.t array -> subset:int list -> relation:Orders.relation -> t
-(** [make ops ~subset ~relation]: [ops] is the whole history in global-id
-    order (e.g. {!Relcache.ops}); it is read, not copied.  Walks the
-    relation's adjacency of the subset's operations once. *)
+val make : index -> subset:int list -> relation:Orders.relation -> t
+(** [make index ~subset ~relation]: walks the relation's adjacency of the
+    subset's operations once, and takes each read's source from the
+    history's writer index. *)
 
 val var_slot : t -> Op.t -> int
 (** The dense slot of the operation's variable. *)

@@ -113,16 +113,28 @@ let disjoint a b =
   in
   scan 0
 
+(* index of the single set bit of [b], a power of two below 2^32: de Bruijn
+   multiply-and-lookup *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let index32 b = Array.unsafe_get debruijn (((b * 0x077CB531) land 0xffffffff) lsr 27)
+
+(* Lowest set bit first, one step per element: [w land (-w)] isolates it
+   (bit 62 too, where the word is negative), and its index is looked up in
+   whichever 32-bit half holds it. *)
 let iter f t =
-  for w = 0 to Array.length t.words - 1 do
-    let word = ref (Array.unsafe_get t.words w) in
-    let base = w * bits in
-    let b = ref 0 in
-    while !word <> 0 do
-      let skip = if !word land 0xff = 0 then 8 else 1 in
-      if skip = 1 && !word land 1 <> 0 then f (base + !b);
-      word := !word lsr skip;
-      b := !b + skip
+  for wi = 0 to Array.length t.words - 1 do
+    let base = wi * bits in
+    let w = ref (Array.unsafe_get t.words wi) in
+    while !w <> 0 do
+      let low = !w land (- !w) in
+      let b =
+        if low land 0xffffffff <> 0 then index32 low else 32 + index32 (low lsr 32)
+      in
+      f (base + b);
+      w := !w lxor low
     done
   done
 

@@ -42,7 +42,8 @@ val subset : t -> t -> bool
 val disjoint : t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate elements in increasing order. *)
+(** Iterate elements in increasing order; one step per word plus one per
+    element. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -2,6 +2,7 @@ type t = {
   n : int;
   adj : int list array; (* reversed insertion order *)
   matrix : Bitset.t array; (* matrix.(u) = successor set of u *)
+  mutable closed : bool; (* the edges are known to be transitively closed *)
 }
 
 let create n =
@@ -9,6 +10,7 @@ let create n =
     n;
     adj = Array.make n [];
     matrix = Array.init n (fun _ -> Bitset.create n);
+    closed = true;
   }
 
 let n_vertices t = t.n
@@ -18,8 +20,11 @@ let mem_edge t u v = Bitset.mem t.matrix.(u) v
 let add_edge t u v =
   if not (mem_edge t u v) then begin
     Bitset.add t.matrix.(u) v;
-    t.adj.(u) <- v :: t.adj.(u)
+    t.adj.(u) <- v :: t.adj.(u);
+    t.closed <- false
   end
+
+let is_closed t = t.closed
 
 let succ t u = List.rev t.adj.(u)
 
@@ -35,7 +40,12 @@ let edges t =
 let n_edges t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.adj
 
 let copy t =
-  { n = t.n; adj = Array.copy t.adj; matrix = Array.map Bitset.copy t.matrix }
+  {
+    n = t.n;
+    adj = Array.copy t.adj;
+    matrix = Array.map Bitset.copy t.matrix;
+    closed = t.closed;
+  }
 
 let union a b =
   if a.n <> b.n then invalid_arg "Graph.union: size mismatch";
@@ -59,22 +69,62 @@ let reachable_from t src =
   visit src;
   seen
 
-let transitive_closure t =
-  (* Warshall over bitset successor rows: row(u) |= row(via) whenever
-     via ∈ row(u).  O(n³/w) word operations, no per-vertex DFS, and the
-     inner step is a single word-wise union.  Exact for cyclic graphs too
-     (u ∈ row(u) iff u lies on a cycle, matching the old DFS semantics). *)
-  let r = create t.n in
+(* Kahn's algorithm over the adjacency lists: [Some order] with every edge
+   going forward, [None] on a cycle.  The queue is the order array itself. *)
+let kahn_order t =
+  let indegree = Array.make t.n 0 in
+  Array.iter (List.iter (fun v -> indegree.(v) <- indegree.(v) + 1)) t.adj;
+  let order = Array.make t.n 0 and placed = ref 0 in
+  let push v =
+    order.(!placed) <- v;
+    incr placed
+  in
   for u = 0 to t.n - 1 do
-    Bitset.union_into ~dst:r.matrix.(u) t.matrix.(u)
+    if indegree.(u) = 0 then push u
   done;
-  for via = 0 to t.n - 1 do
-    let row_via = r.matrix.(via) in
-    for u = 0 to t.n - 1 do
-      if u <> via && Bitset.mem r.matrix.(u) via then
-        Bitset.union_into ~dst:r.matrix.(u) row_via
-    done
+  let head = ref 0 in
+  while !head < !placed do
+    List.iter
+      (fun v ->
+        indegree.(v) <- indegree.(v) - 1;
+        if indegree.(v) = 0 then push v)
+      t.adj.(order.(!head));
+    incr head
   done;
+  if !placed = t.n then Some order else None
+
+let transitive_closure t =
+  let r = create t.n in
+  (match kahn_order t with
+  | Some order ->
+      (* rows closed in reverse topological order, so every successor's
+         row is final when it is read; a successor already reached through
+         another one adds nothing.  O(n + m * n / wordsize). *)
+      for i = t.n - 1 downto 0 do
+        let u = order.(i) in
+        let row = r.matrix.(u) in
+        List.iter
+          (fun v ->
+            if not (Bitset.mem row v) then begin
+              Bitset.add row v;
+              Bitset.union_into ~dst:row r.matrix.(v)
+            end)
+          t.adj.(u)
+      done
+  | None ->
+      (* Warshall over the bitset rows: row(u) |= row(via) whenever
+         via ∈ row(u).  Exact on cycles (u ∈ row(u) iff u lies on one),
+         which only refuted histories produce.  O(n³ / wordsize). *)
+      for u = 0 to t.n - 1 do
+        Bitset.union_into ~dst:r.matrix.(u) t.matrix.(u)
+      done;
+      for via = 0 to t.n - 1 do
+        let row_via = r.matrix.(via) in
+        for u = 0 to t.n - 1 do
+          if u <> via && Bitset.mem r.matrix.(u) via then
+            Bitset.union_into ~dst:r.matrix.(u) row_via
+        done
+      done);
   for u = 0 to t.n - 1 do
     (* adj holds reversed order so that [succ] yields ascending vertices *)
     r.adj.(u) <- Bitset.fold (fun v acc -> v :: acc) r.matrix.(u) []
@@ -83,10 +133,7 @@ let transitive_closure t =
 
 let has_path t u v = Bitset.mem (reachable_from t u) v
 
-let is_acyclic t =
-  let check u = not (Bitset.mem (reachable_from t u) u) in
-  let rec scan u = u >= t.n || (check u && scan (u + 1)) in
-  scan 0
+let is_acyclic t = kahn_order t <> None
 
 let topological_sort t =
   let indegree = Array.make t.n 0 in

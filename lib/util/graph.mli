@@ -13,7 +13,7 @@ val create : int -> t
 val n_vertices : t -> int
 
 val add_edge : t -> int -> int -> unit
-(** Idempotent. *)
+(** Idempotent.  Inserting a new edge clears {!is_closed}. *)
 
 val mem_edge : t -> int -> int -> bool
 
@@ -30,6 +30,7 @@ val edges : t -> (int * int) list
 val n_edges : t -> int
 
 val copy : t -> t
+(** Keeps {!is_closed}. *)
 
 val union : t -> t -> t
 (** Edge union of two graphs on the same vertex set.
@@ -37,7 +38,15 @@ val union : t -> t -> t
 
 val transitive_closure : t -> t
 (** New graph whose edges are reachability (by at least one edge) in the
-    input.  O(n * m / wordsize) bitset propagation. *)
+    input; its successor lists are ascending.  An acyclic input is closed
+    row by row in reverse topological order, O(n + m * n / wordsize) for
+    [m] input edges; a cyclic one by Warshall, O(n³ / wordsize). *)
+
+val is_closed : t -> bool
+(** The graph's edges are known to be transitively closed: true for an
+    edgeless graph and for the result of {!transitive_closure} until
+    {!add_edge} inserts a new edge.  A relation restricted to a vertex
+    subset stays closed, so a consumer may skip its own closure. *)
 
 val is_acyclic : t -> bool
 

@@ -313,7 +313,8 @@ let contains ~sub s =
   go 0
 
 (* Node.run refuses, before any traffic, a plan it cannot apply: a dcrash
-   schedule without a WAL, and membership clauses (named) *)
+   schedule without a WAL, and membership clauses (named).  Its texts leave
+   the node's name to the caller, which prefixes it once. *)
 let test_node_dcrash_needs_wal () =
   match Workload_spec.make ~name:"e1" ~n:1 ~seed:1 with
   | Error msg -> Alcotest.failf "spec: %s" msg
@@ -336,7 +337,12 @@ let test_node_dcrash_needs_wal () =
               | exception Node.Crash msg ->
                   check Alcotest.bool
                     (Printf.sprintf "%S names %s" msg sub)
-                    true (contains ~sub msg)
+                    true (contains ~sub msg);
+                  (* the caller names the node: Supervisor.outcome, repro serve *)
+                  check Alcotest.bool
+                    (Printf.sprintf "%S does not name the node itself" msg)
+                    false
+                    (String.starts_with ~prefix:"node " msg)
               | _ -> Alcotest.failf "Node.run ignored the plan %S" plan)
             [
               ("seed=1,dcrash=0:append.pre@1+100", "write-ahead log");

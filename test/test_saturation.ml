@@ -19,6 +19,7 @@ module History = Repro_history.History
 module Relcache = Repro_history.Relcache
 module Saturation = Repro_history.Saturation
 module Unit_view = Repro_history.Unit_view
+module Op = Repro_history.Op
 module Generator = Repro_history.Generator
 module Registry = Repro_core.Registry
 module Workload = Repro_core.Workload
@@ -198,7 +199,9 @@ let e1x_shape_counters seeds =
             | c -> Alcotest.failf "unexpected guarantee %s" (Checker.criterion_name c)
           in
           for p = 0 to n_procs - 1 do
-            let view = Unit_view.make (Relcache.ops rc) ~subset:(Relcache.proc_ids rc p) ~relation in
+            let view =
+              Unit_view.make (Relcache.index rc) ~subset:(Relcache.proc_ids rc p) ~relation
+            in
             match Saturation.decide view with
             | Saturation.Consistent -> ()
             | Saturation.Inconsistent | Saturation.Unknown ->
@@ -259,6 +262,151 @@ let test_row_iteration =
          List.rev !seen = bits
          && Unit_view.first_such (fun i -> i land 1 = 1) row
             = Option.value ~default:(-1) odd))
+
+(* --- the writer index ------------------------------------------------------ *)
+
+(* The per-unit value lookup the history's writer index replaced, kept as
+   the oracle: the unit's writers per variable slot, newest first; a read's
+   source is the first of them with its value, and a write that finds an
+   earlier writer of its value makes the unit ambiguous. *)
+let oracle_sources (view : Unit_view.t) =
+  let ops = view.Unit_view.ops in
+  let writers = Array.make (max view.Unit_view.n_vars 1) [] in
+  let writer_of (o : Op.t) =
+    List.find_opt
+      (fun w -> Op.equal_value ops.(w).Op.value o.value)
+      writers.(Unit_view.var_slot view o)
+  in
+  let dup_writer = ref false in
+  Array.iteri
+    (fun i (o : Op.t) ->
+      if Op.is_write o then begin
+        if writer_of o <> None then dup_writer := true;
+        let sl = Unit_view.var_slot view o in
+        writers.(sl) <- i :: writers.(sl)
+      end)
+    ops;
+  let missing_source = ref false in
+  let source =
+    Array.map
+      (fun (o : Op.t) ->
+        match (o.kind, o.value) with
+        | Op.Write, _ -> -2
+        | Op.Read, Op.Init -> -1
+        | Op.Read, Op.Val _ -> (
+            match writer_of o with
+            | Some w -> w
+            | None ->
+                missing_source := true;
+                -2))
+      ops
+  in
+  (source, !missing_source, !dup_writer)
+
+(* Histories far from differentiated: few values, so (variable, value)
+   pairs repeat across writes, reads of values nobody wrote, Init-reads,
+   and writes of Init (which [History.of_lists] lets through). *)
+let messy_history rng =
+  History.of_lists
+    (List.init
+       (1 + Random.State.int rng 4)
+       (fun _ ->
+         List.init (Random.State.int rng 8) (fun _ ->
+             let kind = if Random.State.bool rng then Op.Read else Op.Write in
+             let value =
+               if Random.State.int rng 5 = 0 then Op.Init
+               else Op.Val (1 + Random.State.int rng 3)
+             in
+             (kind, Random.State.int rng 3, value))))
+
+let test_index_matches_unit_lookup =
+  qcheck
+    (QCheck.Test.make ~name:"writer_index_matches_the_per_unit_lookup" ~count:500
+       QCheck.small_int
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let h = messy_history rng in
+         let index = Unit_view.index (History.ops h) in
+         let relation = Repro_util.Graph.create (History.n_ops h) in
+         List.for_all
+           (fun _ ->
+             (* a shuffled subset: local order is not global order *)
+             let subset =
+               List.init (History.n_ops h) Fun.id
+               |> List.filter (fun _ -> Random.State.int rng 3 > 0)
+               |> List.map (fun gid -> (Random.State.bits rng, gid))
+               |> List.sort compare |> List.map snd
+             in
+             let view = Unit_view.make index ~subset ~relation in
+             let source, missing_source, dup_writer = oracle_sources view in
+             view.Unit_view.source = source
+             && view.Unit_view.missing_source = missing_source
+             && view.Unit_view.dup_writer = dup_writer)
+           [ 1; 2; 3 ]))
+
+(* --- saturation over a closed relation ------------------------------------- *)
+
+(* A view whose relation is closed skips saturation's own closure and only
+   scans the diagonal; forcing [closed = false] takes the closure path.
+   Both must give the same rows and the same Cycle outcomes, on units of
+   the three closed relations, from arbitrary (mostly refuted) and causal
+   histories, some wider than two row words.  Each outcome must occur:
+   a cyclic relation, a cycle found by saturation, and an acyclic result. *)
+let test_closed_saturation_parity () =
+  let cyclic_relation = ref 0 and derived_cycle = ref 0 and acyclic = ref 0 in
+  let histories =
+    List.init 150 (fun seed ->
+        Generator.arbitrary (Rng.create seed)
+          { Generator.procs = 3; vars = 2; ops_per_proc = 5; read_ratio = 0.5 })
+    @ List.init 40 (fun seed ->
+          Generator.causal_consistent (Rng.create seed)
+            { Generator.procs = 3; vars = 3; ops_per_proc = 6; read_ratio = 0.5 })
+    @ List.init 4 (fun seed -> Generator.causal_consistent (Rng.create seed) large_profile)
+  in
+  List.iteri
+    (fun i h ->
+      let rc = Relcache.create h in
+      if Result.is_ok (Relcache.read_from rc) then
+        List.iter
+          (fun (name, relation) ->
+            let relation = relation rc in
+            for p = 0 to History.n_procs h - 1 do
+              let view =
+                Unit_view.make (Relcache.index rc) ~subset:(Relcache.proc_ids rc p) ~relation
+              in
+              if not view.Unit_view.closed then
+                Alcotest.failf "history %d: the %s relation is not marked closed" i name;
+              let k = Array.length view.Unit_view.ops in
+              if not view.Unit_view.missing_source then
+                match
+                  ( Saturation.Private.saturate view,
+                    Saturation.Private.saturate { view with Unit_view.closed = false } )
+                with
+                | `Cycle, `Cycle ->
+                    let on_diagonal = ref false in
+                    for j = 0 to k - 1 do
+                      if Unit_view.mem view.Unit_view.succs.(j) j then on_diagonal := true
+                    done;
+                    incr (if !on_diagonal then cyclic_relation else derived_cycle)
+                | `Acyclic rows, `Acyclic rows' when rows = rows' -> incr acyclic
+                | _ ->
+                    Alcotest.failf "history %d, %s unit p%d: the two saturations differ" i
+                      name p
+            done)
+          [
+            ("causal", Relcache.causal);
+            ("lazy-causal", Relcache.lazy_causal);
+            ("semi-causal", Relcache.semi_causal);
+          ])
+    histories;
+  List.iter
+    (fun (what, n) ->
+      if n = 0 then Alcotest.failf "no unit with %s was compared" what)
+    [
+      ("a cyclic relation", !cyclic_relation);
+      ("a cycle found by saturation", !derived_cycle);
+      ("an acyclic saturation", !acyclic);
+    ]
 
 (* --- direct unit-level checks ---------------------------------------------- *)
 
@@ -325,6 +473,9 @@ let () =
             test_missing_writer_refuted;
           Alcotest.test_case "counters move" `Quick test_counters_move;
           test_row_iteration;
+          test_index_matches_unit_lookup;
+          Alcotest.test_case "closed relation saturates alike" `Quick
+            test_closed_saturation_parity;
         ] );
       ( "decision-mix",
         [

@@ -771,6 +771,102 @@ let test_graph_closure_matches_paths =
                (List.init 8 Fun.id))
            (List.init 8 Fun.id)))
 
+(* Closure at scale, against a boolean-matrix Warshall: up to 150 vertices,
+   so successor rows span three 63-bit words.  An acyclic graph only has
+   edges forward in a random vertex ranking; a cyclic one may have any, so
+   both of [transitive_closure]'s paths run. *)
+let random_graph ~acyclic n seed =
+  let rng = Random.State.make [| seed |] in
+  let rank = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = rank.(i) in
+    rank.(i) <- rank.(j);
+    rank.(j) <- t
+  done;
+  let g = Graph.create n in
+  for _ = 1 to Random.State.int rng ((3 * n) + 1) do
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    if (not acyclic) || rank.(u) < rank.(v) then Graph.add_edge g u v
+  done;
+  g
+
+let warshall g =
+  let n = Graph.n_vertices g in
+  let m = Array.init n (fun u -> Array.init n (fun v -> Graph.mem_edge g u v)) in
+  for via = 0 to n - 1 do
+    for u = 0 to n - 1 do
+      if m.(u).(via) then
+        for v = 0 to n - 1 do
+          if m.(via).(v) then m.(u).(v) <- true
+        done
+    done
+  done;
+  m
+
+let test_graph_closure_at_scale =
+  qcheck
+    (QCheck.Test.make ~name:"closure_matches_warshall_up_to_150_vertices" ~count:150
+       QCheck.(triple (int_range 1 150) bool small_int)
+       (fun (n, acyclic, seed) ->
+         let g = random_graph ~acyclic n seed in
+         let reference = warshall g in
+         let c = Graph.transitive_closure g in
+         let vertices = List.init n Fun.id in
+         let rows_agree =
+           List.for_all
+             (fun u ->
+               List.for_all (fun v -> Graph.mem_edge c u v = reference.(u).(v)) vertices
+               (* ascending, since the expected list is *)
+               && Graph.succ c u = List.filter (fun v -> reference.(u).(v)) vertices)
+             vertices
+         in
+         let edge_kept = List.find_opt (fun u -> Graph.succ c u <> []) vertices in
+         let edge_missing =
+           List.concat_map (fun u -> List.map (fun v -> (u, v)) vertices) vertices
+           |> List.find_opt (fun (u, v) -> not reference.(u).(v))
+         in
+         let base_closed = Graph.is_closed g in
+         rows_agree && Graph.is_closed c
+         && Graph.is_closed (Graph.copy c)
+         (* repeating an edge changes nothing, on the base as on the closure *)
+         && (match edge_kept with
+            | None -> true
+            | Some u ->
+                let v = List.hd (Graph.succ c u) in
+                Graph.add_edge c u v;
+                if Graph.mem_edge g u v then Graph.add_edge g u v;
+                Graph.is_closed c && Graph.is_closed g = base_closed)
+         (* a new edge clears the flag, and a copy keeps it cleared *)
+         && match edge_missing with
+            | None -> true
+            | Some (u, v) ->
+                Graph.add_edge c u v;
+                (not (Graph.is_closed c)) && not (Graph.is_closed (Graph.copy c))))
+
+(* [iter] extracts the lowest set bit word by word: compare it with a
+   per-bit [mem] scan, with the bits either side of each word boundary
+   (62/63, 125/126) set at random and densities from empty to full. *)
+let test_bitset_iter_matches_scan =
+  qcheck
+    (QCheck.Test.make ~name:"bitset_iter_matches_a_mem_scan" ~count:300
+       QCheck.(pair (int_range 1 200) small_int)
+       (fun (n, seed) ->
+         let rng = Random.State.make [| seed |] in
+         let s = Bitset.create n in
+         List.iter
+           (fun i -> if i < n && Random.State.bool rng then Bitset.add s i)
+           [ 0; 62; 63; 125; 126; n - 1 ];
+         let density = Random.State.int rng 4 in
+         for i = 0 to n - 1 do
+           if density = 3 || (density > 0 && Random.State.int rng (8 / density) = 0) then
+             Bitset.add s i
+         done;
+         let scan = List.filter (Bitset.mem s) (List.init n Fun.id) in
+         let seen = ref [] in
+         Bitset.iter (fun i -> seen := i :: !seen) s;
+         List.rev !seen = scan && Bitset.elements s = scan))
+
 let test_graph_union_mismatch () =
   Alcotest.check_raises "mismatch" (Invalid_argument "Graph.union: size mismatch")
     (fun () -> ignore (Graph.union (Graph.create 2) (Graph.create 3)))
@@ -995,6 +1091,7 @@ let () =
           Alcotest.test_case "copy independent" `Quick test_bitset_copy_independent;
           Alcotest.test_case "capacity mismatch" `Quick test_bitset_capacity_mismatch;
           Alcotest.test_case "of_list out of bounds" `Quick test_bitset_of_list_oob;
+          test_bitset_iter_matches_scan;
         ] );
       ( "union_find",
         [
@@ -1042,6 +1139,7 @@ let () =
             test_graph_simple_paths_cycle_self;
           Alcotest.test_case "components" `Quick test_graph_components;
           test_graph_closure_matches_paths;
+          test_graph_closure_at_scale;
           Alcotest.test_case "union mismatch" `Quick test_graph_union_mismatch;
           Alcotest.test_case "reduction cyclic" `Quick test_graph_reduction_cyclic;
         ] );
