@@ -816,7 +816,9 @@ let serve_cmd =
              ~doc:"Restart count: 0 for a first launch; a supervisor respawning \
                    this node after an injected crash (exit 42) passes K+1, \
                    which recovers from the $(b,--wal) log and disables the \
-                   crash schedule.")
+                   crash schedule. A positive K needs $(b,--wal): without \
+                   a log there is nothing to recover from, and the node \
+                   exits 1.")
   in
   let wal_arg =
     Arg.(value & opt (some string) None

@@ -1,5 +1,5 @@
 module Live = Repro_transport.Live
-module Wire = Repro_transport.Wire
+module Control = Repro_transport.Control
 module Codec = Repro_transport.Codec
 module Transport = Repro_transport.Transport
 module Chaos = Repro_transport.Chaos
@@ -9,8 +9,6 @@ module Ring = Repro_sharegraph.Ring
 module Op = Repro_history.Op
 module Wal = Repro_durable.Wal
 module Memory = Repro_core.Memory
-
-let supervisor_id = 0xFFFF
 
 type config = {
   self : int;
@@ -183,12 +181,6 @@ type batch = {
   b_records : (int * int * int) list;  (* var, wseq, value *)
 }
 
-let ints_to_string is = String.concat "," (List.map string_of_int is)
-
-let ints_of_string s =
-  if s = "" then []
-  else List.map int_of_string (String.split_on_char ',' s)
-
 let value_of_store = function None -> Op.Init | Some (_, v) -> Op.Val v
 
 let run (cfg : config) : result =
@@ -279,7 +271,7 @@ let run (cfg : config) : result =
   let fingerprint =
     Printf.sprintf "member|n=%d|k=%d|vnodes=%d|seed=%d|vars=%d|w=%d|m=%s"
       cfg.n cfg.k cfg.vnodes cfg.seed cfg.n_vars cfg.writes_target
-      (ints_to_string cfg.initial_members)
+      (String.concat "," (List.map string_of_int cfg.initial_members))
   in
   let lt =
     Live.create
@@ -477,37 +469,20 @@ let run (cfg : config) : result =
           if apply_remote var wseq value then incr transfers_in
       | Done { epoch } -> on_done ~donor:env.Net.src epoch
       | Pull { epoch } -> on_pull ~receiver:env.Net.src epoch);
-  (* --- control frames ----------------------------------------------------- *)
-  let parse_proposal body =
-    match String.split_on_char '|' body with
-    | [ e; ms; dn ] -> (
-        try (int_of_string e, ints_of_string ms, ints_of_string dn)
-        with _ -> fail "member: bad proposal %S" body)
-    | _ -> fail "member: bad proposal %S" body
-  in
-  let ready () =
-    match !trans with Some tr -> tr.t_pending = [] | None -> false
-  in
-  Live.set_control_handler lt (fun ~reply (v : Wire.view) ->
-      let body = Wire.view_body v in
-      match v.Wire.v_kind with
-      | Wire.Ping ->
-          reply ~kind:Wire.Pong ~dst:v.Wire.v_src
-            ~body:
-              (Printf.sprintf "e=%d;p=%d;r=%d;w=%d" !committed
-                 (match !trans with Some tr -> tr.t_epoch | None -> 0)
-                 (if ready () then 1 else 0)
-                 !writes_done)
-      | Wire.Propose ->
-          let e, ms, dn = parse_proposal body in
-          on_proposal e ms dn
-      | Wire.Epoch -> (
-          match String.split_on_char '|' body with
-          | "finish" :: _ -> finish_requested := true
-          | [ "commit"; e; ms ] ->
-              on_commit (int_of_string e) (ints_of_string ms)
-          | _ -> fail "member: bad epoch frame %S" body)
-      | _ -> ());
+  (* --- the supervisor's messages ------------------------------------------- *)
+  Live.set_control_handler lt (fun ~reply -> function
+    | Control.Ping ->
+        let proposed, ready =
+          match !trans with
+          | Some tr -> (tr.t_epoch, tr.t_pending = [])
+          | None -> (0, false)
+        in
+        reply
+          (Control.Pong { epoch = !committed; proposed; ready; writes = !writes_done })
+    | Control.Propose { epoch; members; down } -> on_proposal epoch members down
+    | Control.Commit { epoch; members } -> on_commit epoch members
+    | Control.Finish -> finish_requested := true
+    | _ -> ());
   Live.wait_peers lt ~timeout_ms:hello_timeout_ms;
   (* a respawned node that died mid-transition resumes it: the receiver
      side re-derives the donors it still waits on (minus logged dones),

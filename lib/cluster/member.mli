@@ -62,10 +62,6 @@ val codec : msg Repro_transport.Codec.t
     an [i32] epoch.  An unknown tag, a truncated body or trailing bytes
     raise {!Repro_transport.Codec.Bad}. *)
 
-val supervisor_id : int
-(** Sentinel [src] (0xFFFF) the supervisor stamps on control frames —
-    outside the node-id range, like client ids. *)
-
 type config = {
   self : int;
   n : int;  (** total processes; writers are [x mod n] regardless of ring *)
@@ -111,11 +107,11 @@ exception Crash of string
 (** {!Supervisor.Crash}. *)
 
 val run : config -> result
-(** Run until the supervisor broadcasts [finish] (an [Epoch] frame), then
-    drain and report.  A scheduled crash escapes as
+(** Run until the supervisor sends [Finish] ({!Repro_transport.Control}),
+    then drain and report.  A scheduled crash escapes as
     {!Repro_transport.Chaos.Injected_crash}; the supervisor maps it to
     exit 42 and respawns with [incarnation + 1].
-    @raise Crash on timeout or a malformed control frame. *)
+    @raise Crash on timeout. *)
 
 val salvage : node:int -> dir:string -> result option
 (** Read a dead member's operations back from the WAL it left in [dir]

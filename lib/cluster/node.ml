@@ -64,6 +64,10 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
   if protocol.Registry.blocking then
     crashf "protocol %s has blocking operations; only non-blocking protocols run live"
       protocol.Registry.name;
+  (* a respawn recovers from its WAL; without one it would start fresh
+     and silently forget what it had done *)
+  if incarnation > 0 && durable = None then
+    crashf "incarnation %d has no write-ahead log to recover from" incarnation;
   let n = workload.Workload_spec.n in
   let chaos =
     match

@@ -51,9 +51,9 @@ exception Crash of string
 (** {!Supervisor.Crash}.  Raised on timeout (peers missing, program
     stuck), protocol rejection (blocking protocols need a node for every
     fiber they suspend on), a chaos plan this node does not apply, a
-    [dcrash] schedule for this node without [durable], fingerprint
-    mismatch, a corrupt stream, or replay divergence during crash
-    recovery. *)
+    [dcrash] schedule for this node or a positive [incarnation] without
+    [durable], fingerprint mismatch, a corrupt stream, or replay
+    divergence during crash recovery. *)
 
 val run :
   self:int ->
@@ -98,10 +98,12 @@ val run :
     snapshot) and tail writes are re-applied to memory, and the first live
     op waits until session redeliveries reach the delivery watermark the
     last tail record logged.  Requires a protocol with snapshot/restore
-    support.  When the chaos plan carries a [dcrash] schedule for this
-    node, the named crash point is armed inside the WAL write path (first
-    incarnation only); such a plan without [durable] raises {!Crash}
-    before any socket is touched.
+    support, and [durable]: without a log there is nothing to recover
+    from, and {!Crash} comes before any socket is touched.  When the
+    chaos plan carries a [dcrash] schedule for this node, the named crash
+    point is armed inside the WAL write path (first incarnation only);
+    such a plan without [durable] raises {!Crash} before any socket is
+    touched.
 
     A scheduled crash from the chaos plan escapes as
     {!Repro_transport.Chaos.Injected_crash}; the caller decides whether to

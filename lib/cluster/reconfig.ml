@@ -1,4 +1,4 @@
-module Wire = Repro_transport.Wire
+module Control = Repro_transport.Control
 module Fault = Repro_msgpass.Fault
 module Ring = Repro_sharegraph.Ring
 module History = Repro_history.History
@@ -46,15 +46,9 @@ type outcome = {
 
 (* --- control-plane bookkeeping -------------------------------------------- *)
 
-(* One control connection: a dialed socket speaking Wire frames with the
-   supervisor sentinel as src.  The parent keeps every listener open, so
-   a dial lands in the backlog even while the child is down and the
-   respawned child simply accepts it. *)
+(* What the supervisor knows of one node from its heartbeat. *)
 type ctl = {
   node : int;
-  mutable fd : Unix.file_descr option;
-  mutable dec : Wire.decoder;
-  mutable redial_at : float;
   (* latest pong *)
   mutable p_at : float;  (** 0. until the first pong *)
   mutable p_epoch : int;
@@ -82,20 +76,10 @@ type pending = {
           node that was mid-restart cannot stall the epoch forever *)
 }
 
-let write_all fd buf =
-  let len = Bytes.length buf in
-  let rec go off =
-    if off < len then
-      match Unix.write fd buf off (len - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-  in
-  go 0
+let proposal p =
+  Control.Propose { epoch = p.pd_epoch; members = p.pd_members; down = p.pd_down }
 
 let ints_to_string is = String.concat "," (List.map string_of_int is)
-
-let proposal_body e members down =
-  Printf.sprintf "%d|%s|%s" e (ints_to_string members) (ints_to_string down)
 
 let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
     ?(demote_after_ms = 2_500) ?chaos ?wal_dir () : (outcome, string) result =
@@ -133,9 +117,6 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
         Array.init n (fun node ->
             {
               node;
-              fd = None;
-              dec = Wire.decoder ();
-              redial_at = 0.;
               p_at = 0.;
               p_epoch = 0;
               p_proposed = 0;
@@ -156,6 +137,16 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                not count as silence *)
             ctls.(self).p_at <- 0.;
             ctls.(self).p_pings <- 0)
+          ~on_control:(fun node -> function
+            | Control.Pong { epoch; proposed; ready; writes } ->
+                let c = ctls.(node) in
+                c.p_epoch <- epoch;
+                c.p_proposed <- proposed;
+                c.p_ready <- ready;
+                c.p_writes <- writes;
+                c.p_at <- Unix.gettimeofday ();
+                c.p_pings <- 0
+            | _ -> ())
           ()
       in
       for self = 0 to n - 1 do
@@ -177,50 +168,10 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                 incarnation;
               })
       done;
-      let kill_ctl c =
-        (match c.fd with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ());
-        c.fd <- None;
-        c.dec <- Wire.decoder ();
-        c.redial_at <- Unix.gettimeofday () +. 0.2
-      in
-      let dial_ctl c =
-        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        match Unix.connect fd peers.(c.node) with
-        | () ->
-            (try Unix.setsockopt fd TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            c.fd <- Some fd;
-            c.dec <- Wire.decoder ()
-        | exception Unix.Unix_error _ ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            c.redial_at <- Unix.gettimeofday () +. 0.2
-      in
       let committed_epoch = ref 0 in
       let members = ref initial_members in
-      let send_ctl c ~kind ~body =
-        match c.fd with
-        | None -> ()
-        | Some fd -> (
-            let buf =
-              Wire.encode
-                {
-                  Wire.kind;
-                  src = Member.supervisor_id;
-                  dst = c.node;
-                  epoch = !committed_epoch;
-                  control_bytes = 0;
-                  payload_bytes = 0;
-                  body;
-                }
-            in
-            try write_all fd buf
-            with Unix.Unix_error _ -> kill_ctl c)
-      in
-      let broadcast ~kind ~body =
-        Array.iter (fun c -> send_ctl c ~kind ~body) ctls
-      in
+      let send c m = ignore (Supervisor.send sup ~node:c.node m : bool) in
+      let broadcast m = Array.iter (fun c -> send c m) ctls in
       let pending : pending option ref = ref None in
       let events = ref [] in
       let demoted = ref [] in
@@ -236,20 +187,20 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
           Ring.moved ~before:(ring_of !members)
             ~after:(ring_of new_members) ~k ~n_vars
         in
-        broadcast ~kind:Wire.Propose
-          ~body:(proposal_body e new_members (down ()));
-        pending :=
-          Some
-            {
-              pd_epoch = e;
-              pd_members = new_members;
-              pd_down = down ();
-              pd_kind = kind;
-              pd_node = node;
-              pd_keys_moved = moved;
-              pd_proposed_at = Unix.gettimeofday ();
-              pd_rebroadcast_at = Unix.gettimeofday () +. 1.5;
-            }
+        let p =
+          {
+            pd_epoch = e;
+            pd_members = new_members;
+            pd_down = down ();
+            pd_kind = kind;
+            pd_node = node;
+            pd_keys_moved = moved;
+            pd_proposed_at = Unix.gettimeofday ();
+            pd_rebroadcast_at = Unix.gettimeofday () +. 1.5;
+          }
+        in
+        broadcast (proposal p);
+        pending := Some p
       in
       (* scripted schedule, in time order *)
       let sched =
@@ -268,74 +219,21 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
       let t0 = ref None in
       let last_ping = ref 0. in
       let finish_sent = ref false in
-      let rbuf = Bytes.create 65536 in
       let node_alive i = Option.is_none (Supervisor.ending sup i) in
       while Supervisor.running sup do
         let now = Unix.gettimeofday () in
-        (* control connections: dial / redial *)
-        Array.iter
-          (fun c ->
-            if c.fd = None && now >= c.redial_at && node_alive c.node then
-              dial_ctl c)
-          ctls;
-        (* heartbeats *)
+        (* heartbeats: only a ping actually written counts as a probe *)
         if now -. !last_ping >= 0.05 then begin
           last_ping := now;
           Array.iter
             (fun c ->
-              if c.fd <> None then begin
-                send_ctl c ~kind:Wire.Ping ~body:"";
-                c.p_pings <- c.p_pings + 1
-              end)
+              if Supervisor.send sup ~node:c.node Control.Ping then
+                c.p_pings <- c.p_pings + 1)
             ctls
         end;
-        (* pump sockets and report pipes together *)
-        let ready =
-          Supervisor.step sup
-            ~fds:(Array.to_list ctls |> List.filter_map (fun c -> c.fd))
-            ~timeout:0.02 ()
-        in
-        (* control socket reads: pongs *)
-        Array.iter
-          (fun c ->
-            match c.fd with
-            | Some fd when List.memq fd ready -> (
-                match Unix.read fd rbuf 0 (Bytes.length rbuf) with
-                | exception
-                    Unix.Unix_error
-                      ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-                    ()
-                | exception Unix.Unix_error _ -> kill_ctl c
-                | 0 -> kill_ctl c
-                | nread -> (
-                    Wire.feed c.dec rbuf nread;
-                    let rec pump () =
-                      match Wire.next c.dec with
-                      | Ok (Some fr) ->
-                          (match fr.Wire.kind with
-                          | Wire.Pong ->
-                              List.iter
-                                (fun kv ->
-                                  match String.split_on_char '=' kv with
-                                  | [ "e"; x ] ->
-                                      c.p_epoch <- int_of_string x
-                                  | [ "p"; x ] ->
-                                      c.p_proposed <- int_of_string x
-                                  | [ "r"; x ] -> c.p_ready <- x = "1"
-                                  | [ "w"; x ] ->
-                                      c.p_writes <- int_of_string x
-                                  | _ -> ())
-                                (String.split_on_char ';' fr.Wire.body);
-                              c.p_at <- Unix.gettimeofday ();
-                              c.p_pings <- 0
-                          | _ -> ());
-                          pump ()
-                      | Ok None -> ()
-                      | Error _ -> kill_ctl c
-                    in
-                    pump ()))
-            | _ -> ())
-          ctls;
+        (* pump control connections and report pipes together; pongs
+           arrive through [on_control] *)
+        ignore (Supervisor.step sup ~timeout:0.02 () : Unix.file_descr list);
         (* the schedule clock starts when the whole cluster has ponged *)
         if !t0 = None && Array.for_all (fun c -> c.p_at > 0.) ctls then
           t0 := Some (Unix.gettimeofday ());
@@ -411,10 +309,8 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                   && c.p_at > p.pd_proposed_at)
             in
             if List.for_all ready_node p.pd_members then begin
-              broadcast ~kind:Wire.Epoch
-                ~body:
-                  (Printf.sprintf "commit|%d|%s" p.pd_epoch
-                     (ints_to_string p.pd_members));
+              broadcast
+                (Control.Commit { epoch = p.pd_epoch; members = p.pd_members });
               committed_epoch := p.pd_epoch;
               members := p.pd_members;
               events :=
@@ -445,9 +341,7 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                     && now -. c.catchup_at > 0.3
                   then begin
                     c.catchup_at <- now;
-                    send_ctl c ~kind:Wire.Propose
-                      ~body:
-                        (proposal_body p.pd_epoch p.pd_members p.pd_down)
+                    send c (proposal p)
                   end)
                 p.pd_members;
               (* belt and braces while a commit is outstanding: a
@@ -456,8 +350,7 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                  space (members drop duplicates by epoch) *)
               if now >= p.pd_rebroadcast_at then begin
                 p.pd_rebroadcast_at <- now +. 1.5;
-                broadcast ~kind:Wire.Propose
-                  ~body:(proposal_body p.pd_epoch p.pd_members p.pd_down)
+                broadcast (proposal p)
               end
             end
         | None ->
@@ -470,13 +363,13 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                   && now -. c.catchup_at > 0.3
                 then begin
                   c.catchup_at <- now;
-                  send_ctl c ~kind:Wire.Propose
-                    ~body:
-                      (proposal_body !committed_epoch !members (down ()));
-                  send_ctl c ~kind:Wire.Epoch
-                    ~body:
-                      (Printf.sprintf "commit|%d|%s" !committed_epoch
-                         (ints_to_string !members))
+                  send c
+                    (Control.Propose
+                       { epoch = !committed_epoch; members = !members;
+                         down = down () });
+                  send c
+                    (Control.Commit
+                       { epoch = !committed_epoch; members = !members })
                 end)
               ctls);
         (* finish once the schedule is drained, nothing is in flight,
@@ -492,11 +385,10 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?deadline_ms
                ctls
         then begin
           finish_sent := true;
-          broadcast ~kind:Wire.Epoch ~body:"finish"
+          broadcast Control.Finish
         end;
       done;
       let endings = Supervisor.stop sup in
-      Array.iter kill_ctl ctls;
       Supervisor.close_all (Array.to_list listeners);
       (* an injected crash with no restart leaves a WAL the member
          logged before every send: its ops can be reconstructed even

@@ -3,20 +3,20 @@
 
     Forks [n] {!Member} processes through the {!Supervisor} (all [n] keep
     listeners and a full mesh; {e ring membership} is the thing that
-    changes), dials a control connection to each, pumps those sockets in
-    the supervisor's [select] together with the report pipes, and drives
-    the epoch-fenced protocol:
+    changes) and drives the epoch-fenced protocol over the supervisor's
+    control connections ({!Supervisor.send}, and [Pong]s through
+    [on_control]), in {!Repro_transport.Control} messages:
 
     + heartbeat [Ping]/[Pong] doubles as failure detector and readiness
       poll — a member silent past [demote_after_ms] is demoted by a
       superseding proposal that excludes it;
     + a scripted [join=]/[leave=] event (from the chaos plan) or a
-      demotion produces a {e proposal} (a [Propose] frame carrying the
-      new member set and the down set) broadcast to every process;
+      demotion produces a {e proposal} (a [Propose] carrying the new
+      member set and the down set) broadcast to every process;
     + when every member of the proposed set reports ready (migration
-      complete), the supervisor broadcasts the {e commit} ([Epoch]
-      frame) and the new epoch takes effect — stragglers are fenced at
-      the transport seam;
+      complete), the supervisor broadcasts the {e commit} ([Commit]) and
+      the new epoch takes effect — stragglers are fenced at the
+      transport seam; [Finish] ends the run;
     + crashed children (exit 42) are respawned by the supervisor with a
       bumped incarnation and recover from their WAL; a node that ends
       as an injected crash with no restart scheduled has its operations

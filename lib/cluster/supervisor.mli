@@ -27,6 +27,14 @@
     kills and reaps the children still running, closes each open pipe
     once, and ends every unsettled slot as {!Put_down}.
 
+    {b Control.}  Each node slot ({!spawn_node}) has a control
+    connection to its listener, dialled at spawn, every 200 ms while the
+    slot runs without one, and at once after a respawn; children close
+    the ones they inherit.  When a node slot ends as {!Crashed}, or as
+    {!Injected_crash} with no restart, every other node slot is sent
+    [Gone] for it, again on each later connect, so its peers stop
+    waiting for it.
+
     Forking must precede any OCaml 5 domain creation in the parent. *)
 
 exception Crash of string
@@ -47,11 +55,14 @@ val create :
   deadline_ms:int ->
   ?chaos:Repro_msgpass.Fault.Plan.t ->
   ?on_respawn:(int -> unit) ->
+  ?on_control:(int -> Repro_transport.Control.msg -> unit) ->
   unit ->
   'r t
 (** A supervisor with no slots yet.  The watchdog deadline is
     [deadline_ms] from now.  [chaos] supplies the restart delays;
-    [on_respawn slot] runs in the parent just before each respawn. *)
+    [on_respawn slot] runs in the parent just before each respawn;
+    [on_control node msg] for each message node [node] writes back.
+    Ignores [SIGPIPE]: a write to an exited node fails, it does not kill. *)
 
 val spawn : 'r t -> (incarnation:int -> 'r) -> unit
 (** Flush [stdout] and [stderr] and fork a child running the body with
@@ -61,11 +72,16 @@ val spawn : 'r t -> (incarnation:int -> 'r) -> unit
 
 val step : 'r t -> ?fds:Unix.file_descr list -> timeout:float -> unit ->
   Unix.file_descr list
-(** One supervision turn: launch the respawns that have come due, wait up
-    to [timeout] seconds (less when a respawn falls due sooner) for any
-    report pipe or any of [fds] to be readable, drain the readable pipes,
-    reap, and settle the slots whose child has exited and whose pipe has
-    closed.  Returns the members of [fds] that are readable. *)
+(** One supervision turn: launch the respawns and redials that have come
+    due, wait up to [timeout] seconds (less when a respawn falls due
+    sooner) for any report pipe, control connection or any of [fds] to be
+    readable, drain the readable pipes and connections, reap, and settle
+    the slots whose child has exited and whose pipe has closed.  Returns
+    the members of [fds] that are readable. *)
+
+val send : 'r t -> node:int -> Repro_transport.Control.msg -> bool
+(** Write one message on node [node]'s control connection; [true] when
+    it went to a live connection. *)
 
 val running : 'r t -> bool
 (** Some slot has not ended and the deadline has not passed. *)
@@ -80,7 +96,8 @@ val restarts : 'r t -> int
 
 val stop : 'r t -> 'r ending array
 (** Put down the children still running (kill, then reap), close each
-    pipe not yet closed, and return every slot's ending in slot order. *)
+    pipe and connection still open, and return every slot's ending in
+    slot order. *)
 
 val wait : 'r t -> 'r ending array
 (** [step] while {!running}, then {!stop}. *)
@@ -97,7 +114,7 @@ val spawn_node :
 (** {!spawn} node [self]'s body; the child first closes every listener
     but [listeners.(self)], so a node accepts only on its own socket.  The
     slot is the next one in spawn order: callers with a chaos plan spawn
-    node [i] as slot [i]. *)
+    node [i] as slot [i].  The caller may close its listener copies after. *)
 
 val close_all : Unix.file_descr list -> unit
 (** Close each descriptor, ignoring errors. *)

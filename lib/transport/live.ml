@@ -20,11 +20,6 @@ type reply =
   emit:(Bytes.t -> int -> int) ->
   unit
 
-(* Reply on the connection a membership/heartbeat frame arrived on —
-   the supervisor's control channel is an inbound connection, never part
-   of the peer mesh. *)
-type control_reply = kind:Wire.kind -> dst:int -> body:string -> unit
-
 (* A queue of encoded frames awaiting one scatter-gather flush: chunks of
    (pooled buffer, offset, length), with the partial-write cursor as
    (first unsent chunk, bytes of it already written). *)
@@ -106,12 +101,14 @@ type t = {
   mutable timer_seq : int;
   mutable on_data_view : Wire.view -> unit;
   mutable on_client : (reply:reply -> Wire.view -> unit) option;
-  mutable on_control : (reply:control_reply -> Wire.view -> unit) option;
+  mutable on_control :
+    (reply:(Control.msg -> unit) -> Control.msg -> unit) option;
   mutable client_reqs : int;
-  mutable cur_epoch : int;  (* configuration epoch stamped into every frame *)
+  mutable cur_epoch : int;  (* configuration epoch stamped into Data frames *)
   mutable stale_epochs : int;  (* data-plane frames dropped for an old epoch *)
   hello_seen : bool array;
   done_seen : bool array;
+  gone : bool array;  (* peers the supervisor announced ended for good *)
   mutable sent : int;
   mutable delivered : int;
   mutable total_control_bytes : int;
@@ -172,6 +169,7 @@ let create cfg ~listen_fd =
     stale_epochs = 0;
     hello_seen;
     done_seen;
+    gone = Array.make cfg.n false;
     sent = 0;
     delivered = 0;
     total_control_bytes = 0;
@@ -219,24 +217,6 @@ let transient_connect_error = function
   | Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EINTR | Unix.EAGAIN -> true
   | _ -> false
 
-(* The Hello body carries the config fingerprint plus the sender's
-   incarnation, so peers can tell a respawned node from a fresh one. *)
-let hello_body t = Printf.sprintf "%s\ninc=%d" t.cfg.fingerprint t.cfg.incarnation
-
-let split_hello body =
-  match String.rindex_opt body '\n' with
-  | Some i -> (
-      let fp = String.sub body 0 i in
-      let rest = String.sub body (i + 1) (String.length body - i - 1) in
-      match
-        if String.length rest > 4 && String.sub rest 0 4 = "inc=" then
-          int_of_string_opt (String.sub rest 4 (String.length rest - 4))
-        else None
-      with
-      | Some inc -> (fp, inc)
-      | None -> (body, 0))
-  | None -> (body, 0)
-
 let dial addr =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   match Unix.connect fd addr with
@@ -247,20 +227,13 @@ let dial addr =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error e
 
-let hello_frame t dst =
-  {
-    Wire.kind = Wire.Hello;
-    src = t.cfg.self;
-    dst;
-    epoch = t.cur_epoch;
-    control_bytes = 0;
-    payload_bytes = 0;
-    body = hello_body t;
-  }
+let control_frame t ~dst m = Control.frame ~src:t.cfg.self ~dst m
 
-let done_frame t dst =
-  { Wire.kind = Wire.Done; src = t.cfg.self; dst; epoch = t.cur_epoch;
-    control_bytes = 0; payload_bytes = 0; body = "" }
+(* The Hello carries the config fingerprint plus the sender's
+   incarnation, so peers can tell a respawned node from a fresh one. *)
+let hello t =
+  Control.Hello
+    { fingerprint = t.cfg.fingerprint; incarnation = t.cfg.incarnation }
 
 (* --- batched link flushes -------------------------------------------------- *)
 
@@ -271,6 +244,14 @@ let drop_outq t i =
   if not (Outq.is_empty q) then
     t.dropped_frames <- t.dropped_frames + Outq.unsent q;
   Outq.reset q t.pool
+
+let close_link t i =
+  drop_outq t i;
+  match t.out_fds.(i) with
+  | Some fd ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      t.out_fds.(i) <- None
+  | None -> ()
 
 let rec flush_peer t i =
   let q = t.outqs.(i) in
@@ -294,36 +275,34 @@ let rec flush_peer t i =
           if t.cfg.resilient && not t.draining then mark_peer_lost t i)
 
 and mark_peer_lost t i =
-  drop_outq t i;
-  (match t.out_fds.(i) with
-  | Some fd ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      t.out_fds.(i) <- None
-  | None -> ());
+  close_link t i;
   schedule_reconnect t i
 
 (* Bounded exponential backoff with jitter.  Attempts continue until the
    node's own run timeout cuts the loop, so a slow restart is survived and
    a permanent failure still terminates. *)
 and schedule_reconnect t i =
-  if not t.reconnect_pending.(i) then begin
+  if not (t.reconnect_pending.(i) || t.gone.(i)) then begin
     t.reconnect_pending.(i) <- true;
     let rec attempt ~delay () =
-      match dial t.cfg.peers.(i) with
-      | Ok fd ->
-          t.reconnect_pending.(i) <- false;
-          t.out_fds.(i) <- Some fd;
-          t.reconnects <- t.reconnects + 1;
-          ignore (write_all t fd (Wire.encode (hello_frame t i)))
-      | Error e when transient_connect_error e ->
-          let delay = min 500 (delay * 2) in
-          add_timer t ~delay:(delay + Rng.int t.jrng 20) (attempt ~delay)
-      | Error e ->
-          t.reconnect_pending.(i) <- false;
-          if not t.draining then
-            failwith
-              (Printf.sprintf "live: reconnect to node %d failed: %s" i
-                 (Unix.error_message e))
+      (* a peer announced gone while this attempt waited is not dialled *)
+      if t.gone.(i) then t.reconnect_pending.(i) <- false
+      else
+        match dial t.cfg.peers.(i) with
+        | Ok fd ->
+            t.reconnect_pending.(i) <- false;
+            t.out_fds.(i) <- Some fd;
+            t.reconnects <- t.reconnects + 1;
+            ignore (write_all t fd (control_frame t ~dst:i (hello t)))
+        | Error e when transient_connect_error e ->
+            let delay = min 500 (delay * 2) in
+            add_timer t ~delay:(delay + Rng.int t.jrng 20) (attempt ~delay)
+        | Error e ->
+            t.reconnect_pending.(i) <- false;
+            if not t.draining then
+              failwith
+                (Printf.sprintf "live: reconnect to node %d failed: %s" i
+                   (Unix.error_message e))
     in
     add_timer t ~delay:10 (attempt ~delay:10)
   end
@@ -375,6 +354,9 @@ let flush_all t =
    image) for peer [dst]; it leaves in the next writev flush. *)
 let enqueue_peer t dst buf total =
   match t.out_fds.(dst) with
+  | None when t.gone.(dst) ->
+      (* the peer ended for good: nothing to count, nothing to redial *)
+      Wire.Pool.release t.pool buf
   | None ->
       Wire.Pool.release t.pool buf;
       if t.cfg.resilient then begin
@@ -394,17 +376,12 @@ let refresh_peer t i =
      points at its dead predecessor.  Replace it and replay the handshake —
      including Done if our program already finished, which the respawned
      peer's barrier needs. *)
-  drop_outq t i;
-  (match t.out_fds.(i) with
-  | Some fd ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      t.out_fds.(i) <- None
-  | None -> ());
+  close_link t i;
   (match dial t.cfg.peers.(i) with
   | Ok fd ->
       t.out_fds.(i) <- Some fd;
       t.reconnects <- t.reconnects + 1;
-      ignore (write_all t fd (Wire.encode (hello_frame t i)))
+      ignore (write_all t fd (control_frame t ~dst:i (hello t)))
   | Error e when transient_connect_error e -> schedule_reconnect t i
   | Error e ->
       failwith
@@ -412,18 +389,25 @@ let refresh_peer t i =
            (Unix.error_message e)));
   if t.done_sent then
     match t.out_fds.(i) with
-    | Some fd -> ignore (write_all t fd (Wire.encode (done_frame t i)))
+    | Some fd -> ignore (write_all t fd (control_frame t ~dst:i Control.Done))
     | None -> ()
 
-(* Queue one complete frame (a pooled buffer) on an inbound connection;
-   it leaves in the next flush. *)
+(* The supervisor announced that peer [i] ended for good: stop waiting
+   for its Hello and Done, close its link and never redial it. *)
+let forget_peer t i =
+  t.gone.(i) <- true;
+  t.hello_seen.(i) <- true;
+  t.done_seen.(i) <- true;
+  close_link t i
+
+(* Queue one complete frame on an inbound connection; it leaves in the
+   next flush.  The caller counts it as activity or not. *)
 let enqueue_conn t c buf total =
   if not c.cq_dirty then begin
     c.cq_dirty <- true;
     t.dirty_conns <- c :: t.dirty_conns
   end;
-  Outq.push c.cq (buf, 0, total);
-  t.activity <- t.activity + 1
+  Outq.push c.cq (buf, 0, total)
 
 (* Build one client-reply frame into a pooled buffer and queue it on the
    requesting connection. *)
@@ -434,34 +418,67 @@ let conn_reply t c ~dst ~control_bytes ~payload_bytes ~body_len ~emit =
     ~payload_bytes ~body_len;
   let off = emit buf Wire.body_offset in
   if off <> total then invalid_arg "live: reply emit size mismatch";
-  enqueue_conn t c buf total
+  enqueue_conn t c buf total;
+  t.activity <- t.activity + 1
 
-(* Queue a control-plane frame (membership, heartbeat) on an inbound
-   connection.  Low-rate traffic: a fresh pooled buffer per frame is fine. *)
-let conn_control t c ~kind ~dst ~body =
-  let body_len = String.length body in
-  let total = Wire.body_offset + body_len in
-  let buf = Wire.Pool.acquire t.pool total in
-  Wire.set_header buf ~kind ~src:t.cfg.self ~dst ~epoch:t.cur_epoch
-    ~control_bytes:0 ~payload_bytes:0 ~body_len;
-  Bytes.blit_string body 0 buf Wire.body_offset body_len;
-  enqueue_conn t c buf total
+(* The supervisor's heartbeat says nothing about the cluster's own
+   traffic: a Ping in or a Pong out is not drain activity, or a member
+   pinged every 50 ms would never go quiet. *)
+let heartbeat = function Control.Ping | Control.Pong _ -> true | _ -> false
+
+let from_node t src =
+  if src < 0 || src >= t.cfg.n then
+    failwith (Printf.sprintf "live: frame from unknown node %d" src)
 
 let dispatch t c (v : Wire.view) =
+  let src = v.Wire.v_src in
   match v.Wire.v_kind with
-  | Wire.Propose | Wire.Epoch | Wire.Ping | Wire.Pong -> (
-      (* membership / heartbeat control plane: src may be the supervisor's
-         sentinel id (outside the node range), and the reply goes back on
-         the connection the frame arrived on.  These kinds cross epochs
-         unfenced — they are how a node {e learns} of a newer epoch (or
-         how the supervisor spots a stale one) — and the handler decides. *)
+  | Wire.Data ->
+      from_node t src;
       t.activity <- t.activity + 1;
-      match t.on_control with
-      | Some handler ->
-          handler
-            ~reply:(fun ~kind ~dst ~body -> conn_control t c ~kind ~dst ~body)
-            v
-      | None -> () (* static cluster: stray control frames are inert *))
+      (* the epoch fence: a data frame from a configuration older than
+         ours (a peer that has not heard of the reconfiguration, or a
+         crashed node recovering at its pre-crash epoch) is dropped and
+         counted, never delivered *)
+      if v.Wire.v_epoch < t.cur_epoch then t.stale_epochs <- t.stale_epochs + 1
+      else t.on_data_view v
+  | Wire.Control -> (
+      (* control messages cross epochs unfenced: they are how a node
+         learns of a newer epoch (or the supervisor spots a stale one) *)
+      let m =
+        try Control.of_view v
+        with Codec.Bad e -> failwith ("live: corrupt control body: " ^ e)
+      in
+      if not (heartbeat m) then t.activity <- t.activity + 1;
+      match m with
+      | Control.Hello { fingerprint; incarnation } ->
+          from_node t src;
+          if not (String.equal fingerprint t.cfg.fingerprint) then
+            failwith
+              (Printf.sprintf "live: fingerprint mismatch with node %d (%S vs %S)"
+                 src fingerprint t.cfg.fingerprint);
+          t.hello_seen.(src) <- true;
+          if t.cfg.resilient && incarnation > 0 && incarnation > t.peer_inc.(src)
+          then begin
+            t.peer_inc.(src) <- incarnation;
+            refresh_peer t src
+          end
+      | Control.Done ->
+          from_node t src;
+          t.done_seen.(src) <- true
+      | Control.Gone { node } ->
+          if src = Control.supervisor && node < t.cfg.n && node <> t.cfg.self
+          then forget_peer t node
+      | m -> (
+          (* the supervisor's own conversation: the reply goes back on
+             the connection the frame arrived on, never the peer mesh *)
+          match t.on_control with
+          | Some handler ->
+              handler m ~reply:(fun r ->
+                  let buf = control_frame t ~dst:src r in
+                  enqueue_conn t c buf (Bytes.length buf);
+                  if not (heartbeat r) then t.activity <- t.activity + 1)
+          | None -> () (* static cluster: stray control messages are inert *)))
   | Wire.Creq -> (
       (* client traffic: src is a client id, deliberately outside the node
          range, and the reply goes back on the connection the request came
@@ -476,33 +493,6 @@ let dispatch t c (v : Wire.view) =
             v
       | None -> () (* no front door installed: drop, the client times out *))
   | Wire.Cresp -> () (* nodes never consume responses; tolerate strays *)
-  | Wire.Hello | Wire.Done | Wire.Data ->
-      if v.Wire.v_src < 0 || v.Wire.v_src >= t.cfg.n then
-        failwith (Printf.sprintf "live: frame from unknown node %d" v.Wire.v_src);
-      t.activity <- t.activity + 1;
-      (match v.Wire.v_kind with
-      | Wire.Creq | Wire.Cresp -> assert false
-      | Wire.Hello ->
-          let fp, inc = split_hello (Wire.view_body v) in
-          if not (String.equal fp t.cfg.fingerprint) then
-            failwith
-              (Printf.sprintf "live: fingerprint mismatch with node %d (%S vs %S)"
-                 v.Wire.v_src fp t.cfg.fingerprint);
-          t.hello_seen.(v.Wire.v_src) <- true;
-          if t.cfg.resilient && inc > 0 && inc > t.peer_inc.(v.Wire.v_src) then begin
-            t.peer_inc.(v.Wire.v_src) <- inc;
-            refresh_peer t v.Wire.v_src
-          end
-      | Wire.Done -> t.done_seen.(v.Wire.v_src) <- true
-      | Wire.Data ->
-          (* the epoch fence: a data frame from a configuration older
-             than ours (a peer that has not heard of the reconfiguration,
-             or a crashed node recovering at its pre-crash epoch) is
-             dropped and counted, never delivered *)
-          if v.Wire.v_epoch < t.cur_epoch then
-            t.stale_epochs <- t.stale_epochs + 1
-          else t.on_data_view v
-      | Wire.Propose | Wire.Epoch | Wire.Ping | Wire.Pong -> assert false)
 
 let fire_due t =
   let fired = ref false in
@@ -620,7 +610,7 @@ let connect_peer t ~deadline i =
   in
   let fd = attempt ~delay:10 in
   t.out_fds.(i) <- Some fd;
-  ignore (write_all t fd (Wire.encode (hello_frame t i)))
+  ignore (write_all t fd (control_frame t ~dst:i (hello t)))
 
 let all_hello t = Array.for_all Fun.id t.hello_seen
 
@@ -642,7 +632,7 @@ let finish_program t =
   for i = 0 to t.cfg.n - 1 do
     if i <> t.cfg.self then
       match t.out_fds.(i) with
-      | Some fd -> ignore (write_all t fd (Wire.encode (done_frame t i)))
+      | Some fd -> ignore (write_all t fd (control_frame t ~dst:i Control.Done))
       | None -> ()
   done
 

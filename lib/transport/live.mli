@@ -10,7 +10,8 @@
 
     + {!bind} a listener (or inherit one pre-bound by the cluster harness),
     + {!create} the runtime, {!val-factory} → hand to the protocol registry,
-    + {!wait_peers} — dial everyone, exchange [Hello] fingerprints,
+    + {!wait_peers} — dial everyone, exchange [Hello] fingerprints
+      ({!Control.msg}),
     + run the node program against the protocol's API,
     + {!finish_program} — broadcast [Done],
     + keep {!step}ping until {!all_done}, then {!drain} a quiet window so
@@ -67,6 +68,10 @@ val bind : Unix.sockaddr -> Unix.file_descr
 
 val listen_addr : Unix.file_descr -> Unix.sockaddr
 
+val dial : Unix.sockaddr -> (Unix.file_descr, Unix.error) result
+(** A blocking TCP connect with [TCP_NODELAY] set; the socket is closed
+    again on error. *)
+
 val create : config -> listen_fd:Unix.file_descr -> t
 (** Takes ownership of [listen_fd].  Ignores [SIGPIPE] process-wide (a
     dead peer must surface as a catchable error, not a kill). *)
@@ -103,13 +108,15 @@ val finish_program : t -> unit
     frames are flushed first, so [Done] never overtakes them. *)
 
 val all_done : t -> bool
-(** Every peer's [Done] has been seen. *)
+(** Every peer's [Done] has been seen, or the peer was announced
+    [Gone]. *)
 
 val drain : t -> quiet_ms:int -> max_ms:int -> unit
 (** Serve until no frame has been sent or delivered for [quiet_ms]
     (bare timer fires don't count as activity — a retransmission timer
-    with an empty window would otherwise keep the node up forever), or
-    until [max_ms] has elapsed.  While draining, send failures are
+    with an empty window would otherwise keep the node up forever — and
+    neither do heartbeat [Ping]s and [Pong]s nor sends to a peer
+    announced [Gone]), or until [max_ms] has elapsed.  While draining, send failures are
     non-fatal: peers exit their own quiet windows at different times. *)
 
 val now_ms : t -> int
@@ -147,29 +154,37 @@ val set_client_handler : t -> (reply:reply -> Wire.view -> unit) -> unit
 val client_reqs : t -> int
 (** [Creq] frames dispatched so far. *)
 
-(** {1 Membership control plane}
+(** {1 Control plane}
 
-    The frames between the supervisor and each member ([Propose]/
-    [Epoch]/[Ping]/[Pong]) ride the same sockets as everything else but
-    never enter the transport or its accounting; member-to-member
-    traffic, state transfer included, is [Data] through
-    {!val-factory}.  The epoch fence lives here, at the seam: every
-    outgoing frame is stamped with {!current_epoch}, and an incoming
-    [Data] frame stamped older is dropped and counted in
-    {!stale_epochs} — a node that missed a reconfiguration cannot
-    corrupt post-change state.  Control kinds cross epochs freely (they
-    are how nodes {e learn} of a newer epoch). *)
+    Every frame that is neither protocol data nor client RPC is one
+    {!Control.msg} in a [Control] frame, decoded once, in place; a body
+    that does not decode fails the node as a corrupt [Data] body does.
+    Control messages ride the same sockets as everything else but never
+    enter the transport or its accounting, and they cross epochs freely
+    (they are how nodes {e learn} of a newer epoch).  The epoch fence
+    lives here, at the seam: every outgoing [Data] frame is stamped with
+    {!current_epoch}, and an incoming [Data] frame stamped older is
+    dropped and counted in {!stale_epochs} — a node that missed a
+    reconfiguration cannot corrupt post-change state.
 
-type control_reply = kind:Wire.kind -> dst:int -> body:string -> unit
-(** Send one control frame back on the connection the triggering frame
-    arrived on — the supervisor's control channel is an inbound
-    connection, not a peer link. *)
+    - [Hello] and [Done] must come from a node id; they drive
+      {!wait_peers} and {!all_done}.
+    - [Gone {node}] is obeyed only from {!Control.supervisor}: [node]
+      counts as greeted and done, its link is closed and never redialled,
+      and later sends to it are released without counting as drain
+      activity, so a node whose peer ended for good still finishes.
+    - Every other message goes to the handler installed with
+      {!set_control_handler}.
+
+    [Ping] in and [Pong] out are the supervisor's heartbeat, not the
+    cluster's traffic: neither counts as {!drain} activity. *)
 
 val set_control_handler :
-  t -> (reply:control_reply -> Wire.view -> unit) -> unit
-(** Install the membership runtime.  Without a handler, control frames
-    are inert (static clusters).  As with the client front door, parse
-    the view's body before returning. *)
+  t -> (reply:(Control.msg -> unit) -> Control.msg -> unit) -> unit
+(** Install the membership runtime.  [reply] queues a message back on
+    the connection the triggering frame arrived on — the supervisor's
+    control channel is an inbound connection, not a peer link.  Without
+    a handler, these messages are inert (static clusters). *)
 
 val set_epoch : t -> int -> unit
 (** Raise this node's configuration epoch (monotonic: lowering is a

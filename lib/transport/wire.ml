@@ -1,13 +1,4 @@
-type kind =
-  | Data
-  | Hello
-  | Done
-  | Creq
-  | Cresp
-  | Propose
-  | Epoch
-  | Ping
-  | Pong
+type kind = Data | Control | Creq | Cresp
 
 type frame = {
   kind : kind;
@@ -30,29 +21,15 @@ let body_offset = 4 + header_bytes
 
 let max_frame_bytes = 1 lsl 24
 
-(* bytes 6 and 7 are unassigned: the decoder rejects them like any
-   other unknown kind *)
-let kind_byte = function
-  | Data -> 0
-  | Hello -> 1
-  | Done -> 2
-  | Creq -> 3
-  | Cresp -> 4
-  | Propose -> 5
-  | Epoch -> 8
-  | Ping -> 9
-  | Pong -> 10
+(* byte 2 is unassigned: the decoder rejects it like any other unknown
+   kind *)
+let kind_byte = function Data -> 0 | Control -> 1 | Creq -> 3 | Cresp -> 4
 
 let kind_of_byte = function
   | 0 -> Some Data
-  | 1 -> Some Hello
-  | 2 -> Some Done
+  | 1 -> Some Control
   | 3 -> Some Creq
   | 4 -> Some Cresp
-  | 5 -> Some Propose
-  | 8 -> Some Epoch
-  | 9 -> Some Ping
-  | 10 -> Some Pong
   | _ -> None
 
 (* Write the length prefix and header into [buf.(0..body_offset-1)]; the
@@ -159,8 +136,6 @@ type view = {
   v_len : int;  (* body length *)
 }
 
-let view_body v = Bytes.sub_string v.v_buf v.v_off v.v_len
-
 (* Decode one frame's header starting at [off]; the length prefix has
    already been read and validated to fit in the buffer. *)
 let view_at buf off len =
@@ -195,7 +170,7 @@ let frame_of_view v =
     epoch = v.v_epoch;
     control_bytes = v.v_control_bytes;
     payload_bytes = v.v_payload_bytes;
-    body = view_body v;
+    body = Bytes.sub_string v.v_buf v.v_off v.v_len;
   }
 
 let check_length len =

@@ -6,10 +6,9 @@
     {v
       offset 0   4 bytes  length L (bytes following the length field)
       offset 4   1 byte   magic 0xD5
-      offset 5   1 byte   kind (0 = data, 1 = hello, 2 = done,
-                                3 = client request, 4 = client response,
-                                5 = proposal, 8 = epoch commit,
-                                9 = ping, 10 = pong; 6 and 7 unassigned)
+      offset 5   1 byte   kind (0 = data, 1 = control,
+                                3 = client request, 4 = client response;
+                                every other byte is rejected)
       offset 6   2 bytes  src node id
       offset 8   2 bytes  dst node id
       offset 10  2 bytes  configuration epoch
@@ -22,23 +21,23 @@
     accounting sizes — the same numbers a protocol hands to
     {!Repro_msgpass.Net.send} — so the live backend counts exactly what the
     simulator counts, independent of the encoded body size.  [Data]
-    bodies hold a codec-encoded protocol message; [Hello] bodies hold the cluster
-    fingerprint (protocol, workload, size, seed) so mismatched daemons
-    fail loudly instead of decoding garbage.  [Creq]/[Cresp] frames carry
-    the client front door's RPC bodies ({!Rpc}).  Client ids live in
-    [src]/[dst] above the node-id range, so a frame's addressing never
-    collides with a peer's.
+    bodies hold a codec-encoded protocol message.  [Control] bodies hold
+    one {!Control.msg}: the peers' [Hello] (carrying the cluster
+    fingerprint — protocol, workload, size, seed — so mismatched daemons
+    fail loudly instead of decoding garbage) and [Done], and everything
+    the supervisor says to a node.  [Creq]/[Cresp] frames carry the
+    client front door's RPC bodies ({!Rpc}).  Client ids and the
+    supervisor's id live in [src]/[dst] above the node-id range, so a
+    frame's addressing never collides with a peer's.
 
-    The [epoch] field fences reconfiguration: every frame carries its
-    sender's configuration epoch, and a live node drops (and counts)
-    data-plane frames stamped with an older epoch than its own — a node
-    that has not yet heard about a membership change cannot corrupt
-    post-change state.  Static clusters carry epoch 0 forever.
-    [Propose] announces a new member set, [Epoch] commits the new
-    configuration, and [Ping]/[Pong] form the heartbeat used for failure
-    detection and epoch-readiness polling (the membership runtime in
-    [repro_cluster]).  Member-to-member traffic, state transfer
-    included, is ordinary [Data].
+    The [epoch] field fences reconfiguration: every [Data] frame carries
+    its sender's configuration epoch, and a live node drops (and counts)
+    [Data] frames stamped with an older epoch than its own — a node that
+    has not yet heard about a membership change cannot corrupt
+    post-change state.  Static clusters carry epoch 0 forever, and so do
+    [Control] frames, which cross epochs: they are how a node learns of
+    a newer one.  Member-to-member traffic, state transfer included, is
+    ordinary [Data].
 
     {b Hot path.}  Frames are built in place: {!Pool.acquire} a buffer,
     emit the body at {!body_offset}, {!set_header}, hand the buffer to
@@ -46,16 +45,7 @@
     {!next_view} exposes a completed frame's body {e inside} the
     decoder's buffer so message parsing copies nothing. *)
 
-type kind =
-  | Data
-  | Hello
-  | Done
-  | Creq
-  | Cresp
-  | Propose
-  | Epoch
-  | Ping
-  | Pong
+type kind = Data | Control | Creq | Cresp
 
 type frame = {
   kind : kind;
@@ -94,7 +84,7 @@ val set_header :
 
 val encode : frame -> bytes
 (** Full wire representation in a fresh buffer, length prefix included
-    (low-rate frames such as [Hello] and [Done]; the hot path uses
+    (low-rate frames such as {!Control.frame}; the hot path uses
     {!set_header} into a pooled buffer).
     @raise Invalid_argument as {!set_header}. *)
 
@@ -158,9 +148,6 @@ type view = {
 
 val next_view : decoder -> (view option, string) result
 (** As {!next}, without materialising the body. *)
-
-val view_body : view -> string
-(** Copy the body out (control-plane frames, tests). *)
 
 val frame_of_view : view -> frame
 

@@ -312,9 +312,10 @@ let contains ~sub s =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* Node.run refuses, before any traffic, a plan it cannot apply: a dcrash
-   schedule without a WAL, and membership clauses (named).  Its texts leave
-   the node's name to the caller, which prefixes it once. *)
+(* Node.run refuses, before any traffic, what it cannot honour: a dcrash
+   schedule without a WAL, membership clauses (named), and a respawn
+   (incarnation > 0) with no WAL to recover from.  Its texts leave the
+   node's name to the caller, which prefixes it once. *)
 let test_node_dcrash_needs_wal () =
   match Workload_spec.make ~name:"e1" ~n:1 ~seed:1 with
   | Error msg -> Alcotest.failf "spec: %s" msg
@@ -328,11 +329,11 @@ let test_node_dcrash_needs_wal () =
         ~finally:(fun () -> try Unix.close listen_fd with Unix.Unix_error _ -> ())
         (fun () ->
           List.iter
-            (fun (plan, sub) ->
+            (fun (plan, incarnation, sub) ->
               match
                 Node.run ~self:0 ~listen_fd ~peers
                   ~protocol:(spec_of "pram-partial") ~workload ~seed:1
-                  ~chaos:(plan_of plan) ()
+                  ?chaos:(Option.map plan_of plan) ~incarnation ()
               with
               | exception Node.Crash msg ->
                   check Alcotest.bool
@@ -343,10 +344,14 @@ let test_node_dcrash_needs_wal () =
                     (Printf.sprintf "%S does not name the node itself" msg)
                     false
                     (String.starts_with ~prefix:"node " msg)
-              | _ -> Alcotest.failf "Node.run ignored the plan %S" plan)
+              | _ ->
+                  Alcotest.failf "Node.run ignored %s"
+                    (Option.value plan
+                       ~default:(Printf.sprintf "incarnation %d" incarnation)))
             [
-              ("seed=1,dcrash=0:append.pre@1+100", "write-ahead log");
-              ("seed=1,join=0@5", "join=");
+              (Some "seed=1,dcrash=0:append.pre@1+100", 0, "write-ahead log");
+              (Some "seed=1,join=0@5", 0, "join=");
+              (None, 1, "incarnation 1 has no write-ahead log");
             ])
 
 let test_invalid_plan_rejected () =
@@ -373,6 +378,23 @@ let test_wedged_awaiting_respawn () =
         (String.length msg >= 7 && String.sub msg 0 7 = "wedged:"));
   check Alcotest.bool "within a few seconds" true
     (Unix.gettimeofday () -. t0 < 10.)
+
+(* a node that crashes for good is announced to its peers (the
+   supervisor's [Gone]), so they stop waiting for its [Done]: the run
+   fails at once, naming only the crashed node *)
+let test_gone_ends_peers_wait () =
+  let t0 = Unix.gettimeofday () in
+  (match
+     Cluster.run ~n:3 ~protocol:(spec_of "pram-partial") ~workload:"e1" ~seed:7
+       ~chaos:(plan_of "crash=1@6") ()
+   with
+  | Ok _ -> Alcotest.fail "a node crashed for good, yet the run succeeded"
+  | Error msg ->
+      check Alcotest.string "only node 1 is named"
+        "node 1: injected crash (no restart scheduled)" msg);
+  let took = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool (Printf.sprintf "ended in %.1f s < 10 s" took) true
+    (took < 10.)
 
 (* --- reconfiguration -------------------------------------------------------- *)
 
@@ -525,6 +547,8 @@ let () =
             test_invalid_plan_rejected;
           Alcotest.test_case "wedged while awaiting a respawn" `Quick
             test_wedged_awaiting_respawn;
+          Alcotest.test_case "a node gone for good ends its peers' wait"
+            `Quick test_gone_ends_peers_wait;
         ] );
       ( "reconfig",
         [

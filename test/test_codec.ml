@@ -1,6 +1,7 @@
 (* Binary codec tier: qcheck round-trips for every protocol codec (plus
-   the session-wrapped lift and the membership tier's messages), strict
-   rejection of truncated / corrupt / padded input, the Marshal
+   the session-wrapped lift, the membership tier's messages and the
+   control plane's), strict rejection of truncated / corrupt / padded
+   input, the control codec failing closed on arbitrary bytes, the Marshal
    cross-check oracle, the decoder buffer shrink-after-idle policy, and
    the allocation bounds the zero-copy hot path promises (emit into a
    pooled frame allocates nothing). *)
@@ -17,6 +18,7 @@ module Causal_gossip = Repro_core.Causal_gossip
 module Causal_adhoc = Repro_core.Causal_adhoc
 module Causal_delta = Repro_core.Causal_delta
 module Member = Repro_cluster.Member
+module Control = Repro_transport.Control
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -114,6 +116,30 @@ let member_gen =
         map (fun epoch -> Member.Pull { epoch }) id_gen;
       ])
 
+(* the control plane: node ids and epochs ride u16 slots, counts and
+   incarnations i32 *)
+let control_gen =
+  QCheck.Gen.(
+    let u16 = int_bound 0xFFFF and ids = list_size (int_bound 6) (int_bound 0xFFFF) in
+    oneof
+      [
+        map2
+          (fun fingerprint incarnation -> Control.Hello { fingerprint; incarnation })
+          (string_size (int_bound 40)) i32_gen;
+        return Control.Done;
+        map (fun node -> Control.Gone { node }) u16;
+        map3
+          (fun epoch members down -> Control.Propose { epoch; members; down })
+          u16 ids ids;
+        map2 (fun epoch members -> Control.Commit { epoch; members }) u16 ids;
+        return Control.Finish;
+        return Control.Ping;
+        map
+          (fun (epoch, proposed, ready, writes) ->
+            Control.Pong { epoch; proposed; ready; writes })
+          (quad u16 u16 bool i32_gen);
+      ])
+
 (* --- round-trip + strictness, over every protocol codec ----------------------- *)
 
 (* One qcheck property per codec:
@@ -194,7 +220,48 @@ let test_corrupt_tags () =
   let mb = Codec.encode Member.codec (Member.Pull { epoch = 3 }) in
   Bytes.set_uint8 mb 0 4;
   check_bad "member message tag" (fun () ->
-      Codec.decode Member.codec mb ~pos:0 ~len:(Bytes.length mb))
+      Codec.decode Member.codec mb ~pos:0 ~len:(Bytes.length mb));
+  let cb = Codec.encode Control.codec Control.Ping in
+  Bytes.set_uint8 cb 0 8;
+  check_bad "control message tag" (fun () ->
+      Codec.decode Control.codec cb ~pos:0 ~len:(Bytes.length cb))
+
+(* The control codec fails closed: any byte string, random or one bit
+   away from a valid image, either raises [Bad] naming the codec or
+   decodes to a message whose image is exactly those bytes. *)
+let control_fails_closed name gen =
+  qcheck
+    (QCheck.Test.make ~name ~count:1000 (QCheck.make gen) (fun b ->
+         match Codec.decode Control.codec b ~pos:0 ~len:(Bytes.length b) with
+         | m -> Bytes.equal (Codec.encode Control.codec m) b
+         | exception Codec.Bad e ->
+             String.starts_with ~prefix:"control: " e
+             || QCheck.Test.fail_reportf "rejection %S does not name the codec" e))
+
+let control_random_bytes =
+  control_fails_closed "control_codec_random_bytes"
+    QCheck.Gen.(
+      map Bytes.of_string
+        (oneof
+           [
+             string_size (int_bound 24);
+             (* a known tag first, so the body parsers see most inputs *)
+             map2
+               (fun tag rest -> String.make 1 (Char.chr tag) ^ rest)
+               (int_bound 8) (string_size (int_bound 24));
+           ]))
+
+let control_bit_flips =
+  control_fails_closed "control_codec_bit_flips"
+    QCheck.Gen.(
+      map2
+        (fun m bit ->
+          let b = Codec.encode Control.codec m in
+          let bit = bit mod (8 * Bytes.length b) in
+          Bytes.set_uint8 b (bit / 8)
+            (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+          b)
+        control_gen nat)
 
 let test_encode_range_checks () =
   let c = Pram_partial.codec in
@@ -309,10 +376,13 @@ let () =
           roundtrip_strict "session-wrapped" session_wrapped_gen
             (Session.wrapped_codec Pram_partial.codec);
           roundtrip_strict "member" member_gen Member.codec;
+          roundtrip_strict "control" control_gen Control.codec;
         ] );
       ( "strict",
         [
           Alcotest.test_case "unknown tags rejected" `Quick test_corrupt_tags;
+          control_random_bytes;
+          control_bit_flips;
           Alcotest.test_case "encoder range checks" `Quick
             test_encode_range_checks;
         ] );

@@ -4,6 +4,7 @@
    network construction). *)
 
 module Wire = Repro_transport.Wire
+module Control = Repro_transport.Control
 module Transport = Repro_transport.Transport
 module Live = Repro_transport.Live
 module Fault = Repro_msgpass.Fault
@@ -23,11 +24,7 @@ let qcheck = QCheck_alcotest.to_alcotest
 let frame_gen =
   QCheck.Gen.(
     let* kind =
-      oneofl
-        [
-          Wire.Data; Wire.Hello; Wire.Done; Wire.Creq; Wire.Cresp;
-          Wire.Propose; Wire.Epoch; Wire.Ping; Wire.Pong;
-        ]
+      oneofl [ Wire.Data; Wire.Control; Wire.Creq; Wire.Cresp ]
     in
     let* src = int_bound 0xFFFF in
     let* dst = int_bound 0xFFFF in
@@ -41,14 +38,9 @@ let frame_print (f : Wire.frame) =
   Printf.sprintf "{kind=%s src=%d dst=%d epoch=%d cb=%d pb=%d body=%S}"
     (match f.kind with
     | Data -> "data"
-    | Hello -> "hello"
-    | Done -> "done"
+    | Control -> "control"
     | Creq -> "creq"
-    | Cresp -> "cresp"
-    | Propose -> "propose"
-    | Epoch -> "epoch"
-    | Ping -> "ping"
-    | Pong -> "pong")
+    | Cresp -> "cresp")
     f.src f.dst f.epoch f.control_bytes f.payload_bytes f.body
 
 let frame_arb = QCheck.make ~print:frame_print frame_gen
@@ -112,7 +104,7 @@ let test_unknown_kind_rejected () =
       let buf = encoded () in
       Bytes.set_uint8 buf 5 k;
       expect_error (Printf.sprintf "unknown kind %d" k) buf)
-    [ 6; 7; 11 ]
+    [ 2; 5; 6; 7; 8; 9; 10; 11 ]
 
 let test_oversized_rejected () =
   let buf = encoded () in
@@ -504,10 +496,10 @@ let int_codec : int Repro_transport.Codec.t =
 (* Two real Live endpoints over loopback (the peer forked, as in the
    cluster harness).  The peer sends a [Data] message while still at
    epoch 0 after this node has committed epoch 2 — the fence must drop
-   and count it.  A supervisor-style [Ping] at epoch 0, written on a raw
-   dialed socket as Reconfig writes it, crosses freely (control kinds are
-   how nodes learn of a newer epoch), and a message sent once the peer
-   is at the current epoch is delivered. *)
+   and count it.  A supervisor-style [Control Ping] at epoch 0, written
+   on a raw dialed socket as the supervisor writes it, crosses freely
+   (control messages are how nodes learn of a newer epoch), and a
+   message sent once the peer is at the current epoch is delivered. *)
 let test_epoch_fence () =
   let fd0 = Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
   let fd1 = Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
@@ -539,11 +531,7 @@ let test_epoch_fence () =
           send 1;
           let ctl = Unix.socket PF_INET SOCK_STREAM 0 in
           Unix.connect ctl peers.(0);
-          let ping =
-            Wire.encode
-              { Wire.kind = Wire.Ping; src = 0xFFFF; dst = 0; epoch = 0;
-                control_bytes = 0; payload_bytes = 0; body = "ping" }
-          in
+          let ping = Control.frame ~src:Control.supervisor ~dst:0 Control.Ping in
           ignore (Unix.write ctl ping 0 (Bytes.length ping) : int);
           Live.set_epoch t 2;
           send 2;
@@ -564,9 +552,8 @@ let test_epoch_fence () =
       let delivered = ref [] and pinged = ref false in
       tr.Transport.set_handler 0 (fun e ->
           delivered := e.Repro_msgpass.Net.msg :: !delivered);
-      Live.set_control_handler t (fun ~reply:_ v ->
-          if v.Wire.v_kind = Wire.Ping && Wire.view_body v = "ping" then
-            pinged := true);
+      Live.set_control_handler t (fun ~reply:_ m ->
+          if m = Control.Ping then pinged := true);
       Live.wait_peers t ~timeout_ms:5_000;
       Live.set_epoch t 2;
       let deadline = Live.now_ms t + 5_000 in
@@ -585,6 +572,64 @@ let test_epoch_fence () =
       let _, status = Unix.waitpid [] child in
       check Alcotest.bool "peer exited cleanly" true
         (status = Unix.WEXITED 0)
+
+(* The supervisor's heartbeat is not the cluster's traffic: a peer that
+   writes a [Control Ping] every 20 ms, each answered with a [Pong], must
+   not hold a drain open, so [drain ~quiet_ms:100] returns long before
+   its 3 s cap. *)
+let test_heartbeat_not_activity () =
+  let fd = Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
+  let addr = Live.listen_addr fd in
+  match Unix.fork () with
+  | 0 ->
+      (* the pinger, on a control connection as the supervisor dials it *)
+      (try
+         Unix.close fd;
+         let ctl = Unix.socket PF_INET SOCK_STREAM 0 in
+         Unix.connect ctl addr;
+         let ping = Control.frame ~src:Control.supervisor ~dst:0 Control.Ping in
+         for _ = 1 to 250 do
+           ignore (Unix.write ctl ping 0 (Bytes.length ping) : int);
+           Unix.sleepf 0.02
+         done
+       with _ -> ());
+      Unix._exit 0
+  | child ->
+      let t =
+        Live.create
+          {
+            Live.self = 0;
+            n = 1;
+            peers = [| addr |];
+            fingerprint = "heartbeat-test";
+            resilient = false;
+            incarnation = 0;
+          }
+          ~listen_fd:fd
+      in
+      let pings = ref 0 in
+      Live.set_control_handler t (fun ~reply m ->
+          if m = Control.Ping then begin
+            incr pings;
+            reply
+              (Control.Pong { epoch = 0; proposed = 0; ready = false; writes = 0 })
+          end);
+      let deadline = Live.now_ms t + 5_000 in
+      while !pings = 0 && Live.now_ms t < deadline do
+        ignore (Live.step t ~block:true)
+      done;
+      let before = !pings and t0 = Unix.gettimeofday () in
+      Live.drain t ~quiet_ms:100 ~max_ms:3_000;
+      let took = Unix.gettimeofday () -. t0 and during = !pings - before in
+      Live.close t;
+      Unix.kill child Sys.sigkill;
+      ignore (Unix.waitpid [] child);
+      check Alcotest.bool
+        (Printf.sprintf "%d pings arrived during the drain" during)
+        true (during >= 2);
+      check Alcotest.bool
+        (Printf.sprintf "drain went quiet in %.2f s < 1.5 s" took)
+        true (took < 1.5)
 
 (* The live backend encodes every [Data] body with the protocol's codec: a
    codec-less [create] is refused, and every non-blocking registry protocol
@@ -664,6 +709,8 @@ let () =
       ( "live",
         [
           Alcotest.test_case "epoch fence at the seam" `Quick test_epoch_fence;
+          Alcotest.test_case "heartbeats do not hold a drain open" `Quick
+            test_heartbeat_not_activity;
           Alcotest.test_case "factory requires a codec" `Quick
             test_live_factory_needs_codec;
         ] );
