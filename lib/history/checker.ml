@@ -136,13 +136,13 @@ let search_view (view : V.t) =
   let k = Array.length view.ops in
   if k = 0 then Some []
   else begin
-    let nw = V.words_for k in
+    let nw = view.preds.V.w in
     let placed = Array.make nw 0 in
     let last_write = Array.make view.n_vars (-1) in
     let order = ref [] in
     let memo = Packed_tbl.create () in
     let scratch = Array.make (nw + slot_words_for ~k view.n_vars) 0 in
-    let ready i = (not (V.mem placed i)) && V.subset view.preds.(i) placed in
+    let ready i = (not (V.mem placed i)) && V.row_subset view.preds i placed in
     let place i =
       V.add placed i;
       order := i :: !order;
@@ -284,9 +284,11 @@ let oracle = lazy (Sys.getenv_opt "REPRO_CHECK_ORACLE" <> None)
 
 (* Decide one unit: the saturation front-end answers directly when it can
    prove the verdict, and punts to the exact search otherwise, so both
-   engines decide identically on every input.  Both run on one view. *)
-let decide ?(engine = Saturation) index ~subset ~relation =
-  let view = V.make index ~subset ~relation in
+   engines decide identically on every input.  Both run on one view.  The
+   oracle's search runs on [reference ()], the unit as {!Unit_view.make}
+   builds it, so it checks the view's construction as well; [name] says
+   which unit disagreed. *)
+let decide_view ~engine ~name view reference =
   let search () = search_view view <> None in
   let verdict =
     match engine with
@@ -298,16 +300,18 @@ let decide ?(engine = Saturation) index ~subset ~relation =
         | Saturation.Unknown -> search ())
   in
   (if engine = Saturation && Lazy.force oracle then
-     let reference = search () in
-     if reference <> verdict then
+     let k = Array.length view.V.ops in
+     let expected = search_view (reference ()) <> None in
+     if expected <> verdict then
        failwith
          (Printf.sprintf
-            "Checker: engine mismatch on a %d-op unit (saturation=%b search=%b)"
-            (List.length subset) verdict reference));
+            "Checker: engine mismatch on %s (%d ops): saturation=%b search=%b"
+            (name ()) k verdict expected));
   verdict
 
-let serializable ?engine h ~subset ~relation =
-  decide ?engine (V.index (History.ops h)) ~subset ~relation
+let serializable ?(engine = Saturation) h ~subset ~relation =
+  let view = V.make (V.index (History.ops h)) ~subset ~relation in
+  decide_view ~engine ~name:(fun () -> "a unit") view (fun () -> view)
 
 (* --- criterion decomposition --------------------------------------------- *)
 
@@ -319,6 +323,16 @@ let unit_key_name = function
   | Var x -> Printf.sprintf "x%d" x
   | Proc_var (p, x) -> Printf.sprintf "p%d/x%d" p x
 
+(* The relation of a criterion decided one unit per process: that
+   process's ops plus every write. *)
+let process_relation rc = function
+  | Causal -> Some (Relcache.causal rc)
+  | Semi_causal -> Some (Relcache.semi_causal rc)
+  | Lazy_causal -> Some (Relcache.lazy_causal rc)
+  | Lazy_semi_causal -> Some (Relcache.lazy_semi_causal rc)
+  | Pram -> Some (Relcache.pram rc)
+  | Sequential | Slow | Cache -> None
+
 (* Each criterion is a conjunction of (subset, relation) serialization
    units; [units] returns them with a diagnostic key.  All relations and
    operation indexes come from the per-history cache, so an 8-criteria
@@ -328,15 +342,7 @@ let units criterion rc =
   match criterion with
   | Sequential -> [ (Whole, Relcache.all_ids rc, Relcache.program_order rc) ]
   | Causal | Semi_causal | Lazy_causal | Lazy_semi_causal | Pram ->
-      let relation =
-        match criterion with
-        | Causal -> Relcache.causal rc
-        | Semi_causal -> Relcache.semi_causal rc
-        | Lazy_causal -> Relcache.lazy_causal rc
-        | Lazy_semi_causal -> Relcache.lazy_semi_causal rc
-        | Pram -> Relcache.pram rc
-        | Sequential | Slow | Cache -> assert false
-      in
+      let relation = Option.get (process_relation rc criterion) in
       List.init (History.n_procs h) (fun p -> (Proc p, Relcache.proc_ids rc p, relation))
   | Cache ->
       let relation = Relcache.program_order rc in
@@ -352,18 +358,35 @@ let units criterion rc =
                  | subset -> Some (Proc_var (p, x), subset, relation)))
         (List.init (History.n_procs h) Fun.id)
 
-let check_with ~for_all ?engine criterion rc =
+let check_with ~for_all ?(engine = Saturation) criterion rc =
   match Relcache.read_from rc with
   | Error (History.Dangling_read _) -> Inconsistent
   | Error (History.Ambiguous_read _ as e) -> Undecidable e
   | Ok _ ->
       (* forced here, before the units may reach other domains *)
       let index = Relcache.index rc in
-      let consistent =
-        for_all
-          (fun (_, subset, relation) -> decide ?engine index ~subset ~relation)
-          (units criterion rc)
+      let name key () =
+        Printf.sprintf "%s unit %s" (criterion_name criterion) (unit_key_name key)
       in
+      let decisions =
+        match (engine, process_relation rc criterion) with
+        | Saturation, Some relation ->
+            (* the units share every write: their rows are built once, and
+               each unit adds its process's reads *)
+            let skeleton = V.skeleton index relation in
+            List.init (History.n_procs (Relcache.history rc)) (fun p () ->
+                let view = V.proc_unit skeleton p in
+                decide_view ~engine ~name:(name (Proc p)) view (fun () ->
+                    let subset = List.sort compare (Array.to_list view.V.gids) in
+                    V.make index ~subset ~relation))
+        | _ ->
+            List.map
+              (fun (key, subset, relation) () ->
+                let view = V.make index ~subset ~relation in
+                decide_view ~engine ~name:(name key) view (fun () -> view))
+              (units criterion rc)
+      in
+      let consistent = for_all (fun decide -> decide ()) decisions in
       if consistent then Consistent else Inconsistent
 
 let check_cached ?engine rc criterion =

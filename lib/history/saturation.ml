@@ -33,42 +33,36 @@ module V = Unit_view
 (* Schedule the reader's operations in program order; whenever a read needs a
    value from another process, apply that process's write stream up to and
    including the source (FIFO, never reordered), then drain the leftover
-   stream suffixes.  The candidate is legal by construction; it is accepted
+   stream suffixes.  The reader's chain and the streams are the view's
+   [programs]: the order must be program order whichever way the view is
+   numbered.  The candidate is legal by construction; it is accepted
    only if it also respects the full unit relation, which keeps the merge
    sound for any relation handed to it: each op, as it is placed, must find
    all its relation predecessors in the running [before] row (one subset
    test per op).  Failure proves nothing — the caller falls through to
    saturation. *)
-let try_merge (view : V.t) k =
-  let reader = ref (-1) and multi = ref false and max_proc = ref (-1) in
+let try_merge (view : V.t) =
+  let reader = ref (-1) and multi = ref false in
   Array.iter
     (fun (o : Op.t) ->
-      if o.proc > !max_proc then max_proc := o.proc;
       if Op.is_read o then
         if !reader < 0 then reader := o.proc
         else if o.proc <> !reader then multi := true)
     view.ops;
   if !multi || !reader < 0 then false
   else begin
-    let reader = !reader in
-    let chain = ref [] and streams = Array.make (!max_proc + 1) [] in
-    for i = k - 1 downto 0 do
-      let o = view.ops.(i) in
-      if o.Op.proc = reader then chain := i :: !chain
-      else streams.(o.Op.proc) <- i :: streams.(o.Op.proc)
-    done;
-    let streams = Array.map Array.of_list streams in
-    let ptr = Array.make (!max_proc + 1) 0 in
-    let before = Array.make (V.words_for k) 0 in
+    let reader = !reader and streams = view.programs in
+    let ptr = Array.make (Array.length streams) 0 in
+    let before = Array.make view.preds.V.w 0 in
     let last = Array.make view.n_vars (-1) in
     let place i =
-      if not (V.subset view.preds.(i) before) then raise Exit;
+      if not (V.row_subset view.preds i before) then raise Exit;
       V.add before i;
       let o = view.ops.(i) in
       if Op.is_write o then last.(V.var_slot view o) <- i
     in
     try
-      List.iter
+      Array.iter
         (fun r ->
           let o = view.ops.(r) in
           if Op.is_write o then place r
@@ -90,13 +84,14 @@ let try_merge (view : V.t) k =
             end
             else raise Exit
           end)
-        !chain;
-      for q = 0 to !max_proc do
-        while ptr.(q) < Array.length streams.(q) do
-          place streams.(q).(ptr.(q));
-          ptr.(q) <- ptr.(q) + 1
-        done
-      done;
+        streams.(reader);
+      Array.iteri
+        (fun q stream ->
+          if q <> reader then
+            for j = ptr.(q) to Array.length stream - 1 do
+              place stream.(j)
+            done)
+        streams;
       true
     with Exit -> false
   end
@@ -109,10 +104,11 @@ let try_merge (view : V.t) k =
    predecessors read it.  A successor already reached through an earlier
    one adds nothing and is skipped: the work is one step per edge plus a
    row union for the few edges left. *)
-let close rows k =
-  let nw = V.words_for k in
+let close (rows : V.rows) k =
   let indeg = Array.make k 0 in
-  Array.iter (V.iter_row (fun j -> indeg.(j) <- indeg.(j) + 1)) rows;
+  for i = 0 to k - 1 do
+    V.iter_in_row (fun j -> indeg.(j) <- indeg.(j) + 1) rows i
+  done;
   let order = Array.make k 0 and n = ref 0 in
   let push j =
     order.(!n) <- j;
@@ -127,19 +123,19 @@ let close rows k =
   in
   let head = ref 0 in
   while !head < !n do
-    V.iter_row release rows.(order.(!head));
+    V.iter_in_row release rows order.(!head);
     incr head
   done;
   !n = k
   && begin
-       let reach = Array.make nw 0 in
+       let reach = Array.make rows.w 0 in
        for t = k - 1 downto 0 do
-         let row = rows.(order.(t)) in
-         Array.fill reach 0 nw 0;
-         V.iter_row
-           (fun j -> if not (V.mem reach j) then V.union_into reach rows.(j))
-           row;
-         V.union_into row reach
+         let i = order.(t) in
+         Array.fill reach 0 rows.w 0;
+         V.iter_in_row
+           (fun j -> if not (V.mem reach j) then V.union_row_into reach rows j)
+           rows i;
+         V.union_into_row rows i reach
        done;
        true
      end
@@ -153,13 +149,13 @@ let close rows k =
    family's, restricted to the unit) already is, so only its diagonal is
    scanned for a cycle.  Every further edge goes through [add_edge], which
    keeps the rows exactly closed; the result is the closure of all the
-   edges whichever way the relation came. *)
+   edges whichever way the relation came.  The rows are this domain's
+   scratch rows, valid until the next unit is saturated. *)
 let saturate (view : V.t) k =
-  let nw = V.words_for k in
-  let rows = Array.map Array.copy view.succs in
+  let rows = V.scratch_rows view.succs k in
   let acyclic =
     if view.closed then begin
-      let rec scan i = i >= k || ((not (V.mem rows.(i) i)) && scan (i + 1)) in
+      let rec scan i = i >= k || ((not (V.row_mem rows i i)) && scan (i + 1)) in
       scan 0
     end
     else close rows k
@@ -167,26 +163,21 @@ let saturate (view : V.t) k =
   if not acyclic then `Cycle
   else begin
     let exception Cycle in
-    let tmp = Array.make nw 0 in
+    let tmp = Array.make rows.w 0 in
     (* add u→v and restore exact closure; raises on a back-path *)
     let add_edge u v =
-      if V.mem rows.(u) v then false
+      if V.row_mem rows u v then false
       else begin
-        if u = v || V.mem rows.(v) u then raise Cycle;
-        Array.blit rows.(v) 0 tmp 0 nw;
+        if u = v || V.row_mem rows v u then raise Cycle;
+        Array.fill tmp 0 rows.w 0;
+        V.union_row_into tmp rows v;
         V.add tmp v;
         for a = 0 to k - 1 do
-          if a = u || V.mem rows.(a) u then V.union_into rows.(a) tmp
+          if a = u || V.row_mem rows a u then V.union_into_row rows a tmp
         done;
         true
       end
     in
-    let writes_of_slot = Array.make (Stdlib.max view.n_vars 1) [] in
-    for i = k - 1 downto 0 do
-      let o = view.ops.(i) in
-      if Op.is_write o then
-        writes_of_slot.(V.var_slot view o) <- i :: writes_of_slot.(V.var_slot view o)
-    done;
     try
       Array.iteri
         (fun r (o : Op.t) ->
@@ -195,7 +186,7 @@ let saturate (view : V.t) k =
             | -1 ->
                 List.iter
                   (fun w' -> ignore (add_edge r w'))
-                  writes_of_slot.(V.var_slot view o)
+                  view.slot_writes.(V.var_slot view o)
             | s -> ignore (add_edge s r))
         view.ops;
       let changed = ref true in
@@ -209,11 +200,11 @@ let saturate (view : V.t) k =
               (fun w' ->
                 if w' <> s then begin
                   (* source before w'  ⇒  the read precedes w' *)
-                  if V.mem rows.(s) w' && add_edge r w' then changed := true;
+                  if V.row_mem rows s w' && add_edge r w' then changed := true;
                   (* w' before the read  ⇒  w' precedes the source *)
-                  if V.mem rows.(w') r && add_edge w' s then changed := true
+                  if V.row_mem rows w' r && add_edge w' s then changed := true
                 end)
-              writes_of_slot.(sl)
+              view.slot_writes.(sl)
           end
         done
       done;
@@ -245,16 +236,17 @@ let saturate (view : V.t) k =
    - A write is wanted (the source of a pending read) exactly when some read
      of the unit reads it: its readers follow it, so all are pending while
      it is unplaced.  Ready writes sit in two rows by that static flag. *)
-let greedy (view : V.t) k rows =
-  let nw = V.words_for k in
+let greedy (view : V.t) k (rows : V.rows) =
   let npred = Array.make k 0 in
   let count j = npred.(j) <- npred.(j) + 1 in
-  Array.iter (V.iter_row count) rows;
+  for i = 0 to k - 1 do
+    V.iter_in_row count rows i
+  done;
   let readers = Array.make k 0 in
   Array.iter (fun s -> if s >= 0 then readers.(s) <- readers.(s) + 1) view.source;
   let last = Array.make view.n_vars (-1) in
   let open_reads = Array.make view.n_vars 0 in
-  let ready_wanted = Array.make nw 0 and ready_other = Array.make nw 0 in
+  let ready_wanted = Array.make rows.w 0 and ready_other = Array.make rows.w 0 in
   let stack = Array.make k 0 and depth = ref 0 in
   let n_placed = ref 0 in
   let became_ready i =
@@ -278,7 +270,7 @@ let greedy (view : V.t) k rows =
       open_reads.(sl) <- readers.(i)
     end
     else if view.source.(i) >= 0 then open_reads.(sl) <- open_reads.(sl) - 1;
-    V.iter_row release rows.(i)
+    V.iter_in_row release rows i
   in
   let eligible i = open_reads.(V.var_slot view view.ops.(i)) = 0 in
   for i = 0 to k - 1 do
@@ -317,7 +309,7 @@ let decide (view : V.t) =
     Atomic.incr c_unknown;
     Unknown
   end
-  else if try_merge view k then begin
+  else if try_merge view then begin
     Atomic.incr c_merge;
     Consistent
   end
@@ -340,5 +332,10 @@ let serializable h ~subset ~relation =
   decide (V.make (V.index (History.ops h)) ~subset ~relation)
 
 module Private = struct
-  let saturate (view : V.t) = saturate view (Array.length view.ops)
+  let saturate (view : V.t) =
+    let k = Array.length view.ops in
+    match saturate view k with
+    | `Cycle -> `Cycle
+    | `Acyclic (rows : V.rows) ->
+        `Acyclic { rows with V.bits = Array.sub rows.bits 0 (k * rows.w) }
 end

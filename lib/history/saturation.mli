@@ -65,9 +65,9 @@ val reset_counters : unit -> unit
 (**/**)
 
 module Private : sig
-  val saturate : Unit_view.t -> [ `Cycle | `Acyclic of int array array ]
-  (** The saturated successor rows of a unit, exactly closed, or [`Cycle]
-      when the forced precedence has one.  Exposed only so tests can assert
+  val saturate : Unit_view.t -> [ `Cycle | `Acyclic of Unit_view.rows ]
+  (** A fresh copy of the saturated successor rows of a unit, exactly
+      closed, or [`Cycle] when the forced precedence has one.  Exposed only so tests can assert
       that a view whose relation is closed saturates exactly as one whose
       relation is closed here. *)
 end

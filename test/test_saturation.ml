@@ -172,12 +172,14 @@ let test_golden_histories_parity () =
    pram-partial and causal-partial, each history against its protocol's
    guarantee — units of about 158 ops.  The search cannot decide units this
    wide, so the saturation procedures are called directly (the oracle would
-   never finish).  The counters pin which procedure decides each unit: a
-   change that moves units from one procedure to another fails here.  The
-   expected mix is the one the scan-based greedy and the k² merge check
-   produced before the incremental versions replaced them: of the 256
-   units, 124 by the merge and 132 (128 causal, 4 PRAM) by the greedy. *)
-let e1x_shape_counters seeds =
+   never finish), on views built by [unit_of rc relation p]: the reference
+   construction, and the write skeleton the checker decides these units
+   on.  The counters pin which procedure decides each unit: a change that
+   moves units from one procedure to another fails here.  The expected mix
+   is the one the scan-based greedy and the k² merge check produced before
+   the incremental versions replaced them: of the 256 units, 124 by the
+   merge and 132 (128 causal, 4 PRAM) by the greedy. *)
+let e1x_shape_counters ~unit_of seeds =
   let n_procs = 32 in
   let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
   Saturation.reset_counters ();
@@ -198,10 +200,9 @@ let e1x_shape_counters seeds =
             | Checker.Causal -> Relcache.causal rc
             | c -> Alcotest.failf "unexpected guarantee %s" (Checker.criterion_name c)
           in
+          let view_of = unit_of rc relation in
           for p = 0 to n_procs - 1 do
-            let view =
-              Unit_view.make (Relcache.index rc) ~subset:(Relcache.proc_ids rc p) ~relation
-            in
+            let view = view_of p in
             match Saturation.decide view with
             | Saturation.Consistent -> ()
             | Saturation.Inconsistent | Saturation.Unknown ->
@@ -213,10 +214,20 @@ let e1x_shape_counters seeds =
   let c = Saturation.counters () in
   [ c.Saturation.merge_hits; c.cycle_refutations; c.greedy_hits; c.unknowns ]
 
+let made rc relation p =
+  Unit_view.make (Relcache.index rc) ~subset:(Relcache.proc_ids rc p) ~relation
+
+let on_skeleton rc relation =
+  Unit_view.proc_unit (Unit_view.skeleton (Relcache.index rc) relation)
+
 let test_e1x_decision_mix () =
-  Alcotest.(check (list int))
-    "merge / cycle / greedy / fallback" [ 124; 0; 132; 0 ]
-    (e1x_shape_counters [ 1; 2; 3; 4 ])
+  List.iter
+    (fun (construction, unit_of) ->
+      Alcotest.(check (list int))
+        (construction ^ ": merge / cycle / greedy / fallback")
+        [ 124; 0; 132; 0 ]
+        (e1x_shape_counters ~unit_of [ 1; 2; 3; 4 ]))
+    [ ("Unit_view.make", made); ("write skeleton", on_skeleton) ]
 
 (* The same pin on small generated histories, every criterion: here the
    greedy gets stuck on a few units (the fallback column), so a change to
@@ -344,6 +355,127 @@ let test_index_matches_unit_lookup =
              && view.Unit_view.dup_writer = dup_writer)
            [ 1; 2; 3 ]))
 
+(* --- process units on the write skeleton ------------------------------------- *)
+
+(* Which procedure decided a view, as counter deltas, with the outcome. *)
+let decided view =
+  let c0 = Saturation.counters () in
+  let outcome = Saturation.decide view in
+  let c1 = Saturation.counters () in
+  ( outcome,
+    [
+      c1.Saturation.merge_hits - c0.Saturation.merge_hits;
+      c1.cycle_refutations - c0.cycle_refutations;
+      c1.greedy_hits - c0.greedy_hits;
+      c1.unknowns - c0.unknowns;
+    ] )
+
+(* [proc_unit] numbers a process's unit writes first, then the process's
+   reads; [make] numbers it in global-id order.  Under that renumbering the
+   two views must hold the same rows, sources, flags, writes per variable
+   and programs, and
+   [Saturation.decide] must reach the same outcome through the same
+   procedure. *)
+let same_unit (made : Unit_view.t) (built : Unit_view.t) =
+  let k = Array.length made.Unit_view.ops in
+  let all n f = List.for_all f (List.init n Fun.id) in
+  List.sort compare (Array.to_list made.Unit_view.gids)
+  = List.sort compare (Array.to_list built.Unit_view.gids)
+  &&
+  let local = Hashtbl.create k in
+  Array.iteri (fun i gid -> Hashtbl.replace local gid i) built.Unit_view.gids;
+  let pos = Array.map (Hashtbl.find local) made.Unit_view.gids in
+  let at i = pos.(i) in
+  let rows_agree m b =
+    let agree = ref true in
+    for i = 0 to k - 1 do
+      for j = 0 to k - 1 do
+        if Unit_view.row_mem m i j <> Unit_view.row_mem b (at i) (at j) then agree := false
+      done
+    done;
+    !agree
+  in
+  let program v q =
+    if q < Array.length v.Unit_view.programs then Array.to_list v.Unit_view.programs.(q) else []
+  in
+  rows_agree made.Unit_view.succs built.Unit_view.succs
+  && rows_agree made.Unit_view.preds built.Unit_view.preds
+  && all k (fun i ->
+         let s = made.Unit_view.source.(i) in
+         built.Unit_view.source.(at i) = if s >= 0 then at s else s)
+  && made.Unit_view.missing_source = built.Unit_view.missing_source
+  && made.Unit_view.dup_writer = built.Unit_view.dup_writer
+  && made.Unit_view.closed = built.Unit_view.closed
+  && Array.for_all
+       (fun (o : Op.t) ->
+         List.map at made.Unit_view.slot_writes.(Unit_view.var_slot made o)
+         = built.Unit_view.slot_writes.(Unit_view.var_slot built o))
+       made.Unit_view.ops
+  && all
+       (max (Array.length made.Unit_view.programs) (Array.length built.Unit_view.programs))
+       (fun q -> List.map at (program made q) = program built q)
+
+(* Every generator of this suite, the non-differentiated [messy_history]
+   among them, under the five process-family relations when the read-from
+   is determined, and always under program order (an open relation, and
+   the only one a history with dangling or ambiguous reads has).  One seed
+   in five also draws a large-profile history, whose units span five row
+   words. *)
+let test_skeleton_units_match_make =
+  let histories seed =
+    let of_gen gen profile = gen (Rng.create seed) profile in
+    [
+      of_gen Generator.arbitrary
+        { Generator.procs = 3; vars = 2; ops_per_proc = 4; read_ratio = 0.5 };
+      of_gen Generator.arbitrary
+        { Generator.procs = 4; vars = 3; ops_per_proc = 5; read_ratio = 0.6 };
+      of_gen Generator.pram_consistent
+        { Generator.procs = 3; vars = 3; ops_per_proc = 5; read_ratio = 0.5 };
+      of_gen Generator.causal_consistent
+        { Generator.procs = 3; vars = 2; ops_per_proc = 5; read_ratio = 0.5 };
+      of_gen Generator.sequential_consistent
+        { Generator.procs = 3; vars = 3; ops_per_proc = 4; read_ratio = 0.5 };
+      messy_history (Random.State.make [| seed |]);
+    ]
+    @ if seed mod 5 = 0 then [ of_gen Generator.causal_consistent large_profile ] else []
+  in
+  qcheck
+    (QCheck.Test.make ~name:"skeleton_units_match_make" ~count:100 QCheck.small_int
+       (fun seed ->
+         List.for_all
+           (fun h ->
+             let rc = Relcache.create h in
+             let relations =
+               Relcache.program_order rc
+               ::
+               (match Relcache.read_from rc with
+               | Error _ -> []
+               | Ok _ ->
+                   List.map
+                     (fun relation -> relation rc)
+                     [
+                       Relcache.causal;
+                       Relcache.semi_causal;
+                       Relcache.lazy_causal;
+                       Relcache.lazy_semi_causal;
+                       Relcache.pram;
+                     ])
+             in
+             List.for_all
+               (fun relation ->
+                 let skeleton = Unit_view.skeleton (Relcache.index rc) relation in
+                 List.for_all
+                   (fun p ->
+                     let reference = made rc relation p in
+                     let built = Unit_view.proc_unit skeleton p in
+                     same_unit reference built
+                     && (decided reference = decided built
+                        || QCheck.Test.fail_reportf "unit p%d decided differently:\n%s" p
+                             (History.to_string h)))
+                   (List.init (History.n_procs h) Fun.id))
+               relations)
+           (histories seed)))
+
 (* --- saturation over a closed relation ------------------------------------- *)
 
 (* A view whose relation is closed skips saturation's own closure and only
@@ -385,7 +517,7 @@ let test_closed_saturation_parity () =
                 | `Cycle, `Cycle ->
                     let on_diagonal = ref false in
                     for j = 0 to k - 1 do
-                      if Unit_view.mem view.Unit_view.succs.(j) j then on_diagonal := true
+                      if Unit_view.row_mem view.Unit_view.succs j j then on_diagonal := true
                     done;
                     incr (if !on_diagonal then cyclic_relation else derived_cycle)
                 | `Acyclic rows, `Acyclic rows' when rows = rows' -> incr acyclic
@@ -474,6 +606,7 @@ let () =
           Alcotest.test_case "counters move" `Quick test_counters_move;
           test_row_iteration;
           test_index_matches_unit_lookup;
+          test_skeleton_units_match_make;
           Alcotest.test_case "closed relation saturates alike" `Quick
             test_closed_saturation_parity;
         ] );
