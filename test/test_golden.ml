@@ -23,6 +23,12 @@
    reads): at that size causal delivery buffers park, wake and batch
    rounds, which six processes rarely exercise.
 
+   Every digest above runs the registry default [Latency.lan] (1-5 ticks).
+   The WAN digests run the E1X shape under [Latency.wan] (exponential, mean
+   50, capped at 500 ticks), so most events are scheduled far past the
+   clock; they were captured on the binary-heap scheduler, before near
+   events moved to a time-slot ring.
+
    Regenerate with:  GOLDEN_DUMP=1 dune exec test/test_golden.exe  *)
 
 module Memory = Repro_core.Memory
@@ -98,7 +104,7 @@ let e1x_seeds = [ 1; 2 ]
 let e1x_protocols =
   [ "causal-partial"; "causal-gossip"; "pram-partial"; "causal-full"; "causal-delta" ]
 
-let run_e1x name seed =
+let run_e1x ?latency ?(tag = "-e1x") name seed =
   let spec = Option.get (Registry.find name) in
   let n_procs = 32 and n_vars = 64 in
   let dist =
@@ -109,13 +115,25 @@ let run_e1x name seed =
         ~replicas_per_var:3
   in
   let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
-  let memory = spec.Registry.make ~dist ~seed () in
+  let memory = spec.Registry.make ?latency ~dist ~seed () in
   let h = Workload.run_random ~profile ~seed:(seed + 1) memory in
-  fingerprint (name ^ "-e1x") seed memory h
+  fingerprint (name ^ tag) seed memory h
 
 let e1x_cases () =
   List.concat_map
     (fun seed -> List.map (fun name -> (name, seed, run_e1x name seed)) e1x_protocols)
+    e1x_seeds
+
+(* the same shape with most events scheduled beyond 64 ticks of the clock *)
+let wan_protocols = [ "causal-partial"; "pram-partial"; "causal-full" ]
+
+let wan_cases () =
+  List.concat_map
+    (fun seed ->
+      List.map
+        (fun name ->
+          (name, seed, run_e1x ~latency:Repro_msgpass.Latency.wan ~tag:"-e1x-wan" name seed))
+        wan_protocols)
     e1x_seeds
 
 let tables_digest () =
@@ -196,6 +214,17 @@ let expected_e1x =
     ("causal-delta", 2, "08dadecc91dac51b46a074a464e8e780");
   ]
 
+(* captured on the binary-heap scheduler, before the time-slot ring *)
+let expected_wan =
+  [
+    ("causal-partial", 1, "d3591073443b6d7a1ba61e283772978b");
+    ("pram-partial", 1, "0b1bcda61c5196aba8b688c0e98d7d07");
+    ("causal-full", 1, "ad314099635df54bd9f94ced7c3792b9");
+    ("causal-partial", 2, "9670553926434407eb4140ba20c61596");
+    ("pram-partial", 2, "c574f3991c3ce3128f5fff83623c0208");
+    ("causal-full", 2, "861de5b117f7ad1b1bb998d02ad275f1");
+  ]
+
 let dump () =
   List.iter
     (fun (name, seed, digest) ->
@@ -209,7 +238,12 @@ let dump () =
   List.iter
     (fun (name, seed, digest) ->
       Printf.printf "    (%S, %d, %S);\n" name seed digest)
-    (e1x_cases ())
+    (e1x_cases ());
+  print_endline "  wan:";
+  List.iter
+    (fun (name, seed, digest) ->
+      Printf.printf "    (%S, %d, %S);\n" name seed digest)
+    (wan_cases ())
 
 let check_digests expected cases =
   List.iter
@@ -228,6 +262,8 @@ let check_digests expected cases =
 let test_protocol_digests () = check_digests expected (cases ())
 
 let test_e1x_digests () = check_digests expected_e1x (e1x_cases ())
+
+let test_wan_digests () = check_digests expected_wan (wan_cases ())
 
 let test_tables_digest () =
   Alcotest.(check string) "experiment tables byte-identical" expected_tables
@@ -256,5 +292,7 @@ let () =
               test_scaled_table_digests;
             Alcotest.test_case "E1X-scale histories and stats" `Quick
               test_e1x_digests;
+            Alcotest.test_case "E1X-scale WAN histories and stats" `Quick
+              test_wan_digests;
           ] );
       ]
