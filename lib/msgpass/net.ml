@@ -1,6 +1,5 @@
 module Rng = Repro_util.Rng
-module Pqueue = Repro_util.Pqueue
-module Intheap = Repro_util.Intheap
+module Eventq = Repro_util.Eventq
 module Ringbuf = Repro_util.Ringbuf
 
 type 'msg envelope = {
@@ -32,30 +31,14 @@ type stats = {
   per_node_received : int array;
 }
 
-(* Scheduler keys pack (deliver_time, tie-break seq) into one immediate int:
-   31 bits of time above 31 bits of sequence number, so the heap compares
-   keys with a single unboxed [<] and pushes allocate nothing.  The first
-   event whose time or sequence number leaves that range flips the engine
-   onto [wide], a tuple-keyed queue with the identical ordering, carrying
-   every still-pending event along — behaviour is unchanged, only the
-   constant factor. *)
-let time_bits = 31
-
-let packed_limit = 1 lsl time_bits
-
-let seq_mask = packed_limit - 1
-
 type 'msg t = {
   n : int;
   latency : Latency.t;
   service_time : int;
   fifo : bool;
   rng : Rng.t;
-  queue : 'msg pending Intheap.t; (* key: (time lsl 31) lor seq *)
-  mutable wide : (int * int, 'msg pending) Pqueue.t option;
-      (* overflow fallback: explicit (time, seq) keys, same order *)
-  mutable seq : int;
-  mutable clock : int;
+  queue : 'msg pending Eventq.t;
+  mutable clock : int; (* never behind [Eventq.time queue] *)
   handlers : ('msg envelope -> unit) array;
   fifo_horizon : int array array;
       (* fifo_horizon.(src).(dst): earliest delivery time that keeps the
@@ -74,10 +57,6 @@ type 'msg t = {
   events : 'msg event Ringbuf.t;
 }
 
-let key_compare (t1, s1) (t2, s2) =
-  let c = compare (t1 : int) t2 in
-  if c <> 0 then c else compare (s1 : int) s2
-
 let create ?(fifo = true) ?(service_time = 0) ~n ~latency ~seed () =
   if n <= 0 then invalid_arg "Net.create: need at least one node";
   if service_time < 0 then invalid_arg "Net.create: negative service time";
@@ -87,9 +66,7 @@ let create ?(fifo = true) ?(service_time = 0) ~n ~latency ~seed () =
     service_time;
     fifo;
     rng = Rng.create seed;
-    queue = Intheap.create ();
-    wide = None;
-    seq = 0;
+    queue = Eventq.create ();
     clock = 0;
     handlers = Array.make n (fun _ -> ());
     fifo_horizon = Array.make_matrix n n 0;
@@ -116,117 +93,63 @@ let set_handler t node f =
    costs one branch — no allocation — when off. *)
 let record t event = Ringbuf.push_back t.events event
 
-let widen t =
-  let q = Pqueue.create ~cmp:key_compare () in
-  Intheap.iter t.queue (fun key pending ->
-      Pqueue.push q (key lsr time_bits, key land seq_mask) pending);
-  Intheap.clear t.queue;
-  t.wide <- Some q;
-  q
-
-let push t time pending =
-  t.seq <- t.seq + 1;
-  match t.wide with
-  | Some q -> Pqueue.push q (time, t.seq) pending
-  | None ->
-      if time < packed_limit && t.seq < packed_limit then
-        Intheap.push t.queue ((time lsl time_bits) lor t.seq) pending
-      else Pqueue.push (widen t) (time, t.seq) pending
-
-let schedule_delivery t envelope =
-  let deliver_time =
-    if not t.fifo then envelope.deliver_time
+(* Hold a delivery back to the channel's FIFO horizon and the
+   destination's service horizon, advancing both past it. *)
+let clamp t ~src ~dst time =
+  let time =
+    if not t.fifo then time
     else begin
-      (* Clamp to the channel horizon so per-link delivery order matches
-         send order, then advance the horizon past this message. *)
-      let horizon = t.fifo_horizon.(envelope.src).(envelope.dst) in
-      let time = Stdlib.max envelope.deliver_time horizon in
-      t.fifo_horizon.(envelope.src).(envelope.dst) <- time + 1;
+      (* per-link delivery order matches send order *)
+      let time = Stdlib.max time t.fifo_horizon.(src).(dst) in
+      t.fifo_horizon.(src).(dst) <- time + 1;
       time
     end
   in
-  let deliver_time =
-    if t.service_time = 0 then deliver_time
-    else begin
-      (* queue at the destination: one delivery per service interval *)
-      let time = Stdlib.max deliver_time t.service_horizon.(envelope.dst) in
-      t.service_horizon.(envelope.dst) <- time + t.service_time;
-      time
-    end
-  in
-  let envelope =
-    if deliver_time = envelope.deliver_time then envelope
-    else { envelope with deliver_time }
-  in
-  push t deliver_time (Deliver envelope)
+  if t.service_time = 0 then time
+  else begin
+    (* queue at the destination: one delivery per service interval *)
+    let time = Stdlib.max time t.service_horizon.(dst) in
+    t.service_horizon.(dst) <- time + t.service_time;
+    time
+  end
 
 let send t ~src ~dst ~control_bytes ~payload_bytes msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Net.send: bad endpoint";
   let latency = Latency.sample t.latency t.rng ~src ~dst in
+  (* Each send steps the stream past two draws that decide nothing (the
+     drop and duplicate coins of an earlier fault model): removing them
+     would shift every seeded latency and move every golden digest. *)
+  Rng.skip t.rng 2;
+  let deliver_time = clamp t ~src ~dst (t.clock + latency) in
   let envelope =
-    {
-      src;
-      dst;
-      send_time = t.clock;
-      deliver_time = t.clock + latency;
-      control_bytes;
-      payload_bytes;
-      msg;
-    }
+    { src; dst; send_time = t.clock; deliver_time; control_bytes; payload_bytes; msg }
   in
   t.sent <- t.sent + 1;
   t.node_sent.(src) <- t.node_sent.(src) + 1;
   t.control_bytes <- t.control_bytes + control_bytes;
   t.payload_bytes <- t.payload_bytes + payload_bytes;
   if t.tracing then record t (Sent envelope);
-  (* Each send steps the stream past two draws that decide nothing (the
-     drop and duplicate coins of an earlier fault model): removing them
-     would shift every seeded latency and move every golden digest. *)
-  Rng.skip t.rng 2;
-  schedule_delivery t envelope
+  Eventq.push t.queue deliver_time (Deliver envelope)
 
 let at t ~delay f =
   if delay < 0 then invalid_arg "Net.at: negative delay";
-  push t (t.clock + delay) (Timer f)
-
-let dispatch t time pending =
-  t.clock <- Stdlib.max t.clock time;
-  match pending with
-  | Timer f -> f ()
-  | Deliver envelope ->
-      t.delivered <- t.delivered + 1;
-      t.node_received.(envelope.dst) <- t.node_received.(envelope.dst) + 1;
-      if t.tracing then record t (Delivered envelope);
-      t.handlers.(envelope.dst) envelope
+  Eventq.push t.queue (t.clock + delay) (Timer f)
 
 let step t =
-  match t.wide with
-  | Some q -> (
-      match Pqueue.pop q with
-      | None -> false
-      | Some ((time, _), pending) ->
-          dispatch t time pending;
-          true)
-  | None ->
-      if Intheap.is_empty t.queue then false
-      else begin
-        let time = Intheap.min_key t.queue lsr time_bits in
-        let pending = Intheap.pop_min t.queue in
-        dispatch t time pending;
-        true
-      end
-
-(* Earliest pending event time, or min_int when the queue is empty. *)
-let next_time t =
-  match t.wide with
-  | Some q -> (
-      match Pqueue.peek q with
-      | Some ((time, _), _) -> time
-      | None -> min_int)
-  | None ->
-      if Intheap.is_empty t.queue then min_int
-      else Intheap.min_key t.queue lsr time_bits
+  if Eventq.is_empty t.queue then false
+  else begin
+    let pending = Eventq.pop t.queue in
+    t.clock <- Stdlib.max t.clock (Eventq.time t.queue);
+    (match pending with
+    | Timer f -> f ()
+    | Deliver envelope ->
+        t.delivered <- t.delivered + 1;
+        t.node_received.(envelope.dst) <- t.node_received.(envelope.dst) + 1;
+        if t.tracing then record t (Delivered envelope);
+        t.handlers.(envelope.dst) envelope);
+    true
+  end
 
 let run ?(max_events = 10_000_000) t =
   let rec loop budget =
@@ -238,7 +161,7 @@ let run ?(max_events = 10_000_000) t =
 
 let run_until ?(max_events = 10_000_000) t deadline =
   let rec loop budget =
-    if next_time t <> min_int && next_time t <= deadline then begin
+    if (not (Eventq.is_empty t.queue)) && Eventq.min_time t.queue <= deadline then begin
       if budget = 0 then
         failwith
           "Net.run_until: event budget exhausted (livelock or unbounded polling?)";

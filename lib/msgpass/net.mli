@@ -18,6 +18,10 @@ type 'msg envelope = {
   dst : int;
   send_time : int;
   deliver_time : int;
+      (** [send_time] plus the latency draw, held back to the link's FIFO
+          horizon and the destination's service horizon: the time the
+          message is delivered.  A [Sent] trace event carries the same
+          value. *)
   control_bytes : int;
       (** Bytes of consistency metadata carried, as declared by the sender.
           The efficiency experiments aggregate this field. *)
@@ -66,15 +70,17 @@ val send :
 (** Enqueue a message.  Self-sends are allowed and still travel through the
     event queue (no synchronous shortcut), so a node's own updates interleave
     with remote ones exactly as the protocol schedules them.  The byte
-    counts are required labels so the per-message path boxes no options. *)
+    counts are required labels so the per-message path boxes no options;
+    a send allocates its envelope and one queue entry, nothing else. *)
 
 val at : 'msg t -> delay:int -> (unit -> unit) -> unit
 (** [at t ~delay f] schedules [f] to run at [now t + delay].
     @raise Invalid_argument if [delay < 0]. *)
 
 val step : 'msg t -> bool
-(** Process the single earliest pending event.  Returns [false] when the
-    queue is empty. *)
+(** Process the single earliest pending event; events of one time run in
+    the order they were sent or scheduled.  Returns [false] when the queue
+    is empty.  Popping allocates nothing ({!Repro_util.Eventq}). *)
 
 val run : ?max_events:int -> 'msg t -> unit
 (** Run until quiescence (empty queue) or until [max_events] (default

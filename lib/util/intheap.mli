@@ -1,10 +1,10 @@
 (** Monomorphic int-keyed binary min-heap.
 
-    The discrete-event scheduler's hot path: keys are immediate ints (the
-    simulator packs [(deliver_time, seq)] into one word), so pushes and pops
-    run without allocating and compare keys with unboxed [<] instead of a
-    closure.  The generic {!Pqueue} remains for composite or polymorphic
-    keys. *)
+    The scheduler's far-event queue ({!Eventq}): an event scheduled past
+    the time ring's 64 ticks waits here under one immediate int key (the
+    queue packs [(time, seq)] into one word).  Pushes and pops run without
+    allocating and compare keys with unboxed [<] instead of a closure.
+    The generic {!Pqueue} remains for composite or polymorphic keys. *)
 
 type 'a t
 (** Mutable min-heap of ['a] values keyed by ints (smallest key first).

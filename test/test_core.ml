@@ -707,7 +707,9 @@ let test_causal_buf_matches_drain =
    clock to all 31 peers, so words per message is what the simulation
    pays.  The budget covers the envelope, the message, its scheduler entry
    and the runner's per-op share; a copy of the stamp per recipient, a
-   closure per send or a boxed draw would each break it. *)
+   closure per send or a boxed draw would each break it.  The run measures
+   18.7 words per message (20.6 when a send held back by the FIFO horizon
+   copied its envelope); the bound of 20 leaves 1.3 words of headroom. *)
 let test_causal_partial_sim_allocation () =
   let n = 32 in
   let dist =
@@ -720,7 +722,7 @@ let test_causal_partial_sim_allocation () =
   let words = Gc.minor_words () -. w0 in
   let msgs = (memory.Memory.metrics ()).Memory.messages_sent in
   let per_msg = words /. float_of_int msgs in
-  if per_msg > 40.0 then
+  if per_msg > 20.0 then
     Alcotest.failf "causal-partial simulation allocates %.1f minor words per message"
       per_msg
 

@@ -176,6 +176,61 @@ let test_net_packed_key_overflow () =
     (List.rev !log);
   check Alcotest.int "clock past boundary" (far + 1) (Net.now net)
 
+(* --- event path allocation ------------------------------------------------ *)
+
+(* Popping an event and dispatching it allocates nothing: deliveries and
+   timers, near and far past the clock, come off the queue without a
+   closure, a box or a copy. *)
+let test_net_step_allocation () =
+  let net = make_net ~n:4 ~latency:(Latency.uniform ~lo:0 ~hi:200) () in
+  for p = 0 to 3 do
+    Net.set_handler net p (fun _ -> ())
+  done;
+  let events = ref 0 in
+  for i = 0 to 999 do
+    Net.send net ~src:(i mod 4) ~dst:((i + 1) mod 4) ~control_bytes:0 ~payload_bytes:0 ();
+    Net.at net ~delay:(i mod 300) (fun () -> ());
+    events := !events + 2
+  done;
+  let pops = ref 0 in
+  let w0 = Gc.minor_words () in
+  while Net.step net do
+    incr pops
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "every event popped" !events !pops;
+  let per_pop = words /. float_of_int !pops in
+  if per_pop > 0.01 then Alcotest.failf "Net.step allocates %.3f words per pop" per_pop
+
+(* A send allocates its envelope (7 fields and a header) and its queue
+   entry ([Deliver], 1 field and a header): 10 words, also when the FIFO
+   horizon holds the delivery back past its latency draw.  The queue has
+   already grown to the load, as it has in a running simulation. *)
+let test_net_send_allocation () =
+  let net = make_net ~n:2 ~latency:(Latency.uniform ~lo:1 ~hi:20) () in
+  let times = ref [] in
+  Net.set_handler net 1 (fun e -> times := e.Net.deliver_time :: !times);
+  let burst () =
+    for _ = 1 to 1000 do
+      Net.send net ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0 ()
+    done
+  in
+  burst ();
+  Net.run net;
+  times := [];
+  let start = Net.now net in
+  let w0 = Gc.minor_words () in
+  burst ();
+  let words = Gc.minor_words () -. w0 in
+  Net.run net;
+  (* a burst of 1000 on one link with draws of at most 20 ticks: all but
+     the first few were held back by the horizon *)
+  check Alcotest.bool "horizon moved later sends" true
+    (List.hd !times >= start + 1000);
+  let per_msg = words /. 1000.0 in
+  if Float.abs (per_msg -. 10.0) > 0.01 then
+    Alcotest.failf "Net.send allocates %.3f words per message, not 10" per_msg
+
 let plan_of text =
   match Fault.Plan.parse text with
   | Ok p -> p
@@ -577,6 +632,10 @@ let () =
           Alcotest.test_case "run_until budget" `Quick test_net_run_until_budget;
           Alcotest.test_case "packed key overflow" `Quick
             test_net_packed_key_overflow;
+          Alcotest.test_case "step pops allocation-free" `Quick
+            test_net_step_allocation;
+          Alcotest.test_case "send allocates one envelope and one entry" `Quick
+            test_net_send_allocation;
           Alcotest.test_case "drop faults" `Quick test_net_drop_faults;
           Alcotest.test_case "duplicate faults" `Quick test_net_duplicate_faults;
           Alcotest.test_case "stats accounting" `Quick test_net_stats_accounting;

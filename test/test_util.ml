@@ -4,6 +4,7 @@
 module Rng = Repro_util.Rng
 module Pqueue = Repro_util.Pqueue
 module Intheap = Repro_util.Intheap
+module Eventq = Repro_util.Eventq
 module Ringbuf = Repro_util.Ringbuf
 module Bitset = Repro_util.Bitset
 module Union_find = Repro_util.Union_find
@@ -374,6 +375,154 @@ let test_pqueue_growth_and_clear () =
   Pqueue.push q 9 9;
   check Alcotest.(option (pair int int)) "usable after clear" (Some (9, 9))
     (Pqueue.pop q)
+
+(* --- eventq -------------------------------------------------------------- *)
+
+(* The queue's ring covers 64 ticks from its window base. *)
+let eventq_slots = 64
+
+type eventq_op =
+  | Push of int  (** at the clock plus this delay *)
+  | Pop
+  | Peek  (** [min_time], then a push at delay 0 *)
+  | Until of int
+      (** pop every event at or before the clock plus this, move the clock
+          there as [Net.run_until] does, then push at delay 0 *)
+
+let eventq_op_print = function
+  | Push d -> Printf.sprintf "Push %d" d
+  | Pop -> "Pop"
+  | Peek -> "Peek"
+  | Until d -> Printf.sprintf "Until %d" d
+
+(* Delays inside the window, at its edge, far past it and, when [huge],
+   at or past 2^31 ticks, where far keys stop packing. *)
+let gen_eventq_ops =
+  let open QCheck.Gen in
+  let r = eventq_slots in
+  let op huge =
+    let delay =
+      frequency
+        ([ (3, return 0);
+           (6, int_range 1 (r - 1));
+           (3, oneofl [ r - 1; r; r + 1 ]);
+           (3, int_range (2 * r) 10_000) ]
+        @ if huge then [ (1, map (fun k -> (1 lsl 31) + k) (int_range (-2) 3)) ] else [])
+    in
+    frequency
+      [ (6, map (fun d -> Push d) delay);
+        (4, return Pop);
+        (1, return Peek);
+        (1, map (fun d -> Until d) (int_range 0 (2 * r))) ]
+  in
+  bool >>= fun huge -> list_size (int_range 1 300) (op huge)
+
+(* Drive the queue the way [Net] does, pushing at or after a clock that
+   follows the popped times, and replay the same operations on a list
+   sorted by (time, push index).  Every pop, [min_time] and length must
+   agree, and the window's base must never pass the clock. *)
+let test_eventq_matches_reference =
+  qcheck
+    (QCheck.Test.make ~name:"eventq_pops_in_time_then_push_order" ~count:500
+       (QCheck.make ~print:QCheck.Print.(list eventq_op_print) gen_eventq_ops)
+       (fun ops ->
+         let q = Eventq.create () in
+         let model = ref [] and clock = ref 0 and pushed = ref 0 in
+         let push delay =
+           let time = !clock + delay in
+           Eventq.push q time !pushed;
+           model := List.merge compare !model [ (time, !pushed) ];
+           incr pushed
+         in
+         let pop () =
+           match !model with
+           | [] -> Alcotest.fail "model empty"
+           | (time, id) :: rest ->
+               model := rest;
+               let got = Eventq.pop q in
+               if got <> id || Eventq.time q <> time then
+                 Alcotest.failf "popped %d at %d, expected %d at %d" got
+                   (Eventq.time q) id time;
+               clock := Stdlib.max !clock time
+         in
+         let peek () =
+           match !model with
+           | [] -> ()
+           | (time, _) :: _ ->
+               if Eventq.min_time q <> time then
+                 Alcotest.failf "min_time %d, expected %d" (Eventq.min_time q) time
+         in
+         List.iter
+           (fun op ->
+             (match op with
+             | Push d -> push d
+             | Pop -> if !model <> [] then pop ()
+             | Peek ->
+                 peek ();
+                 push 0
+             | Until d ->
+                 let deadline = !clock + d in
+                 while
+                   match !model with (time, _) :: _ -> time <= deadline | [] -> false
+                 do
+                   peek ();
+                   pop ()
+                 done;
+                 clock := Stdlib.max !clock deadline;
+                 push 0);
+             if Eventq.time q > !clock then
+               Alcotest.failf "window base %d past the clock %d" (Eventq.time q) !clock;
+             if Eventq.length q <> List.length !model then
+               Alcotest.failf "length %d, expected %d" (Eventq.length q)
+                 (List.length !model))
+           ops;
+         while !model <> [] do
+           peek ();
+           pop ()
+         done;
+         Eventq.is_empty q))
+
+let test_eventq_bounds () =
+  let q = Eventq.create () in
+  Alcotest.check_raises "pop empty" (Invalid_argument "Eventq.pop: empty queue")
+    (fun () -> ignore (Eventq.pop q));
+  Alcotest.check_raises "min_time empty"
+    (Invalid_argument "Eventq.min_time: empty queue") (fun () ->
+      ignore (Eventq.min_time q));
+  Eventq.push q 5 "a";
+  Eventq.push q max_int "z";
+  check Alcotest.string "near first" "a" (Eventq.pop q);
+  Alcotest.check_raises "push before the window"
+    (Invalid_argument "Eventq.push: time before the window") (fun () ->
+      Eventq.push q 4 "b");
+  check Alcotest.int "far end of time" max_int (Eventq.min_time q);
+  check Alcotest.string "far last" "z" (Eventq.pop q);
+  check Alcotest.int "window at the far event" max_int (Eventq.time q);
+  check Alcotest.bool "drained" true (Eventq.is_empty q)
+
+(* A popped ring entry keeps no hold on its value: the pool keeps only the
+   first value pushed, as its filler. *)
+let test_eventq_retains_no_popped_value () =
+  let q = Eventq.create () in
+  let n = 100 in
+  let kept = Weak.create n in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set kept i (Some v);
+    Eventq.push q ((i * 37) mod eventq_slots) v
+  done;
+  while not (Eventq.is_empty q) do
+    ignore (Eventq.pop q : int ref)
+  done;
+  Gc.full_major ();
+  let retained = ref [] in
+  for i = n - 1 downto 1 do
+    if Weak.check kept i then retained := i :: !retained
+  done;
+  check Alcotest.(list int) "popped values still reachable" [] !retained;
+  (* the queue itself stays live across the collection *)
+  Eventq.push q (Eventq.time q) (ref 0);
+  check Alcotest.int "queue still in use" 1 (Eventq.length q)
 
 (* --- intheap ------------------------------------------------------------- *)
 
@@ -1070,6 +1219,13 @@ let () =
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "growth and clear bounds" `Quick
             test_pqueue_growth_and_clear;
+        ] );
+      ( "eventq",
+        [
+          Alcotest.test_case "bounds and the end of time" `Quick test_eventq_bounds;
+          Alcotest.test_case "popped values are not retained" `Quick
+            test_eventq_retains_no_popped_value;
+          test_eventq_matches_reference;
         ] );
       ( "intheap",
         [
