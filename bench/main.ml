@@ -435,7 +435,7 @@ let bechamel_record ~tier ~gates rows =
   let c = Saturation.counters () in
   let total =
     c.Saturation.merge_hits + c.Saturation.cycle_refutations
-    + c.Saturation.greedy_hits + c.Saturation.unknowns
+    + c.Saturation.greedy_hits + c.Saturation.unknowns + c.Saturation.acyclic_hits
   in
   let counters =
     if total = 0 then []
@@ -446,6 +446,7 @@ let bechamel_record ~tier ~gates rows =
             ints "merge_hits" "count" [ c.Saturation.merge_hits ];
             ints "cycle_refutations" "count" [ c.Saturation.cycle_refutations ];
             ints "greedy_hits" "count" [ c.Saturation.greedy_hits ];
+            ints "acyclic_hits" "count" [ c.Saturation.acyclic_hits ];
             ints "search_fallbacks" "count" [ c.Saturation.unknowns ];
             nums "fallback_rate" "ratio"
               [ float_of_int c.Saturation.unknowns /. float_of_int total ];

@@ -22,9 +22,11 @@
 
     Two engines decide existence.  The default {b saturation} engine
     ({!Saturation}) derives the write-order constraints forced by every
-    legal serialization and refutes by cycle, proves by guided
-    construction, and falls back to the search only when neither side can
-    prove — polynomial on virtually every unit this repository produces.
+    legal serialization and refutes by cycle; it proves a causal unit by
+    an acyclic result alone ({!Saturation.decide_causal}) and any other
+    unit by a stream merge or a guided construction, and falls back to the
+    search only when neither side can prove — polynomial on virtually
+    every unit this repository produces.
     The {b search} engine is the original backtracking search over legal
     linear extensions: exponential in the worst case (reads are placed
     greedily — which is always safe — and explored states are memoized),

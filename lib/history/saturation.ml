@@ -5,12 +5,14 @@ type counters = {
   cycle_refutations : int;
   greedy_hits : int;
   unknowns : int;
+  acyclic_hits : int;
 }
 
 let c_merge = Atomic.make 0
 let c_cycle = Atomic.make 0
 let c_greedy = Atomic.make 0
 let c_unknown = Atomic.make 0
+let c_acyclic = Atomic.make 0
 
 let counters () =
   {
@@ -18,13 +20,15 @@ let counters () =
     cycle_refutations = Atomic.get c_cycle;
     greedy_hits = Atomic.get c_greedy;
     unknowns = Atomic.get c_unknown;
+    acyclic_hits = Atomic.get c_acyclic;
   }
 
 let reset_counters () =
   Atomic.set c_merge 0;
   Atomic.set c_cycle 0;
   Atomic.set c_greedy 0;
-  Atomic.set c_unknown 0
+  Atomic.set c_unknown 0;
+  Atomic.set c_acyclic 0
 
 module V = Unit_view
 
@@ -296,37 +300,56 @@ let greedy (view : V.t) k (rows : V.rows) =
 
 (* --- decision ------------------------------------------------------------- *)
 
-let decide (view : V.t) =
+(* What every procedure settles before its own work: an empty unit, a read
+   no write of the unit supplies (never legal), and two writers of one
+   value, which value-based legality cannot tell apart. *)
+let screened proceed (view : V.t) =
   let k = Array.length view.ops in
   if k = 0 then Consistent
   else if view.missing_source then begin
-    (* a read's value is written by nobody in the unit: never legal *)
     Atomic.incr c_cycle;
     Inconsistent
   end
   else if view.dup_writer then begin
-    (* value-based legality cannot tell the two writers apart *)
     Atomic.incr c_unknown;
     Unknown
   end
-  else if try_merge view then begin
-    Atomic.incr c_merge;
-    Consistent
-  end
-  else
-    match saturate view k with
-    | `Cycle ->
-        Atomic.incr c_cycle;
-        Inconsistent
-    | `Acyclic rows ->
-        if greedy view k rows then begin
-          Atomic.incr c_greedy;
-          Consistent
-        end
-        else begin
-          Atomic.incr c_unknown;
-          Unknown
-        end
+  else proceed view k
+
+let decide =
+  screened (fun view k ->
+      if try_merge view then begin
+        Atomic.incr c_merge;
+        Consistent
+      end
+      else
+        match saturate view k with
+        | `Cycle ->
+            Atomic.incr c_cycle;
+            Inconsistent
+        | `Acyclic rows ->
+            if greedy view k rows then begin
+              Atomic.incr c_greedy;
+              Consistent
+            end
+            else begin
+              Atomic.incr c_unknown;
+              Unknown
+            end)
+
+(* Saturation alone, for units whose reads the relation totally orders
+   (the causal criterion's process units): placing each read after the
+   writes saturation puts before it is then legal, so an acyclic result is
+   the proof (the interface gives the argument). *)
+let decide_causal =
+  screened (fun view k ->
+      match saturate view k with
+      | `Cycle ->
+          Atomic.incr c_cycle;
+          Inconsistent
+      | `Acyclic _ ->
+          Atomic.incr c_acyclic;
+          Consistent)
 
 let serializable h ~subset ~relation =
   decide (V.make (V.index (History.ops h)) ~subset ~relation)

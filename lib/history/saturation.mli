@@ -10,7 +10,9 @@
       Verifying Causal Consistency", POPL 2017: if the source [w] of a read
       [r] of [x] precedes another [x]-write [w'], then [r] must precede
       [w']; if [w'] precedes [r], it must precede [w]).  A cycle among
-      forced edges refutes the unit outright.
+      forced edges refutes the unit outright.  When the relation totally
+      orders the unit's reads, as causality orders one process's reads, an
+      acyclic result proves the unit ({!decide_causal}).
     - {b stream merge}: units whose reads all belong to one process (the
       PRAM/slow decomposition) are first attempted as a monotone merge of
       the other processes' FIFO write streams against the reader's program
@@ -31,7 +33,27 @@
 type outcome = Consistent | Inconsistent | Unknown
 
 val decide : Unit_view.t -> outcome
-(** Decide one unit from its view (the procedures above, in that order). *)
+(** Decide one unit from its view: the merge, then saturation, then the
+    greedy on an acyclic result. *)
+
+val decide_causal : Unit_view.t -> outcome
+(** Decide one unit by its saturation alone: a cycle refutes, an acyclic
+    result proves, with no merge and no greedy.  A read no write of the
+    unit supplies refutes and two writers of one value answer [Unknown],
+    as in {!decide}.
+
+    The proof needs the unit's reads totally ordered by the relation, as in
+    a process unit of the causal criterion (the process's reads are in
+    program order, which causality contains).  Place the reads in that
+    order, each after the not yet placed writes saturation puts before it,
+    in an order extending the saturation, then the writes left: every
+    write of a read's variable placed before the read precedes the read in
+    the saturation, so it precedes the read's source or is the source, and
+    the order is legal.  This is Bouajjani et al.'s theorem for causal
+    memory (an acyclic happens-before on a differentiated history admits
+    the serialization), applied to one process's unit.  The checker routes
+    only the causal criterion's process units here; on a unit whose reads
+    the relation leaves unordered an acyclic result proves nothing. *)
 
 val serializable :
   History.t -> subset:int list -> relation:Orders.relation -> outcome
@@ -54,6 +76,9 @@ type counters = {
           value no write in the unit supplies *)
   greedy_hits : int;  (** units proved consistent by the guided greedy *)
   unknowns : int;  (** units punted to the search engine *)
+  acyclic_hits : int;
+      (** units {!decide_causal} proved consistent by an acyclic
+          saturation; its refutations count in [cycle_refutations] *)
 }
 
 val counters : unit -> counters

@@ -2,6 +2,10 @@ type 'a t = {
   mutable size : int;
   mutable keys : int array;
   mutable vals : 'a array;
+      (* longer than [keys]: the slot at [Array.length keys] holds the
+         filler, the first value ever pushed, which every slot a pop or
+         [clear] vacates gets, so the heap retains no other value that is
+         not pending *)
 }
 
 let create () = { size = 0; keys = [||]; vals = [||] }
@@ -10,21 +14,24 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
+let filler t = t.vals.(Array.length t.keys)
+
 let grow t value =
   (* Seed fresh value storage with the pushed element so no dummy is needed
      for the polymorphic array; keys are plain ints.  A full heap doubles by
      appending its values to themselves: [Array.make] past the minor heap's
      block size with a young seed (a just-sent message) forces a minor
      collection, [Array.append] allocates in the major heap directly.  The
-     copied upper half is then overwritten so it retains nothing. *)
+     copied upper half is then overwritten with the filler. *)
   let capacity = max 16 (2 * Array.length t.keys) in
   let keys = Array.make capacity 0 in
   Array.blit t.keys 0 keys 0 t.size;
   let vals =
-    if t.size = 0 then Array.make capacity value
+    if t.size = 0 then Array.make (capacity + 1) value
     else begin
+      let filler = filler t in
       let vals = Array.append t.vals t.vals in
-      Array.fill vals t.size (capacity - t.size) value;
+      Array.fill vals t.size (Array.length vals - t.size) filler;
       vals
     end
   in
@@ -81,12 +88,11 @@ let min_key t =
 let pop_min t =
   if t.size = 0 then invalid_arg "Intheap.pop_min: empty heap";
   let v = t.vals.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    sift_down t t.keys.(t.size) t.vals.(t.size);
-    (* release the vacated tail slot so the heap does not retain the value *)
-    t.vals.(t.size) <- t.vals.(0)
-  end;
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down t t.keys.(n) t.vals.(n);
+  (* the tail slot moved into the hole, or the root was the last value *)
+  t.vals.(n) <- filler t;
   v
 
 let pop t =
@@ -98,7 +104,9 @@ let pop t =
 
 let peek t = if t.size = 0 then None else Some (t.keys.(0), t.vals.(0))
 
-let clear t = t.size <- 0
+let clear t =
+  if t.size > 0 then Array.fill t.vals 0 t.size (filler t);
+  t.size <- 0
 
 let iter t f =
   for i = 0 to t.size - 1 do
@@ -106,13 +114,7 @@ let iter t f =
   done
 
 let to_sorted_list t =
-  let copy =
-    {
-      size = t.size;
-      keys = Array.sub t.keys 0 t.size;
-      vals = Array.sub t.vals 0 t.size;
-    }
-  in
+  let copy = { size = t.size; keys = Array.copy t.keys; vals = Array.copy t.vals } in
   let rec drain acc =
     match pop copy with None -> List.rev acc | Some binding -> drain (binding :: acc)
   in

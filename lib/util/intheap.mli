@@ -4,6 +4,8 @@
     the time ring's 64 ticks waits here under one immediate int key (the
     queue packs [(time, seq)] into one word).  Pushes and pops run without
     allocating and compare keys with unboxed [<] instead of a closure.
+    The heap keeps no popped or cleared value reachable, except the first
+    value ever pushed, which fills every vacated slot.
     The generic {!Pqueue} remains for composite or polymorphic keys. *)
 
 type 'a t

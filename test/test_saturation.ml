@@ -167,6 +167,11 @@ let test_golden_histories_parity () =
 
 (* --- the sim-check instance shape ------------------------------------------ *)
 
+(* The counters, in the order the pins list them. *)
+let mix () =
+  let c = Saturation.counters () in
+  [ c.Saturation.merge_hits; c.cycle_refutations; c.greedy_hits; c.unknowns; c.acyclic_hits ]
+
 (* The shape the repository benchmark's sim-check workload decides: n = 32,
    64 variables on 3 replicas each, 8 ops per process, 40% reads, under
    pram-partial and causal-partial, each history against its protocol's
@@ -174,11 +179,13 @@ let test_golden_histories_parity () =
    wide, so the saturation procedures are called directly (the oracle would
    never finish), on views built by [unit_of rc relation p]: the reference
    construction, and the write skeleton the checker decides these units
-   on.  The counters pin which procedure decides each unit: a change that
-   moves units from one procedure to another fails here.  The expected mix
-   is the one the scan-based greedy and the k² merge check produced before
-   the incremental versions replaced them: of the 256 units, 124 by the
-   merge and 132 (128 causal, 4 PRAM) by the greedy. *)
+   on; each by the procedure the checker picks for its criterion.  The
+   counters pin which procedure decides each unit: a change that moves
+   units from one procedure to another fails here.  Of the 256 units, the
+   merge decides 124 PRAM units and the greedy the other 4 (the merge
+   fails on all 128 causal units, so before the causal procedure the
+   greedy decided 132), and the causal procedure's acyclic saturation the
+   128 causal units. *)
 let e1x_shape_counters ~unit_of seeds =
   let n_procs = 32 in
   let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
@@ -194,16 +201,16 @@ let e1x_shape_counters ~unit_of seeds =
           let spec = Option.get (Registry.find name) in
           let h = Workload.run_random ~profile ~seed:(s + 1) (spec.Registry.make ~dist ~seed:s ()) in
           let rc = Relcache.create h in
-          let relation =
+          let relation, decide =
             match spec.Registry.guarantees with
-            | Checker.Pram -> Relcache.pram rc
-            | Checker.Causal -> Relcache.causal rc
+            | Checker.Pram -> (Relcache.pram rc, Saturation.decide)
+            | Checker.Causal -> (Relcache.causal rc, Saturation.decide_causal)
             | c -> Alcotest.failf "unexpected guarantee %s" (Checker.criterion_name c)
           in
           let view_of = unit_of rc relation in
           for p = 0 to n_procs - 1 do
             let view = view_of p in
-            match Saturation.decide view with
+            match decide view with
             | Saturation.Consistent -> ()
             | Saturation.Inconsistent | Saturation.Unknown ->
                 Alcotest.failf "%s seed %d: unit p%d (%d ops) not proved consistent" name s p
@@ -211,8 +218,7 @@ let e1x_shape_counters ~unit_of seeds =
           done)
         [ "pram-partial"; "causal-partial" ])
     seeds;
-  let c = Saturation.counters () in
-  [ c.Saturation.merge_hits; c.cycle_refutations; c.greedy_hits; c.unknowns ]
+  mix ()
 
 let made rc relation p =
   Unit_view.make (Relcache.index rc) ~subset:(Relcache.proc_ids rc p) ~relation
@@ -224,15 +230,18 @@ let test_e1x_decision_mix () =
   List.iter
     (fun (construction, unit_of) ->
       Alcotest.(check (list int))
-        (construction ^ ": merge / cycle / greedy / fallback")
-        [ 124; 0; 132; 0 ]
+        (construction ^ ": merge / cycle / greedy / fallback / acyclic")
+        [ 124; 0; 4; 0; 128 ]
         (e1x_shape_counters ~unit_of [ 1; 2; 3; 4 ]))
     [ ("Unit_view.make", made); ("write skeleton", on_skeleton) ]
 
 (* The same pin on small generated histories, every criterion: here the
    greedy gets stuck on a few units (the fallback column), so a change to
    which write it picks, or to when it gives up, moves the counts even
-   where the verdicts stay the same.  Expected values as above. *)
+   where the verdicts stay the same.  Every causal unit is decided by its
+   saturation (the acyclic column, or a cycle); before that procedure the
+   merge and the greedy decided the consistent ones, 508 and 289 of
+   pram-consistent's 797, 551 and 249 of causal-consistent's 800. *)
 let test_generated_decision_mix () =
   List.iter
     (fun (name, generate, expected) ->
@@ -246,14 +255,12 @@ let test_generated_decision_mix () =
           (fun criterion -> ignore (Checker.check ~engine:Checker.Saturation criterion h))
           Checker.all_criteria
       done;
-      let c = Saturation.counters () in
       Alcotest.(check (list int))
-        (name ^ ": merge / cycle / greedy / fallback")
-        expected
-        [ c.Saturation.merge_hits; c.cycle_refutations; c.greedy_hits; c.unknowns ])
+        (name ^ ": merge / cycle / greedy / fallback / acyclic")
+        expected (mix ()))
     [
-      ("pram-consistent", Generator.pram_consistent, [ 5041; 68; 2046; 4 ]);
-      ("causal-consistent", Generator.causal_consistent, [ 5137; 68; 1946; 4 ]);
+      ("pram-consistent", Generator.pram_consistent, [ 4533; 68; 1757; 4; 797 ]);
+      ("causal-consistent", Generator.causal_consistent, [ 4586; 68; 1697; 4; 800 ]);
     ]
 
 (* --- bit rows -------------------------------------------------------------- *)
@@ -368,6 +375,7 @@ let decided view =
       c1.cycle_refutations - c0.cycle_refutations;
       c1.greedy_hits - c0.greedy_hits;
       c1.unknowns - c0.unknowns;
+      c1.acyclic_hits - c0.acyclic_hits;
     ] )
 
 (* [proc_unit] numbers a process's unit writes first, then the process's
@@ -476,6 +484,122 @@ let test_skeleton_units_match_make =
                relations)
            (histories seed)))
 
+(* --- the causal decision ------------------------------------------------------ *)
+
+(* Differentiated histories from three generators over five profiles, the
+   last [large_profile], whose units hold more than 64 ops; that one only
+   on one seed in ten, for the search's sake. *)
+let causal_histories seed =
+  let profiles =
+    [
+      { Generator.procs = 3; vars = 2; ops_per_proc = 4; read_ratio = 0.5 };
+      { Generator.procs = 4; vars = 3; ops_per_proc = 5; read_ratio = 0.6 };
+      { Generator.procs = 3; vars = 3; ops_per_proc = 6; read_ratio = 0.4 };
+      { Generator.procs = 5; vars = 2; ops_per_proc = 4; read_ratio = 0.7 };
+    ]
+    @ if seed mod 10 = 0 then [ large_profile ] else []
+  in
+  List.concat_map
+    (fun generate -> List.map (fun profile -> generate (Rng.create seed) profile) profiles)
+    [ Generator.arbitrary; Generator.pram_consistent; Generator.causal_consistent ]
+
+(* Each causal process unit of [h] on the write skeleton, as the checker
+   builds it, with its subset and relation for the reference procedures. *)
+let causal_units h f =
+  let rc = Relcache.create h in
+  match Relcache.read_from rc with
+  | Error _ -> ()
+  | Ok _ ->
+      let relation = Relcache.causal rc in
+      let skeleton = Unit_view.skeleton (Relcache.index rc) relation in
+      for p = 0 to History.n_procs h - 1 do
+        f p (Unit_view.proc_unit skeleton p) ~subset:(Relcache.proc_ids rc p) ~relation
+      done
+
+(* On a differentiated history a causal unit's saturation is acyclic
+   exactly when the search finds a serialization: the claim
+   [Saturation.decide_causal] rests on.  Every unit of the 15 (or 18)
+   histories of each case is checked; over the run both outcomes must
+   occur, and so must a unit wider than 64 ops. *)
+let test_causal_saturation_decides () =
+  let acyclic = ref 0 and cyclic = ref 0 and wide = ref 0 in
+  let prop seed =
+    List.iter
+      (fun h ->
+        causal_units h (fun p view ~subset ~relation ->
+            let k = Array.length view.Unit_view.ops in
+            if k > 64 then incr wide;
+            let saturated =
+              if view.Unit_view.missing_source then `Cycle
+              else
+                match Saturation.Private.saturate view with
+                | `Cycle -> `Cycle
+                | `Acyclic _ -> `Acyclic
+            in
+            let serializable = Checker.find_serialization h ~subset ~relation <> None in
+            match (saturated, serializable) with
+            | `Acyclic, true -> incr acyclic
+            | `Cycle, false -> incr cyclic
+            | `Acyclic, false | `Cycle, true ->
+                QCheck.Test.fail_reportf "unit p%d (%d ops): saturation %s, search %b\n%s" p k
+                  (if saturated = `Cycle then "cyclic" else "acyclic")
+                  serializable (History.to_string h)))
+      (causal_histories seed);
+    true
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 29 |])
+    (QCheck.Test.make ~name:"causal_saturation_acyclic_iff_serializable" ~count:150
+       QCheck.small_int prop);
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "no unit with %s was checked" what)
+    [ ("an acyclic saturation", !acyclic); ("a cycle", !cyclic); ("more than 64 ops", !wide) ]
+
+(* The verdict a procedure reaches on a unit, the search settling its
+   Unknown. *)
+let resolved decide view ~search =
+  match decide view with
+  | Saturation.Consistent -> true
+  | Saturation.Inconsistent -> false
+  | Saturation.Unknown -> search ()
+
+(* Today's [decide] (merge, saturation, greedy) stays the oracle of the
+   causal procedure: both reach the same verdict on every causal unit,
+   over the generators above and over histories that are not
+   differentiated: [messy_history]'s, whose read-from is determined, and two
+   fixed ones, a duplicate write and a write of [Init]. *)
+let test_causal_decision_matches_decide =
+  let fixed =
+    [
+      (* p0 and p1 both write 1 to x; nobody reads it *)
+      History.of_lists
+        [
+          [ (Op.Write, 0, Op.Val 1); (Op.Write, 1, Op.Val 2) ];
+          [ (Op.Write, 0, Op.Val 1); (Op.Read, 1, Op.Val 2) ];
+        ];
+      (* a write of Init, then an Init-read after a read of 1 *)
+      History.of_lists
+        [
+          [ (Op.Write, 0, Op.Init); (Op.Write, 0, Op.Val 1) ];
+          [ (Op.Read, 0, Op.Val 1); (Op.Read, 0, Op.Init) ];
+        ];
+    ]
+  in
+  qcheck
+    (QCheck.Test.make ~name:"causal_decision_matches_decide" ~count:100 QCheck.small_int
+       (fun seed ->
+         let messy = List.init 5 (fun i -> messy_history (Random.State.make [| seed; i |])) in
+         List.iter
+           (fun h ->
+             causal_units h (fun p view ~subset ~relation ->
+                 let search () = Checker.find_serialization h ~subset ~relation <> None in
+                 let causal = resolved Saturation.decide_causal view ~search in
+                 let today = resolved Saturation.decide view ~search in
+                 if causal <> today then
+                   QCheck.Test.fail_reportf "unit p%d: decide_causal %b, decide %b\n%s" p
+                     causal today (History.to_string h)))
+           (fixed @ messy @ causal_histories seed);
+         true))
+
 (* --- saturation over a closed relation ------------------------------------- *)
 
 (* A view whose relation is closed skips saturation's own closure and only
@@ -558,9 +682,41 @@ let test_missing_writer_refuted () =
   | Saturation.Inconsistent -> ()
   | Saturation.Consistent -> Alcotest.fail "dangling read accepted"
   | Saturation.Unknown -> Alcotest.fail "dangling read not refuted directly");
+  (match Saturation.decide_causal (Unit_view.make (Relcache.index rc) ~subset ~relation) with
+  | Saturation.Inconsistent -> ()
+  | Saturation.Consistent | Saturation.Unknown ->
+      Alcotest.fail "causal procedure: dangling read not refuted");
   Alcotest.(check bool)
     "search agrees" false
     (Checker.serializable ~engine:Checker.Search h ~subset ~relation)
+
+(* Two writers of one value: the view takes the later, p2's, as the read
+   of 1's source, and saturation from that source finds a cycle, though
+   p0's write could supply the value.  Both procedures must leave the unit
+   to the search, so the engines agree. *)
+let test_duplicate_writer_searched () =
+  let h =
+    History.of_lists
+      [
+        [ (Op.Write, 0, Op.Val 1) ];
+        [ (Op.Read, 0, Op.Val 3); (Op.Read, 0, Op.Val 1) ];
+        [ (Op.Write, 0, Op.Val 1); (Op.Write, 0, Op.Val 3) ];
+      ]
+  in
+  let rc = Relcache.create h in
+  let subset = List.init (History.n_ops h) Fun.id in
+  let relation = Relcache.program_order rc in
+  let view = Unit_view.make (Relcache.index rc) ~subset ~relation in
+  if Saturation.Private.saturate view <> `Cycle then
+    Alcotest.fail "saturation from the later writer is acyclic";
+  List.iter
+    (fun (name, decide) ->
+      if decide view <> Saturation.Unknown then Alcotest.failf "%s decided the unit" name)
+    [ ("decide", Saturation.decide); ("decide_causal", Saturation.decide_causal) ];
+  Alcotest.(check bool)
+    "engines agree"
+    (Checker.serializable ~engine:Checker.Search h ~subset ~relation)
+    (Checker.serializable ~engine:Checker.Saturation h ~subset ~relation)
 
 (* the counters move when the engine actually runs *)
 let test_counters_move () =
@@ -575,7 +731,7 @@ let test_counters_move () =
   let c = Saturation.counters () in
   Alcotest.(check bool)
     "some polynomial path fired" true
-    (c.Saturation.merge_hits + c.Saturation.greedy_hits > 0)
+    (c.Saturation.merge_hits + c.Saturation.greedy_hits + c.Saturation.acyclic_hits > 0)
 
 let () =
   Alcotest.run "repro_saturation"
@@ -603,10 +759,15 @@ let () =
         [
           Alcotest.test_case "missing writer refuted" `Quick
             test_missing_writer_refuted;
+          Alcotest.test_case "duplicate writer searched" `Quick
+            test_duplicate_writer_searched;
           Alcotest.test_case "counters move" `Quick test_counters_move;
           test_row_iteration;
           test_index_matches_unit_lookup;
           test_skeleton_units_match_make;
+          Alcotest.test_case "causal saturation acyclic iff serializable" `Quick
+            test_causal_saturation_decides;
+          test_causal_decision_matches_decide;
           Alcotest.test_case "closed relation saturates alike" `Quick
             test_closed_saturation_parity;
         ] );

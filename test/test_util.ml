@@ -572,6 +572,38 @@ let test_intheap_growth_and_clear () =
   Intheap.push h 1 10;
   check Alcotest.int "usable after clear" 10 (Intheap.pop_min h)
 
+(* Neither a drained heap nor a cleared one keeps a hold on its values:
+   only the first value pushed stays, as the filler of vacated slots. *)
+let test_intheap_retains_no_popped_value () =
+  let n = 100 in
+  List.iter
+    (fun (name, empty) ->
+      let h = Intheap.create () in
+      let kept = Weak.create n in
+      for i = 0 to n - 1 do
+        let v = ref i in
+        Weak.set kept i (Some v);
+        Intheap.push h ((i * 37) mod n) v
+      done;
+      empty h;
+      Gc.full_major ();
+      let live = ref 0 in
+      for i = 0 to n - 1 do
+        if Weak.check kept i then incr live
+      done;
+      if !live > 1 then Alcotest.failf "%s: %d of %d values still reachable" name !live n;
+      (* the heap itself stays live across the collection *)
+      Intheap.push h 0 (ref 0);
+      check Alcotest.int (name ^ ": heap still in use") 1 (Intheap.length h))
+    [
+      ( "drained",
+        fun h ->
+          while not (Intheap.is_empty h) do
+            ignore (Intheap.pop_min h : int ref)
+          done );
+      ("cleared", Intheap.clear);
+    ]
+
 (* Growing past the minor heap's block size must not force a minor
    collection, even though every pushed value is young (the simulator
    pushes freshly built messages): the heap's contents survive doubling
@@ -1234,6 +1266,8 @@ let () =
             test_intheap_growth_and_clear;
           Alcotest.test_case "growth forces no minor collection" `Quick
             test_intheap_growth_forces_no_minor_gc;
+          Alcotest.test_case "popped values are not retained" `Quick
+            test_intheap_retains_no_popped_value;
           test_intheap_matches_pqueue;
         ] );
       ( "ringbuf",
