@@ -471,12 +471,18 @@ let bechamel_record ~tier ~gates rows =
     notes = [];
   }
 
-let run_bechamel ?target ~tier ?(gates = []) groups =
+(* [gates] is evaluated after the groups ran *)
+let run_bechamel ?target ~tier ?(gates = fun () -> []) groups =
   let rows =
     List.concat_map (fun (quota, tests) -> bench_group ~quota tests) groups
     |> List.sort compare
   in
-  report ?target (bechamel_record ~tier ~gates rows)
+  report ?target (bechamel_record ~tier ~gates:(gates ()) rows)
+
+(* the saturation engine proves or refutes every unit the check tier
+   decides: none falls back to the search *)
+let check_gates () =
+  [ gate "no unit fell back to the search" ((Saturation.counters ()).Saturation.unknowns = 0) ]
 
 (* --- cluster: live-runtime tier ------------------------------------------------
    Forked loopback clusters cannot run under Bechamel: every probe forks n
@@ -1256,10 +1262,11 @@ let () =
   match !mode with
   | Tables_only -> print_tables ()
   | Sim_only ->
-      run_bechamel ?target ~tier:"sim" ~gates:(sim_pin_gates ()) [ (1.0, sim_tests) ]
+      let gates = sim_pin_gates () in
+      run_bechamel ?target ~tier:"sim" ~gates:(fun () -> gates) [ (1.0, sim_tests) ]
   | Check_only ->
       Saturation.reset_counters ();
-      run_bechamel ?target ~tier:"check" [ (2.0, check_tests) ]
+      run_bechamel ?target ~tier:"check" ~gates:check_gates [ (2.0, check_tests) ]
   | Cluster_only -> run_cluster_benchmarks ?target ()
   | Chaos_only -> run_chaos_benchmarks ?target ()
   | Load_only -> run_load_benchmarks ?target ()

@@ -282,19 +282,19 @@ type engine = Search | Saturation
    qcheck parity suite) is the standing proof obligation. *)
 let oracle = lazy (Sys.getenv_opt "REPRO_CHECK_ORACLE" <> None)
 
-(* Decide one unit: the saturation front-end's [procedure] answers
-   directly when it can prove the verdict, and punts to the exact search
-   otherwise, so both engines decide identically on every input.  Both run
-   on one view.  The oracle's search runs on [reference ()], the unit as
-   {!Unit_view.make} builds it, so it checks the view's construction as
-   well; [name] says which unit disagreed. *)
-let decide_view ~engine ~procedure ~name view reference =
+(* Decide one unit: {!Saturation.decide} answers directly when it can
+   prove the verdict, and punts to the exact search otherwise, so both
+   engines decide identically on every input.  Both run on one view.  The
+   oracle's search runs on [reference ()], the unit as {!Unit_view.make}
+   builds it, so it checks the view's construction as well; [name] says
+   which unit disagreed. *)
+let decide_view ~engine ~name view reference =
   let search () = search_view view <> None in
   let verdict =
     match engine with
     | Search -> search ()
     | Saturation -> (
-        match procedure view with
+        match Saturation.decide view with
         | Saturation.Consistent -> true
         | Saturation.Inconsistent -> false
         | Saturation.Unknown -> search ())
@@ -311,8 +311,7 @@ let decide_view ~engine ~procedure ~name view reference =
 
 let serializable ?(engine = Saturation) h ~subset ~relation =
   let view = V.make (V.index (History.ops h)) ~subset ~relation in
-  decide_view ~engine ~procedure:Saturation.decide ~name:(fun () -> "a unit") view
-    (fun () -> view)
+  decide_view ~engine ~name:(fun () -> "a unit") view (fun () -> view)
 
 (* --- criterion decomposition --------------------------------------------- *)
 
@@ -373,24 +372,18 @@ let check_with ~for_all ?(engine = Saturation) criterion rc =
         match (engine, process_relation rc criterion) with
         | Saturation, Some relation ->
             (* the units share every write: their rows are built once, and
-               each unit adds its process's reads.  A causal unit's reads
-               are its process's, in program order, so its saturation
-               alone decides it *)
+               each unit adds its process's reads *)
             let skeleton = V.skeleton index relation in
-            let procedure =
-              if criterion = Causal then Saturation.decide_causal else Saturation.decide
-            in
             List.init (History.n_procs (Relcache.history rc)) (fun p () ->
                 let view = V.proc_unit skeleton p in
-                decide_view ~engine ~procedure ~name:(name (Proc p)) view (fun () ->
+                decide_view ~engine ~name:(name (Proc p)) view (fun () ->
                     let subset = List.sort compare (Array.to_list view.V.gids) in
                     V.make index ~subset ~relation))
         | _ ->
             List.map
               (fun (key, subset, relation) () ->
                 let view = V.make index ~subset ~relation in
-                decide_view ~engine ~procedure:Saturation.decide ~name:(name key) view
-                  (fun () -> view))
+                decide_view ~engine ~name:(name key) view (fun () -> view))
               (units criterion rc)
       in
       let consistent = for_all (fun decide -> decide ()) decisions in
@@ -432,6 +425,8 @@ let witness criterion h =
       collect [] (units criterion rc)
 
 module Private = struct
+  let units = units
+
   let pack_state ~k ~placed ~last_write =
     if k < 0 then invalid_arg "pack_state: negative k";
     let nw = V.words_for k in

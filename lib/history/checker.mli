@@ -20,12 +20,15 @@
     - {b Cache} — per variable [x], one serialization of all operations on
       [x] respecting program order (Goodman's cache consistency).
 
-    Two engines decide existence.  The default {b saturation} engine
-    ({!Saturation}) derives the write-order constraints forced by every
-    legal serialization and refutes by cycle; it proves a causal unit by
-    an acyclic result alone ({!Saturation.decide_causal}) and any other
-    unit by a stream merge or a guided construction, and falls back to the
-    search only when neither side can prove — polynomial on virtually
+    Two engines decide existence.  The default {b saturation} engine runs
+    one procedure on every unit of every criterion ({!Saturation.decide}):
+    it derives the write-order constraints forced by every legal
+    serialization and refutes by cycle, and an acyclic result whose rows
+    order every pair of the unit's reads is the proof (the causal,
+    semi-causal, PRAM and slow units).  A stream merge proves most units
+    of an open relation (PRAM, slow) before any saturation, and a guided
+    construction the units whose reads stay unordered.  It falls back to
+    the search only when none of them can prove — polynomial on virtually
     every unit this repository produces.
     The {b search} engine is the original backtracking search over legal
     linear extensions: exponential in the worst case (reads are placed
@@ -130,6 +133,11 @@ val witness : criterion -> History.t -> (unit_key * int list) list option
 (**/**)
 
 module Private : sig
+  val units : criterion -> Relcache.t -> (unit_key * int list * Orders.relation) list
+  (** The serialization units of the criterion, as [check] decomposes it:
+      key, subset and relation.  Exposed only so tests can decide each
+      unit on its own. *)
+
   val pack_state : k:int -> placed:int list -> last_write:int array -> int array
   (** The packed memo-key encoding of a search state over a [k]-operation
       subset: [placed] lists the placed local indices, [last_write.(slot)]

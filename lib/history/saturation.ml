@@ -300,10 +300,19 @@ let greedy (view : V.t) k (rows : V.rows) =
 
 (* --- decision ------------------------------------------------------------- *)
 
-(* What every procedure settles before its own work: an empty unit, a read
-   no write of the unit supplies (never legal), and two writers of one
-   value, which value-based legality cannot tell apart. *)
-let screened proceed (view : V.t) =
+(* The saturated rows order every pair of the unit's reads, one way or
+   the other. *)
+let reads_ordered (view : V.t) k (rows : V.rows) =
+  let read i = Op.is_read view.ops.(i) in
+  let rec ordered i j =
+    j >= k || ((not (read j)) || V.row_mem rows i j || V.row_mem rows j i) && ordered i (j + 1)
+  in
+  let rec scan i = i >= k || ((not (read i)) || ordered i (i + 1)) && scan (i + 1) in
+  scan 0
+
+(* Screen, merge an open relation's unit, saturate; the interface gives
+   the argument that an acyclic result with ordered reads is a proof. *)
+let decide (view : V.t) =
   let k = Array.length view.ops in
   if k = 0 then Consistent
   else if view.missing_source then begin
@@ -314,45 +323,28 @@ let screened proceed (view : V.t) =
     Atomic.incr c_unknown;
     Unknown
   end
-  else proceed view k
-
-let decide =
-  screened (fun view k ->
-      if try_merge view then begin
-        Atomic.incr c_merge;
-        Consistent
-      end
-      else
-        match saturate view k with
-        | `Cycle ->
-            Atomic.incr c_cycle;
-            Inconsistent
-        | `Acyclic rows ->
-            if greedy view k rows then begin
-              Atomic.incr c_greedy;
-              Consistent
-            end
-            else begin
-              Atomic.incr c_unknown;
-              Unknown
-            end)
-
-(* Saturation alone, for units whose reads the relation totally orders
-   (the causal criterion's process units): placing each read after the
-   writes saturation puts before it is then legal, so an acyclic result is
-   the proof (the interface gives the argument). *)
-let decide_causal =
-  screened (fun view k ->
-      match saturate view k with
-      | `Cycle ->
-          Atomic.incr c_cycle;
-          Inconsistent
-      | `Acyclic _ ->
+  else if (not view.closed) && try_merge view then begin
+    Atomic.incr c_merge;
+    Consistent
+  end
+  else
+    match saturate view k with
+    | `Cycle ->
+        Atomic.incr c_cycle;
+        Inconsistent
+    | `Acyclic rows ->
+        if reads_ordered view k rows then begin
           Atomic.incr c_acyclic;
-          Consistent)
-
-let serializable h ~subset ~relation =
-  decide (V.make (V.index (History.ops h)) ~subset ~relation)
+          Consistent
+        end
+        else if greedy view k rows then begin
+          Atomic.incr c_greedy;
+          Consistent
+        end
+        else begin
+          Atomic.incr c_unknown;
+          Unknown
+        end
 
 module Private = struct
   let saturate (view : V.t) =

@@ -1,6 +1,5 @@
 (** Dense local view of one serialization unit, shared by both checking
-    engines: the {!Saturation} decision procedures and the search in
-    {!Checker}.
+    engines: {!Saturation.decide} and the search in {!Checker}.
 
     A unit is a subset of a history's operations plus a relation on the
     whole history.  The view renumbers the subset [0 .. k-1] and stores the
@@ -129,8 +128,8 @@ val proc_unit : skeleton -> int -> t
     [make index ~subset ~relation] over [p]'s operations plus every write
     ({!Relcache.proc_ids}), numbered differently: the writes [0 .. W-1] in
     global-id order, then [p]'s reads in program order.  Both numberings
-    keep the writes' relative order, which is what the decision procedures'
-    choices depend on.  The rows are as wide as the skeleton's widest unit
+    keep the writes' relative order, which is what the choices of
+    {!Saturation.decide} depend on.  The rows are as wide as the skeleton's widest unit
     needs, which may be more than [words_for k].
 
     Building it copies the skeleton's write rows and [p]'s read rows, word

@@ -3,6 +3,10 @@ type ('p, 'a) t = {
   mutable size : int;
   mutable keys : 'p array;
   mutable vals : 'a array;
+      (* both one slot longer than the heap: the last slot holds the
+         filler, the first binding ever pushed, which every slot a pop or
+         [clear] vacates gets, so the queue retains no other binding that
+         is not pending *)
 }
 
 let create ~cmp () = { cmp; size = 0; keys = [||]; vals = [||] }
@@ -11,12 +15,17 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
+let filler_slot t = Array.length t.keys - 1
+
 let grow t key value =
-  (* Seed fresh storage with the pushed binding so no dummy element is
-     needed for the polymorphic arrays. *)
-  let capacity = max 8 (2 * Array.length t.keys) in
-  let keys = Array.make capacity key in
-  let vals = Array.make capacity value in
+  (* Seed fresh storage with the filler (the pushed binding, the first
+     time) so no dummy element is needed for the polymorphic arrays. *)
+  let capacity = max 8 (2 * t.size) in
+  let key, value =
+    if t.size = 0 then (key, value) else (t.keys.(filler_slot t), t.vals.(filler_slot t))
+  in
+  let keys = Array.make (capacity + 1) key in
+  let vals = Array.make (capacity + 1) value in
   Array.blit t.keys 0 keys 0 t.size;
   Array.blit t.vals 0 vals 0 t.size;
   t.keys <- keys;
@@ -50,7 +59,7 @@ let rec sift_down t i =
   end
 
 let push t key value =
-  if t.size = Array.length t.keys then grow t key value;
+  if t.size >= filler_slot t then grow t key value;
   t.keys.(t.size) <- key;
   t.vals.(t.size) <- value;
   t.size <- t.size + 1;
@@ -62,12 +71,16 @@ let pop t =
   if t.size = 0 then None
   else begin
     let k = t.keys.(0) and v = t.vals.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.vals.(0) <- t.vals.(t.size);
+    let n = t.size - 1 in
+    t.size <- n;
+    if n > 0 then begin
+      t.keys.(0) <- t.keys.(n);
+      t.vals.(0) <- t.vals.(n);
       sift_down t 0
     end;
+    (* the tail slot moved to the root, or the root was the last binding *)
+    t.keys.(n) <- t.keys.(filler_slot t);
+    t.vals.(n) <- t.vals.(filler_slot t);
     Some (k, v)
   end
 
@@ -76,17 +89,15 @@ let pop_exn t =
   | Some binding -> binding
   | None -> invalid_arg "Pqueue.pop_exn: empty queue"
 
-let clear t = t.size <- 0
+let clear t =
+  if t.size > 0 then begin
+    Array.fill t.keys 0 t.size t.keys.(filler_slot t);
+    Array.fill t.vals 0 t.size t.vals.(filler_slot t)
+  end;
+  t.size <- 0
 
 let to_sorted_list t =
-  let copy =
-    {
-      cmp = t.cmp;
-      size = t.size;
-      keys = Array.sub t.keys 0 t.size;
-      vals = Array.sub t.vals 0 t.size;
-    }
-  in
+  let copy = { t with keys = Array.copy t.keys; vals = Array.copy t.vals } in
   let rec drain acc =
     match pop copy with None -> List.rev acc | Some binding -> drain (binding :: acc)
   in

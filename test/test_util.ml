@@ -354,6 +354,40 @@ let test_pqueue_clear () =
   Pqueue.clear q;
   check Alcotest.bool "cleared" true (Pqueue.is_empty q)
 
+(* Neither a drained queue nor a cleared one keeps a hold on its
+   bindings: only the first binding pushed stays, as the filler of
+   vacated slots.  Keys are boxed too, as Live's timer keys are. *)
+let test_pqueue_retains_no_popped_value () =
+  let n = 100 in
+  List.iter
+    (fun (name, empty) ->
+      let q = Pqueue.create ~cmp:compare () in
+      let keys = Weak.create n and vals = Weak.create n in
+      for i = 0 to n - 1 do
+        let key = ((i * 37) mod n, i) and v = ref i in
+        Weak.set keys i (Some key);
+        Weak.set vals i (Some v);
+        Pqueue.push q key v
+      done;
+      empty q;
+      Gc.full_major ();
+      let live = ref 0 in
+      for i = 0 to n - 1 do
+        if Weak.check keys i || Weak.check vals i then incr live
+      done;
+      if !live > 1 then Alcotest.failf "%s: %d of %d bindings still reachable" name !live n;
+      (* the queue itself stays live across the collection *)
+      Pqueue.push q (0, 0) (ref 0);
+      check Alcotest.int (name ^ ": queue still in use") 1 (Pqueue.length q))
+    [
+      ( "drained",
+        fun q ->
+          while not (Pqueue.is_empty q) do
+            ignore (Pqueue.pop_exn q : (int * int) * int ref)
+          done );
+      ("cleared", Pqueue.clear);
+    ]
+
 let test_pqueue_growth_and_clear () =
   let q = Pqueue.create ~cmp:compare () in
   for i = 49 downto 0 do
@@ -1251,6 +1285,8 @@ let () =
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "growth and clear bounds" `Quick
             test_pqueue_growth_and_clear;
+          Alcotest.test_case "popped values are not retained" `Quick
+            test_pqueue_retains_no_popped_value;
         ] );
       ( "eventq",
         [
