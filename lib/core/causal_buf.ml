@@ -34,7 +34,17 @@
    dependencies are already met is applied on the spot, before any entry
    is built: that singleton round needs no window slot, no queueing and no
    sort.  Scans, wake-ups and rounds are toplevel recursions rather than
-   closures, and a one-entry round skips the sort. *)
+   closures, and a one-entry round skips the sort.
+
+   The common arrival.  Under a broadcast protocol nearly every arrival
+   finds its writer's window empty, and most are then applied on the spot.
+   A per-writer count of buffered entries lets such an arrival skip the
+   duplicate probe (an empty window holds no duplicate) and, once applied,
+   the window advance and the head re-check: with every slot empty, any
+   head position maps the window base to an empty slot, so the head need
+   not follow the base until the window holds something again.  The
+   stamp's width is checked once per arrival; the dependency scan then
+   reads both arrays unchecked. *)
 
 type 'a entry = {
   e_ts : int array;
@@ -44,8 +54,10 @@ type 'a entry = {
   mutable e_scan : int; (* dependency-scan resume position *)
 }
 
-(* Circular per-writer window; slot [ (head + i) mod capacity ] holds the
-   update with ts.(writer) = base + i, where base = vc.(writer) + 1. *)
+(* Circular per-writer window.  Its capacity is zero or a power of two,
+   and slot [ (head + i) land (capacity - 1) ] holds the update with
+   ts.(writer) = base + i, where base = vc.(writer) + 1.  While the window
+   is empty its head may lag the base (see "The common arrival"). *)
 type 'a window = {
   mutable slots : 'a entry option array;
   mutable head : int;
@@ -55,6 +67,7 @@ type 'a t = {
   n : int;
   vc : int array; (* vc.(k): number of k's writes processed here *)
   windows : 'a window array;
+  buffered : int array; (* buffered.(k): entries held in k's window *)
   waiters : int list array; (* waiters.(k): writers parked on entry k *)
   mutable next_round : 'a entry list;
   mutable arrivals : int;
@@ -66,6 +79,7 @@ let create ~n ~apply () =
     n;
     vc = Array.make n 0;
     windows = Array.init n (fun _ -> { slots = [||]; head = 0 });
+    buffered = Array.make n 0;
     waiters = Array.make n [];
     next_round = [];
     arrivals = 0;
@@ -78,35 +92,36 @@ let tick t k = t.vc.(k) <- t.vc.(k) + 1
 
 let window_get w off =
   let cap = Array.length w.slots in
-  if off >= cap then None else w.slots.((w.head + off) mod cap)
+  if off >= cap then None else w.slots.((w.head + off) land (cap - 1))
 
 let window_set w off entry =
   let cap = Array.length w.slots in
   if off >= cap then begin
     let rec fit c = if c > off then c else fit (2 * c) in
-    let slots = Array.make (fit (max 4 cap)) None in
+    let slots = Array.make (fit (Int.max 4 cap)) None in
     for i = 0 to cap - 1 do
-      slots.(i) <- w.slots.((w.head + i) mod cap)
+      slots.(i) <- w.slots.((w.head + i) land (cap - 1))
     done;
     w.slots <- slots;
     w.head <- 0
   end;
-  w.slots.((w.head + off) mod Array.length w.slots) <- Some entry
+  w.slots.((w.head + off) land (Array.length w.slots - 1)) <- Some entry
 
-(* A window that never buffered anything has no slots to advance. *)
-let window_advance w =
-  let cap = Array.length w.slots in
-  if cap > 0 then begin
-    w.slots.(w.head) <- None;
-    w.head <- (w.head + 1) mod cap
-  end
+(* The first entry [i] in [k .. stop - 1] with [vc.(i) < ts.(i)], or
+   [stop].  Unchecked: callers keep [stop] within both arrays. *)
+let rec unmet_in (vc : int array) (ts : int array) k stop =
+  if k < stop && Array.unsafe_get vc k >= Array.unsafe_get ts k then
+    unmet_in vc ts (k + 1) stop
+  else k
 
 (* The first vector-clock entry at or after [k], other than [writer]'s
-   own, that stamp [ts] still waits on, or [t.n] when there is none. *)
-let rec first_unmet t writer ts k =
-  if k >= t.n then t.n
-  else if k = writer || t.vc.(k) >= ts.(k) then first_unmet t writer ts (k + 1)
-  else k
+   own, that stamp [ts] still waits on, or [t.n] when there is none: one
+   scan below [writer]'s entry, one above.  [add] checked that [ts] is [n]
+   wide. *)
+let first_unmet t writer ts k =
+  let below = if k < writer then unmet_in t.vc ts k writer else writer in
+  if below < writer then below
+  else unmet_in t.vc ts (if k > writer then k else writer + 1) t.n
 
 let park t writer entry k =
   entry.e_scan <- k;
@@ -129,21 +144,31 @@ let rec wake t = function
       check_head t writer;
       wake t rest
 
-(* [writer]'s next update has just been applied: count it, expose the
-   window's new head, and re-examine every head parked on [writer]. *)
+(* [writer]'s next update has just been applied, and its window's head
+   slot is empty: count the update, expose the window's new head, and
+   re-examine every head parked on [writer].  An empty window keeps its
+   head where it is. *)
 let advance t writer =
   t.vc.(writer) <- t.vc.(writer) + 1;
-  window_advance t.windows.(writer);
-  check_head t writer;
+  if t.buffered.(writer) > 0 then begin
+    let w = t.windows.(writer) in
+    w.head <- (w.head + 1) land (Array.length w.slots - 1);
+    check_head t writer
+  end;
   match t.waiters.(writer) with
   | [] -> ()
   | woken ->
       t.waiters.(writer) <- [];
       wake t woken
 
+(* A queued entry is its writer's window head: take it out, then apply. *)
 let apply_entry t entry =
+  let writer = entry.e_writer in
+  let w = t.windows.(writer) in
+  w.slots.(w.head) <- None;
+  t.buffered.(writer) <- t.buffered.(writer) - 1;
   t.apply entry.e_payload;
-  advance t entry.e_writer
+  advance t writer
 
 let rec apply_all t = function
   | [] -> ()
@@ -165,33 +190,41 @@ let rec run_rounds t =
       apply_all t (List.sort by_arrival batch);
       run_rounds t
 
+(* [off] is free in [writer]'s window: nothing is buffered there, or the
+   probed slot is empty *)
+let free_slot t writer off =
+  t.buffered.(writer) = 0
+  || match window_get t.windows.(writer) off with None -> true | Some _ -> false
+
 let add t ~writer ~ts payload =
+  if Array.length ts <> t.n then
+    invalid_arg
+      (Printf.sprintf "Causal_buf.add: stamp of width %d, expected %d" (Array.length ts) t.n);
   let off = ts.(writer) - (t.vc.(writer) + 1) in
   (* off < 0: already applied (a late duplicate); occupied slot: queued
      duplicate.  Both were inert in the historical pending list. *)
-  if off >= 0 then
-    match window_get t.windows.(writer) off with
-    | Some _ -> ()
-    | None ->
-        let arrival = t.arrivals in
-        t.arrivals <- arrival + 1;
-        let k = if off = 0 then first_unmet t writer ts 0 else 0 in
-        if off = 0 && k = t.n then begin
-          (* ready on arrival: the singleton round, applied in place *)
-          t.apply payload;
-          advance t writer;
-          run_rounds t
-        end
-        else begin
-          let entry =
-            {
-              e_ts = ts;
-              e_writer = writer;
-              e_arrival = arrival;
-              e_payload = payload;
-              e_scan = k;
-            }
-          in
-          window_set t.windows.(writer) off entry;
-          if off = 0 then park t writer entry k
-        end
+  if off >= 0 && free_slot t writer off then begin
+    let arrival = t.arrivals in
+    t.arrivals <- arrival + 1;
+    let k = if off = 0 then first_unmet t writer ts 0 else 0 in
+    if off = 0 && k = t.n then begin
+      (* ready on arrival: the singleton round, applied in place *)
+      t.apply payload;
+      advance t writer;
+      run_rounds t
+    end
+    else begin
+      let entry =
+        {
+          e_ts = ts;
+          e_writer = writer;
+          e_arrival = arrival;
+          e_payload = payload;
+          e_scan = k;
+        }
+      in
+      window_set t.windows.(writer) off entry;
+      t.buffered.(writer) <- t.buffered.(writer) + 1;
+      if off = 0 then park t writer entry k
+    end
+  end

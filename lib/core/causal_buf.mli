@@ -33,4 +33,6 @@ val add : 'a t -> writer:int -> ts:int array -> 'a -> unit
     duplicates, inert in the historical pending list too).  The buffer only
     reads [ts], and may keep it until the update is applied: the caller
     must not mutate it afterwards, but may share one stamp among many
-    buffers. *)
+    buffers.
+    @raise Invalid_argument when [ts] is not [n] entries wide or [writer]
+    is not a process, before the buffer changes. *)

@@ -246,8 +246,10 @@ let search_view (view : V.t) =
     if search 0 then Some (List.rev_map (fun i -> view.gids.(i)) !order) else None
   end
 
+let index_of h = V.index (History.ops h) ~writers:(History.writers h)
+
 let find_serialization h ~subset ~relation =
-  search_view (V.make (V.index (History.ops h)) ~subset ~relation)
+  search_view (V.make (index_of h) ~subset ~relation)
 
 let validate_serialization h ~subset ~relation ~order =
   let sorted_subset = List.sort_uniq compare subset in
@@ -310,7 +312,7 @@ let decide_view ~engine ~name view reference =
   verdict
 
 let serializable ?(engine = Saturation) h ~subset ~relation =
-  let view = V.make (V.index (History.ops h)) ~subset ~relation in
+  let view = V.make (index_of h) ~subset ~relation in
   decide_view ~engine ~name:(fun () -> "a unit") view (fun () -> view)
 
 (* --- criterion decomposition --------------------------------------------- *)

@@ -62,17 +62,47 @@ let sub_history t i =
   ops t |> Array.to_list
   |> List.filter (fun (o : Op.t) -> o.proc = i || Op.is_write o)
 
+(* (variable, value) keys of writes: a typed table, so building it hashes
+   and compares ints, not polymorphic tuples.  [of_lists] lets a write of
+   [Init] through, so [Init] is a key too. *)
+module Written = Hashtbl.Make (struct
+  type t = int * Op.value
+
+  let equal ((x, a) : t) (y, b) = x = y && Op.equal_value a b
+
+  let hash ((x, a) : t) =
+    let v = match a with Op.Init -> -1 | Op.Val v -> v in
+    ((x * 0x9e3779b1) lxor v) land max_int
+end)
+
+let writers t =
+  let table = Written.create 64 in
+  for p = 0 to Array.length t.procs - 1 do
+    Array.iteri
+      (fun i (o : Op.t) ->
+        if Op.is_write o then begin
+          let key = (o.var, o.value) in
+          let prev = Option.value ~default:[] (Written.find_opt table key) in
+          Written.replace table key ((t.offsets.(p) + i) :: prev)
+        end)
+      t.procs.(p)
+  done;
+  let result = Array.make t.total [] in
+  for p = 0 to Array.length t.procs - 1 do
+    Array.iteri
+      (fun i (o : Op.t) ->
+        match (o.kind, o.value) with
+        | Op.Read, Op.Init -> ()
+        | _ -> (
+            match Written.find_opt table (o.var, o.value) with
+            | Some ws -> result.(t.offsets.(p) + i) <- ws
+            | None -> ()))
+      t.procs.(p)
+  done;
+  result
+
 let is_differentiated t =
-  let seen = Hashtbl.create 64 in
-  let ok = ref true in
-  Array.iter
-    (Array.iter (fun (o : Op.t) ->
-         if Op.is_write o then begin
-           let key = (o.var, o.value) in
-           if Hashtbl.mem seen key then ok := false else Hashtbl.add seen key ()
-         end))
-    t.procs;
-  !ok
+  Array.for_all (fun ws -> List.compare_length_with ws 1 <= 0) (writers t)
 
 type rf_error = Dangling_read of Op.t | Ambiguous_read of Op.t
 
@@ -83,30 +113,26 @@ let pp_rf_error ppf = function
       Format.fprintf ppf "read %a has several candidate writers (non-differentiated)"
         Op.pp o
 
-let read_from t =
-  let writers = Hashtbl.create 64 in
-  Array.iter
-    (Array.iter (fun (o : Op.t) ->
-         if Op.is_write o then begin
-           let key = (o.var, o.value) in
-           let prev = try Hashtbl.find writers key with Not_found -> [] in
-           Hashtbl.replace writers key (id t o :: prev)
-         end))
-    t.procs;
+let read_from ?writers:table t =
+  let table = match table with Some table -> table | None -> writers t in
   let result = Array.make t.total None in
-  let error = ref None in
-  Array.iter
-    (fun (o : Op.t) ->
-      if Op.is_read o && !error = None then
-        match o.value with
-        | Op.Init -> ()
-        | Op.Val _ -> (
-            match Hashtbl.find_opt writers (o.var, o.value) with
-            | None | Some [] -> error := Some (Dangling_read o)
-            | Some [ w ] -> result.(id t o) <- Some w
-            | Some (_ :: _ :: _) -> error := Some (Ambiguous_read o)))
-    (ops t);
-  match !error with None -> Ok result | Some e -> Error e
+  (* the first read, in global-id order, whose source is not one write *)
+  let rec scan p i =
+    if p = Array.length t.procs then Ok result
+    else if i = Array.length t.procs.(p) then scan (p + 1) 0
+    else
+      let o = t.procs.(p).(i) and gid = t.offsets.(p) + i in
+      match (o.kind, o.value) with
+      | Op.Read, Op.Val _ -> (
+          match table.(gid) with
+          | [ w ] ->
+              result.(gid) <- Some w;
+              scan p (i + 1)
+          | [] -> Error (Dangling_read o)
+          | _ :: _ :: _ -> Error (Ambiguous_read o))
+      | _ -> scan p (i + 1)
+  in
+  scan 0 0
 
 let pp ppf t =
   Array.iteri

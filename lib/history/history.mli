@@ -42,6 +42,13 @@ val sub_history : t -> int -> Op.t list
 (** [sub_history h i] is [H_{i+w}]: all operations of process [i] plus all
     writes of [h], in global-id order (paper §2). *)
 
+val writers : t -> int list array
+(** [writers h] maps each global id to the writes of [h] that store the
+    operation's value in its variable, by global id, descending: a write
+    finds itself and every other write of its value, a read its candidate
+    sources.  A read of [Init], or of a value never written, finds [[]].
+    {!read_from} and {!Unit_view.index} both derive from it. *)
+
 val is_differentiated : t -> bool
 (** True when no two writes to the same variable store the same value.  The
     read-from relation of a differentiated history is uniquely determined,
@@ -57,10 +64,12 @@ type rf_error =
 
 val pp_rf_error : Format.formatter -> rf_error -> unit
 
-val read_from : t -> (int option array, rf_error) result
+val read_from : ?writers:int list array -> t -> (int option array, rf_error) result
 (** [read_from h] infers the writes-into relation (paper §2): for each
     global id, [Some w] gives the global id of the write a read takes its
-    value from, [None] for writes and for reads returning [Init]. *)
+    value from, [None] for writes and for reads returning [Init].  The
+    error names the first read, in global-id order, with no source or
+    several.  [writers] is [h]'s {!writers} table when the caller has it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line rendering, one process per line. *)

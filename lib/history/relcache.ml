@@ -24,14 +24,16 @@ let rf_exn_of = function
 
 let create h =
   let ops = lazy (History.ops h) in
-  let rf = lazy (History.read_from h) in
+  (* one writer table feeds both read-from and the index *)
+  let writers = lazy (History.writers h) in
+  let rf = lazy (History.read_from ~writers:(Lazy.force writers) h) in
   let rf_exn = lazy (rf_exn_of (Lazy.force rf)) in
   let program_order = lazy (Orders.program_order h) in
   let read_from_relation = lazy (Orders.read_from_relation h (Lazy.force rf_exn)) in
   {
     h;
     ops;
-    index = lazy (Unit_view.index (Lazy.force ops));
+    index = lazy (Unit_view.index (Lazy.force ops) ~writers:(Lazy.force writers));
     rf;
     program_order;
     read_from_relation;

@@ -97,7 +97,7 @@ let buffers =
 (* [buf], or a larger fresh buffer when it holds fewer than [n] words *)
 let at_least buf n =
   if Array.length buf >= n then buf
-  else Array.make (Stdlib.max n (2 * Array.length buf)) 0
+  else Array.make (Int.max n (2 * Array.length buf)) 0
 
 let scratch_rows { w; bits } k =
   let st = Domain.DLS.get buffers in
@@ -109,17 +109,7 @@ let scratch_rows { w; bits } k =
 
 type index = { all_ops : Op.t array; writers : int list array }
 
-let index all_ops =
-  let writes = Hashtbl.create 64 in
-  Array.iteri
-    (fun gid (o : Op.t) -> if Op.is_write o then Hashtbl.add writes (o.var, o.value) gid)
-    all_ops;
-  let writers_of (o : Op.t) =
-    match (o.kind, o.value) with
-    | Op.Read, Op.Init -> []
-    | _ -> Hashtbl.find_all writes (o.var, o.value)
-  in
-  { all_ops; writers = Array.map writers_of all_ops }
+let index all_ops ~writers = { all_ops; writers }
 
 (* --- the view ------------------------------------------------------------- *)
 
@@ -140,7 +130,7 @@ type t = {
 
 (* Dense slots for the variables of [ops], in order of first appearance. *)
 let var_slots ops =
-  let max_var = Array.fold_left (fun m (o : Op.t) -> Stdlib.max m o.var) (-1) ops in
+  let max_var = Array.fold_left (fun m (o : Op.t) -> Int.max m o.var) (-1) ops in
   let var_slot_of = Array.make (max_var + 1) (-1) in
   let n_vars = ref 0 in
   Array.iter
@@ -154,7 +144,7 @@ let var_slots ops =
 
 (* slot -> the indices of the writes in [ops] on it, ascending *)
 let slot_writes var_slot_of n_vars ops =
-  let writes = Array.make (Stdlib.max n_vars 1) [] in
+  let writes = Array.make (Int.max n_vars 1) [] in
   for i = Array.length ops - 1 downto 0 do
     let o = ops.(i) in
     if Op.is_write o then begin
@@ -164,7 +154,7 @@ let slot_writes var_slot_of n_vars ops =
   done;
   writes
 
-let n_procs_of ops = 1 + Array.fold_left (fun m (o : Op.t) -> Stdlib.max m o.proc) (-1) ops
+let n_procs_of ops = 1 + Array.fold_left (fun m (o : Op.t) -> Int.max m o.proc) (-1) ops
 
 (* The [source] entry of the op with global id [gid], given [local]: global
    id -> index in the unit, [-1] outside it.  A read's source is its
@@ -174,7 +164,7 @@ let source_of writers local gid (o : Op.t) =
   | Op.Write, _ -> -2
   | Op.Read, Op.Init -> -1
   | Op.Read, Op.Val _ ->
-      let s = List.fold_left (fun s w -> Stdlib.max s local.(w)) (-1) writers.(gid) in
+      let s = List.fold_left (fun s w -> Int.max s local.(w)) (-1) writers.(gid) in
       if s < 0 then -2 else s
 
 (* Another write of the unit stores this write's value in its variable. *)
@@ -291,7 +281,7 @@ let skeleton { all_ops; writers } relation =
   for p = 0 to n_procs - 1 do
     first_read.(p + 1) <- first_read.(p) + reads_of.(p)
   done;
-  let w = words_for (n_writes + Array.fold_left Stdlib.max 0 reads_of) in
+  let w = words_for (n_writes + Array.fold_left Int.max 0 reads_of) in
   let n_rows = n_writes + !nr in
   let preds = { w; bits = Array.make (n_rows * w) 0 } in
   let succs = { w; bits = Array.make (n_rows * w) 0 } in

@@ -67,10 +67,10 @@ type index
     [Init]-read to none.  Built once per history and shared by all its
     units. *)
 
-val index : Op.t array -> index
-(** [index ops]: [ops] is the whole history in global-id order
-    ({!History.ops}); it is kept, not copied.  {!Relcache.index} memoizes
-    it per history. *)
+val index : Op.t array -> writers:int list array -> index
+(** [index ops ~writers]: [ops] is the whole history in global-id order
+    ({!History.ops}) and [writers] its {!History.writers}; both are kept,
+    not copied.  {!Relcache.index} memoizes it per history. *)
 
 (** {1 Views} *)
 

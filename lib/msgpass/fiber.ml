@@ -37,7 +37,7 @@ let spawn ~schedule ?(poll_interval = 1) ?(on_done = fun () -> ()) f =
             | Sleep ticks ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    schedule ~delay:(Stdlib.max 0 ticks) (fun () -> continue k ()))
+                    schedule ~delay:(Int.max 0 ticks) (fun () -> continue k ()))
             | _ -> None);
       }
   in

@@ -30,5 +30,5 @@ let rec sample t rng ~src ~dst =
   | Uniform { lo; hi } -> Rng.int_in rng lo hi
   | Exponential { mean; cap } ->
       let d = int_of_float (Float.ceil (Rng.exponential rng mean)) in
-      Stdlib.max 1 (Stdlib.min cap d)
+      Int.max 1 (Int.min cap d)
   | Per_link f -> sample (f ~src ~dst) rng ~src ~dst

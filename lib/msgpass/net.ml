@@ -100,7 +100,7 @@ let clamp t ~src ~dst time =
     if not t.fifo then time
     else begin
       (* per-link delivery order matches send order *)
-      let time = Stdlib.max time t.fifo_horizon.(src).(dst) in
+      let time = Int.max time t.fifo_horizon.(src).(dst) in
       t.fifo_horizon.(src).(dst) <- time + 1;
       time
     end
@@ -108,7 +108,7 @@ let clamp t ~src ~dst time =
   if t.service_time = 0 then time
   else begin
     (* queue at the destination: one delivery per service interval *)
-    let time = Stdlib.max time t.service_horizon.(dst) in
+    let time = Int.max time t.service_horizon.(dst) in
     t.service_horizon.(dst) <- time + t.service_time;
     time
   end
@@ -140,7 +140,7 @@ let step t =
   if Eventq.is_empty t.queue then false
   else begin
     let pending = Eventq.pop t.queue in
-    t.clock <- Stdlib.max t.clock (Eventq.time t.queue);
+    t.clock <- Int.max t.clock (Eventq.time t.queue);
     (match pending with
     | Timer f -> f ()
     | Deliver envelope ->
@@ -170,7 +170,7 @@ let run_until ?(max_events = 10_000_000) t deadline =
     end
   in
   loop max_events;
-  t.clock <- Stdlib.max t.clock deadline
+  t.clock <- Int.max t.clock deadline
 
 let stats t =
   {

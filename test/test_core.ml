@@ -650,37 +650,58 @@ end
 
 (* A random causal execution seen by one receiving process: writers stamp
    each write with their vector clock and learn earlier writes (with their
-   causal past) at random; the receiver gets every write in a random order,
-   some twice, a few never. *)
+   causal past) at random.  Half the runs are small (2 to 6 processes, up
+   to 60 steps): the receiver gets every write in a random order, some
+   twice, a few never.  The other half are wide, up to the benchmark's 32
+   processes and 600 steps with one writer busier than the rest, and arrive
+   almost in order with a few writes held back.  The writer of a held write
+   keeps arriving behind it, so its window grows; it wraps as it drains,
+   and it empties again while that writer's later writes keep coming. *)
 let causal_deliveries seed =
   let rng = Rng.create seed in
-  let n = Rng.int_in rng 2 6 in
-  let receiver = Rng.int rng n in
+  let wide = Rng.bool rng in
+  let n = Rng.int_in rng 2 (if wide then 32 else 6) in
+  let steps = if wide then Rng.int_in rng 100 600 else Rng.int_in rng 1 60 in
+  let receiver = Rng.int rng n and busy = Rng.int rng n in
   let clocks = Array.init n (fun _ -> Array.make n 0) in
-  let writes = ref [||] in
-  for _ = 1 to Rng.int_in rng 1 60 do
-    let p = Rng.int rng n in
-    let count = Array.length !writes in
+  let writes = Array.make steps (0, [||], 0) and count = ref 0 in
+  for _ = 1 to steps do
+    let p = if wide && Rng.coin rng 0.3 then busy else Rng.int rng n in
     if p = receiver then ()
-    else if count = 0 || Rng.bool rng then begin
+    else if !count = 0 || Rng.bool rng then begin
       clocks.(p).(p) <- clocks.(p).(p) + 1;
-      writes := Array.append !writes [| (p, Array.copy clocks.(p), count) |]
+      writes.(!count) <- (p, Array.copy clocks.(p), !count);
+      incr count
     end
     else begin
-      let _, ts, _ = !writes.(Rng.int rng count) in
+      let _, ts, _ = writes.(Rng.int rng !count) in
       Array.iteri (fun k v -> if v > clocks.(p).(k) then clocks.(p).(k) <- v) ts
     end
   done;
-  let order = Array.copy !writes in
-  Rng.shuffle rng order;
+  let writes = Array.sub writes 0 !count in
+  let twice acc =
+    if Rng.coin rng 0.25 && !count > 0 then Rng.pick rng writes :: acc else acc
+  in
   let deliveries =
-    Array.fold_right
-      (fun w acc ->
-        let acc = if Rng.coin rng 0.1 then acc else w :: acc in
-        if Rng.coin rng 0.25 && Array.length !writes > 0 then
-          Rng.pick rng !writes :: acc
-        else acc)
-      order []
+    if wide then begin
+      (* write i arrives at i plus a short jitter, or a long hold *)
+      let due =
+        Array.mapi
+          (fun i w ->
+            let hold = if Rng.coin rng 0.05 then Rng.int_in rng 8 60 else Rng.int rng 3 in
+            (i + hold, i, w))
+          writes
+      in
+      Array.sort (fun (a, i, _) (b, j, _) -> compare (a, i) (b, j)) due;
+      Array.fold_right (fun (_, _, w) acc -> twice (w :: acc)) due []
+    end
+    else begin
+      let order = Array.copy writes in
+      Rng.shuffle rng order;
+      Array.fold_right
+        (fun w acc -> twice (if Rng.coin rng 0.1 then acc else w :: acc))
+        order []
+    end
   in
   (n, deliveries)
 
@@ -699,6 +720,24 @@ let test_causal_buf_matches_drain =
              Drain.add model ~writer ~ts id)
            deliveries;
          !applied = model.Drain.applied && Causal_buf.vc buf = model.Drain.vc))
+
+(* A stamp must be one entry per process.  A shorter or longer one is
+   rejected before it touches the buffer: the dependency scan reads the
+   stamp unchecked, up to [n]. *)
+let test_causal_buf_rejects_stamp_width () =
+  let applied = ref [] in
+  let buf = Causal_buf.create ~n:4 ~apply:(fun id -> applied := id :: !applied) () in
+  List.iter
+    (fun width ->
+      let ts = Array.init width (fun k -> Bool.to_int (k = 1)) in
+      match Causal_buf.add buf ~writer:1 ~ts width with
+      | () -> Alcotest.failf "a stamp of width %d was accepted at n = 4" width
+      | exception Invalid_argument _ -> ())
+    [ 0; 2; 3; 5; 8 ];
+  check (Alcotest.list Alcotest.int) "nothing applied" [] !applied;
+  check (Alcotest.array Alcotest.int) "clock untouched" [| 0; 0; 0; 0 |] (Causal_buf.vc buf);
+  Causal_buf.add buf ~writer:1 ~ts:[| 0; 1; 0; 0 |] 4;
+  check (Alcotest.list Alcotest.int) "a stamp of width n applies" [ 4 ] !applied
 
 (* --- allocation ---------------------------------------------------------------- *)
 
@@ -858,7 +897,11 @@ let () =
         (Alcotest.test_case "memory msc" `Quick test_memory_msc
         :: test_all_protocols_deterministic) );
       ( "causal-buf",
-        [ test_causal_buf_matches_drain ] );
+        [
+          test_causal_buf_matches_drain;
+          Alcotest.test_case "stamp of the wrong width rejected" `Quick
+            test_causal_buf_rejects_stamp_width;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "causal-partial simulation words per message" `Quick

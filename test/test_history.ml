@@ -100,6 +100,67 @@ let test_history_read_from_ambiguous () =
   | Error (History.Ambiguous_read _) -> ()
   | _ -> Alcotest.fail "expected ambiguous read error"
 
+(* Read-from and the writer table against a scan of every pair of
+   operations, on histories with repeated values, reads of values nobody
+   wrote and writes of [Init]: the same sources, the same first bad read
+   with the same error, and the same differentiation verdict. *)
+let test_history_read_from_matches_pair_scan =
+  qcheck
+    (QCheck.Test.make ~name:"read_from_matches_a_pairwise_scan" ~count:500
+       QCheck.small_int
+       (fun seed ->
+         let rng = Rng.create seed in
+         let op _ =
+           let kind = if Rng.bool rng then Op.Read else Op.Write in
+           let value = if Rng.int rng 5 = 0 then Op.Init else Op.Val (Rng.int rng 4) in
+           (kind, Rng.int rng 3, value)
+         in
+         let h =
+           History.of_lists
+             (List.init (Rng.int_in rng 1 4) (fun _ -> List.init (Rng.int rng 8) op))
+         in
+         let ops = History.ops h in
+         let same_write (o : Op.t) (v : Op.t) =
+           Op.is_write v && v.var = o.var && Op.equal_value v.value o.value
+         in
+         (* descending global ids, as [History.writers] lists them *)
+         let candidates gid =
+           List.init (Array.length ops) Fun.id
+           |> List.filter (fun v -> same_write ops.(gid) ops.(v))
+           |> List.rev
+         in
+         let expected_writers =
+           Array.mapi
+             (fun gid (o : Op.t) ->
+               if Op.is_read o && o.value = Op.Init then [] else candidates gid)
+             ops
+         in
+         let rec expected gid rf =
+           if gid = Array.length ops then Ok rf
+           else
+             let o = ops.(gid) in
+             match (o.kind, o.value, expected_writers.(gid)) with
+             | Op.Read, Op.Val _, [ w ] ->
+                 rf.(gid) <- Some w;
+                 expected (gid + 1) rf
+             | Op.Read, Op.Val _, [] -> Error (`Dangling o)
+             | Op.Read, Op.Val _, _ -> Error (`Ambiguous o)
+             | _ -> expected (gid + 1) rf
+         in
+         let got =
+           match History.read_from h with
+           | Ok rf -> Ok rf
+           | Error (History.Dangling_read o) -> Error (`Dangling o)
+           | Error (History.Ambiguous_read o) -> Error (`Ambiguous o)
+         in
+         History.writers h = expected_writers
+         && got = expected 0 (Array.make (Array.length ops) None)
+         && History.is_differentiated h
+            = Array.for_all
+                (fun (o : Op.t) ->
+                  (not (Op.is_write o)) || List.length (candidates (History.id h o)) = 1)
+                ops))
+
 let test_history_parse () =
   let text = "p0: w(x0)1 r(x0)1\np1: r1(x0)1 w1(x1)2\n\n# comment\np2:\n" in
   match History.parse text with
@@ -1047,6 +1108,7 @@ let () =
           Alcotest.test_case "read from" `Quick test_history_read_from;
           Alcotest.test_case "read from dangling" `Quick test_history_read_from_dangling;
           Alcotest.test_case "read from ambiguous" `Quick test_history_read_from_ambiguous;
+          test_history_read_from_matches_pair_scan;
           Alcotest.test_case "parse" `Quick test_history_parse;
           test_history_parse_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_history_parse_errors;

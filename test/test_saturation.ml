@@ -343,7 +343,7 @@ let test_index_matches_unit_lookup =
        (fun seed ->
          let rng = Random.State.make [| seed |] in
          let h = messy_history rng in
-         let index = Unit_view.index (History.ops h) in
+         let index = Unit_view.index (History.ops h) ~writers:(History.writers h) in
          let relation = Repro_util.Graph.create (History.n_ops h) in
          List.for_all
            (fun _ ->
