@@ -121,14 +121,17 @@ val sim_baseline :
   (baseline, string) result
 (** The same [(protocol, workload, n, seed)] run whole-instance on the
     deterministic simulator.  Workload scripts are drawn eagerly from the
-    seed, and the efficient protocols' per-write fan-out is
-    timing-independent, so live message and declared-byte totals must
-    equal this baseline's exactly (the parity satellite) — including under
-    a chaos plan, since the session layer's protocol-level stats count
-    first transmissions only.  With [chaos]/[session] the stack order
-    matches a live node (backend → chaos → session → protocol), making a
-    plan's simulator run bit-reproducible: same plan, same seed, same
-    history and stats every time. *)
+    seed, and every non-blocking protocol's per-write fan-out is
+    timing-independent, so live message and payload-byte totals must
+    equal this baseline's exactly — including under a chaos plan, since
+    the session layer's protocol-level stats count first transmissions
+    only.  Control-byte totals match too, except where a message's
+    control information depends on what its writer had applied when it
+    wrote, which delivery timing decides: causal-adhoc's dependency
+    summaries and causal-delta's clock deltas.  With [chaos]/[session]
+    the stack order matches a live node (backend → chaos → session →
+    protocol), making a plan's simulator run bit-reproducible: same plan,
+    same seed, same history and stats every time. *)
 
 val accepted : outcome -> bool
 (** The run's acceptance: the verdict is consistent, or undecidable on a

@@ -1,11 +1,11 @@
-(** One live replica: a whole protocol instance hosted in this process,
-    with only node [self] active.
+(** One live replica: node [self]'s protocol machine hosted in this
+    process.
 
-    Protocols allocate all-[n] state, but node [p]'s behaviour depends
-    only on its own state slice plus incoming messages — so a process
-    builds the full instance over a [Node self] transport, runs its
-    workload slice as a fiber, and the other nodes' arrays simply stay
-    at their initial values.
+    Every protocol is a per-process machine ({!Repro_core.Machine}), so
+    over a [Node self] transport {!Repro_core.Machine.memory} builds node
+    [self]'s state alone; the process runs its workload slice as a fiber
+    against it, and a read or write for any other process raises
+    [Invalid_argument].
 
     The transport stack grows inward from the wire:
     [Live] backend → {!Repro_transport.Chaos} (when a plan is given) →

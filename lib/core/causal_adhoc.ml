@@ -1,4 +1,3 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
 module Distribution = Repro_sharegraph.Distribution
 
@@ -10,15 +9,6 @@ type msg = Update of {
   writer : int;
   deps : (int * int * int) list;
 }
-
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
-
-let label = function
-  | Update { var; value; writer; deps } ->
-      Printf.sprintf "upd x%d:=%s w%d deps:%d" var (value_text value) writer
-        (List.length deps)
 
 module Codec = Repro_transport.Codec
 
@@ -56,75 +46,86 @@ let codec : msg Codec.t =
   in
   { Codec.size; emit; parse }
 
-let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
-  let base = Proto_base.create ?transport ~codec ~dist ~latency ~seed () in
+type state = {
+  self : int;
+  n : int;
+  dist : Distribution.t;
+  port : msg Machine.port;
+  store : Memory.value array;
+  counts : int array array;  (* counts.(k).(y): k's writes to y applied here *)
+  mutable pending : msg list;
+  shared_vars : int list array;  (* per peer j: X_self ∩ X_j *)
+}
+
+let label = function
+  | Update { var; value; writer; deps } ->
+      Printf.sprintf "upd x%d:=%s w%d deps:%d" var (Machine.value_text value) writer
+        (List.length deps)
+
+let init dist ~self port =
   let n = Distribution.n_procs dist in
   let n_vars = Distribution.n_vars dist in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* applied.(p).(k).(y): number of k's writes to y applied at p. *)
-  let applied = Array.init n (fun _ -> Array.make_matrix n n_vars 0) in
-  let pending = Array.make n [] in
-  let shared_vars =
-    (* shared_vars.(i).(j): X_i ∩ X_j, precomputed. *)
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            List.filter
-              (fun y -> Distribution.holds dist ~proc:j ~var:y)
-              (Distribution.vars_of dist i)))
+  let shared_with j =
+    List.filter
+      (fun y -> Distribution.holds dist ~proc:j ~var:y)
+      (Distribution.vars_of dist self)
   in
-  let ready p deps =
-    List.for_all (fun (k, y, c) -> applied.(p).(k).(y) >= c) deps
+  { self; n; dist; port; store = Array.make n_vars Repro_history.Op.Init;
+    counts = Array.make_matrix n n_vars 0; pending = [];
+    shared_vars = Array.init n shared_with }
+
+let ready s deps = List.for_all (fun (k, y, c) -> s.counts.(k).(y) >= c) deps
+
+let apply s (Update { var; value; writer; _ }) =
+  s.store.(var) <- value;
+  s.counts.(writer).(var) <- s.counts.(writer).(var) + 1;
+  s.port.Machine.applied ()
+
+let rec drain s =
+  let appliable, blocked =
+    List.partition (fun (Update { deps; _ }) -> ready s deps) s.pending
   in
-  let apply p = function
-    | Update { var; value; writer; _ } ->
-        store.(p).(var) <- value;
-        applied.(p).(writer).(var) <- applied.(p).(writer).(var) + 1;
-        Proto_base.count_apply base
-  in
-  let rec drain p =
-    let appliable, blocked =
-      List.partition (fun (Update { deps; _ }) -> ready p deps) pending.(p)
-    in
-    match appliable with
-    | [] -> ()
-    | _ ->
-        pending.(p) <- blocked;
-        List.iter (apply p) appliable;
-        drain p
-  in
-  let on_message p (envelope : msg Net.envelope) =
-    pending.(p) <- pending.(p) @ [ envelope.Net.msg ];
-    drain p
-  in
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_message p)
-  done;
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    (* Summaries snapshot the writer's state before counting this write. *)
-    let counts = applied.(proc) in
-    store.(proc).(var) <- value;
-    List.iter
-      (fun peer ->
-        if peer <> proc then begin
-          let deps =
-            List.concat_map
-              (fun y ->
-                List.filter_map
-                  (fun k -> if counts.(k).(y) > 0 then Some (k, y, counts.(k).(y)) else None)
-                  (List.init n Fun.id))
-              shared_vars.(proc).(peer)
-          in
-          let mentions =
-            var :: List.map (fun (_, y, _) -> y) deps |> List.sort_uniq compare
-          in
-          Proto_base.send base ~src:proc ~dst:peer
-            ~control_bytes:(12 * List.length deps)
-            ~payload_bytes:Memory.value_bytes ~mentions
-            (Update { var; value; writer = proc; deps })
-        end)
-      (Distribution.holders dist var);
-    applied.(proc).(proc).(var) <- applied.(proc).(proc).(var) + 1
-  in
-  Proto_base.finish base ~name:"causal-adhoc" ~read ~write ~blocking_writes:false
-    ~label ()
+  match appliable with
+  | [] -> ()
+  | _ ->
+      s.pending <- blocked;
+      List.iter (apply s) appliable;
+      drain s
+
+let deliver s ~src:_ m =
+  s.pending <- s.pending @ [ m ];
+  drain s
+
+let read s ~var = s.store.(var)
+
+let write s ~var value =
+  (* Summaries snapshot the writer's state before counting this write. *)
+  let counts = s.counts in
+  s.store.(var) <- value;
+  List.iter
+    (fun peer ->
+      if peer <> s.self then begin
+        let deps =
+          List.concat_map
+            (fun y ->
+              List.filter_map
+                (fun k -> if counts.(k).(y) > 0 then Some (k, y, counts.(k).(y)) else None)
+                (List.init s.n Fun.id))
+            s.shared_vars.(peer)
+        in
+        let mentions =
+          var :: List.map (fun (_, y, _) -> y) deps |> List.sort_uniq compare
+        in
+        s.port.Machine.send ~dst:peer
+          ~control_bytes:(12 * List.length deps)
+          ~payload_bytes:Memory.value_bytes ~mentions
+          (Update { var; value; writer = s.self; deps })
+      end)
+    (Distribution.holders s.dist var);
+  counts.(s.self).(var) <- counts.(s.self).(var) + 1
+
+let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
+  Machine.memory ?transport ~dist ~latency ~seed
+    { Machine.name = "causal-adhoc"; codec = Some codec; label; extra_nodes = 0;
+      blocking_reads = false; blocking_writes = false; checkpoint = None; init;
+      read; write; deliver }

@@ -1,4 +1,3 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
 module Distribution = Repro_sharegraph.Distribution
 
@@ -8,15 +7,6 @@ type msg = Update of {
   writer : int;
   deltas : (int * int) list; (* vector-clock entries that changed *)
 }
-
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
-
-let label = function
-  | Update { var; value; writer; deltas } ->
-      Printf.sprintf "upd x%d:=%s w%d deltas:%d" var (value_text value) writer
-        (List.length deltas)
 
 module Codec = Repro_transport.Codec
 
@@ -58,58 +48,67 @@ let rec patch mirror = function
       mirror.(k) <- v;
       patch mirror rest
 
+type state = {
+  self : int;
+  n : int;
+  port : msg Machine.port;
+  store : Memory.value array;
+  buf : (int * Memory.value) Causal_buf.t;
+  (* per peer: the last vector stamp sent to it, and the mirror of the
+     last one received from it; FIFO keeps each pair in sync *)
+  sent_stamp : int array array;
+  recv_stamp : int array array;
+}
+
+let label = function
+  | Update { var; value; writer; deltas } ->
+      Printf.sprintf "upd x%d:=%s w%d deltas:%d" var (Machine.value_text value)
+        writer (List.length deltas)
+
+let init dist ~self port =
+  let n = Distribution.n_procs dist in
+  let store = Array.make (Distribution.n_vars dist) Repro_history.Op.Init in
+  let apply (var, value) =
+    store.(var) <- value;
+    port.Machine.applied ()
+  in
+  { self; n; port; store; buf = Causal_buf.create ~n ~apply ();
+    sent_stamp = Array.make_matrix n n 0; recv_stamp = Array.make_matrix n n 0 }
+
+let read s ~var = s.store.(var)
+
+let write s ~var value =
+  s.store.(var) <- value;
+  Causal_buf.tick s.buf s.self;
+  let ts = Causal_buf.vc s.buf in
+  for peer = 0 to s.n - 1 do
+    if peer <> s.self then begin
+      let last = s.sent_stamp.(peer) in
+      let deltas = ref [] in
+      for k = s.n - 1 downto 0 do
+        if ts.(k) <> last.(k) then begin
+          deltas := (k, ts.(k)) :: !deltas;
+          last.(k) <- ts.(k)
+        end
+      done;
+      s.port.Machine.send ~dst:peer
+        ~control_bytes:(12 * List.length !deltas) (* (index, count) pairs *)
+        ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
+        (Update { var; value; writer = s.self; deltas = !deltas })
+    end
+  done
+
+let deliver s ~src:_ (Update { var; value; writer; deltas }) =
+  (* reconstruct the full stamp from the writer's mirror; the mirror
+     keeps changing, so the buffer gets a copy *)
+  let mirror = s.recv_stamp.(writer) in
+  patch mirror deltas;
+  Causal_buf.add s.buf ~writer ~ts:(Array.copy mirror) (var, value)
+
 let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   if not (Distribution.is_full_replication dist) then
     invalid_arg "Causal_delta.create: requires full replication";
-  let base = Proto_base.create ?transport ~codec ~dist ~latency ~seed () in
-  let n = Distribution.n_procs dist in
-  let n_vars = Distribution.n_vars dist in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* last vector stamp transmitted per (sender, receiver) channel, and its
-     mirror per (receiver, sender); FIFO keeps them in sync *)
-  let sent_stamp = Array.init n (fun _ -> Array.make_matrix n n 0) in
-  let recv_stamp = Array.init n (fun _ -> Array.make_matrix n n 0) in
-  let bufs =
-    Array.init n (fun p ->
-        Causal_buf.create ~n
-          ~apply:(fun (var, value) ->
-            store.(p).(var) <- value;
-            Proto_base.count_apply base)
-          ())
-  in
-  let on_message p (envelope : msg Net.envelope) =
-    match envelope.Net.msg with
-    | Update { var; value; writer; deltas } ->
-        (* reconstruct the full stamp from the per-channel mirror; the
-           mirror keeps changing, so the buffer gets a copy *)
-        let mirror = recv_stamp.(p).(writer) in
-        patch mirror deltas;
-        Causal_buf.add bufs.(p) ~writer ~ts:(Array.copy mirror) (var, value)
-  in
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_message p)
-  done;
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    store.(proc).(var) <- value;
-    Causal_buf.tick bufs.(proc) proc;
-    let ts = Causal_buf.vc bufs.(proc) in
-    for peer = 0 to n - 1 do
-      if peer <> proc then begin
-        let last = sent_stamp.(proc).(peer) in
-        let deltas = ref [] in
-        for k = n - 1 downto 0 do
-          if ts.(k) <> last.(k) then begin
-            deltas := (k, ts.(k)) :: !deltas;
-            last.(k) <- ts.(k)
-          end
-        done;
-        Proto_base.send base ~src:proc ~dst:peer
-          ~control_bytes:(12 * List.length !deltas) (* (index, count) pairs *)
-          ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-          (Update { var; value; writer = proc; deltas = !deltas })
-      end
-    done
-  in
-  Proto_base.finish base ~name:"causal-delta" ~read ~write ~blocking_writes:false
-    ~label ()
+  Machine.memory ?transport ~dist ~latency ~seed
+    { Machine.name = "causal-delta"; codec = Some codec; label; extra_nodes = 0;
+      blocking_reads = false; blocking_writes = false; checkpoint = None; init;
+      read; write; deliver }

@@ -1,17 +1,7 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
 module Distribution = Repro_sharegraph.Distribution
 
 type msg = Update of { var : int; value : Memory.value; writer : int; ts : int array }
-
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
-
-let label = function
-  | Update { var; value; writer; ts } ->
-      Printf.sprintf "upd x%d:=%s w%d vc[%s]" var (value_text value) writer
-        (String.concat "," (Array.to_list (Array.map string_of_int ts)))
 
 module Codec = Repro_transport.Codec
 
@@ -34,46 +24,56 @@ let codec : msg Codec.t =
   in
   { Codec.size; emit; parse }
 
+(* Causal broadcast delivery: [buf] applies the update from [writer]
+   stamped [ts] once it is the next write of [writer] and every
+   dependency is satisfied; its vector clock counts writes applied here
+   (own writes immediate, via [tick]). *)
+type state = {
+  self : int;
+  n : int;
+  port : msg Machine.port;
+  store : Memory.value array;
+  buf : msg Causal_buf.t;
+}
+
+let label = function
+  | Update { var; value; writer; ts } ->
+      Printf.sprintf "upd x%d:=%s w%d vc[%s]" var (Machine.value_text value) writer
+        (String.concat "," (Array.to_list (Array.map string_of_int ts)))
+
+let init dist ~self port =
+  let n = Distribution.n_procs dist in
+  let store = Array.make (Distribution.n_vars dist) Repro_history.Op.Init in
+  let apply (Update { var; value; _ }) =
+    store.(var) <- value;
+    port.Machine.applied ()
+  in
+  { self; n; port; store; buf = Causal_buf.create ~n ~apply () }
+
+let read s ~var = s.store.(var)
+
+let write s ~var value =
+  s.store.(var) <- value;
+  Causal_buf.tick s.buf s.self;
+  (* one stamp, and one message, per write, shared by every recipient:
+     messages are immutable and buffers only read the stamp *)
+  let ts = Array.copy (Causal_buf.vc s.buf) in
+  let update = Update { var; value; writer = s.self; ts }
+  and mentions = [ var ] in
+  for peer = 0 to s.n - 1 do
+    if peer <> s.self then
+      s.port.Machine.send ~dst:peer
+        ~control_bytes:(8 * s.n) (* the vector clock *)
+        ~payload_bytes:Memory.value_bytes ~mentions update
+  done
+
+let deliver s ~src:_ (Update { writer; ts; _ } as m) =
+  Causal_buf.add s.buf ~writer ~ts m
+
 let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
   if not (Distribution.is_full_replication dist) then
     invalid_arg "Causal_full.create: requires full replication";
-  let base = Proto_base.create ?transport ~codec ~dist ~latency ~seed () in
-  let n = Distribution.n_procs dist in
-  let n_vars = Distribution.n_vars dist in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* Causal broadcast delivery: [bufs.(p)] applies the update from [writer]
-     stamped [ts] once it is the next write of [writer] and every
-     dependency is satisfied; its vector clock counts writes applied at [p]
-     (own writes immediate, via [tick]). *)
-  let bufs =
-    Array.init n (fun p ->
-        Causal_buf.create ~n
-          ~apply:(fun (Update { var; value; _ }) ->
-            store.(p).(var) <- value;
-            Proto_base.count_apply base)
-          ())
-  in
-  let on_message p (envelope : msg Net.envelope) =
-    match envelope.Net.msg with
-    | Update { writer; ts; _ } as m -> Causal_buf.add bufs.(p) ~writer ~ts m
-  in
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_message p)
-  done;
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    store.(proc).(var) <- value;
-    Causal_buf.tick bufs.(proc) proc;
-    (* one stamp, and one message, per write, shared by every recipient:
-       messages are immutable and buffers only read the stamp *)
-    let ts = Array.copy (Causal_buf.vc bufs.(proc)) in
-    let update = Update { var; value; writer = proc; ts } and mentions = [ var ] in
-    for peer = 0 to n - 1 do
-      if peer <> proc then
-        Proto_base.send base ~src:proc ~dst:peer
-          ~control_bytes:(8 * n) (* the vector clock *)
-          ~payload_bytes:Memory.value_bytes ~mentions update
-    done
-  in
-  Proto_base.finish base ~name:"causal-full" ~read ~write ~blocking_writes:false
-    ~label ()
+  Machine.memory ?transport ~dist ~latency ~seed
+    { Machine.name = "causal-full"; codec = Some codec; label; extra_nodes = 0;
+      blocking_reads = false; blocking_writes = false; checkpoint = None; init;
+      read; write; deliver }

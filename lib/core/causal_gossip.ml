@@ -1,7 +1,5 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
 module Distribution = Repro_sharegraph.Distribution
-module Share_graph = Repro_sharegraph.Share_graph
 
 (* A notice of write number [seq] by [writer] to [var], stamped with the
    writer's dependency vector; [Update] also carries the value (sent to
@@ -9,15 +7,6 @@ module Share_graph = Repro_sharegraph.Share_graph
 type msg =
   | Update of { var : int; value : Memory.value; writer : int; seq : int; ts : int array }
   | Gossip of { var : int; writer : int; seq : int; ts : int array }
-
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
-
-let label = function
-  | Update { var; value; writer; seq; _ } ->
-      Printf.sprintf "upd x%d:=%s w%d#%d" var (value_text value) writer seq
-  | Gossip { var; writer; seq; _ } -> Printf.sprintf "gossip x%d w%d#%d" var writer seq
 
 module Codec = Repro_transport.Codec
 
@@ -70,100 +59,113 @@ type notice = {
   n_ts : int array;
 }
 
-let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
-  let base = Proto_base.create ?transport ~codec ~dist ~latency ~seed () in
+(* [buf]'s vector clock counts writes processed (applied or noted) here.
+   Flooded notices reach a process along several paths, so a writer's
+   notices can arrive out of order; the buffer's seq-indexed windows
+   absorb that, and its duplicate dropping replaces the explicit
+   pending-list membership test.  One stamp per write is shared by every
+   copy of its update and notice; buffers only read it. *)
+type state = {
+  self : int;
+  n : int;
+  dist : Distribution.t;
+  port : msg Machine.port;
+  neighbours : int list;  (* share-graph neighbours, ascending *)
+  store : Memory.value array;
+  buf : notice Causal_buf.t;
+  seen : (int * int, unit) Hashtbl.t;  (* notices received, (writer, seq) *)
+  mutable write_seq : int;
+}
+
+let label = function
+  | Update { var; value; writer; seq; _ } ->
+      Printf.sprintf "upd x%d:=%s w%d#%d" var (Machine.value_text value) writer seq
+  | Gossip { var; writer; seq; _ } -> Printf.sprintf "gossip x%d w%d#%d" var writer seq
+
+let init dist ~self port =
   let n = Distribution.n_procs dist in
-  let n_vars = Distribution.n_vars dist in
+  let store = Array.make (Distribution.n_vars dist) Repro_history.Op.Init in
+  let apply notice =
+    match notice.n_value with
+    | Some value ->
+        store.(notice.n_var) <- value;
+        port.Machine.applied ()
+    | None -> ()
+  in
   let neighbours =
-    let sg = Share_graph.of_distribution dist in
-    Array.init n (fun p -> Share_graph.neighbours sg p)
+    List.concat_map (Distribution.holders dist) (Distribution.vars_of dist self)
+    |> List.sort_uniq Int.compare
+    |> List.filter (fun q -> q <> self)
   in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* bufs.(p)'s vector clock counts writes processed (applied or noted) at
-     [p].  Flooded notices reach a process along several paths, so a
-     writer's notices can arrive out of order; the buffer's seq-indexed
-     windows absorb that, and its duplicate dropping replaces the explicit
-     pending-list membership test.  One stamp per write is shared by every
-     copy of its update and notice; buffers only read it. *)
-  let bufs =
-    Array.init n (fun p ->
-        Causal_buf.create ~n
-          ~apply:(fun notice ->
-            match notice.n_value with
-            | Some value ->
-                store.(p).(notice.n_var) <- value;
-                Proto_base.count_apply base
-            | None -> ())
-          ())
+  { self; n; dist; port; neighbours; store; buf = Causal_buf.create ~n ~apply ();
+    seen = Hashtbl.create 64; write_seq = 0 }
+
+let forward s ~came_from notice =
+  List.iter
+    (fun peer ->
+      if peer <> came_from then
+        s.port.Machine.send ~dst:peer
+          ~control_bytes:((8 * s.n) + 16)
+          ~payload_bytes:0 ~mentions:[ notice.n_var ]
+          (Gossip
+             {
+               var = notice.n_var;
+               writer = notice.n_writer;
+               seq = notice.n_seq;
+               ts = notice.n_ts;
+             }))
+    s.neighbours
+
+let consume s notice =
+  Causal_buf.add s.buf ~writer:notice.n_writer ~ts:notice.n_ts notice
+
+let deliver s ~src msg =
+  let notice, has_value =
+    match msg with
+    | Update { var; value; writer; seq; ts } ->
+        ({ n_var = var; n_value = Some value; n_writer = writer; n_seq = seq; n_ts = ts }, true)
+    | Gossip { var; writer; seq; ts } ->
+        ({ n_var = var; n_value = None; n_writer = writer; n_seq = seq; n_ts = ts }, false)
   in
-  (* seen.(p): notices already received (for gossip dedup), (writer, seq) *)
-  let seen = Array.init n (fun _ -> Hashtbl.create 64) in
-  let forward p ~came_from notice =
-    List.iter
-      (fun peer ->
-        if peer <> came_from then
-          Proto_base.send base ~src:p ~dst:peer
-            ~control_bytes:((8 * n) + 16)
-            ~payload_bytes:0 ~mentions:[ notice.n_var ]
-            (Gossip
-               {
-                 var = notice.n_var;
-                 writer = notice.n_writer;
-                 seq = notice.n_seq;
-                 ts = notice.n_ts;
-               }))
-      neighbours.(p)
-  in
-  let consume p notice =
-    Causal_buf.add bufs.(p) ~writer:notice.n_writer ~ts:notice.n_ts notice
-  in
-  let on_message p (envelope : msg Net.envelope) =
-    let notice, has_value =
-      match envelope.Net.msg with
-      | Update { var; value; writer; seq; ts } ->
-          ({ n_var = var; n_value = Some value; n_writer = writer; n_seq = seq; n_ts = ts }, true)
-      | Gossip { var; writer; seq; ts } ->
-          ({ n_var = var; n_value = None; n_writer = writer; n_seq = seq; n_ts = ts }, false)
-    in
-    let key = (notice.n_writer, notice.n_seq) in
-    let holder = Distribution.holds dist ~proc:p ~var:notice.n_var in
-    if not (Hashtbl.mem seen.(p) key) then begin
-      (* First contact with this write.  A holder must wait for the valued
-         form; its gossip copy is recorded as seen-but-not-consumed so the
-         flood still spreads exactly once. *)
-      Hashtbl.add seen.(p) key ();
-      forward p ~came_from:envelope.Net.src notice;
-      if (not holder) || has_value then consume p notice
-    end
-    else if holder && has_value then
-      (* the valued form arriving after the gossip copy: consume it; the
-         buffer ignores it if it was already queued or applied *)
-      consume p notice
-  in
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_message p)
-  done;
-  let write_seq = Array.make n 0 in
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    store.(proc).(var) <- value;
-    Causal_buf.tick bufs.(proc) proc;
-    let seq = write_seq.(proc) in
-    write_seq.(proc) <- seq + 1;
-    let ts = Array.copy (Causal_buf.vc bufs.(proc)) in
-    Hashtbl.add seen.(proc) (proc, seq) ();
-    (* value to the other replica holders *)
-    List.iter
-      (fun peer ->
-        if peer <> proc then
-          Proto_base.send base ~src:proc ~dst:peer
-            ~control_bytes:((8 * n) + 8)
-            ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-            (Update { var; value; writer = proc; seq; ts }))
-      (Distribution.holders dist var);
-    (* notice to the share-graph neighbourhood *)
-    forward proc ~came_from:proc
-      { n_var = var; n_value = None; n_writer = proc; n_seq = seq; n_ts = ts }
-  in
-  Proto_base.finish base ~name:"causal-gossip" ~read ~write ~blocking_writes:false
-    ~label ()
+  let key = (notice.n_writer, notice.n_seq) in
+  let holder = Distribution.holds s.dist ~proc:s.self ~var:notice.n_var in
+  if not (Hashtbl.mem s.seen key) then begin
+    (* First contact with this write.  A holder must wait for the valued
+       form; its gossip copy is recorded as seen-but-not-consumed so the
+       flood still spreads exactly once. *)
+    Hashtbl.add s.seen key ();
+    forward s ~came_from:src notice;
+    if (not holder) || has_value then consume s notice
+  end
+  else if holder && has_value then
+    (* the valued form arriving after the gossip copy: consume it; the
+       buffer ignores it if it was already queued or applied *)
+    consume s notice
+
+let read s ~var = s.store.(var)
+
+let write s ~var value =
+  s.store.(var) <- value;
+  Causal_buf.tick s.buf s.self;
+  let seq = s.write_seq in
+  s.write_seq <- seq + 1;
+  let ts = Array.copy (Causal_buf.vc s.buf) in
+  Hashtbl.add s.seen (s.self, seq) ();
+  (* value to the other replica holders *)
+  List.iter
+    (fun peer ->
+      if peer <> s.self then
+        s.port.Machine.send ~dst:peer
+          ~control_bytes:((8 * s.n) + 8)
+          ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
+          (Update { var; value; writer = s.self; seq; ts }))
+    (Distribution.holders s.dist var);
+  (* notice to the share-graph neighbourhood *)
+  forward s ~came_from:s.self
+    { n_var = var; n_value = None; n_writer = s.self; n_seq = seq; n_ts = ts }
+
+let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
+  Machine.memory ?transport ~dist ~latency ~seed
+    { Machine.name = "causal-gossip"; codec = Some codec; label; extra_nodes = 0;
+      blocking_reads = false; blocking_writes = false; checkpoint = None; init;
+      read; write; deliver }

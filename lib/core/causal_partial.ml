@@ -1,19 +1,9 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
 module Distribution = Repro_sharegraph.Distribution
 
 type msg =
   | Update of { var : int; value : Memory.value; writer : int; ts : int array }
   | Meta of { var : int; writer : int; ts : int array }
-
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
-
-let label = function
-  | Update { var; value; writer; _ } ->
-      Printf.sprintf "upd x%d:=%s w%d" var (value_text value) writer
-  | Meta { var; writer; _ } -> Printf.sprintf "meta x%d w%d" var writer
 
 module Codec = Repro_transport.Codec
 
@@ -54,54 +44,63 @@ let codec : msg Codec.t =
   in
   { Codec.size; emit; parse }
 
+(* [buf]'s vector clock counts writes processed (applied or noted) here;
+   [Meta] notices advance it without touching the store. *)
+type state = {
+  self : int;
+  dist : Distribution.t;
+  port : msg Machine.port;
+  store : Memory.value array;
+  buf : msg Causal_buf.t;
+}
+
+let label = function
+  | Update { var; value; writer; _ } ->
+      Printf.sprintf "upd x%d:=%s w%d" var (Machine.value_text value) writer
+  | Meta { var; writer; _ } -> Printf.sprintf "meta x%d w%d" var writer
+
+let init dist ~self port =
+  let store = Array.make (Distribution.n_vars dist) Repro_history.Op.Init in
+  let apply = function
+    | Update { var; value; _ } ->
+        store.(var) <- value;
+        port.Machine.applied ()
+    | Meta _ -> ()
+  in
+  let buf = Causal_buf.create ~n:(Distribution.n_procs dist) ~apply () in
+  { self; dist; port; store; buf }
+
+let read s ~var = s.store.(var)
+
+let write s ~var value =
+  let n = Distribution.n_procs s.dist in
+  s.store.(var) <- value;
+  Causal_buf.tick s.buf s.self;
+  (* one stamp, and one message of each kind, per write, shared by every
+     recipient: messages are immutable and buffers only read the stamp *)
+  let ts = Array.copy (Causal_buf.vc s.buf) in
+  let update = Update { var; value; writer = s.self; ts }
+  and meta = Meta { var; writer = s.self; ts }
+  and mentions = [ var ] in
+  for peer = 0 to n - 1 do
+    if peer <> s.self then begin
+      if Distribution.holds s.dist ~proc:peer ~var then
+        s.port.Machine.send ~dst:peer ~control_bytes:(8 * n)
+          ~payload_bytes:Memory.value_bytes ~mentions update
+      else
+        s.port.Machine.send ~dst:peer
+          ~control_bytes:((8 * n) + 8) (* vector clock + variable id *)
+          ~payload_bytes:0 ~mentions meta
+    end
+  done
+
+let deliver s ~src:_ m =
+  match m with
+  | Update { writer; ts; _ } | Meta { writer; ts; _ } ->
+      Causal_buf.add s.buf ~writer ~ts m
+
 let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
-  let base = Proto_base.create ?transport ~codec ~dist ~latency ~seed () in
-  let n = Distribution.n_procs dist in
-  let n_vars = Distribution.n_vars dist in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* bufs.(p)'s vector clock counts writes processed (applied or noted) at
-     [p]; [Meta] notices advance it without touching the store. *)
-  let bufs =
-    Array.init n (fun p ->
-        Causal_buf.create ~n
-          ~apply:(fun m ->
-            match m with
-            | Update { var; value; _ } ->
-                store.(p).(var) <- value;
-                Proto_base.count_apply base
-            | Meta _ -> ())
-          ())
-  in
-  let on_message p (envelope : msg Net.envelope) =
-    match envelope.Net.msg with
-    | Update { writer; ts; _ } as m -> Causal_buf.add bufs.(p) ~writer ~ts m
-    | Meta { writer; ts; _ } as m -> Causal_buf.add bufs.(p) ~writer ~ts m
-  in
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_message p)
-  done;
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    store.(proc).(var) <- value;
-    Causal_buf.tick bufs.(proc) proc;
-    (* one stamp, and one message of each kind, per write, shared by every
-       recipient: messages are immutable and buffers only read the stamp *)
-    let ts = Array.copy (Causal_buf.vc bufs.(proc)) in
-    let update = Update { var; value; writer = proc; ts }
-    and meta = Meta { var; writer = proc; ts }
-    and mentions = [ var ] in
-    for peer = 0 to n - 1 do
-      if peer <> proc then begin
-        if Distribution.holds dist ~proc:peer ~var then
-          Proto_base.send base ~src:proc ~dst:peer
-            ~control_bytes:(8 * n)
-            ~payload_bytes:Memory.value_bytes ~mentions update
-        else
-          Proto_base.send base ~src:proc ~dst:peer
-            ~control_bytes:((8 * n) + 8) (* vector clock + variable id *)
-            ~payload_bytes:0 ~mentions meta
-      end
-    done
-  in
-  Proto_base.finish base ~name:"causal-partial" ~read ~write ~blocking_writes:false
-    ~label ()
+  Machine.memory ?transport ~dist ~latency ~seed
+    { Machine.name = "causal-partial"; codec = Some codec; label; extra_nodes = 0;
+      blocking_reads = false; blocking_writes = false; checkpoint = None; init;
+      read; write; deliver }

@@ -31,11 +31,6 @@ type t = {
   restore : (string -> unit) option;
 }
 
-let check_access t ~proc ~var =
-  if not (Distribution.holds t.dist ~proc ~var) then
-    invalid_arg
-      (Printf.sprintf "%s: process %d does not hold variable x%d" t.name proc var)
-
 let value_bytes = 8
 
 let mentions_outside_clique t ~var =

@@ -5,9 +5,9 @@
     application process accesses (the distribution), and exposing the
     paper's two operations — [read] and [write] — to application code.
 
-    Every protocol implementation in this library produces this record, so
-    applications, the runner, the tests and the benchmarks are all
-    protocol-generic.
+    Every protocol implementation in this library produces this record
+    (each is a {!Machine.t} hosted by {!Machine.memory}), so applications,
+    the runner, the tests and the benchmarks are all protocol-generic.
 
     {b Accounting.}  Besides raw message/byte counts, every instance keeps
     the {e mention audit}: for each variable [x], the set of processes that
@@ -41,13 +41,15 @@ type t = {
   dist : Distribution.t;
   read : proc:int -> var:int -> value;
       (** Wait-free local read of a replica.
-          @raise Invalid_argument when [proc] does not hold [var]. *)
+          @raise Invalid_argument when [proc] does not hold [var], or when
+          this instance's transport does not host [proc] (a live node
+          hosts only itself). *)
   write : proc:int -> var:int -> value -> unit;
       (** Write; local application is immediate for the non-blocking
           protocols.  Blocking protocols (sequencer, primary-copy) must be
           called from inside a {!Repro_msgpass.Fiber} — see
           [blocking_writes].
-          @raise Invalid_argument when [proc] does not hold [var]. *)
+          @raise Invalid_argument as [read] does. *)
   step : unit -> bool;  (** Process one network event. *)
   quiesce : unit -> unit;  (** Run the network until no event is pending. *)
   now : unit -> int;  (** Simulation time. *)
@@ -72,10 +74,6 @@ type t = {
   restore : (string -> unit) option;
       (** Inverse of [snapshot]; must run before any traffic. *)
 }
-
-val check_access : t -> proc:int -> var:int -> unit
-(** @raise Invalid_argument when [proc] does not hold [var] under the
-    instance's distribution. *)
 
 val value_bytes : int
 (** Wire size we charge for one value (8). *)

@@ -20,8 +20,6 @@ val codec : msg Repro_transport.Codec.t
 
 val create :
   ?latency:Repro_msgpass.Latency.t ->
-  ?service_time:int ->
-  ?sequence_guard:bool ->
   ?transport:Repro_transport.Transport.factory ->
   dist:Repro_sharegraph.Distribution.t ->
   seed:int ->
@@ -29,12 +27,15 @@ val create :
   Memory.t
 (** Default latency {!Repro_msgpass.Latency.lan}.
 
-    [sequence_guard] (default [true]) applies an update only when its
-    per-channel sequence number is not older than the newest applied one.
-    With the guard, duplication and reordering faults cannot violate PRAM
-    (each replica applies a monotone subsequence of the writer's program
-    order, and skipped writes can always be serialized immediately before
-    the writer's next applied write); they only cost update freshness.
-    Disabling the guard recovers the textbook protocol whose correctness
-    rests entirely on FIFO channels — tests use this to show reordering
-    then produces PRAM violations. *)
+    A replica applies an update only when its per-channel sequence number
+    is not older than the newest applied one.  With this guard,
+    duplication and reordering faults cannot violate PRAM (each replica
+    applies a monotone subsequence of the writer's program order, and
+    skipped writes can always be serialized immediately before the
+    writer's next applied write); they only cost update freshness.  The
+    textbook protocol without the guard rests entirely on FIFO channels;
+    test_core builds it as its own machine to show reordering then
+    produces PRAM violations.
+
+    The instance supports checkpoints: a node's snapshot is its store and
+    its two per-peer sequence arrays. *)

@@ -1,4 +1,3 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
 module Fiber = Repro_msgpass.Fiber
 module Distribution = Repro_sharegraph.Distribution
@@ -13,63 +12,68 @@ type msg =
       global_seq : int;
     }
 
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
+(* Node [n] is the sequencer: it holds no replica, only [global_seq];
+   a process node uses every other field. *)
+type state = {
+  self : int;
+  dist : Distribution.t;
+  port : msg Machine.port;
+  store : Memory.value array;
+  mutable completed : int;  (* highest write_id of own writes applied here *)
+  mutable next_write_id : int;
+  mutable global_seq : int;
+}
 
 let label = function
   | Submit { var; value; writer; _ } ->
-      Printf.sprintf "submit x%d:=%s w%d" var (value_text value) writer
+      Printf.sprintf "submit x%d:=%s w%d" var (Machine.value_text value) writer
   | Ordered { var; value; global_seq; _ } ->
-      Printf.sprintf "ordered x%d:=%s @%d" var (value_text value) global_seq
+      Printf.sprintf "ordered x%d:=%s @%d" var (Machine.value_text value) global_seq
 
-let create ?(latency = Latency.lan) ?service_time ?transport ~dist ~seed () =
-  let base = Proto_base.create ?service_time ~extra_nodes:1 ?transport ~dist ~latency ~seed () in
-  let n = Distribution.n_procs dist in
-  let sequencer = n in
-  let n_vars = Distribution.n_vars dist in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* completed.(p): highest write_id of p's own writes applied at p *)
-  let completed = Array.make n (-1) in
-  let next_write_id = Array.make n 0 in
-  let global_seq = ref 0 in
-  let on_sequencer (envelope : msg Net.envelope) =
-    match envelope.Net.msg with
-    | Submit { var; value; writer; write_id } ->
-        let seq = !global_seq in
-        incr global_seq;
-        List.iter
-          (fun peer ->
-            Proto_base.send base ~src:sequencer ~dst:peer
-              ~control_bytes:16 (* global sequence number + write id *)
-              ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-              (Ordered { var; value; writer; write_id; global_seq = seq }))
-          (Distribution.holders dist var)
-    | Ordered _ -> invalid_arg "Seq_sequencer: unexpected message at sequencer"
+let sequencer s = Distribution.n_procs s.dist
+
+let init dist ~self port =
+  let replicas =
+    if self = Distribution.n_procs dist then 0 else Distribution.n_vars dist
   in
-  let on_process p (envelope : msg Net.envelope) =
-    match envelope.Net.msg with
-    | Ordered { var; value; writer; write_id; global_seq = _ } ->
-        (* Channel sequencer→p is FIFO, so arrivals are already in global
-           order restricted to p's variables. *)
-        store.(p).(var) <- value;
-        Proto_base.count_apply base;
-        if writer = p then completed.(p) <- Stdlib.max completed.(p) write_id
-    | Submit _ -> invalid_arg "Seq_sequencer: unexpected submit at a process"
-  in
-  Proto_base.set_handler base sequencer on_sequencer;
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_process p)
-  done;
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    let write_id = next_write_id.(proc) in
-    next_write_id.(proc) <- write_id + 1;
-    Proto_base.send base ~src:proc ~dst:sequencer
-      ~control_bytes:16 (* write id + variable id *)
-      ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-      (Submit { var; value; writer = proc; write_id });
-    Fiber.await (fun () -> completed.(proc) >= write_id)
-  in
-  Proto_base.finish base ~name:"seq-sequencer" ~read ~write ~blocking_writes:true
-    ~label ()
+  { self; dist; port; store = Array.make replicas Repro_history.Op.Init;
+    completed = -1; next_write_id = 0; global_seq = 0 }
+
+let deliver s ~src:_ = function
+  | Submit { var; value; writer; write_id } ->
+      if s.self <> sequencer s then
+        invalid_arg "Seq_sequencer: unexpected submit at a process";
+      let seq = s.global_seq in
+      s.global_seq <- seq + 1;
+      List.iter
+        (fun peer ->
+          s.port.Machine.send ~dst:peer
+            ~control_bytes:16 (* global sequence number + write id *)
+            ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
+            (Ordered { var; value; writer; write_id; global_seq = seq }))
+        (Distribution.holders s.dist var)
+  | Ordered { var; value; writer; write_id; global_seq = _ } ->
+      if s.self = sequencer s then
+        invalid_arg "Seq_sequencer: unexpected message at sequencer";
+      (* Channel sequencer→p is FIFO, so arrivals are already in global
+         order restricted to p's variables. *)
+      s.store.(var) <- value;
+      s.port.Machine.applied ();
+      if writer = s.self then s.completed <- Int.max s.completed write_id
+
+let read s ~var = s.store.(var)
+
+let write s ~var value =
+  let write_id = s.next_write_id in
+  s.next_write_id <- write_id + 1;
+  s.port.Machine.send ~dst:(sequencer s)
+    ~control_bytes:16 (* write id + variable id *)
+    ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
+    (Submit { var; value; writer = s.self; write_id });
+  Fiber.await (fun () -> s.completed >= write_id)
+
+let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
+  Machine.memory ?transport ~dist ~latency ~seed
+    { Machine.name = "seq-sequencer"; codec = None; label; extra_nodes = 1;
+      blocking_reads = false; blocking_writes = true; checkpoint = None; init;
+      read; write; deliver }

@@ -18,12 +18,12 @@
 
 val create :
   ?latency:Repro_msgpass.Latency.t ->
-  ?service_time:int ->
   ?transport:Repro_transport.Transport.factory ->
   dist:Repro_sharegraph.Distribution.t ->
   seed:int ->
   unit ->
   Memory.t
-(** [service_time] (default 0) rates-limits every node's message intake
-    (see {!Repro_msgpass.Net.create}); under write load the sequencer is
-    the hot spot, making the centralization bottleneck measurable. *)
+(** The sequencer is node [n], after the [n] processes.  To make the
+    centralization bottleneck measurable, pass a simulator whose nodes
+    rate-limit their intake ({!Repro_transport.Transport.sim}'s
+    [service_time]): under write load the sequencer is the hot spot. *)

@@ -1,17 +1,8 @@
-module Net = Repro_msgpass.Net
 module Latency = Repro_msgpass.Latency
 module Transport = Repro_transport.Transport
 module Distribution = Repro_sharegraph.Distribution
 
 type msg = Update of { var : int; value : Memory.value; lane_seq : int }
-
-let value_text = function
-  | Repro_history.Op.Init -> "_"
-  | Repro_history.Op.Val v -> string_of_int v
-
-let label = function
-  | Update { var; value; lane_seq } ->
-      Printf.sprintf "upd x%d:=%s lane#%d" var (value_text value) lane_seq
 
 module Codec = Repro_transport.Codec
 
@@ -30,56 +21,69 @@ let codec : msg Codec.t =
   in
   { Codec.size; emit; parse }
 
+type state = {
+  self : int;
+  dist : Distribution.t;
+  port : msg Machine.port;
+  store : Memory.value array;
+  (* lane state per (peer, var): the next sequence number expected from
+     the peer, and the next one to send it *)
+  expected : int array array;
+  sent : int array array;
+  stashed : (int * int * int, Memory.value) Hashtbl.t;  (* (src, var, seq) *)
+}
+
+let label = function
+  | Update { var; value; lane_seq } ->
+      Printf.sprintf "upd x%d:=%s lane#%d" var (Machine.value_text value) lane_seq
+
+let init dist ~self port =
+  let n = Distribution.n_procs dist in
+  let n_vars = Distribution.n_vars dist in
+  { self; dist; port; store = Array.make n_vars Repro_history.Op.Init;
+    expected = Array.make_matrix n n_vars 0; sent = Array.make_matrix n n_vars 0;
+    stashed = Hashtbl.create 64 }
+
+let rec deliver_in_order s src var =
+  let seq = s.expected.(src).(var) in
+  match Hashtbl.find_opt s.stashed (src, var, seq) with
+  | None -> ()
+  | Some value ->
+      Hashtbl.remove s.stashed (src, var, seq);
+      s.expected.(src).(var) <- seq + 1;
+      s.store.(var) <- value;
+      s.port.Machine.applied ();
+      deliver_in_order s src var
+
+let deliver s ~src (Update { var; value; lane_seq }) =
+  Hashtbl.replace s.stashed (src, var, lane_seq) value;
+  deliver_in_order s src var
+
+let read s ~var = s.store.(var)
+
+let write s ~var value =
+  s.store.(var) <- value;
+  List.iter
+    (fun peer ->
+      if peer <> s.self then begin
+        let lane_seq = s.sent.(peer).(var) in
+        s.sent.(peer).(var) <- lane_seq + 1;
+        s.port.Machine.send ~dst:peer
+          ~control_bytes:8 (* the lane sequence number *)
+          ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
+          (Update { var; value; lane_seq })
+      end)
+    (Distribution.holders s.dist var)
+
 let create ?(latency = Latency.lan) ?transport ~dist ~seed () =
-  (* Non-FIFO transport: messages race; per-lane sequencing below restores
+  (* Non-FIFO transport: messages race; per-lane sequencing restores
      exactly the per-(writer, variable) order slow memory needs. *)
   let transport =
     match transport with
     | Some f -> f
     | None -> Transport.sim ~fifo:false ~latency ~seed ()
   in
-  let base = Proto_base.create ~transport ~codec ~dist ~latency ~seed () in
-  let n = Distribution.n_procs dist in
-  let n_vars = Distribution.n_vars dist in
-  let store = Array.make_matrix n n_vars Repro_history.Op.Init in
-  (* Lane state per (receiver, sender, var). *)
-  let expected = Array.init n (fun _ -> Array.make_matrix n n_vars 0) in
-  let sent = Array.init n (fun _ -> Array.make_matrix n n_vars 0) in
-  let stashed : (int * int * int * int, Memory.value) Hashtbl.t = Hashtbl.create 64 in
-  let rec deliver_in_order p src var =
-    let seq = expected.(p).(src).(var) in
-    match Hashtbl.find_opt stashed (p, src, var, seq) with
-    | None -> ()
-    | Some value ->
-        Hashtbl.remove stashed (p, src, var, seq);
-        expected.(p).(src).(var) <- seq + 1;
-        store.(p).(var) <- value;
-        Proto_base.count_apply base;
-        deliver_in_order p src var
-  in
-  let on_message p (envelope : msg Net.envelope) =
-    match envelope.Net.msg with
-    | Update { var; value; lane_seq } ->
-        Hashtbl.replace stashed (p, envelope.Net.src, var, lane_seq) value;
-        deliver_in_order p envelope.Net.src var
-  in
-  for p = 0 to n - 1 do
-    Proto_base.set_handler base p (on_message p)
-  done;
-  let read ~proc ~var = store.(proc).(var) in
-  let write ~proc ~var value =
-    store.(proc).(var) <- value;
-    List.iter
-      (fun peer ->
-        if peer <> proc then begin
-          let lane_seq = sent.(proc).(peer).(var) in
-          sent.(proc).(peer).(var) <- lane_seq + 1;
-          Proto_base.send base ~src:proc ~dst:peer
-            ~control_bytes:8 (* the lane sequence number *)
-            ~payload_bytes:Memory.value_bytes ~mentions:[ var ]
-            (Update { var; value; lane_seq })
-        end)
-      (Distribution.holders dist var)
-  in
-  Proto_base.finish base ~name:"slow-partial" ~read ~write ~blocking_writes:false
-    ~label ()
+  Machine.memory ~transport ~dist ~latency ~seed
+    { Machine.name = "slow-partial"; codec = Some codec; label; extra_nodes = 0;
+      blocking_reads = false; blocking_writes = false; checkpoint = None; init;
+      read; write; deliver }

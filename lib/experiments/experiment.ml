@@ -14,6 +14,7 @@ module Table = Repro_util.Table
 module Bitset = Repro_util.Bitset
 module Rng = Repro_util.Rng
 module Pool = Repro_util.Pool
+module Transport = Repro_transport.Transport
 
 let pool_of = function Some p -> p | None -> Pool.default ()
 
@@ -552,13 +553,13 @@ let bottleneck ~seed () =
           let _h = Workload.run_random ~profile ~seed:(seed + 1) memory in
           memory.Memory.now ()
         in
+        let transport = Transport.sim ~service_time:2 ~latency ~seed () in
         let seq_time =
           time_of (fun () ->
-              Repro_core.Seq_sequencer.create ~latency ~service_time:2 ~dist ~seed ())
+              Repro_core.Seq_sequencer.create ~transport ~dist ~seed ())
         in
         let pram_time =
-          time_of (fun () ->
-              Repro_core.Pram_partial.create ~latency ~service_time:2 ~dist ~seed ())
+          time_of (fun () -> Repro_core.Pram_partial.create ~transport ~dist ~seed ())
         in
         [
           string_of_int n;

@@ -8,10 +8,11 @@
    all hard errors, never best-effort values.
 
    A codec value is just three functions; each protocol module defines its
-   own and hands it to {!Proto_base.create}, which threads it through the
-   transport factory seam ({!Transport.factory}).  The simulator ignores
-   codecs entirely (its messages never leave the address space), so sim
-   behaviour — and every golden digest — is untouched. *)
+   own and names it in its machine, and the protocol host
+   ([Repro_core.Machine]) threads it through the transport factory seam
+   ({!Transport.factory}).  The simulator ignores codecs entirely (its
+   messages never leave the address space), so sim behaviour — and every
+   golden digest — is untouched. *)
 
 exception Bad of string
 

@@ -7,9 +7,11 @@
     truncation, unknown tags and trailing bytes raise {!Bad} — so a
     corrupt or foreign stream can never produce a silently-wrong message.
 
-    Protocol modules build codecs from the primitives below and pass them
-    to [Proto_base.create]; the factory seam ({!Transport.factory})
-    carries them to the live backend.  The simulator ignores them. *)
+    Protocol modules build codecs from the primitives below, and each
+    protocol machine names its codec; the protocol host
+    ([Repro_core.Machine]) passes it through the factory seam
+    ({!Transport.factory}) to the live backend.  The simulator ignores
+    them. *)
 
 exception Bad of string
 

@@ -138,6 +138,10 @@ let bind addr =
 
 let listen_addr fd = Unix.getsockname fd
 
+(* timers fire by due time, ties in the order they were armed *)
+let compare_due ((d1, s1) : int * int) (d2, s2) =
+  if d1 <> d2 then Int.compare d1 d2 else Int.compare s1 s2
+
 let create cfg ~listen_fd =
   if cfg.self < 0 || cfg.self >= cfg.n then invalid_arg "Live.create: bad self";
   if Array.length cfg.peers <> cfg.n then invalid_arg "Live.create: bad peers";
@@ -159,7 +163,7 @@ let create cfg ~listen_fd =
     pool = Wire.Pool.create ();
     conns = [];
     read_fds = [ listen_fd ];
-    timers = Pqueue.create ~cmp:compare ();
+    timers = Pqueue.create ~cmp:compare_due ();
     timer_seq = 0;
     on_data_view = (fun _ -> ());
     on_client = None;
@@ -189,7 +193,7 @@ let create cfg ~listen_fd =
   }
 
 let add_timer t ~delay f =
-  let due = now_ms t + max delay 0 in
+  let due = now_ms t + Int.max delay 0 in
   t.timer_seq <- t.timer_seq + 1;
   Pqueue.push t.timers (due, t.timer_seq) f
 
@@ -295,7 +299,7 @@ and schedule_reconnect t i =
             t.reconnects <- t.reconnects + 1;
             ignore (write_all t fd (control_frame t ~dst:i (hello t)))
         | Error e when transient_connect_error e ->
-            let delay = min 500 (delay * 2) in
+            let delay = Int.min 500 (delay * 2) in
             add_timer t ~delay:(delay + Rng.int t.jrng 20) (attempt ~delay)
         | Error e ->
             t.reconnect_pending.(i) <- false;
@@ -602,7 +606,7 @@ let connect_peer t ~deadline i =
         if now_ms t > deadline then
           failwith (Printf.sprintf "live: cannot connect to node %d" i);
         Unix.sleepf (float_of_int (delay + Rng.int t.jrng 10) /. 1000.);
-        attempt ~delay:(min 500 (delay * 2))
+        attempt ~delay:(Int.min 500 (delay * 2))
     | Error e ->
         failwith
           (Printf.sprintf "live: cannot connect to node %d: %s" i

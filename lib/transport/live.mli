@@ -82,7 +82,7 @@ val factory : t -> Transport.factory
     raises [Invalid_argument]; so does [create ~n] with the wrong [n].
     The resulting transport has [scope = Node self]; its [send] refuses
     [src <> self] and its [set_handler] ignores installs for other nodes
-    (whole-instance protocols install all [n] — only ours is live).
+    (the protocol host installs only ours).
     [Data] bodies are encoded with the codec passed through the factory;
     [create] without one raises [Invalid_argument].
     [REPRO_CODEC_ORACLE=1] additionally cross-checks every encoded body

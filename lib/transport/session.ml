@@ -257,7 +257,7 @@ let wrap ?(config = default) (inner : Transport.factory) :
             let rec go off acc =
               if off >= total then List.rev acc
               else
-                let k = min config.coalesce (total - off) in
+                let k = Int.min config.coalesce (total - off) in
                 go (off + k) (Array.sub segs off k :: acc)
             in
             go 0 []
@@ -296,7 +296,7 @@ let wrap ?(config = default) (inner : Transport.factory) :
                         (emit_data ~retransmit:true ~src ~dst)
                         (chunked segs);
                       cur_timeout.(src).(dst) <-
-                        min config.backoff_max (2 * cur_timeout.(src).(dst));
+                        Int.min config.backoff_max (2 * cur_timeout.(src).(dst));
                       arm src dst
                     end)
             end

@@ -1,6 +1,6 @@
 (** Pluggable message transport for the protocol layer.
 
-    Every protocol in [lib/core] is written against one {!t} record: point
+    Every protocol in [lib/core] is hosted over one {!t} record: point
     messages with declared control/payload accounting, per-node delivery
     handlers, timers, a step/quiesce event loop and a clock.  Two backends
     produce the record:
@@ -32,7 +32,9 @@ type 'msg t = {
           their own node. *)
   set_handler : int -> ('msg Net.envelope -> unit) -> unit;
       (** Install node [i]'s delivery callback.  Live backends silently
-          ignore installs for remote nodes (protocols install all [n]). *)
+          ignore installs for remote nodes (the protocol host installs
+          one per hosted node: all [n] under [All_nodes], its own under
+          [Node self]). *)
   schedule : delay:int -> (unit -> unit) -> unit;
       (** Run a thunk [delay] ticks from now (simulated ticks, or
           milliseconds on the live backend). *)

@@ -20,6 +20,6 @@ let error_of_code = function
 let writev fd chunks ~start ~skip ~count =
   if count <= 0 then 0
   else
-    let n = writev_raw fd chunks start skip (min count max_iov) in
+    let n = writev_raw fd chunks start skip (Int.min count max_iov) in
     if n >= 0 then n
     else raise (Unix.Unix_error (error_of_code n, "writev", ""))

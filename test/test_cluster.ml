@@ -84,6 +84,31 @@ let test_e1_causal_partial () =
   | Checker.Undecidable _ -> Alcotest.fail "e1 history should be differentiated");
   assert_parity o ~protocol:"causal-partial" ~workload:"e1"
 
+(* causal-adhoc's dependency summaries and causal-delta's clock deltas
+   depend on what the writer had applied when it wrote, which delivery
+   timing decides: live control bytes may differ from the simulator's *)
+let timing_dependent_control = [ "causal-adhoc"; "causal-delta" ]
+
+let test_e1_every_protocol () =
+  let specs = List.filter (fun spec -> not spec.Registry.blocking) Registry.all in
+  check Alcotest.int "non-blocking protocols" 8 (List.length specs);
+  List.iter
+    (fun spec ->
+      let name = spec.Registry.name in
+      let o = run_ok ~n:3 ~protocol:name ~workload:"e1" ~seed:7 () in
+      check Alcotest.bool (name ^ " accepted") true (Cluster.accepted o);
+      match Cluster.sim_parity ~protocol:spec o with
+      | Error msg -> Alcotest.failf "%s sim_parity: %s" name msg
+      | Ok counters ->
+          let exempt what =
+            what = "control bytes" && List.mem name timing_dependent_control
+          in
+          List.iter
+            (fun (what, live, sim) ->
+              if not (exempt what) then check Alcotest.int (name ^ " " ^ what) sim live)
+            counters)
+    specs
+
 let test_bellman_ford_finals () =
   (* the Fig. 8 network: live distances must match the single-machine
      reference, the same acceptance the §6 tests use *)
@@ -520,6 +545,8 @@ let () =
             test_e1_pram_partial;
           Alcotest.test_case "e1 on causal-partial: consistent + parity" `Quick
             test_e1_causal_partial;
+          Alcotest.test_case "e1 on every non-blocking protocol: accepted + parity"
+            `Quick test_e1_every_protocol;
           Alcotest.test_case "bellman-ford fig8: distances match reference"
             `Quick test_bellman_ford_finals;
         ] );

@@ -13,6 +13,7 @@ module Slow_partial = Repro_core.Slow_partial
 module Seq_sequencer = Repro_core.Seq_sequencer
 module Causal_buf = Repro_core.Causal_buf
 module Atomic_primary = Repro_core.Atomic_primary
+module Machine = Repro_core.Machine
 module Distribution = Repro_sharegraph.Distribution
 module Share_graph = Repro_sharegraph.Share_graph
 module Checker = Repro_history.Checker
@@ -169,14 +170,56 @@ let test_pram_guard_survives_reordering =
          let h = Workload.run_random ~profile:small_profile ~seed:(seed + 1) memory in
          consistent Checker.Pram h))
 
+(* The textbook PRAM protocol: pram-partial's writes, but every update
+   applied on arrival, without the sequence guard — its correctness rests
+   on FIFO channels alone. *)
+type unguarded = {
+  u_self : int;
+  u_dist : Distribution.t;
+  u_port : Pram_partial.msg Machine.port;
+  u_store : Memory.value array;
+  u_sent : int array;
+}
+
+let unguarded_pram =
+  let write s ~var value =
+    s.u_store.(var) <- value;
+    List.iter
+      (fun peer ->
+        if peer <> s.u_self then begin
+          let seq = s.u_sent.(peer) in
+          s.u_sent.(peer) <- seq + 1;
+          s.u_port.Machine.send ~dst:peer ~control_bytes:8 ~payload_bytes:8
+            ~mentions:[ var ] (Pram_partial.Update { var; value; seq })
+        end)
+      (Distribution.holders s.u_dist var)
+  in
+  let deliver s ~src:_ (Pram_partial.Update { var; value; _ }) =
+    s.u_store.(var) <- value;
+    s.u_port.Machine.applied ()
+  in
+  {
+    Machine.name = "pram-unguarded"; codec = Some Pram_partial.codec;
+    label = (fun _ -> "upd"); extra_nodes = 0; blocking_reads = false;
+    blocking_writes = false; checkpoint = None;
+    init =
+      (fun dist ~self port ->
+        { u_self = self; u_dist = dist; u_port = port;
+          u_store = Array.make (Distribution.n_vars dist) Op.Init;
+          u_sent = Array.make (Distribution.n_procs dist) 0 });
+    read = (fun s ~var -> s.u_store.(var));
+    write;
+    deliver;
+  }
+
 let test_pram_unguarded_breaks_under_reordering () =
   (* Without the sequence guard, reordering must eventually produce a
      non-PRAM history (textbook protocol depends on FIFO channels). *)
   let make ~seed =
-    let transport =
-      Transport.sim ~fifo:false ~latency:(Latency.uniform ~lo:1 ~hi:40) ~seed ()
-    in
-    Pram_partial.create ~transport ~sequence_guard:false ~dist:hoopy ~seed ()
+    let latency = Latency.uniform ~lo:1 ~hi:40 in
+    Machine.memory
+      ~transport:(Transport.sim ~fifo:false ~latency ~seed ())
+      ~dist:hoopy ~latency ~seed unguarded_pram
   in
   check Alcotest.bool "violation found" true
     (violation_exists ~make ~criterion:Checker.Pram ~seeds:40)
@@ -479,6 +522,49 @@ let test_runner_access_control () =
      ignore (Runner.run memory ~programs);
      Alcotest.fail "expected access violation"
    with Invalid_argument _ -> ())
+
+(* --- hosting: a live node builds and serves only its own state -------------- *)
+
+(* the simulator, scoped as live node [self] *)
+let node_scoped self =
+  let sim = Transport.sim ~latency:Latency.lan ~seed:1 () in
+  {
+    Transport.create =
+      (fun ?codec n ->
+        let tr = sim.Transport.create ?codec n in
+        { tr with Transport.scope = Transport.Node self });
+  }
+
+let test_live_node_holds_one_slice () =
+  (* heap words a causal-partial node at n = 48 holds beyond its distribution *)
+  let build n_vars =
+    let dist = Distribution.full ~n_procs:48 ~n_vars in
+    let memory = Causal_partial.create ~transport:(node_scoped 5) ~dist ~seed:1 () in
+    let words x = Obj.reachable_words (Obj.repr x) in
+    (memory, words memory - words dist)
+  in
+  let memory, words_96 = build 96 in
+  let _, words_192 = build 192 in
+  let per_var = float_of_int (words_192 - words_96) /. 96. in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f words per variable, under 10" per_var)
+    true (per_var < 10.);
+  memory.Memory.write ~proc:5 ~var:3 (Op.Val 7);
+  check Alcotest.bool "node 5 reads its write" true
+    (memory.Memory.read ~proc:5 ~var:3 = Op.Val 7);
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s on an unhosted process accepted" what
+    | exception Invalid_argument msg ->
+        check Alcotest.string "names the process"
+          "causal-partial: process 4 is not hosted by this transport" msg
+  in
+  refused "read" (fun () -> ignore (memory.Memory.read ~proc:4 ~var:3));
+  refused "write" (fun () -> memory.Memory.write ~proc:4 ~var:3 (Op.Val 1));
+  Alcotest.check_raises "holder check text"
+    (Invalid_argument "pram-partial: process 0 does not hold variable x2") (fun () ->
+      let memory = Pram_partial.create ~dist:hoopy ~seed:0 () in
+      ignore (memory.Memory.read ~proc:0 ~var:2))
 
 let test_runner_determinism () =
   let run () =
@@ -874,6 +960,8 @@ let () =
             test_runner_rejects_too_many_programs;
           Alcotest.test_case "livelock" `Quick test_runner_livelock;
           Alcotest.test_case "access control" `Quick test_runner_access_control;
+          Alcotest.test_case "a live node holds one slice" `Quick
+            test_live_node_holds_one_slice;
           Alcotest.test_case "determinism" `Quick test_runner_determinism;
         ] );
       ( "workload",
