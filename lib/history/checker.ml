@@ -326,7 +326,8 @@ let unit_key_name = function
   | Proc_var (p, x) -> Printf.sprintf "p%d/x%d" p x
 
 (* The relation of a criterion decided one unit per process: that
-   process's ops plus every write. *)
+   process's ops plus every write, or, under the saturation engine, its
+   reads plus every write of a variable it reads. *)
 let process_relation rc = function
   | Causal -> Some (Relcache.causal rc)
   | Semi_causal -> Some (Relcache.semi_causal rc)
@@ -373,8 +374,9 @@ let check_with ~for_all ?(engine = Saturation) criterion rc =
       let decisions =
         match (engine, process_relation rc criterion) with
         | Saturation, Some relation ->
-            (* the units share every write: their rows are built once, and
-               each unit adds its process's reads *)
+            (* each unit is its process's reads and the writes of the
+               variables they read; the tables they are cut from are built
+               here, once per history *)
             let skeleton = V.skeleton index relation in
             List.init (History.n_procs (Relcache.history rc)) (fun p () ->
                 let view = V.proc_unit skeleton p in

@@ -29,14 +29,21 @@
     of an open relation (PRAM, slow) before any saturation, and a guided
     construction the units whose reads stay unordered.  It falls back to
     the search only when none of them can prove — polynomial on virtually
-    every unit this repository produces.
+    every unit this repository produces.  It decides the unit of process
+    [i] of PRAM and of the causal family over [i]'s reads plus every write
+    of a variable [i] reads ({!Unit_view.proc_unit}), not over
+    [H_{i+w}], under the whole history's relation; a process with no read
+    has an empty unit.  The verdicts stay: PRAM's unit by unit, the causal
+    family's per criterion (a relation cycle runs through a read, whose
+    own process keeps it), as DESIGN.md proves.
     The {b search} engine is the original backtracking search over legal
     linear extensions: exponential in the worst case (reads are placed
     greedily — which is always safe — and explored states are memoized),
     and still the witness extractor and cross-check oracle.  Both engines
     return identical verdicts on every input; setting the
     [REPRO_CHECK_ORACLE] environment variable makes every
-    saturation-engine decision assert agreement with the search.
+    saturation-engine decision assert agreement with the search on the
+    unit it was made on.
 
     Histories must be {e differentiated} (unique written values per
     variable, {!History.is_differentiated}); protocol runs and generators
@@ -127,16 +134,17 @@ val witness : criterion -> History.t -> (unit_key * int list) list option
 (** When consistent, the per-unit serializations found by the search,
     keyed by {!unit_key}.  [None] when inconsistent or undecidable.
     Intended for debugging and for tests that cross-validate with
-    {!validate_serialization}.  Always uses the search engine: the
-    saturation front-end only decides, it does not enumerate. *)
+    {!validate_serialization}.  Always uses the search engine, on the
+    full units ([H_{i+w}] per process): the saturation front-end only
+    decides, it does not enumerate. *)
 
 (**/**)
 
 module Private : sig
   val units : criterion -> Relcache.t -> (unit_key * int list * Orders.relation) list
-  (** The serialization units of the criterion, as [check] decomposes it:
-      key, subset and relation.  Exposed only so tests can decide each
-      unit on its own. *)
+  (** The serialization units of the criterion, as the search engine and
+      {!witness} decompose it (full units): key, subset and relation.
+      Exposed only so tests can decide each unit on its own. *)
 
   val pack_state : k:int -> placed:int list -> last_write:int array -> int array
   (** The packed memo-key encoding of a search state over a [k]-operation

@@ -11,8 +11,7 @@ type t = {
   semi_causal : Orders.relation Lazy.t;
   lazy_causal : Orders.relation Lazy.t;
   lazy_semi_causal : Orders.relation Lazy.t;
-  pram : Orders.relation Lazy.t;
-  slow : Orders.relation Lazy.t;
+  pram : Orders.relation Lazy.t; (* also slow memory's relation *)
   proc_ids : int list array Lazy.t;
   var_ids : (int, int list) Hashtbl.t Lazy.t;
 }
@@ -41,9 +40,8 @@ let create h =
     semi_causal = lazy (Orders.semi_causal h (Lazy.force rf_exn));
     lazy_causal = lazy (Orders.lazy_causal h (Lazy.force rf_exn));
     lazy_semi_causal = lazy (Orders.lazy_semi_causal h (Lazy.force rf_exn));
-    pram = lazy (Orders.pram h (Lazy.force rf_exn));
-    slow =
-      lazy (Graph.union (Lazy.force program_order) (Lazy.force read_from_relation));
+    (* [Orders.pram]'s graph, from the closure and read-from built here *)
+    pram = lazy (Graph.union (Lazy.force program_order) (Lazy.force read_from_relation));
     proc_ids =
       lazy
         (let ops = Lazy.force ops in
@@ -79,7 +77,7 @@ let semi_causal t = Lazy.force t.semi_causal
 let lazy_causal t = Lazy.force t.lazy_causal
 let lazy_semi_causal t = Lazy.force t.lazy_semi_causal
 let pram t = Lazy.force t.pram
-let slow t = Lazy.force t.slow
+let slow = pram
 
 let all_ids t = List.init (History.n_ops t.h) Fun.id
 

@@ -38,10 +38,16 @@ val causal : t -> Orders.relation
 val semi_causal : t -> Orders.relation
 val lazy_causal : t -> Orders.relation
 val lazy_semi_causal : t -> Orders.relation
+
 val pram : t -> Orders.relation
+(** Program order ∪ read-from ({!Orders.pram}: the same edges, in the same
+    adjacency order), built from this cache's {!program_order} and
+    {!read_from_relation} rather than closing program order again. *)
 
 val slow : t -> Orders.relation
-(** Program order ∪ read-from: the per-variable relation of slow memory. *)
+(** The per-variable relation of slow memory, program order ∪ read-from:
+    the very graph {!pram} returns, so a sweep of both criteria builds it
+    once. *)
 
 (** {2 Operation indexes} *)
 
@@ -50,7 +56,9 @@ val all_ids : t -> int list
 
 val proc_ids : t -> int -> int list
 (** Global ids of [sub_history h p] (process [p]'s operations plus all
-    writes), ascending. *)
+    writes), ascending: the full unit of process [p], which the search
+    engine and {!Checker.witness} decide.  The saturation engine decides
+    the smaller unit {!Unit_view.proc_unit} builds. *)
 
 val var_ids : t -> int -> int list
 (** Global ids of the operations on a variable, ascending; memoized for the

@@ -156,6 +156,19 @@ let slot_writes var_slot_of n_vars ops =
 
 let n_procs_of ops = 1 + Array.fold_left (fun m (o : Op.t) -> Int.max m o.proc) (-1) ops
 
+(* process -> the indices of its ops in [ops], in global-id order, which is
+   program order *)
+let programs_of ops gids =
+  let by_gid = Array.init (Array.length gids) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare gids.(a) gids.(b)) by_gid;
+  let programs = Array.make (n_procs_of ops) [] in
+  for r = Array.length by_gid - 1 downto 0 do
+    let i = by_gid.(r) in
+    let p = ops.(i).Op.proc in
+    programs.(p) <- i :: programs.(p)
+  done;
+  Array.map Array.of_list programs
+
 (* The [source] entry of the op with global id [gid], given [local]: global
    id -> index in the unit, [-1] outside it.  A read's source is its
    value's writer in the unit; of two, the one with the larger index. *)
@@ -195,15 +208,6 @@ let make { all_ops; writers } ~subset ~relation =
   done;
   let var_slot_of, n_vars = var_slots ops in
   let source = Array.mapi (fun i o -> source_of writers local_of gids.(i) o) ops in
-  (* each process's ops in global-id order, which is program order *)
-  let by_gid = Array.init k Fun.id in
-  Array.stable_sort (fun a b -> compare gids.(a) gids.(b)) by_gid;
-  let programs = Array.make (n_procs_of ops) [] in
-  for r = k - 1 downto 0 do
-    let i = by_gid.(r) in
-    let p = ops.(i).Op.proc in
-    programs.(p) <- i :: programs.(p)
-  done;
   {
     ops;
     gids;
@@ -219,18 +223,19 @@ let make { all_ops; writers } ~subset ~relation =
         (fun (o : Op.t) gid -> Op.is_write o && dup_write writers local_of gid)
         ops gids;
     slot_writes = slot_writes var_slot_of n_vars ops;
-    programs = Array.map Array.of_list programs;
+    programs = programs_of ops gids;
   }
 
-(* --- the write skeleton --------------------------------------------------- *)
+(* --- the write rows that keep every write ---------------------------------- *)
 
-(* Rows [0 .. n_writes-1] are the writes in global-id order; after them come
-   the history's reads in global-id order, so each process's reads are one
+(* The rows shared by the units that keep every write of the history.  Rows
+   [0 .. n_writes-1] are the writes in global-id order; after them come the
+   history's reads in global-id order, so each process's reads are one
    block of rows, [n_writes + first_read.(p) ..].  A write's row holds its
    write-to-write edges.  A read's row holds its edges with the writes and
    with its own process's reads, numbered as in that process's unit
    ([n_writes] + the read's rank in its process). *)
-type skeleton = {
+type shared = {
   rows_ops : Op.t array;  (** row -> operation *)
   rows_gids : int array;  (** row -> global id *)
   rows_source : int array;  (** row -> the unit's [source] entry *)
@@ -242,7 +247,7 @@ type skeleton = {
           last process *)
   missing : bool array;  (** process -> some read of it has no writer *)
   sk_programs : int array array;
-      (** process -> its writes' rows in program order; {!proc_unit} puts
+      (** process -> its writes' rows in program order; [shared_unit] puts
           the reader's own chain in its slot *)
   chains : int array array;
       (** process -> its unit's local indices of its ops, in program order *)
@@ -253,7 +258,7 @@ type skeleton = {
   sk_slot_writes : int list array;  (** the writes' rows are their unit indices *)
 }
 
-let skeleton { all_ops; writers } relation =
+let shared_rows { all_ops; writers } relation =
   let n = Array.length all_ops in
   let n_procs = n_procs_of all_ops in
   let n_writes =
@@ -286,7 +291,7 @@ let skeleton { all_ops; writers } relation =
   let preds = { w; bits = Array.make (n_rows * w) 0 } in
   let succs = { w; bits = Array.make (n_rows * w) 0 } in
   (* one walk of the relation: write-write edges into both rows, a read's
-     edges with writes into the read's rows only ({!proc_unit} adds them to
+     edges with writes into the read's rows only ([shared_unit] adds them to
      the write rows of its unit), read-read edges within a process into
      both; reads of two processes never share a unit *)
   let from = ref 0 in
@@ -355,13 +360,11 @@ let cut a n_writes first r =
   Array.blit a first b n_writes r;
   b
 
-let proc_unit sk p =
+(* the unit of [p], a process with a read *)
+let shared_unit sk p =
   let nw = sk.n_writes and w = sk.sk_preds.w in
-  let first, r =
-    if p < Array.length sk.missing then
-      (sk.first_read.(p), sk.first_read.(p + 1) - sk.first_read.(p))
-    else (0, 0)
-  in
+  let first = sk.first_read.(p) in
+  let r = sk.first_read.(p + 1) - first in
   let k = nw + r in
   let st = Domain.DLS.get buffers in
   st.preds_buf <- at_least st.preds_buf (k * w);
@@ -377,14 +380,8 @@ let proc_unit sk p =
     iter_in_row (fun u -> if u < nw then row_add succs u i) preds i;
     iter_in_row (fun v -> if v < nw then row_add preds v i) succs i
   done;
-  let programs =
-    if r = 0 then sk.sk_programs
-    else begin
-      let programs = Array.copy sk.sk_programs in
-      programs.(p) <- sk.chains.(p);
-      programs
-    end
-  in
+  let programs = Array.copy sk.sk_programs in
+  programs.(p) <- sk.chains.(p);
   {
     ops = cut sk.rows_ops nw rfirst r;
     gids = cut sk.rows_gids nw rfirst r;
@@ -394,11 +391,161 @@ let proc_unit sk p =
     var_slot_of = sk.sk_var_slot_of;
     n_vars = sk.sk_n_vars;
     source = cut sk.rows_source nw rfirst r;
-    missing_source = r > 0 && sk.missing.(p);
+    missing_source = sk.missing.(p);
     dup_writer = sk.sk_dup_writer;
     slot_writes = sk.sk_slot_writes;
     programs;
   }
+
+(* --- process units over the variables their process reads ----------------- *)
+
+type skeleton = {
+  sk_index : index;
+  relation : Orders.relation;
+  reads_of : int array array;  (** process -> its reads' global ids, in program order *)
+  var_writes : int array array;  (** variable -> its writes' global ids, ascending *)
+  keeps_all : bool array;
+      (** process -> it has a read and reads every written variable, so its
+          unit keeps every write *)
+  shared : shared option;  (** built when some process keeps every write *)
+}
+
+(* [rows.(key.(i))] collects [i], for every [i] with [key.(i) >= 0], in
+   ascending order *)
+let group n key =
+  let count = Array.make n 0 in
+  Array.iter (fun g -> if g >= 0 then count.(g) <- count.(g) + 1) key;
+  let rows = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 n 0;
+  Array.iteri
+    (fun i g ->
+      if g >= 0 then begin
+        rows.(g).(count.(g)) <- i;
+        count.(g) <- count.(g) + 1
+      end)
+    key;
+  rows
+
+let skeleton ({ all_ops; _ } as index) relation =
+  let n_procs = n_procs_of all_ops in
+  let n_vars = 1 + Array.fold_left (fun m (o : Op.t) -> Int.max m o.var) (-1) all_ops in
+  let reads_of =
+    group n_procs (Array.map (fun (o : Op.t) -> if Op.is_read o then o.proc else -1) all_ops)
+  in
+  let var_writes =
+    group n_vars (Array.map (fun (o : Op.t) -> if Op.is_write o then o.var else -1) all_ops)
+  in
+  let written =
+    Array.fold_left (fun c ws -> if Array.length ws > 0 then c + 1 else c) 0 var_writes
+  in
+  (* [seen.(x) = p]: process [p] has been found reading [x] *)
+  let seen = Array.make n_vars (-1) in
+  let keeps_all =
+    Array.mapi
+      (fun p reads ->
+        let covered = ref 0 in
+        Array.iter
+          (fun gid ->
+            let x = all_ops.(gid).Op.var in
+            if seen.(x) <> p && Array.length var_writes.(x) > 0 then begin
+              seen.(x) <- p;
+              incr covered
+            end)
+          reads;
+        Array.length reads > 0 && !covered = written)
+      reads_of
+  in
+  {
+    sk_index = index;
+    relation;
+    reads_of;
+    var_writes;
+    keeps_all;
+    shared =
+      (if Array.exists Fun.id keeps_all then Some (shared_rows index relation) else None);
+  }
+
+(* the position of [x] in the ascending [a], or [-1] *)
+let find_sorted (a : int array) x =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      if a.(mid) = x then mid else if a.(mid) < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+(* The unit of [p]'s reads and every write of a variable they read, built
+   from the per-history tables and the relation's edge matrix alone, so its
+   cost is the unit's: the writes, in global-id order, and then the reads,
+   in program order; one edge lookup per ordered pair. *)
+let read_unit sk p =
+  let { all_ops; writers } = sk.sk_index in
+  let reads = if p < Array.length sk.reads_of then sk.reads_of.(p) else [||] in
+  let r = Array.length reads in
+  let writes =
+    Array.to_list reads
+    |> List.map (fun gid -> all_ops.(gid).Op.var)
+    |> List.sort_uniq Int.compare
+    |> List.map (fun x -> sk.var_writes.(x))
+    |> Array.concat
+  in
+  Array.sort Int.compare writes;
+  let nw = Array.length writes in
+  let k = nw + r in
+  let gids = Array.append writes reads in
+  let ops = Array.map (fun gid -> all_ops.(gid)) gids in
+  let w = words_for k in
+  let st = Domain.DLS.get buffers in
+  st.preds_buf <- at_least st.preds_buf (k * w);
+  st.succs_buf <- at_least st.succs_buf (k * w);
+  let preds = { w; bits = st.preds_buf } and succs = { w; bits = st.succs_buf } in
+  for j = 0 to (k * w) - 1 do
+    preds.bits.(j) <- 0;
+    succs.bits.(j) <- 0
+  done;
+  for i = 0 to k - 1 do
+    let u = gids.(i) in
+    for j = 0 to k - 1 do
+      if Graph.mem_edge sk.relation u gids.(j) then begin
+        row_add succs i j;
+        row_add preds j i
+      end
+    done
+  done;
+  (* every writer of a read's value writes the read's variable, so it is in
+     the unit; [writers] lists the latest first *)
+  let source =
+    Array.mapi
+      (fun i (o : Op.t) ->
+        match (o.kind, o.value, writers.(gids.(i))) with
+        | Op.Write, _, _ -> -2
+        | Op.Read, Op.Init, _ -> -1
+        | Op.Read, Op.Val _, [] -> -2
+        | Op.Read, Op.Val _, latest :: _ -> find_sorted writes latest)
+      ops
+  in
+  let var_slot_of, n_vars = var_slots ops in
+  {
+    ops;
+    gids;
+    preds;
+    succs;
+    closed = Graph.is_closed sk.relation;
+    var_slot_of;
+    n_vars;
+    source;
+    missing_source = Array.exists2 (fun (o : Op.t) s -> Op.is_read o && s = -2) ops source;
+    dup_writer =
+      Array.exists (fun gid -> List.compare_length_with writers.(gid) 1 > 0) writes;
+    slot_writes = slot_writes var_slot_of n_vars ops;
+    programs = programs_of ops gids;
+  }
+
+let proc_unit sk p =
+  match sk.shared with
+  | Some shared when p < Array.length sk.keeps_all && sk.keeps_all.(p) -> shared_unit shared p
+  | _ -> read_unit sk p
 
 let var_slot t (o : Op.t) = t.var_slot_of.(o.var)
 

@@ -5,9 +5,10 @@
     whole history.  The view renumbers the subset [0 .. k-1] and stores the
     relation restricted to it twice, as predecessor and as successor bit
     rows.  Two constructions give a view: {!make}, for any subset, numbers
-    it in subset order; {!proc_unit}, for the unit of one process (its
-    operations plus every write), builds it on a {!skeleton} shared by all
-    of a history's process units. *)
+    it in subset order; {!proc_unit}, for the unit the saturation engine
+    decides for one process (its reads plus every write of a variable it
+    reads), cuts it from a {!skeleton} built once per history and
+    relation. *)
 
 (** {1 Bit rows}
 
@@ -110,34 +111,51 @@ val make : index -> subset:int list -> relation:Orders.relation -> t
     witness, the oracle and the units that are not one per process use
     it. *)
 
-(** {1 Process units on a write skeleton} *)
+(** {1 Process units}
+
+    The saturation engine decides the PRAM and causal-family unit of
+    process [p] over [p]'s reads plus every write of a variable [p] reads:
+    the full unit, [p]'s operations plus every write ({!Relcache.proc_ids}),
+    less the writes of the variables [p] never reads.  The relation is
+    still the whole history's.  A process with no read has an empty unit.
+    [Checker] documents why no verdict moves. *)
 
 type skeleton
-(** The part of a history's process units that they all share, for one
-    relation: the relation restricted to the writes, as flat rows; each
+(** What a history's process units are cut from, for one relation: each
+    process's reads in program order, each variable's writes, and which
+    processes read every written variable, so that their unit keeps every
+    write.  When some process does, it also holds the rows those units
+    share: the relation restricted to the writes, as flat rows; each
     write's variable slot and writer; each process's writes in program
-    order.  It also holds each read's edges with the writes and with its
-    own process's reads, and its source.  Immutable once built, so the
-    units of one skeleton may be built in several domains. *)
+    order; each read's edges with the writes and with its own process's
+    reads, and its source.  Immutable once built, so the units of one
+    skeleton may be built in several domains. *)
 
 val skeleton : index -> Orders.relation -> skeleton
-(** One walk of the relation's adjacency lists over the whole history. *)
+(** A pass over the history's operations for the tables; the shared rows,
+    when some unit keeps every write, take one walk of the relation's
+    adjacency lists over the whole history. *)
 
 val proc_unit : skeleton -> int -> t
-(** [proc_unit sk p]: the unit of process [p], the same unit as
-    [make index ~subset ~relation] over [p]'s operations plus every write
-    ({!Relcache.proc_ids}), numbered differently: the writes [0 .. W-1] in
-    global-id order, then [p]'s reads in program order.  Both numberings
-    keep the writes' relative order, which is what the choices of
-    {!Saturation.decide} depend on.  The rows are as wide as the skeleton's widest unit
-    needs, which may be more than [words_for k].
+(** [proc_unit sk p]: the unit of process [p], [p]'s reads plus every
+    write of a variable [p] reads.  It is the same unit as
+    [make index ~subset ~relation] over those operations, numbered
+    differently: the writes [0 .. W-1] in global-id order, then [p]'s
+    reads in program order.  Both numberings keep the writes' relative
+    order, which is what the choices of {!Saturation.decide} depend on.
 
-    Building it copies the skeleton's write rows and [p]'s read rows, word
-    by word, into two row buffers that this domain reuses for every unit,
-    then adds each read's edges to the write rows.  So the view is valid
-    only until the next [proc_unit] call in the same domain: decide it
-    first.  Its [ops], [gids], [source] and [programs] are its own; its
-    [slot_writes] is the skeleton's, the same for every unit. *)
+    A unit that keeps every write is built on the shared rows: their
+    write rows and [p]'s read rows are copied, word by word, into two row
+    buffers that this domain reuses for every unit, then each read's
+    edges are added to the write rows.  Its rows are as wide as the
+    widest such unit needs, which may be more than [words_for k], and its
+    [slot_writes] is the skeleton's, the same for every such unit.  Any
+    other unit is built from the tables alone, in time and space that
+    grow with the unit, not the history: its writes are gathered from
+    the variables [p] reads, and each ordered pair's edge is read from the
+    relation's edge matrix ({!Repro_util.Graph.mem_edge}) into the same
+    two buffers, cleared first.  Either way the view is valid only until
+    the next [proc_unit] call in the same domain: decide it first. *)
 
 val var_slot : t -> Op.t -> int
 (** The dense slot of the operation's variable. *)

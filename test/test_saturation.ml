@@ -175,15 +175,17 @@ let mix () =
 (* The shape the repository benchmark's sim-check workload decides: n = 32,
    64 variables on 3 replicas each, 8 ops per process, 40% reads, under
    pram-partial and causal-partial, each history against its protocol's
-   guarantee — units of about 158 ops.  The search cannot decide units this
-   wide, so [Saturation.decide] is called directly (the oracle would never
-   finish), on views built by [unit_of rc relation p]: the reference
-   construction, and the write skeleton the checker decides these units
-   on.  The counters pin which step decides each unit: a change that moves
-   units from one step to another fails here.  Of the 256 units, the merge
-   decides 124 PRAM units, and an acyclic saturation with ordered reads
-   the 128 causal units and the 4 PRAM units that have no read, so no
-   chain to merge along. *)
+   guarantee.  A full unit (the process's ops and every write) has about
+   158 ops; the unit the checker decides (the process's reads and every
+   write of a variable it reads) about 9.  [Saturation.decide] is called
+   directly on views built by [unit_of rc relation p]: the reference
+   construction, and [Unit_view.proc_unit], which the checker decides
+   these units on.  The counters pin which step decides each unit: a
+   change that moves units from one step to another fails here.  Of the
+   256 units, the merge decides 124 PRAM units, and an acyclic saturation
+   with ordered reads 124 causal units.  The other 8 belong to the 4
+   processes that have no read: their units are empty, and an empty unit
+   is decided before any step runs. *)
 let e1x_shape_counters ~unit_of seeds =
   let n_procs = 32 in
   let profile = { Workload.ops_per_proc = 8; read_ratio = 0.4; max_think = 3 } in
@@ -218,8 +220,26 @@ let e1x_shape_counters ~unit_of seeds =
     seeds;
   mix ()
 
+(* The unit the saturation engine decides for process [p]: [p]'s reads and
+   every write of a variable [p] reads, ascending. *)
+let read_unit_ids rc p =
+  let h = Relcache.history rc in
+  let ids = Relcache.all_ids rc in
+  let read_vars =
+    List.filter_map
+      (fun gid ->
+        let o = History.op h gid in
+        if Op.is_read o && o.Op.proc = p then Some o.Op.var else None)
+      ids
+  in
+  List.filter
+    (fun gid ->
+      let o = History.op h gid in
+      if Op.is_read o then o.Op.proc = p else List.mem o.Op.var read_vars)
+    ids
+
 let made rc relation p =
-  Unit_view.make (Relcache.index rc) ~subset:(Relcache.proc_ids rc p) ~relation
+  Unit_view.make (Relcache.index rc) ~subset:(read_unit_ids rc p) ~relation
 
 let on_skeleton rc relation =
   Unit_view.proc_unit (Unit_view.skeleton (Relcache.index rc) relation)
@@ -229,9 +249,9 @@ let test_e1x_decision_mix () =
     (fun (construction, unit_of) ->
       Alcotest.(check (list int))
         (construction ^ ": merge / cycle / greedy / fallback / acyclic")
-        [ 124; 0; 0; 0; 132 ]
+        [ 124; 0; 0; 0; 124 ]
         (e1x_shape_counters ~unit_of [ 1; 2; 3; 4 ]))
-    [ ("Unit_view.make", made); ("write skeleton", on_skeleton) ]
+    [ ("Unit_view.make", made); ("Unit_view.proc_unit", on_skeleton) ]
 
 (* The same pin on small generated histories, every criterion: here the
    greedy gets stuck on a few units (the fallback column), so a change to
@@ -240,7 +260,9 @@ let test_e1x_decision_mix () =
    an open relation (PRAM, slow), and an acyclic saturation whose rows
    order the unit's reads proves the causal, semi-causal, PRAM and slow
    units the merge leaves; the greedy decides the lazy, cache and
-   sequential units whose reads stay unordered. *)
+   sequential units whose reads stay unordered.  Each generator draws 4
+   processes with no read over the 200 seeds: their PRAM and causal-family
+   units are empty, and no step decides an empty unit. *)
 let test_generated_decision_mix () =
   List.iter
     (fun (name, generate, expected) ->
@@ -258,8 +280,8 @@ let test_generated_decision_mix () =
         (name ^ ": merge / cycle / greedy / fallback / acyclic")
         expected (mix ()))
     [
-      ("pram-consistent", Generator.pram_consistent, [ 2556; 68; 1871; 4; 2660 ]);
-      ("causal-consistent", Generator.causal_consistent, [ 2554; 68; 1872; 4; 2657 ]);
+      ("pram-consistent", Generator.pram_consistent, [ 2556; 68; 1871; 4; 2640 ]);
+      ("causal-consistent", Generator.causal_consistent, [ 2554; 68; 1872; 4; 2637 ]);
     ]
 
 (* --- bit rows -------------------------------------------------------------- *)
@@ -361,7 +383,7 @@ let test_index_matches_unit_lookup =
              && view.Unit_view.dup_writer = dup_writer)
            [ 1; 2; 3 ]))
 
-(* --- process units on the write skeleton ------------------------------------- *)
+(* --- process units ------------------------------------------------------------ *)
 
 (* Which procedure decided a view, as counter deltas, with the outcome. *)
 let decided view =
@@ -378,7 +400,10 @@ let decided view =
     ] )
 
 (* [proc_unit] numbers a process's unit writes first, then the process's
-   reads; [make] numbers it in global-id order.  Under that renumbering the
+   reads; [make] numbers it in global-id order.  The unit is the process's
+   reads and every write of a variable it reads ([read_unit_ids]); when
+   that is every write, [proc_unit] builds it on the write rows all such
+   units share, otherwise on its own.  Under that renumbering the
    two views must hold the same rows, sources, flags, writes per variable
    and programs, and
    [Saturation.decide] must reach the same outcome through the same
@@ -640,6 +665,111 @@ let test_decide_matches_search =
            (fixed @ messy @ generated_histories small_profiles seed);
          true))
 
+(* --- process units restricted to the variables their process reads ------------ *)
+
+(* The saturation engine decides the unit of process p over p's reads and
+   every write of a variable p reads; the criteria define it over p's ops
+   and every write.  DESIGN.md ("Checker: decision vs. witness") proves
+   the verdicts stay.  PRAM's stay unit by unit: a dropped write touches
+   the unit only through program order, which is closed.  A causal-family
+   unit's stay whenever its full unit's relation is acyclic; a cycle of
+   the relation runs through some read, and that read's own process keeps
+   it, so the criterion's verdict stays too.
+
+   Each unit [Unit_view.proc_unit] builds is decided by the search and by
+   [Saturation.decide], and set against the search over the full unit:
+   the criterion verdicts must be equal, and so must the unit verdicts,
+   but for a causal-family unit whose full relation is cyclic.  Over the
+   run, units must drop writes, and the carve-out must be needed: some
+   cyclic causal-family unit must change its verdict.  A build that kept
+   only the writes p's reads read from, not every write of their
+   variables, fails here. *)
+let restricted_relations =
+  [
+    (Checker.Causal, Relcache.causal);
+    (Checker.Semi_causal, Relcache.semi_causal);
+    (Checker.Lazy_causal, Relcache.lazy_causal);
+    (Checker.Lazy_semi_causal, Relcache.lazy_semi_causal);
+    (Checker.Pram, Relcache.pram);
+  ]
+
+let test_restricted_units () =
+  let dropped = ref 0 and cyclic_moved = ref 0 in
+  let check ?(criteria = List.map fst restricted_relations) h =
+    let rc = Relcache.create h in
+    let n_writes =
+      Array.fold_left (fun c o -> if Op.is_write o then c + 1 else c) 0 (History.ops h)
+    in
+    let fail fmt = Alcotest.failf ("%s\n" ^^ fmt) (History.to_string h) in
+    if Result.is_ok (Relcache.read_from rc) then
+      List.iter
+        (fun (criterion, relation) ->
+          let name = Checker.criterion_name criterion in
+          let relation = relation rc in
+          let skeleton = Unit_view.skeleton (Relcache.index rc) relation in
+          let verdicts =
+            List.init (History.n_procs h) (fun p ->
+                let view = Unit_view.proc_unit skeleton p in
+                let decided = Saturation.decide view in
+                let subset = List.sort compare (Array.to_list view.Unit_view.gids) in
+                let restricted = Checker.find_serialization h ~subset ~relation <> None in
+                let full_ids = Relcache.proc_ids rc p in
+                let full = Checker.find_serialization h ~subset:full_ids ~relation <> None in
+                let cyclic =
+                  List.exists (fun gid -> Repro_util.Graph.mem_edge relation gid gid) full_ids
+                in
+                if List.length (List.filter (fun gid -> Op.is_write (History.op h gid)) subset)
+                   < n_writes
+                then incr dropped;
+                (match decided with
+                | Saturation.Consistent when not restricted ->
+                    fail "%s p%d: decide proved an unserializable unit" name p
+                | Saturation.Inconsistent when restricted ->
+                    fail "%s p%d: decide refuted a serializable unit" name p
+                | _ -> ());
+                if restricted <> full then
+                  if criterion = Checker.Pram || not cyclic then
+                    fail "%s p%d: restricted unit %b, full unit %b" name p restricted full
+                  else incr cyclic_moved;
+                (restricted, full))
+          in
+          let restricted = List.for_all fst verdicts and full = List.for_all snd verdicts in
+          if restricted <> full then
+            fail "%s: restricted units %b, full units %b" name restricted full;
+          let checked = Checker.check ~engine:Checker.Saturation criterion h = Checker.Consistent in
+          if checked <> full then fail "%s: checker %b, full units %b" name checked full)
+        (List.filter (fun (c, _) -> List.mem c criteria) restricted_relations)
+  in
+  let generators =
+    [
+      Generator.arbitrary;
+      Generator.pram_consistent;
+      Generator.causal_consistent;
+      Generator.sequential_consistent;
+    ]
+  in
+  let histories profiles seed =
+    List.concat_map
+      (fun generate -> List.map (fun profile -> generate (Rng.create seed) profile) profiles)
+      generators
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 31 |])
+    (QCheck.Test.make ~name:"restricted_units_keep_every_verdict" ~count:100
+       QCheck.small_int (fun seed ->
+         List.iter check (histories small_profiles seed);
+         true));
+  (* the search over a lazy criterion's full unit of [large_profile]'s size
+     takes seconds to a minute, so these histories check the other three *)
+  List.iter
+    (fun seed ->
+      List.iter
+        (check ~criteria:[ Checker.Causal; Checker.Semi_causal; Checker.Pram ])
+        (histories [ large_profile ] seed))
+    [ 0; 40; 70 ];
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "no %s was checked" what)
+    [ ("unit that drops a write", !dropped); ("cyclic unit whose verdict moved", !cyclic_moved) ]
+
 (* --- saturation over a closed relation ------------------------------------- *)
 
 (* A view whose relation is closed skips saturation's own closure and only
@@ -803,6 +933,8 @@ let () =
           test_decide_matches_search;
           Alcotest.test_case "closed relation saturates alike" `Quick
             test_closed_saturation_parity;
+          Alcotest.test_case "restricted units keep every verdict" `Quick
+            test_restricted_units;
         ] );
       ( "decision-mix",
         [
